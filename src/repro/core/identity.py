@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto import verify_cache
 from repro.crypto.cost_model import CryptoCounters
-from repro.crypto.hashing import hash_bytes
+from repro.crypto.hashing import derive_seed, hash_bytes
 from repro.crypto.multisig import (
     MultisigGroup,
     MultisigKeyPair,
@@ -58,7 +58,7 @@ class Directory:
         self._seed = seed
         # The deployment's operator trust root (paper S2.4 blessing).
         self.operator = RSAKeyPair(bits=max(rsa_bits, 256),
-                                   seed=hash((seed, "operator")))
+                                   seed=derive_seed(seed, "operator"))
         # (adjacency_key, node, age) -> aggregate key value.
         self._agg_key_cache: Dict[Tuple, int] = {}
         # Warm-pass lookaside (see peek_aggregate_key): keeps peeked values
@@ -71,10 +71,10 @@ class Directory:
         if node_id in self._rsa_pairs:
             return
         self._rsa_pairs[node_id] = RSAKeyPair(
-            bits=self.rsa_bits, seed=hash((self._seed, "rsa", node_id))
+            bits=self.rsa_bits, seed=derive_seed(self._seed, "rsa", node_id)
         )
         self._ms_pairs[node_id] = MultisigKeyPair(
-            self.group, seed=hash((self._seed, "ms", node_id)), node_id=node_id
+            self.group, seed=derive_seed(self._seed, "ms", node_id), node_id=node_id
         )
 
     def rsa_public(self, node_id: int) -> RSAPublicKey:

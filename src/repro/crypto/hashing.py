@@ -31,6 +31,16 @@ def hash_hex(*parts: bytes) -> str:
     return hash_bytes(*parts).hex()
 
 
+def derive_seed(*parts: object) -> int:
+    """A 64-bit RNG seed from ``parts`` (ints and strs), stable across processes.
+
+    The builtin ``hash()`` of anything containing a ``str`` is salted per
+    interpreter (``PYTHONHASHSEED``), so seeds -- and every key, signature
+    and transcript derived from them -- must not depend on it.
+    """
+    return int.from_bytes(hash_bytes(*(repr(p).encode() for p in parts))[:8], "big")
+
+
 def hash_to_int(data: bytes, modulus: int) -> int:
     """Hash ``data`` to an integer in ``[1, modulus)`` (full-domain hash).
 

@@ -8,6 +8,7 @@ from typing import Any, Iterable, List, Optional, Tuple
 from repro.core.auditing import TaskRegistry
 from repro.core.forwarding import RoundMessage
 from repro.core.heartbeat import HeartbeatRecord
+from repro.crypto.hashing import derive_seed
 
 
 class AdversaryBehavior:
@@ -116,7 +117,7 @@ class _CorruptLogic:
         new_state, _output = self._base.compute(state, inputs, round_no)
         if self._constant is not None:
             return new_state, self._constant
-        rng = random.Random((self._seed, round_no).__hash__())
+        rng = random.Random(derive_seed(self._seed, round_no))
         return new_state, bytes(rng.getrandbits(8) for _ in range(8))
 
 
