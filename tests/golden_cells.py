@@ -1,0 +1,120 @@
+"""The golden identity cells behind ``tests/golden/identity_cells.json``.
+
+Each cell is a small seeded deployment run for ``ROUNDS`` rounds; its
+fingerprint is the SHA-256 over every round's
+:func:`repro.analysis.metrics.transcript_entry`, the logical crypto
+counters and the total bytes put on links.  The committed file was
+recorded by the reference paths (every simulator fast path switched off);
+the production paths must reproduce it bit for bit on the serial engine
+and on the sharded one.  See ``tests/golden/README.md`` for when and how
+to regenerate it.
+
+    PYTHONPATH=src python -m tests.golden_cells CELL      # print one cell
+    PYTHONPATH=src python -m tests.golden_cells --write   # rewrite the file
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+from typing import Any, Callable, Dict, Optional, Tuple
+
+from repro.analysis.metrics import transcript_entry
+from repro.core.config import ReboundConfig
+from repro.core.runtime import ReboundSystem
+from repro.faults.adversary import CrashBehavior, EquivocateBehavior, LFDStormBehavior
+from repro.net.topology import erdos_renyi_topology, grid_topology
+from repro.sched.workload import WorkloadGenerator
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "identity_cells.json")
+ROUNDS = 24
+INJECT_ROUND = 8
+
+#: scenario -> (topology builder, fmax, behaviour factory or None)
+SCENARIOS: Dict[str, Tuple[Callable, int, Optional[Callable]]] = {
+    "er20-faultfree": (lambda: erdos_renyi_topology(20, seed=0), 1, None),
+    "grid20-crash": (lambda: grid_topology(4, 5), 1, CrashBehavior),
+    "er20-equivocate": (lambda: erdos_renyi_topology(20, seed=0), 2, EquivocateBehavior),
+    "er20-lfdstorm": (lambda: erdos_renyi_topology(20, seed=0), 1, LFDStormBehavior),
+}
+CELLS = [f"{scenario}/{variant}" for scenario in SCENARIOS for variant in ("basic", "multi")]
+
+#: ReboundConfig switches that select the in-tree reference paths.
+_REFERENCE_CONFIG = dict(
+    verify_cache=False, bitset_coverage=False, round_batched_verify=False, frame_ipc=False
+)
+
+
+def _set_process_fast_paths(enabled: bool) -> None:
+    from repro.crypto import rsa, verify_cache
+    from repro.net import frames, message
+
+    verify_cache.configure(enabled=enabled)
+    message.configure_codec_memo(enabled=enabled)
+    frames.configure_frame_cache(enabled=enabled)
+    rsa.configure_crt(enabled)
+
+
+def run_cell(cell: str, workers: int = 0, reference: bool = False) -> Dict[str, Any]:
+    """Run one cell; ``workers >= 2`` selects the sharded engine and
+    ``reference`` switches every simulator fast path off."""
+    scenario, variant = cell.split("/")
+    build_topology, fmax, behaviour = SCENARIOS[scenario]
+    topology = build_topology()
+    workload = WorkloadGenerator(seed=0, chain_length_range=(1, 2)).workload(
+        target_utilization=1.5
+    )
+    config = ReboundConfig(
+        fmax=fmax, fconc=1, variant=variant, rsa_bits=256,
+        **(_REFERENCE_CONFIG if reference else {}),
+    )
+    if reference:
+        _set_process_fast_paths(False)
+    system = ReboundSystem(topology, workload, config, seed=0, scale_workers=workers)
+    digest = hashlib.sha256()
+    link_bytes = 0
+    try:
+        for r in range(1, ROUNDS + 1):
+            if behaviour is not None and r == INJECT_ROUND:
+                system.inject_now(max(topology.controllers), behaviour())
+            system.run_round()
+            digest.update(repr(transcript_entry(system)).encode())
+            link_bytes += system.network.bytes_in_round(system.network.round_no)
+        counters = system.total_crypto_counters().as_dict()
+    finally:
+        system.close()
+        if reference:
+            _set_process_fast_paths(True)
+    return {
+        "transcript_sha256": digest.hexdigest(),
+        "crypto_counters": counters,
+        "link_bytes": link_bytes,
+    }
+
+
+def load_golden() -> Dict[str, Any]:
+    with open(GOLDEN_PATH) as fh:
+        return json.load(fh)
+
+
+def main(argv) -> int:
+    reference = "--reference" in argv
+    args = [a for a in argv if a != "--reference"]
+    if args == ["--write"]:
+        golden = load_golden() if os.path.exists(GOLDEN_PATH) else {}
+        golden["cells"] = {cell: run_cell(cell, reference=reference) for cell in CELLS}
+        with open(GOLDEN_PATH, "w") as fh:
+            json.dump(golden, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return 0
+    if len(args) == 1 and args[0] in CELLS:
+        print(json.dumps(run_cell(args[0], reference=reference), sort_keys=True))
+        return 0
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
