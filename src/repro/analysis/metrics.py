@@ -140,7 +140,7 @@ class MetricsCollector:
 def transcript_entry(system) -> tuple:
     """One round's observable state: per-node evidence digest + mode.
 
-    The shared fingerprint for transcript-identity checks (fast-path bench,
+    The shared fingerprint for transcript-identity checks (golden cells,
     chaos no-op verification): two runs whose entries match round-for-round
     made byte-identical protocol decisions.
     """

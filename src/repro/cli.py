@@ -11,7 +11,6 @@ Usage::
     python -m repro fig11
     python -m repro table1
     python -m repro report --out results.md [--scale full]
-    python -m repro bench-fastpath [--rounds 30] [--out BENCH_fastpath.json]
     python -m repro bench-modegen [--workers 2] [--quick] [--out BENCH_modegen.json]
     python -m repro bench-scale [--smoke] [--workers 4] [--out BENCH_scale.json]
     python -m repro chaos [--preset smoke|full|storm|restart|churn] [--seeds 0,1] [--workers 2] [--out BENCH_chaos.json]
@@ -128,14 +127,6 @@ def cmd_report(args) -> int:
     failed = text.count("FAILED")
     print(f"{failed} shape check(s) failed" if failed else "all shape checks passed")
     return 1 if failed else 0
-
-
-def cmd_bench_fastpath(args) -> int:
-    from repro.experiments import bench_fastpath
-
-    result = bench_fastpath.main(output_path=args.out, rounds=args.rounds)
-    ok = result["transcripts_identical"] and result["speedup"] >= 1.0
-    return 0 if ok else 1
 
 
 def cmd_bench_modegen(args) -> int:
@@ -318,14 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         func=cmd_fig11
     )
 
-    bench = sub.add_parser(
-        "bench-fastpath",
-        help="crypto/wire fast-path speedup benchmark (prints a BENCH JSON line)",
-    )
-    bench.add_argument("--rounds", type=int, default=30)
-    bench.add_argument("--out", default="BENCH_fastpath.json")
-    bench.set_defaults(func=cmd_bench_fastpath)
-
     benchm = sub.add_parser(
         "bench-modegen",
         help="mode-tree generation speedup benchmark: seed serial path vs "
@@ -348,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     benchs = sub.add_parser(
         "bench-scale",
         help="scale-out round-engine benchmark: Erdos-Renyi n=200/500/1000 "
-        "sweeps, serial vs sharded vs legacy path, with byte-identity "
+        "sweeps, serial vs sharded engine, with byte-identity "
         "checks at small n (writes BENCH_scale.json)",
     )
     benchs.add_argument(
@@ -369,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     benchs.add_argument(
         "--engines", default=None,
-        help="comma-separated engine subset of legacy,serial,sharded "
+        help="comma-separated engine subset of serial,sharded "
         "(default all; recorded in the output's filters block)",
     )
     benchs.add_argument("--out", default="BENCH_scale.json")

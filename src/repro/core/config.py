@@ -44,33 +44,11 @@ class ReboundConfig:
         protocol_enabled: set False for the *unprotected* baseline of
             Fig. 8/10/11: no heartbeats, no omission detection, no
             auditing replicas -- just task execution and data routing.
-        verify_cache: consult the process-wide signature-verification
-            cache (:mod:`repro.crypto.verify_cache`).  A pure simulator
-            fast path; disabling it yields byte-identical transcripts
-            and operation counts, just slower (see benchmarks).
         quotas_enabled: admission control + bounded evidence/challenge
             stores (:mod:`repro.core.quotas`).  Transcript-preserving
             whenever no quota fires -- i.e. in any run where every sender
             stays within what a correct node could legitimately originate
             per round.  Disabled only for ablations.
-        bitset_coverage: numpy-backed bitsets for Rule B delivered/coverage
-            sets and the heartbeat store (:mod:`repro.core.heartbeat`).
-            A pure simulator fast path -- byte-identical transcripts and
-            counts; silently falls back to plain sets without numpy.
-        round_batched_verify: under MULTI, buffer a round's inbound
-            messages and warm the verification cache with one batched
-            multisignature pass over all admissible aggregates before
-            per-message processing.  Transcript- and counter-identical
-            (warming never counts; the per-message path still charges
-            every logical operation).
-        frame_ipc: ship sharded-engine deliveries and captured intents
-            between processes as interned canonical codec frames
-            (:mod:`repro.net.frames`) instead of pickled message objects,
-            and batch worker write-RPCs into the round flush.  A pure IPC
-            fast path: transcripts and logical counters are byte-identical
-            either way (frames *are* the canonical encoding).  Disabled
-            only for ablation/benchmark comparison; ignored by the serial
-            engine.
         durability_enabled: persist every node's protocol state to disk --
             an append-only HMAC-chained event log plus periodic sealed
             snapshots (:mod:`repro.durability`) -- enabling verified
@@ -118,11 +96,7 @@ class ReboundConfig:
     scheduler_method: str = "greedy"
     audit_lag_rounds: int = 1
     protocol_enabled: bool = True
-    verify_cache: bool = True
     quotas_enabled: bool = True
-    bitset_coverage: bool = True
-    round_batched_verify: bool = True
-    frame_ipc: bool = True
     durability_enabled: bool = False
     durability_dir: Optional[str] = None
     snapshot_interval: int = 8

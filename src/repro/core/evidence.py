@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.crypto.hashing import hash_bytes
-from repro.net.message import codec_memo_enabled, encode, register_message
+from repro.net.message import encode, register_message
 from repro.sched.modegen import FailureScenario, normalize_scenario
 
 # -- signed message bodies -----------------------------------------------------
@@ -37,9 +37,9 @@ KIND_LFD = "LFD"
 
 # heartbeat_body is the single hottest encode: every received record is
 # re-encoded to verify its signature, and the same (round, delta) pairs
-# recur across all of a partition's records.  Memoized behind the codec
-# memo switch; the ``type(...) is int`` guards matter because True == 1
-# hash-equal while encode(True) != encode(1).
+# recur across all of a partition's records.  Memoized; the
+# ``type(...) is int`` guards matter because True == 1 hash-equal while
+# encode(True) != encode(1).
 _hb_body_memo: Dict[Tuple[int, int], bytes] = {}
 _HB_BODY_MEMO_CAP = 8192
 
@@ -50,7 +50,7 @@ def heartbeat_body(round_no: int, delta_count: int) -> bytes:
     Deliberately excludes the signer's identity so that identical bodies
     from different nodes can be multisignature-aggregated.
     """
-    if codec_memo_enabled() and type(round_no) is int and type(delta_count) is int:
+    if type(round_no) is int and type(delta_count) is int:
         blob = _hb_body_memo.get((round_no, delta_count))
         if blob is None:
             blob = encode((KIND_HEARTBEAT, round_no, delta_count))

@@ -42,6 +42,8 @@ from collections import Counter, OrderedDict, defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+import numpy as _np
+
 from repro.core.config import VARIANT_BASIC, VARIANT_MULTI, ReboundConfig
 from repro.core.evidence import (
     EquivocationPoM,
@@ -55,17 +57,12 @@ from repro.core.evidence import (
     lfd_body,
 )
 from repro.core.heartbeat import (
-    HAVE_NUMPY,
     AggregateHeartbeat,
-    BasicHeartbeatStore,
-    BitsetHeartbeatStore,
     CoverageCalculator,
     HeartbeatRecord,
+    HeartbeatStore,
     bitset_words,
 )
-
-if HAVE_NUMPY:
-    import numpy as _np
 from repro.core.identity import NodeCrypto
 from repro.core.paths import Path, PathSet
 from repro.core.quotas import AdmissionQuotas, pom_lfd_slack
@@ -213,16 +210,6 @@ class RoundOutput:
         )
 
 
-# Module-level defaultdict factories: lambdas here would make nodes
-# unpicklable, and the sharded engine recalls nodes by pickling.
-def _new_delivered_set_bucket() -> "defaultdict[int, Set[int]]":
-    return defaultdict(set)
-
-
-def _new_delivered_bucket() -> Dict[int, Any]:
-    return {}
-
-
 @dataclass
 class _AggregateState:
     """This node's in-progress aggregate for one origin round."""
@@ -274,32 +261,21 @@ class ForwardingLayer:
 
         self.evidence = EvidenceSet(bounded=config.quotas_enabled)
         self.last_evidence_change = -(10**9)
-        # Bitset fast path: delivered/coverage sets and the heartbeat store
-        # keyed by controller bit position (transcript-identical; see
-        # ReboundConfig.bitset_coverage).
-        self._use_bitsets = bool(config.bitset_coverage and HAVE_NUMPY)
+        # Delivered/coverage sets are uint64 bit arrays keyed by controller
+        # bit position.
         self._node_index: Dict[int, int] = {
             nid: pos for pos, nid in enumerate(sorted(topology.controllers))
         }
         self._bit_words = bitset_words(len(self._node_index))
-        if self._use_bitsets:
-            self.store: BasicHeartbeatStore = BitsetHeartbeatStore(
-                window=self.window,
-                expiry=config.expiry_optimization,
-                node_index=self._node_index,
-            )
-        else:
-            self.store = BasicHeartbeatStore(
-                window=self.window, expiry=config.expiry_optimization
-            )
+        self.store = HeartbeatStore(
+            window=self.window, expiry=config.expiry_optimization
+        )
         self.store.owner = node_id
         # MULTI aggregate state per origin round.
         self._aggregates: Dict[int, _AggregateState] = {}
         # Rule B bookkeeping: neighbor -> origin round -> delivered origins
-        # (a plain set of ids, or a packed bit array on the bitset path).
-        self._delivered: Dict[int, Dict[int, Any]] = defaultdict(
-            _new_delivered_bucket if self._use_bitsets else _new_delivered_set_bucket
-        )
+        # (a packed bit array).
+        self._delivered: Dict[int, Dict[int, Any]] = defaultdict(dict)
         self._got_message_from: Set[int] = set()
         # link -> round of the last LFD this layer issued for it.  Re-issue
         # is allowed after ``lfd_reissue_cooldown`` rounds so a genuine link
@@ -381,15 +357,11 @@ class ForwardingLayer:
             ]
             adjacency[c] = tuple(neigh)
         self._coverage = _coverage_for(adjacency, self.d_max)
-        if self._use_bitsets:
-            self._coverage.ensure_bit_index(self._node_index)
+        self._coverage.ensure_bit_index(self._node_index)
 
     def _mark_delivered(self, sender: int, round_no: int, origin: int) -> None:
         """Record that ``sender`` relayed ``origin``'s round-``round_no``
         heartbeat (individually)."""
-        if not self._use_bitsets:
-            self._delivered[sender][round_no].add(origin)
-            return
         pos = self._node_index.get(origin)
         if pos is None:
             return  # non-controller origin: never in any expected support
@@ -404,11 +376,6 @@ class ForwardingLayer:
         """Fold a verified aggregate's whole support set into the
         delivered map (the hot O(n) union of Rule B bookkeeping)."""
         assert self._coverage is not None
-        if not self._use_bitsets:
-            self._delivered[sender][round_no].update(
-                self._coverage.support(sender, age)
-            )
-            return
         support_bits = self._coverage.support_bits(sender, age)
         bucket = self._delivered[sender]
         bits = bucket.get(round_no)
@@ -421,14 +388,11 @@ class ForwardingLayer:
         """Rule B subset test: did neighbor ``j`` fail to deliver some
         origin it must have covered by age d_max?"""
         assert self._coverage is not None
-        if self._use_bitsets:
-            expected_bits = self._coverage.support_bits(j, self.d_max)
-            bits = self._delivered[j].get(r_origin)
-            if bits is None:
-                return bool(_np.any(expected_bits))
-            return bool(_np.any(expected_bits & ~bits))
-        expected = self._coverage.support(j, self.d_max)
-        return not expected <= self._delivered[j][r_origin]
+        expected_bits = self._coverage.support_bits(j, self.d_max)
+        bits = self._delivered[j].get(r_origin)
+        if bits is None:
+            return bool(_np.any(expected_bits))
+        return bool(_np.any(expected_bits & ~bits))
 
     @property
     def fault_pattern(self) -> FailureScenario:

@@ -32,19 +32,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
+import numpy as _np
+
 from repro.core.evidence import heartbeat_body
 from repro.net.message import encode, register_message
 from repro.obs import recorder as _flight
 from repro.obs.events import EV_HEARTBEAT_STORED
 
-try:  # numpy backs the bitset fast paths; plain sets remain the fallback.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
-
-HAVE_NUMPY = _np is not None
-
-_ONE = _np.uint64(1) if HAVE_NUMPY else None
+_ONE = _np.uint64(1)
 
 
 def bitset_words(n: int) -> int:
@@ -224,12 +219,14 @@ class CoverageCalculator:
         return self._support[self.max_age][node]
 
 
-class BasicHeartbeatStore:
+class HeartbeatStore:
     """Windowed storage of individual heartbeats with equivocation checks.
 
     Tracks which records were *newly learned* in the current round (for
     delta flooding) and expires records older than D_max (second S3.5
-    refinement) when enabled.
+    refinement) when enabled.  Records are additionally keyed by origin
+    round, so expiry drops whole rounds instead of scanning every key (the
+    scan is O(n * window) per node per round at 1000 nodes).
     """
 
     def __init__(self, window: int, expiry: bool = True):
@@ -239,6 +236,7 @@ class BasicHeartbeatStore:
         #: flight-recorder events are only attributable when it is known.
         self.owner: Optional[int] = None
         self._records: Dict[Tuple[int, int], HeartbeatRecord] = {}
+        self._round_keys: Dict[int, List[Tuple[int, int]]] = {}
         self._new_this_round: List[HeartbeatRecord] = []
 
     def add(self, record: HeartbeatRecord) -> Tuple[str, Optional[HeartbeatRecord]]:
@@ -258,6 +256,7 @@ class BasicHeartbeatStore:
             )
         else:
             self._records[key] = record
+            self._round_keys.setdefault(record.round_no, []).append(key)
             self._new_this_round.append(record)
             status = ("new", None)
         flight = _flight.active
@@ -290,10 +289,12 @@ class BasicHeartbeatStore:
         if not self.expiry:
             return 0
         cutoff = current_round - self.window
-        stale = [k for k in self._records if k[1] < cutoff]
-        for key in stale:
-            del self._records[key]
-        return len(stale)
+        dropped = 0
+        for round_no in [r for r in self._round_keys if r < cutoff]:
+            for key in self._round_keys.pop(round_no):
+                del self._records[key]
+                dropped += 1
+        return dropped
 
     def serialized_size(self) -> int:
         records = [self._records[k] for k in sorted(self._records)]
@@ -301,61 +302,3 @@ class BasicHeartbeatStore:
 
     def __len__(self) -> int:
         return len(self._records)
-
-
-class BitsetHeartbeatStore(BasicHeartbeatStore):
-    """A heartbeat store with numpy-backed per-round presence bitsets.
-
-    State-equivalent to :class:`BasicHeartbeatStore` (identical records,
-    add statuses, and expiry results); additionally keyed by origin round,
-    so expiry drops whole rounds instead of scanning every key (the scan
-    is O(n * window) per node per round at 1000 nodes), and presence is
-    available as a bit array for vectorized set operations.
-    """
-
-    def __init__(
-        self,
-        window: int,
-        expiry: bool = True,
-        node_index: Optional[Mapping[int, int]] = None,
-    ):
-        super().__init__(window, expiry)
-        self._node_index: Mapping[int, int] = node_index or {}
-        self._words = bitset_words(len(self._node_index))
-        self._presence: Dict[int, Any] = {}
-        self._round_keys: Dict[int, List[Tuple[int, int]]] = {}
-
-    def add(self, record: HeartbeatRecord) -> Tuple[str, Optional[HeartbeatRecord]]:
-        before = len(self._records)
-        status = super().add(record)
-        if len(self._records) != before:
-            self._round_keys.setdefault(record.round_no, []).append(
-                (record.origin, record.round_no)
-            )
-            pos = self._node_index.get(record.origin)
-            if pos is not None:
-                mask = self._presence.get(record.round_no)
-                if mask is None:
-                    mask = _np.zeros(self._words, dtype=_np.uint64)
-                    self._presence[record.round_no] = mask
-                mask[pos >> 6] |= _ONE << _np.uint64(pos & 63)
-        return status
-
-    def presence_bits(self, round_no: int):
-        """Bitset of origins whose record for ``round_no`` is held."""
-        mask = self._presence.get(round_no)
-        if mask is None:
-            return _np.zeros(self._words, dtype=_np.uint64)
-        return mask
-
-    def expire(self, current_round: int) -> int:
-        if not self.expiry:
-            return 0
-        cutoff = current_round - self.window
-        dropped = 0
-        for round_no in [r for r in self._round_keys if r < cutoff]:
-            for key in self._round_keys.pop(round_no):
-                if self._records.pop(key, None) is not None:
-                    dropped += 1
-            self._presence.pop(round_no, None)
-        return dropped

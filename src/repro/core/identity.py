@@ -20,9 +20,8 @@ Verification outcomes are likewise shared through the process-wide
 :mod:`repro.crypto.verify_cache` (same fidelity argument: an outcome is a
 pure function of public data).  The cache sits *below* the counters --
 every logical operation is still counted, only redundant arithmetic is
-skipped -- so cost metrics and transcripts are identical with the cache on
-or off.  Per-deployment opt-out flows through ``NodeCrypto.use_cache``
-(set from ``ReboundConfig.verify_cache``).
+skipped -- so cost metrics and transcripts do not depend on what the cache
+happens to hold.
 """
 
 from __future__ import annotations
@@ -83,8 +82,8 @@ class Directory:
     def ms_public(self, node_id: int) -> MultisigPublicKey:
         return self._ms_pairs[node_id].public_key
 
-    def crypto_for(self, node_id: int, use_cache: bool = True) -> "NodeCrypto":
-        return NodeCrypto(node_id, self, use_cache=use_cache)
+    def crypto_for(self, node_id: int) -> "NodeCrypto":
+        return NodeCrypto(node_id, self)
 
     # -- aggregate key computation (cached, cost charged on miss) ---------------
 
@@ -141,14 +140,11 @@ class NodeCrypto:
     Attributes:
         node_id: the owning node.
         directory: the shared key directory.
-        use_cache: consult the process-wide verification cache (pure
-            fast path; counters and outcomes are unaffected).
         counters: per-domain operation counters.
     """
 
     node_id: int
     directory: Directory
-    use_cache: bool = True
 
     def __post_init__(self) -> None:
         self.counters: Dict[str, CryptoCounters] = {
@@ -188,13 +184,10 @@ class NodeCrypto:
         return ("rsa-d", public.n, public.e, hash_bytes(body), signature)
 
     def _verify_rsa(self, public: RSAPublicKey, body: bytes, signature: bytes) -> bool:
-        if self.use_cache and verify_cache.GLOBAL.enabled:
-            key = self._rsa_cache_key(public, body, signature)
-            cached = verify_cache.GLOBAL.get(key)
-            if cached is not None:
-                return cached
-        else:
-            key = None
+        key = self._rsa_cache_key(public, body, signature)
+        cached = verify_cache.GLOBAL.get(key)
+        if cached is not None:
+            return cached
         t0 = time.perf_counter()
         try:
             sig = RSASignature.from_bytes(signature)
@@ -202,8 +195,7 @@ class NodeCrypto:
             outcome = False
         else:
             outcome = public.verify(body, sig)
-        if key is not None:
-            verify_cache.GLOBAL.put(key, outcome, time.perf_counter() - t0)
+        verify_cache.GLOBAL.put(key, outcome, time.perf_counter() - t0)
         return outcome
 
     def verify(
@@ -240,9 +232,6 @@ class NodeCrypto:
         self.counters[domain].ms_verify += 1
         group = self.directory.group
         apk = self._aggregate_key(cache_key, multiset, domain)
-        if not self.use_cache or not verify_cache.GLOBAL.enabled:
-            h = group.hash_to_group(body)
-            return (sig_value * group.g) % group.q == (h * apk) % group.q
 
         def compute() -> bool:
             h = group.hash_to_group(body)
@@ -271,19 +260,15 @@ class NodeCrypto:
         group = self.directory.group
         bucket = self.counters[domain]
         results: List[Optional[bool]] = [None] * len(entries)
-        misses: List[Tuple[int, Tuple[bytes, int, int], Optional[Tuple]]] = []
-        caching = self.use_cache and verify_cache.GLOBAL.enabled
+        misses: List[Tuple[int, Tuple[bytes, int, int], Tuple]] = []
         for index, (body, sig_value, multiset, agg_cache_key) in enumerate(entries):
             bucket.ms_verify += 1
             apk = self._aggregate_key(agg_cache_key, multiset, domain)
-            if caching:
-                key = self._ms_cache_key(body, sig_value, apk)
-                cached = verify_cache.GLOBAL.get(key)
-                if cached is not None:
-                    results[index] = cached
-                    continue
-            else:
-                key = None
+            key = self._ms_cache_key(body, sig_value, apk)
+            cached = verify_cache.GLOBAL.get(key)
+            if cached is not None:
+                results[index] = cached
+                continue
             misses.append((index, (body, sig_value, apk), key))
         if misses:
             verdicts = verify_multisig_values_batch(
@@ -291,8 +276,7 @@ class NodeCrypto:
             )
             for (index, _triple, key), verdict in zip(misses, verdicts):
                 results[index] = verdict
-                if key is not None:
-                    verify_cache.GLOBAL.put(key, verdict)
+                verify_cache.GLOBAL.put(key, verdict)
         return [bool(r) for r in results]
 
     def ms_warm_batch(
@@ -307,7 +291,7 @@ class NodeCrypto:
         cache is untouched, and already-cached outcomes are skipped.
         Returns the number of entries actually verified.
         """
-        if not entries or not self.use_cache or not verify_cache.GLOBAL.enabled:
+        if not entries:
             return 0
         group = self.directory.group
         misses: List[Tuple[Tuple, Tuple[bytes, int, int]]] = []

@@ -123,10 +123,8 @@ class ReboundNode(NodeProtocol):
         # at round end, so all multisig checks warm the cache in one
         # batched pass.  Safe because nothing observes forwarding state
         # between the receive phase and on_round_end.
-        self._defer_receive = bool(
-            config.round_batched_verify
-            and config.protocol_enabled
-            and config.variant == VARIANT_MULTI
+        self._defer_receive = (
+            config.protocol_enabled and config.variant == VARIANT_MULTI
         )
         self._inbound: List[Tuple[int, int, Any]] = []
         # Optional per-layer traffic breakdown (Fig. 8a); off by default

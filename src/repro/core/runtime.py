@@ -124,7 +124,7 @@ class ReboundSystem:
                 topology=topology,
                 workload=workload,
                 config=config,
-                crypto=self.directory.crypto_for(node_id, use_cache=config.verify_cache),
+                crypto=self.directory.crypto_for(node_id),
                 registry=self.registry,
                 mode_tree=mode_tree,
                 path_cache=self.path_cache,
@@ -136,7 +136,7 @@ class ReboundSystem:
                 node_id,
                 topology,
                 config,
-                self.directory.crypto_for(node_id, use_cache=config.verify_cache),
+                self.directory.crypto_for(node_id),
                 self.registry,
                 mode_tree,
                 self.path_cache,
@@ -149,7 +149,7 @@ class ReboundSystem:
                 node_id,
                 topology,
                 config,
-                self.directory.crypto_for(node_id, use_cache=config.verify_cache),
+                self.directory.crypto_for(node_id),
                 self.registry,
                 mode_tree,
                 self.path_cache,
@@ -219,7 +219,6 @@ class ReboundSystem:
             self.mode_tree,
             self.scale_workers,
             parent_resident=pinned,
-            frame_ipc=self.config.frame_ipc,
         )
         views = engine.start(self.nodes)
         self.nodes.update(views)
@@ -472,7 +471,7 @@ class ReboundSystem:
             topology=self.topology,
             config=self.config,
             workload=self.workload,
-            crypto=self.directory.crypto_for(node_id, use_cache=self.config.verify_cache),
+            crypto=self.directory.crypto_for(node_id),
             registry=self.registry,
             mode_tree=self.mode_tree,
             path_cache=self.path_cache,

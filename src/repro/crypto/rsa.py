@@ -34,20 +34,6 @@ _PUBLIC_EXPONENT = 65537
 # Fast-path instrumentation (surfaced via repro.analysis.metrics).
 _SIGN_STATS: Dict[str, float] = {"crt_signs": 0, "plain_signs": 0, "sign_time_s": 0.0}
 
-# CRT signing produces bit-identical signatures, so this switch exists only
-# so the fast-path benchmark can time the pre-CRT signer as its baseline.
-_CRT_ENABLED = True
-
-
-def configure_crt(enabled: bool) -> None:
-    global _CRT_ENABLED
-    _CRT_ENABLED = enabled
-
-
-def crt_enabled() -> bool:
-    return _CRT_ENABLED
-
-
 def sign_stats() -> Dict[str, float]:
     """Counters for CRT vs plain signing (counts and total wall-clock)."""
     return dict(_SIGN_STATS)
@@ -185,8 +171,6 @@ class RSAKeyPair:
 
     def sign(self, message: bytes) -> RSASignature:
         """Produce an RSA-FDH signature over ``message`` (CRT fast path)."""
-        if not _CRT_ENABLED:
-            return self.sign_plain(message)
         digest = hash_to_int(message, self._n)
         t0 = time.perf_counter()
         m1 = pow(digest % self._p, self._d_p, self._p)
@@ -200,8 +184,8 @@ class RSAKeyPair:
     def sign_plain(self, message: bytes) -> RSASignature:
         """Reference non-CRT path: one full-size exponentiation.
 
-        Kept for the bit-identity property test and as the honest baseline
-        for the fast-path benchmark.
+        Kept as the reference the bit-identity property test compares
+        :meth:`sign` against.
         """
         digest = hash_to_int(message, self._n)
         t0 = time.perf_counter()

@@ -12,10 +12,7 @@ mirrors the ``_coverage_cache`` pattern in :mod:`repro.core.forwarding`.
 Crucially the cache only removes *redundant arithmetic*: every call site
 still increments its :class:`~repro.crypto.cost_model.CryptoCounters`
 exactly as before, so the evaluation's operation counts (Fig. 5c, 8b) and
-the simulated CPU-cost model are byte-identical with the cache on or off.
-The cache can be disabled per deployment via
-``ReboundConfig.verify_cache=False`` (see the transcript-equality test) or
-process-wide via :func:`configure`.
+the simulated CPU-cost model do not depend on what the cache holds.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ class VerificationCache:
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
-        self.enabled = True
         self._data: "OrderedDict[Tuple, bool]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -52,8 +48,6 @@ class VerificationCache:
         Failed verifications are cached too (False is a valid outcome), so
         a sentinel distinguishes "absent" from "cached False".
         """
-        if not self.enabled:
-            return None
         result = self._data.get(key, _MISSING)
         if result is _MISSING:
             self.misses += 1
@@ -63,9 +57,7 @@ class VerificationCache:
         return result
 
     def put(self, key: Tuple, outcome: bool, elapsed_s: float = 0.0) -> None:
-        """Record a computed outcome (no-op when disabled)."""
-        if not self.enabled:
-            return
+        """Record a computed outcome."""
         self.miss_time_s += elapsed_s
         self._data[key] = outcome
         self._data.move_to_end(key)
@@ -85,7 +77,6 @@ class VerificationCache:
     def stats(self) -> Dict[str, float]:
         total = self.hits + self.misses
         return {
-            "enabled": self.enabled,
             "capacity": self.capacity,
             "entries": len(self._data),
             "hits": self.hits,
@@ -103,22 +94,6 @@ class VerificationCache:
 
 #: The process-wide cache shared by every simulated node (see module doc).
 GLOBAL = VerificationCache()
-
-
-def configure(
-    enabled: Optional[bool] = None, capacity: Optional[int] = None
-) -> VerificationCache:
-    """Adjust the process-wide cache; returns it for chaining."""
-    if capacity is not None:
-        if capacity <= 0:
-            raise ValueError("cache capacity must be positive")
-        GLOBAL.capacity = capacity
-        while len(GLOBAL._data) > capacity:
-            GLOBAL._data.popitem(last=False)
-            GLOBAL.evictions += 1
-    if enabled is not None:
-        GLOBAL.enabled = enabled
-    return GLOBAL
 
 
 def cached_check(key: Tuple, compute) -> bool:

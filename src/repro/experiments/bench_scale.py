@@ -1,20 +1,13 @@
 """Scale-out round-engine benchmark: 200/500/1000-node heartbeat sweeps.
 
 Runs fault-free Erdos-Renyi deployments (the paper's S5.1 simulation
-setup) at n = 200/500/1000 for a fixed number of rounds under three
+setup) at n = 200/500/1000 for a fixed number of rounds under two
 engines in one process:
 
-* **legacy** -- the pre-scale-out serial path: dict/set coverage
-  bookkeeping and per-message signature verification
-  (``bitset_coverage=False, round_batched_verify=False``);
-* **serial** -- the optimized serial path: numpy bitset coverage/heartbeat
-  stores and round-batched multisignature verification;
-* **sharded** -- the optimized path on the
+* **serial** -- the in-process round loop;
+* **sharded** -- the same nodes on the
   :class:`~repro.net.shard.ShardedRoundEngine` with N worker processes.
-  Each sharded sweep runs twice: once on the wire-frame IPC plane
-  (``frame_ipc=True``, the default) and once on the pickled-object
-  fallback, so the JSON records the frame plane's byte and wall-clock
-  gains (``ipc.bytes_reduction``, ``frame_vs_pickle_speedup``) next to a
+  The JSON records the IPC plane's byte counters (``ipc``) next to a
   per-stage round **profile** (encode/ipc/step/replay/merge seconds from
   :class:`~repro.obs.profiler.RoundProfiler`).
 
@@ -27,18 +20,16 @@ sweep must produce the same per-round transcript (per-node evidence
 digests + modes) and the same logical crypto counters, and dedicated
 small-n identity cells (Erdos-Renyi n=20, the 20-node grid across a crash
 fault, and the grid under the chaos smoke impairment preset) re-verify
-the pin on every invocation -- once per IPC mode, so both the frame plane
-and the pickle fallback are exercised.  The identity cells run with
-recorders installed on both engines and additionally pin the *trace*:
-the sharded run's merged worker+parent event stream, canonically sorted
-(round, node, seq) and rendered to JSONL, must be byte-equal to the
-serial engine's.  ``--smoke`` is the CI-sized
-variant (n=200 only); ``--sizes`` / ``--engines`` narrow the sweep grid
-and are recorded in the output's ``filters`` block.  Results go to
-``BENCH_scale.json`` with the shared ``env`` provenance block;
-wall-clock speedups are reported as measured on the current machine
-(``env.cpu_count`` says how much parallel hardware the sharded engine
-actually had).
+the pin on every invocation.  The identity cells run with recorders
+installed on both engines and additionally pin the *trace*: the sharded
+run's merged worker+parent event stream, canonically sorted (round, node,
+seq) and rendered to JSONL, must be byte-equal to the serial engine's.
+``--smoke`` is the CI-sized variant (n=200 only); ``--sizes`` /
+``--engines`` narrow the sweep grid and are recorded in the output's
+``filters`` block.  Results go to ``BENCH_scale.json`` with the shared
+``env`` provenance block; wall-clock speedups are reported as measured on
+the current machine (``env.cpu_count`` says how much parallel hardware the
+sharded engine actually had).
 """
 
 from __future__ import annotations
@@ -61,24 +52,18 @@ from repro.sched.workload import WorkloadGenerator
 
 SWEEP_SIZES = (200, 500, 1000)
 SMOKE_SIZES = (200,)
-ENGINES = ("legacy", "serial", "sharded")
+ENGINES = ("serial", "sharded")
 DEFAULT_ROUNDS = 10
 SMOKE_ROUNDS = 6
 DEFAULT_WORKERS = 4
 
 
-def _sweep_system(
-    n: int, seed: int, workers: int, legacy: bool, frame_ipc: bool = True
-) -> ReboundSystem:
+def _sweep_system(n: int, seed: int, workers: int) -> ReboundSystem:
     topology = erdos_renyi_topology(n, seed=seed)
     workload = WorkloadGenerator(seed=seed, chain_length_range=(1, 2)).workload(
         target_utilization=1.5
     )
-    config = ReboundConfig(
-        fmax=0, fconc=0, variant="multi", rsa_bits=256,
-        bitset_coverage=not legacy, round_batched_verify=not legacy,
-        frame_ipc=frame_ipc,
-    )
+    config = ReboundConfig(fmax=0, fconc=0, variant="multi", rsa_bits=256)
     return ReboundSystem(
         topology, workload, config, seed=seed, scale_workers=workers
     )
@@ -113,10 +98,6 @@ def _run(
         "run_s": run_s, "transcript": transcript, "counters": counters,
         "profile": profile, "ipc": ipc,
     }
-
-
-def _payload_bytes(ipc: Dict[str, Any]) -> int:
-    return int(ipc["delivery_bytes"]) + int(ipc["intent_bytes"])
 
 
 def _traced_run(
@@ -155,25 +136,15 @@ def _sweep(
     engines: Sequence[str] = ENGINES,
 ) -> Dict[str, Any]:
     runs: Dict[str, Dict[str, Any]] = {}
-    if "legacy" in engines:
-        runs["legacy"] = _run(_sweep_system(n, seed, 0, legacy=True), rounds)
     if "serial" in engines:
-        runs["serial"] = _run(_sweep_system(n, seed, 0, legacy=False), rounds)
+        runs["serial"] = _run(_sweep_system(n, seed, 0), rounds)
     if "sharded" in engines:
-        runs["sharded"] = _run(
-            _sweep_system(n, seed, workers, legacy=False, frame_ipc=True),
-            rounds,
-        )
-        runs["sharded_pickle"] = _run(
-            _sweep_system(n, seed, workers, legacy=False, frame_ipc=False),
-            rounds,
-        )
-        # The same sharded frame-IPC run with the flight recorder shipping
-        # worker events home: its run_s / sharded_run_s is the honest cost
-        # of always-on tracing across the process boundary.
+        runs["sharded"] = _run(_sweep_system(n, seed, workers), rounds)
+        # The same sharded run with the flight recorder shipping worker
+        # events home: its run_s / sharded_run_s is the honest cost of
+        # always-on tracing across the process boundary.
         runs["sharded_rec"] = _traced_run(
-            lambda: _sweep_system(n, seed, workers, legacy=False, frame_ipc=True),
-            rounds,
+            lambda: _sweep_system(n, seed, workers), rounds
         )
     identical: Optional[bool] = None
     if len(runs) >= 2:
@@ -193,19 +164,12 @@ def _sweep(
     }
     for name, run in runs.items():
         out[f"{name}_run_s"] = run["run_s"]
-
-    def _speedup(num: str, den: str) -> Optional[float]:
-        if num not in runs or den not in runs:
-            return None
-        return (
-            runs[num]["run_s"] / runs[den]["run_s"]
-            if runs[den]["run_s"] else float("inf")
+    out["serial_vs_sharded_speedup"] = None
+    if "serial" in runs and "sharded" in runs:
+        out["serial_vs_sharded_speedup"] = (
+            runs["serial"]["run_s"] / runs["sharded"]["run_s"]
+            if runs["sharded"]["run_s"] else float("inf")
         )
-
-    out["serial_vs_sharded_speedup"] = _speedup("serial", "sharded")
-    out["legacy_vs_serial_speedup"] = _speedup("legacy", "serial")
-    out["legacy_vs_sharded_speedup"] = _speedup("legacy", "sharded")
-    out["frame_vs_pickle_speedup"] = _speedup("sharded_pickle", "sharded")
     if "sharded_rec" in runs:
         rec_ipc = runs["sharded_rec"]["ipc"] or {}
         out["recorder_overhead_ratio"] = (
@@ -220,36 +184,20 @@ def _sweep(
             "events_dropped": runs["sharded_rec"]["trace_dropped"],
         }
     if "sharded" in runs:
-        frames_ipc = runs["sharded"]["ipc"]
-        pickle_ipc = runs["sharded_pickle"]["ipc"]
-        frames_bytes = _payload_bytes(frames_ipc)
-        pickle_bytes = _payload_bytes(pickle_ipc)
         out["profile"] = runs["sharded"]["profile"]
-        out["ipc"] = {
-            "frames": frames_ipc,
-            "pickle": pickle_ipc,
-            "frames_payload_bytes": frames_bytes,
-            "pickle_payload_bytes": pickle_bytes,
-            "bytes_reduction": (
-                pickle_bytes / frames_bytes if frames_bytes else None
-            ),
-        }
+        out["ipc"] = runs["sharded"]["ipc"]
     return out
 
 
 # -- small-n identity cells ------------------------------------------------------
 
 
-def _grid_system(
-    workers: int, network_factory=None, frame_ipc: bool = True
-) -> ReboundSystem:
+def _grid_system(workers: int, network_factory=None) -> ReboundSystem:
     topology = grid_topology(4, 5)
     workload = WorkloadGenerator(seed=0, chain_length_range=(1, 2)).workload(
         target_utilization=1.5
     )
-    config = ReboundConfig(
-        fmax=1, fconc=1, variant="multi", rsa_bits=256, frame_ipc=frame_ipc
-    )
+    config = ReboundConfig(fmax=1, fconc=1, variant="multi", rsa_bits=256)
     return ReboundSystem(
         topology, workload, config, seed=0,
         network_factory=network_factory, scale_workers=workers,
@@ -263,7 +211,6 @@ CHAOS_SMOKE_PLAN = ImpairmentPlan(
 
 
 def _identity_cell(name: str, build, rounds: int, workers: int,
-                   frame_ipc: bool,
                    crash_round: Optional[int] = None) -> Dict[str, Any]:
     """Serial vs sharded with a flight recorder installed on *both* runs:
     the pin covers the transcripts, the crypto counters, AND the merged
@@ -272,18 +219,15 @@ def _identity_cell(name: str, build, rounds: int, workers: int,
     produces (the tentpole guarantee; recorder-off transcript identity is
     pinned separately by tests/test_scale_engine.py)."""
     serial = _traced_run(
-        lambda: build(0, frame_ipc), rounds,
-        crash_round=crash_round, want_jsonl=True,
+        lambda: build(0), rounds, crash_round=crash_round, want_jsonl=True
     )
     sharded = _traced_run(
-        lambda: build(workers, frame_ipc), rounds,
-        crash_round=crash_round, want_jsonl=True,
+        lambda: build(workers), rounds, crash_round=crash_round, want_jsonl=True
     )
     return {
         "cell": name,
         "rounds": rounds,
         "workers": workers,
-        "frame_ipc": frame_ipc,
         "transcripts_identical": serial["transcript"] == sharded["transcript"],
         "counters_identical": serial["counters"] == sharded["counters"],
         "trace_events": sharded["trace_events"],
@@ -293,33 +237,20 @@ def _identity_cell(name: str, build, rounds: int, workers: int,
 
 
 def identity_cells(workers: int, rounds: int = 16) -> List[Dict[str, Any]]:
-    """Serial-vs-sharded byte-identity pins at small n, once per IPC mode
-    (wire frames and the pickle fallback both stay pinned)."""
-    cells = []
-    for frame_ipc in (True, False):
-        cells.extend([
-            _identity_cell(
-                "er20",
-                lambda w, f: _sweep_system(20, 0, w, legacy=False, frame_ipc=f),
-                rounds, workers, frame_ipc,
+    """Serial-vs-sharded byte-identity pins at small n."""
+    return [
+        _identity_cell(
+            "er20", lambda w: _sweep_system(20, 0, w), rounds, workers
+        ),
+        _identity_cell("grid20-crash", _grid_system, rounds, workers, crash_round=8),
+        _identity_cell(
+            "grid20-chaos-smoke",
+            lambda w: _grid_system(
+                w, network_factory=lambda t: ChaosRoundNetwork(t, CHAOS_SMOKE_PLAN)
             ),
-            _identity_cell(
-                "grid20-crash",
-                lambda w, f: _grid_system(w, frame_ipc=f),
-                rounds, workers, frame_ipc, crash_round=8,
-            ),
-            _identity_cell(
-                "grid20-chaos-smoke",
-                lambda w, f: _grid_system(
-                    w, network_factory=lambda t: ChaosRoundNetwork(
-                        t, CHAOS_SMOKE_PLAN
-                    ),
-                    frame_ipc=f,
-                ),
-                rounds, workers, frame_ipc,
-            ),
-        ])
-    return cells
+            rounds, workers,
+        ),
+    ]
 
 
 # -- driver ----------------------------------------------------------------------
@@ -396,11 +327,8 @@ def main(
                 k: sweep[k]
                 for k in (
                     "n", "rounds", "workers",
-                    "legacy_run_s", "serial_run_s", "sharded_run_s",
-                    "sharded_pickle_run_s", "sharded_rec_run_s",
-                    "serial_vs_sharded_speedup", "legacy_vs_serial_speedup",
-                    "legacy_vs_sharded_speedup", "frame_vs_pickle_speedup",
-                    "recorder_overhead_ratio",
+                    "serial_run_s", "sharded_run_s", "sharded_rec_run_s",
+                    "serial_vs_sharded_speedup", "recorder_overhead_ratio",
                     "transcripts_identical",
                 )
                 if k in sweep
@@ -411,10 +339,9 @@ def main(
             ipc = sweep["ipc"]
             print(
                 f"  ipc n={sweep['n']}: "
-                f"frames={ipc['frames_payload_bytes']}B "
-                f"pickle={ipc['pickle_payload_bytes']}B "
-                f"reduction={ipc['bytes_reduction']:.2f}x "
-                f"interned={ipc['frames']['interned_hits']}"
+                f"payload={ipc['delivery_bytes'] + ipc['intent_bytes']}B "
+                f"(raw {ipc['delivery_raw_bytes'] + ipc['intent_raw_bytes']}B) "
+                f"interned={ipc['interned_hits']}"
             )
         if "profile" in sweep:
             prof = sweep["profile"]
@@ -437,7 +364,7 @@ def main(
     print(
         "identity: "
         + ", ".join(
-            f"{c['cell']}[{'frames' if c['frame_ipc'] else 'pickle'}]="
+            f"{c['cell']}="
             + ("OK" if c["transcripts_identical"] and c["counters_identical"]
                and c["traces_identical"]
                else "DIFF")

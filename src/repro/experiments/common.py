@@ -35,7 +35,8 @@ def bench_env(workers: Optional[int] = None) -> Dict[str, Any]:
         "implementation": platform.python_implementation(),
         "platform": sys.platform,
         "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
+        # CPUs this process may run on (a container's share), not the host's.
+        "cpu_count": len(os.sched_getaffinity(0)),
         "numpy": have_numpy,
         "commit": commit,
     }

@@ -9,7 +9,7 @@ mode spans on tid 1, recovery-phase spans on tid 2).
 
 Presets:
 
-* ``smoke`` -- the bench-fastpath deployment (4x5 grid, seeded crash at
+* ``smoke`` -- a 4x5 grid deployment (BASIC, fmax=1, seeded crash at
   round 10): the CI-sized end-to-end check that trace-derived detection and
   convergence match the runtime's own ``detected()`` / ``converged()``.
 * ``equivocation-gap`` -- the formerly open equivocation storm

@@ -63,7 +63,6 @@ import zlib
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.net import message as _message
 from repro.net.message import _Decoder, _memo_store
 
 _U8 = struct.Struct(">B")
@@ -408,7 +407,6 @@ def unpack_intents(buffer: bytes) -> List[Tuple[str, int, int, bytes]]:
 
 _CACHE_CAPACITY = 4096
 _cache: "OrderedDict[bytes, Any]" = OrderedDict()
-_cache_enabled = True
 _cache_stats: Dict[str, int] = {
     "hits": 0, "misses": 0, "evictions": 0, "uncacheable": 0,
     "memo_seeded": 0,
@@ -416,21 +414,17 @@ _cache_stats: Dict[str, int] = {
 _MISSING = object()
 
 
-def configure_frame_cache(enabled=None, capacity=None) -> None:
-    """Enable/disable or resize the decode cache (clears it on any change)."""
-    global _cache_enabled, _CACHE_CAPACITY
-    if capacity is not None:
-        if capacity <= 0:
-            raise ValueError("frame cache capacity must be positive")
-        _CACHE_CAPACITY = capacity
-    if enabled is not None:
-        _cache_enabled = enabled
+def configure_frame_cache(capacity: int) -> None:
+    """Resize the decode cache (and clear it)."""
+    global _CACHE_CAPACITY
+    if capacity <= 0:
+        raise ValueError("frame cache capacity must be positive")
+    _CACHE_CAPACITY = capacity
     _cache.clear()
 
 
 def frame_cache_stats() -> Dict[str, int]:
     stats = dict(_cache_stats)
-    stats["enabled"] = _cache_enabled
     stats["capacity"] = _CACHE_CAPACITY
     stats["entries"] = len(_cache)
     return stats
@@ -451,34 +445,31 @@ def decode_frame(data: bytes) -> Any:
     fresh object); memo-safe values additionally seed the codec encode
     memo so re-encoding the decode is O(1).
     """
-    if _cache_enabled:
-        hit = _cache.get(data, _MISSING)
-        if hit is not _MISSING:
-            _cache.move_to_end(data)
-            _cache_stats["hits"] += 1
-            return hit
+    hit = _cache.get(data, _MISSING)
+    if hit is not _MISSING:
+        _cache.move_to_end(data)
+        _cache_stats["hits"] += 1
+        return hit
     decoder = _Decoder(data)
     value = decoder.decode_value()
     if decoder.pos != len(data):
         raise ValueError("trailing bytes after message")
-    if _cache_enabled:
-        if decoder.saw_mutable_container:
-            _cache_stats["uncacheable"] += 1
-        else:
-            _cache_stats["misses"] += 1
-            _cache[data] = value
-            while len(_cache) > _CACHE_CAPACITY:
-                _cache.popitem(last=False)
-                _cache_stats["evictions"] += 1
-            if (
-                not decoder.saw_unfrozen
-                and _message._memo_enabled
-                # Only tuples and registered dataclasses are ever looked
-                # up in the encode memo; seeding anything else is waste.
-                and (type(value) is tuple or dataclasses.is_dataclass(value))
-            ):
-                _memo_store(value, data)
-                _cache_stats["memo_seeded"] += 1
+    if decoder.saw_mutable_container:
+        _cache_stats["uncacheable"] += 1
+        return value
+    _cache_stats["misses"] += 1
+    _cache[data] = value
+    while len(_cache) > _CACHE_CAPACITY:
+        _cache.popitem(last=False)
+        _cache_stats["evictions"] += 1
+    if (
+        not decoder.saw_unfrozen
+        # Only tuples and registered dataclasses are ever looked up in
+        # the encode memo; seeding anything else is waste.
+        and (type(value) is tuple or dataclasses.is_dataclass(value))
+    ):
+        _memo_store(value, data)
+        _cache_stats["memo_seeded"] += 1
     return value
 
 

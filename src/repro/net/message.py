@@ -23,9 +23,8 @@ can only be hit while the exact object is alive, and an immutable object's
 encoding never changes.  (A value-keyed cache would be unsound here --
 ``True == 1`` hash-equal but ``encode(True) != encode(1)``.)  Mutable
 containers (list, dict) and anything transitively containing them are never
-memoized.  The memo is bounded LRU and can be disabled via
-:func:`configure_codec_memo`; being a pure function cache, on/off produces
-identical bytes.
+memoized.  The memo is bounded LRU (:func:`configure_codec_memo` resizes
+it); being a pure function cache, a hit yields the bytes a fresh walk would.
 """
 
 from __future__ import annotations
@@ -82,29 +81,20 @@ class Frame:
 _MEMO_CAPACITY = 4096
 #: id(obj) -> (obj, encoded bytes).  The strong reference to obj pins its id.
 _memo: "OrderedDict[int, Tuple[Any, bytes]]" = OrderedDict()
-_memo_enabled = True
 _memo_stats: Dict[str, int] = {"hits": 0, "misses": 0, "evictions": 0, "saved_bytes": 0}
 
 
-def configure_codec_memo(enabled=None, capacity=None) -> None:
-    """Enable/disable or resize the encode memo (clears it on any change)."""
-    global _memo_enabled, _MEMO_CAPACITY
-    if capacity is not None:
-        if capacity <= 0:
-            raise ValueError("codec memo capacity must be positive")
-        _MEMO_CAPACITY = capacity
-    if enabled is not None:
-        _memo_enabled = enabled
+def configure_codec_memo(capacity: int) -> None:
+    """Resize the encode memo (and clear it)."""
+    global _MEMO_CAPACITY
+    if capacity <= 0:
+        raise ValueError("codec memo capacity must be positive")
+    _MEMO_CAPACITY = capacity
     _memo.clear()
-
-
-def codec_memo_enabled() -> bool:
-    return _memo_enabled
 
 
 def codec_memo_stats() -> Dict[str, int]:
     stats = dict(_memo_stats)
-    stats["enabled"] = _memo_enabled
     stats["capacity"] = _MEMO_CAPACITY
     stats["entries"] = len(_memo)
     return stats
@@ -171,21 +161,20 @@ def _encode_into(value: Any, out: List[bytes]) -> bool:
         out.append(_T_STR)
         _encode_varbytes(value.encode("utf-8"), out)
     elif isinstance(value, tuple):
-        if _memo_enabled:
-            hit = _memo.get(id(value))
-            if hit is not None and hit[0] is value:
-                _memo.move_to_end(id(value))
-                _memo_stats["hits"] += 1
-                _memo_stats["saved_bytes"] += len(hit[1])
-                out.append(hit[1])
-                return True
+        hit = _memo.get(id(value))
+        if hit is not None and hit[0] is value:
+            _memo.move_to_end(id(value))
+            _memo_stats["hits"] += 1
+            _memo_stats["saved_bytes"] += len(hit[1])
+            out.append(hit[1])
+            return True
         sub: List[bytes] = [_T_TUPLE, struct.pack(">I", len(value))]
         safe = True
         for item in value:
             safe = _encode_into(item, sub) and safe
         blob = b"".join(sub)
         out.append(blob)
-        if _memo_enabled and safe:
+        if safe:
             _memo_stats["misses"] += 1
             _memo_store(value, blob)
         return safe
@@ -219,14 +208,13 @@ def _encode_into(value: Any, out: List[bytes]) -> bool:
         name = type(value).__name__
         if name not in _registry_by_name:
             raise TypeError(f"unregistered message type: {name}")
-        if _memo_enabled:
-            hit = _memo.get(id(value))
-            if hit is not None and hit[0] is value:
-                _memo.move_to_end(id(value))
-                _memo_stats["hits"] += 1
-                _memo_stats["saved_bytes"] += len(hit[1])
-                out.append(hit[1])
-                return True
+        hit = _memo.get(id(value))
+        if hit is not None and hit[0] is value:
+            _memo.move_to_end(id(value))
+            _memo_stats["hits"] += 1
+            _memo_stats["saved_bytes"] += len(hit[1])
+            out.append(hit[1])
+            return True
         type_id, _ = _registry_by_name[name]
         fields = dataclasses.fields(value)
         sub = [_T_MESSAGE, struct.pack(">I", type_id), struct.pack(">I", len(fields))]
@@ -235,7 +223,7 @@ def _encode_into(value: Any, out: List[bytes]) -> bool:
             safe = _encode_into(getattr(value, f.name), sub) and safe
         blob = b"".join(sub)
         out.append(blob)
-        if _memo_enabled and safe:
+        if safe:
             _memo_stats["misses"] += 1
             _memo_store(value, blob)
         return safe
@@ -261,13 +249,12 @@ def encoded_size(value: Any) -> int:
     """
     if type(value) is Frame:
         return len(value.data)
-    if _memo_enabled:
-        hit = _memo.get(id(value))
-        if hit is not None and hit[0] is value:
-            _memo.move_to_end(id(value))
-            _memo_stats["hits"] += 1
-            _memo_stats["saved_bytes"] += len(hit[1])
-            return len(hit[1])
+    hit = _memo.get(id(value))
+    if hit is not None and hit[0] is value:
+        _memo.move_to_end(id(value))
+        _memo_stats["hits"] += 1
+        _memo_stats["saved_bytes"] += len(hit[1])
+        return len(hit[1])
     return len(encode(value))
 
 

@@ -25,18 +25,16 @@ while keeping transcripts **byte-identical** to serial execution:
     identically.  Within a node, intent order is the node's own emission
     order, also identical to serial.
 
-3.  *Wire frames, not pickles* (``frame_ipc=True``, the default).  Each
-    shard's per-round deliveries cross the process boundary as one flat
-    buffer of canonical codec frames (:mod:`repro.net.frames`): unique
-    frames interned by value plus one small header per delivery, so a
-    bus broadcast (or a value-equal per-neighbor fan-out) into a shard
-    ships one frame no matter how many recipients it has.  Workers decode
-    through a bounded per-process frame cache; captured intents return in
-    the same framed format and the parent replays them as
-    :class:`~repro.net.message.Frame` handles -- ``encode(Frame(b)) == b``,
-    so nothing is encoded twice and guardian/chaos byte accounting is
-    unchanged.  ``frame_ipc=False`` falls back to self-pickled batches
-    (measured the same way) for ablation.
+3.  *Wire frames, not pickles.*  Each shard's per-round deliveries cross
+    the process boundary as one flat buffer of canonical codec frames
+    (:mod:`repro.net.frames`): unique frames interned by value plus one
+    small header per delivery, so a bus broadcast (or a value-equal
+    per-neighbor fan-out) into a shard ships one frame no matter how many
+    recipients it has.  Workers decode through a bounded per-process frame
+    cache; captured intents return in the same framed format and the
+    parent replays them as :class:`~repro.net.message.Frame` handles --
+    ``encode(Frame(b)) == b``, so nothing is encoded twice and
+    guardian/chaos byte accounting is unchanged.
 
 4.  *Summaries, not objects.*  After each round a worker returns a compact
     :class:`NodeSummary` per resident; the parent exposes them through
@@ -93,7 +91,6 @@ from __future__ import annotations
 import copy
 import multiprocessing as mp
 import os
-import pickle
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -110,7 +107,7 @@ from repro.net.frames import (
 from repro.net.message import Frame, encode
 from repro.obs import recorder as _flight
 from repro.obs import registry as _telemetry
-from repro.obs.collector import TraceCollector, pack_events
+from repro.obs.collector import EventBatch, TraceCollector, pack_events
 from repro.obs.profiler import RoundProfiler
 from repro.obs.recorder import FlightRecorder
 
@@ -236,11 +233,10 @@ class _WorkerState:
     sink: List[Tuple[str, int, int, Any]] = field(default_factory=list)
 
 
-#: One round's IPC batch: ``("frames", buffer)`` with the flat frame layout
-#: of :mod:`repro.net.frames`, or ``("pickle", blob)`` in fallback mode.
-#: Deliveries carry ``(sender, dest, payload)``; intents carry
-#: ``(kind, sender, target, payload)``.
-Batch = Tuple[str, bytes]
+#: One round's IPC batch: a buffer in the flat frame layout of
+#: :mod:`repro.net.frames`.  Deliveries carry ``(sender, dest, payload)``;
+#: intents carry ``(kind, sender, target, payload)``.
+Batch = bytes
 
 #: A deferred worker call: (node_id, op, args).
 Call = Tuple[int, str, Tuple[Any, ...]]
@@ -259,7 +255,7 @@ class _RoundResult:
     frames_shipped: int
     interned_hits: int
     #: drained flight-recorder events (None when the worker runs blind).
-    events: Optional[Batch] = None
+    events: Optional[EventBatch] = None
     event_count: int = 0
     event_raw_bytes: int = 0
     event_interned: int = 0
@@ -342,14 +338,10 @@ def _worker_round(
         _apply_calls(w, calls)
     perf = time.perf_counter
     t0 = perf()
-    tag, blob = batch
-    if tag == "frames":
-        deliveries = [
-            (sender, dest, decode_frame(frame))
-            for sender, dest, frame in unpack_deliveries(blob)
-        ]
-    else:
-        deliveries = pickle.loads(blob)
+    deliveries = [
+        (sender, dest, decode_frame(frame))
+        for sender, dest, frame in unpack_deliveries(batch)
+    ]
     t_decode = perf() - t0
     sink = w.sink
     sink.clear()
@@ -373,24 +365,12 @@ def _worker_round(
         protos[nid].on_round_end(round_no)
     t_step = perf() - t1
     t2 = perf()
-    if tag == "frames":
-        writer = IntentWriter()
-        for kind, sender, target, payload in sink:
-            data = payload.data if type(payload) is Frame else encode(payload)
-            writer.add(kind, sender, target, data)
-        intents: Batch = ("frames", writer.finish())
-        intent_raw = writer.raw_bytes
-        frames_shipped = writer.frame_count
-        interned_hits = writer.interned_hits
-    else:
-        intents = (
-            "pickle",
-            pickle.dumps(list(sink), protocol=pickle.HIGHEST_PROTOCOL),
-        )
-        intent_raw = len(intents[1])
-        frames_shipped = len(sink)
-        interned_hits = 0
-    events: Optional[Batch] = None
+    writer = IntentWriter()
+    for kind, sender, target, payload in sink:
+        data = payload.data if type(payload) is Frame else encode(payload)
+        writer.add(kind, sender, target, data)
+    intents = writer.finish()
+    events: Optional[EventBatch] = None
     event_count = event_raw = event_interned = 0
     seqs: Dict[int, int] = {}
     dropped = 0
@@ -398,9 +378,7 @@ def _worker_round(
         drained = rec.drain()
         event_count = len(drained)
         if drained:
-            events, event_raw, event_interned = pack_events(
-                drained, frame_ipc=(tag == "frames")
-            )
+            events, event_raw, event_interned = pack_events(drained)
         seqs = rec.seq_snapshot()
         dropped = rec.dropped
     t_encode = perf() - t2
@@ -411,10 +389,10 @@ def _worker_round(
         encode_s=t_encode,
         decode_s=t_decode,
         step_s=t_step,
-        intent_bytes=len(intents[1]),
-        intent_raw_bytes=intent_raw,
-        frames_shipped=frames_shipped,
-        interned_hits=interned_hits,
+        intent_bytes=len(intents),
+        intent_raw_bytes=writer.raw_bytes,
+        frames_shipped=writer.frame_count,
+        interned_hits=writer.interned_hits,
         events=events,
         event_count=event_count,
         event_raw_bytes=event_raw,
@@ -474,7 +452,7 @@ def _dispatch_call(w: _WorkerState, node_id: int, op: str, args: Tuple[Any, ...]
 #: per-node seq counters, cumulative dropped count).  The round rides
 #: along so the parent only merges counters that belong to *its* current
 #: round (a stale snapshot is dead weight, not an error).
-Drain = Tuple[Optional[Batch], int, Dict[int, int], int]
+Drain = Tuple[Optional[EventBatch], int, Dict[int, int], int]
 
 
 def _drain_worker_events() -> Optional[Drain]:
@@ -703,11 +681,6 @@ class ShardedRoundEngine:
     Created by :class:`repro.core.runtime.ReboundSystem` when scale workers
     are requested; :meth:`start` must run after the system is fully built
     (workers fork-inherit it) and before the first engine round.
-
-    ``frame_ipc`` selects the wire plane: canonical codec frames with
-    value interning and batched RPCs (default), or self-pickled object
-    batches (the pre-frame baseline, kept for ablation).  Transcripts and
-    logical counters are byte-identical either way.
     """
 
     def __init__(
@@ -716,14 +689,12 @@ class ShardedRoundEngine:
         mode_tree: Any,
         workers: int,
         parent_resident: Iterable[int] = (),
-        frame_ipc: bool = True,
     ):
         if workers < 2:
             raise ValueError("ShardedRoundEngine needs at least 2 workers")
         self.network = network
         self.mode_tree = mode_tree
         self.workers = workers
-        self.frame_ipc = frame_ipc
         topo = network.topology
         pinned = set(parent_resident)
         shardable = [c for c in sorted(topo.controllers) if c not in pinned]
@@ -744,15 +715,11 @@ class ShardedRoundEngine:
         self._dirty: Set[int] = set()
         self._started = False
         self.rounds_executed = 0
-        self.profiler = RoundProfiler(
-            label=f"sharded x{workers} "
-            + ("frames" if frame_ipc else "pickle")
-        )
+        self.profiler = RoundProfiler(label=f"sharded x{workers}")
         #: parent-side merge point for worker-shipped trace events; set by
         #: start() when a flight recorder is active at fork time.
         self.collector: Optional[TraceCollector] = None
         self._ipc: Dict[str, Any] = {
-            "mode": "frames" if frame_ipc else "pickle",
             "rounds": 0,
             "frames_shipped": 0,
             "interned_hits": 0,
@@ -860,41 +827,25 @@ class ShardedRoundEngine:
             seq_sync = rec.seq_snapshot()
 
         # Partition + pack: each shard's slice of the round's deliveries,
-        # in one flat buffer (frames mode interns duplicate payloads).
+        # in one flat buffer (duplicate payloads are interned).
         t0 = perf()
         parent_deliveries: List[Tuple[int, int, Any, int]] = []
         batches: List[Batch] = []
-        if self.frame_ipc:
-            writers = [DeliveryWriter() for _ in self._pools]
-            for d in deliveries:
-                shard = self._shard_of.get(d[1])
-                if shard is None:
-                    parent_deliveries.append(d)
-                elif d[1] not in crashed:
-                    payload = d[2]
-                    blob = payload.data if type(payload) is Frame else encode(payload)
-                    writers[shard].add(d[0], d[1], blob)
-            for writer in writers:
-                batches.append(("frames", writer.finish()))
-                self._ipc["frames_shipped"] += writer.frame_count
-                self._ipc["interned_hits"] += writer.interned_hits
-                self._ipc["delivery_raw_bytes"] += writer.raw_bytes
-        else:
-            triples: List[List[Tuple[int, int, Any]]] = [[] for _ in self._pools]
-            for d in deliveries:
-                shard = self._shard_of.get(d[1])
-                if shard is None:
-                    parent_deliveries.append(d)
-                elif d[1] not in crashed:
-                    triples[shard].append((d[0], d[1], d[2]))
-            for chunk in triples:
-                batches.append(
-                    ("pickle", pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL))
-                )
-                self._ipc["frames_shipped"] += len(chunk)
-                self._ipc["delivery_raw_bytes"] += len(batches[-1][1])
-        for _tag, blob in batches:
-            self._ipc["delivery_bytes"] += len(blob)
+        writers = [DeliveryWriter() for _ in self._pools]
+        for d in deliveries:
+            shard = self._shard_of.get(d[1])
+            if shard is None:
+                parent_deliveries.append(d)
+            elif d[1] not in crashed:
+                payload = d[2]
+                blob = payload.data if type(payload) is Frame else encode(payload)
+                writers[shard].add(d[0], d[1], blob)
+        for writer in writers:
+            batches.append(writer.finish())
+            self._ipc["frames_shipped"] += writer.frame_count
+            self._ipc["interned_hits"] += writer.interned_hits
+            self._ipc["delivery_raw_bytes"] += writer.raw_bytes
+            self._ipc["delivery_bytes"] += len(batches[-1])
         t_pack = perf() - t0
 
         # Ship: the round batch plus any deferred writes queued since the
@@ -988,15 +939,9 @@ class ShardedRoundEngine:
         # bytes, so the send path never re-encodes them.
         t3 = perf()
         grouped = _group_intents(sink)
-        for tag, blob in intent_batches:
-            if tag == "frames":
-                for kind, sender, target, frame in unpack_intents(blob):
-                    grouped.setdefault(sender, []).append(
-                        (kind, target, Frame(frame))
-                    )
-            else:
-                for kind, sender, target, payload in pickle.loads(blob):
-                    grouped.setdefault(sender, []).append((kind, target, payload))
+        for blob in intent_batches:
+            for kind, sender, target, frame in unpack_intents(blob):
+                grouped.setdefault(sender, []).append((kind, target, Frame(frame)))
         for nid in net.topology.nodes:
             for kind, target, payload in grouped.get(nid, ()):
                 if kind == "u":
@@ -1163,5 +1108,4 @@ class ShardedRoundEngine:
 
     def _reset_ipc_stats(self) -> None:
         for key in self._ipc:
-            if key != "mode":
-                self._ipc[key] = 0
+            self._ipc[key] = 0

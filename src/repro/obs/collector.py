@@ -78,9 +78,7 @@ def canonical_jsonl(events: Sequence[TraceEvent]) -> str:
     )
 
 
-def pack_events(
-    events: Sequence[TraceEvent], frame_ipc: bool = True
-) -> Tuple[EventBatch, int, int]:
+def pack_events(events: Sequence[TraceEvent]) -> Tuple[EventBatch, int, int]:
     """Pack drained events for the wire.
 
     Returns ``((codec, payload), raw_bytes, interned_hits)``.  Events are
@@ -90,7 +88,7 @@ def pack_events(
     case for heartbeat/audit chatter -- intern to a single frame.
     """
     ordered = canonical_sorted(events)
-    if frame_ipc and all(_frameable(e) for e in ordered):
+    if all(_frameable(e) for e in ordered):
         writer = EventWriter()
         for event in ordered:
             blob = json.dumps(

@@ -96,8 +96,8 @@ def reset_all() -> List[str]:
 #: Stat keys that are configuration or derived values, not additive
 #: counters; merging keeps the base snapshot's value instead of summing.
 _NON_ADDITIVE_KEYS = frozenset(
-    {"capacity", "enabled", "entries", "hit_rate", "workers", "shard_sizes",
-     "parent_resident", "mode", "mean_round_ms"}
+    {"capacity", "entries", "hit_rate", "workers", "shard_sizes",
+     "parent_resident", "mean_round_ms"}
 )
 
 
@@ -108,7 +108,7 @@ def merge_stats_snapshots(
     """Fold worker-process snapshots into ``base`` without double counting.
 
     Numeric counters are summed across snapshots; configuration keys
-    (capacity, enabled, ...) keep the base value; ``hit_rate`` is
+    (capacity, entries, ...) keep the base value; ``hit_rate`` is
     recomputed from the merged hits/misses where both are present.  Used
     by the sharded round engine, whose worker initializers zero their
     inherited registries so every worker-side count is post-fork work.

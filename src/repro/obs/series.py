@@ -8,11 +8,9 @@ via ``system.fastpath_stats()``) plus a handful of derived system gauges
 caps, and the BTR monitor's detection -> evidence -> switch phase -- into
 a bounded columnar store.
 
-Storage is numpy ``float64`` columns when numpy is importable (same
-pattern as the bitset heartbeat stores) and plain lists otherwise; either
-way the store is a ring bounded by ``capacity`` samples.  A series that
-appears mid-run is NaN-backfilled so every column always has one value
-per retained sample.
+Storage is one list of floats per series, bounded to the latest
+``capacity`` samples.  A series that appears mid-run is NaN-backfilled so
+every column always has one value per retained sample.
 
 Exporters:
 
@@ -31,11 +29,6 @@ import math
 import re
 from typing import Any, Dict, List, Optional
 
-try:  # numpy backs the columns when present; lists otherwise.
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised only without numpy
-    _np = None
-
 #: Perfetto pid for the metrics counter tracks (the round engine uses
 #: 10**9; node pids are small ints).
 METRICS_TRACE_PID = 10**9 + 1
@@ -49,60 +42,6 @@ def _metric_name(series: str) -> str:
     if name and name[0].isdigit():
         name = "_" + name
     return "rebound_" + name
-
-
-class _Column:
-    """One bounded float column (numpy-backed, list fallback)."""
-
-    __slots__ = ("_data", "_n")
-
-    def __init__(self, prefill: int = 0):
-        if _np is not None:
-            self._data = _np.full(max(64, prefill), _np.nan, dtype=_np.float64)
-            self._n = prefill
-        else:
-            self._data = [math.nan] * prefill
-            self._n = prefill
-
-    def append(self, value: float) -> None:
-        if _np is not None:
-            if self._n == len(self._data):
-                grown = _np.full(len(self._data) * 2, _np.nan, dtype=_np.float64)
-                grown[: self._n] = self._data[: self._n]
-                self._data = grown
-            self._data[self._n] = value
-        else:
-            self._data.append(value)
-        self._n += 1
-
-    def drop_front(self, count: int) -> None:
-        if count <= 0:
-            return
-        if _np is not None:
-            kept = self._data[count : self._n].copy()
-            self._n = len(kept)
-            self._data = _np.full(
-                max(64, self._n), _np.nan, dtype=_np.float64
-            )
-            self._data[: self._n] = kept
-        else:
-            del self._data[:count]
-            self._n = len(self._data)
-
-    def values(self) -> List[float]:
-        if _np is not None:
-            return [float(v) for v in self._data[: self._n]]
-        return list(self._data)
-
-    def last(self) -> float:
-        if self._n == 0:
-            return math.nan
-        if _np is not None:
-            return float(self._data[self._n - 1])
-        return self._data[-1]
-
-    def __len__(self) -> int:
-        return self._n
 
 
 def flatten_stats(stats: Dict[str, Dict[str, Any]]) -> Dict[str, float]:
@@ -128,8 +67,8 @@ class MetricsTimeSeries:
         if capacity <= 0:
             raise ValueError("series capacity must be positive")
         self.capacity = capacity
-        self._rounds = _Column()
-        self._columns: Dict[str, _Column] = {}
+        self._rounds: List[float] = []
+        self._columns: Dict[str, List[float]] = {}
         self.samples = 0
 
     # -- sampling ------------------------------------------------------------
@@ -144,7 +83,7 @@ class MetricsTimeSeries:
         retained = len(self._rounds)
         for name in values:
             if name not in self._columns:
-                self._columns[name] = _Column(prefill=retained)
+                self._columns[name] = [math.nan] * retained
         self._rounds.append(float(round_no))
         for name, column in self._columns.items():
             value = values.get(name, math.nan)
@@ -152,9 +91,9 @@ class MetricsTimeSeries:
         self.samples += 1
         overflow = len(self._rounds) - self.capacity
         if overflow > 0:
-            self._rounds.drop_front(overflow)
+            del self._rounds[:overflow]
             for column in self._columns.values():
-                column.drop_front(overflow)
+                del column[:overflow]
 
     def sample(self, system: Any, monitor: Any = None) -> Dict[str, float]:
         """Sample a :class:`~repro.core.runtime.ReboundSystem` (and
@@ -239,21 +178,20 @@ class MetricsTimeSeries:
         return len(self._rounds)
 
     def rounds(self) -> List[int]:
-        return [int(r) for r in self._rounds.values()]
+        return [int(r) for r in self._rounds]
 
     def series_names(self) -> List[str]:
         return sorted(self._columns)
 
     def series(self, name: str) -> List[float]:
-        return self._columns[name].values()
+        return list(self._columns[name])
 
     def latest(self) -> Dict[str, float]:
         """The most recent retained value of every series (NaN-free)."""
         out: Dict[str, float] = {}
         for name, column in sorted(self._columns.items()):
-            value = column.last()
-            if not math.isnan(value):
-                out[name] = value
+            if column and not math.isnan(column[-1]):
+                out[name] = column[-1]
         return out
 
     # -- exporters -----------------------------------------------------------
@@ -280,10 +218,7 @@ class MetricsTimeSeries:
             "retained": len(self._rounds),
             "rounds": self.rounds(),
             "series": {
-                name: [
-                    None if math.isnan(v) else v
-                    for v in column.values()
-                ]
+                name: [None if math.isnan(v) else v for v in column]
                 for name, column in sorted(self._columns.items())
             },
         }
@@ -304,7 +239,7 @@ class MetricsTimeSeries:
         ]
         rounds = self.rounds()
         for name, column in sorted(self._columns.items()):
-            for round_no, value in zip(rounds, column.values()):
+            for round_no, value in zip(rounds, column):
                 if math.isnan(value):
                     continue
                 events.append(

@@ -4,10 +4,10 @@ Each cell is a small seeded deployment run for ``ROUNDS`` rounds; its
 fingerprint is the SHA-256 over every round's
 :func:`repro.analysis.metrics.transcript_entry`, the logical crypto
 counters and the total bytes put on links.  The committed file was
-recorded by the reference paths (every simulator fast path switched off);
-the production paths must reproduce it bit for bit on the serial engine
-and on the sharded one.  See ``tests/golden/README.md`` for when and how
-to regenerate it.
+recorded by reference paths that have since been deleted (every simulator
+fast path switched off); the production paths must reproduce it bit for
+bit on the serial engine and on the sharded one.  See
+``tests/golden/README.md`` for when and how to regenerate it.
 
     PYTHONPATH=src python -m tests.golden_cells CELL      # print one cell
     PYTHONPATH=src python -m tests.golden_cells --write   # rewrite the file
@@ -41,37 +41,16 @@ SCENARIOS: Dict[str, Tuple[Callable, int, Optional[Callable]]] = {
 }
 CELLS = [f"{scenario}/{variant}" for scenario in SCENARIOS for variant in ("basic", "multi")]
 
-#: ReboundConfig switches that select the in-tree reference paths.
-_REFERENCE_CONFIG = dict(
-    verify_cache=False, bitset_coverage=False, round_batched_verify=False, frame_ipc=False
-)
 
-
-def _set_process_fast_paths(enabled: bool) -> None:
-    from repro.crypto import rsa, verify_cache
-    from repro.net import frames, message
-
-    verify_cache.configure(enabled=enabled)
-    message.configure_codec_memo(enabled=enabled)
-    frames.configure_frame_cache(enabled=enabled)
-    rsa.configure_crt(enabled)
-
-
-def run_cell(cell: str, workers: int = 0, reference: bool = False) -> Dict[str, Any]:
-    """Run one cell; ``workers >= 2`` selects the sharded engine and
-    ``reference`` switches every simulator fast path off."""
+def run_cell(cell: str, workers: int = 0) -> Dict[str, Any]:
+    """Run one cell; ``workers >= 2`` selects the sharded engine."""
     scenario, variant = cell.split("/")
     build_topology, fmax, behaviour = SCENARIOS[scenario]
     topology = build_topology()
     workload = WorkloadGenerator(seed=0, chain_length_range=(1, 2)).workload(
         target_utilization=1.5
     )
-    config = ReboundConfig(
-        fmax=fmax, fconc=1, variant=variant, rsa_bits=256,
-        **(_REFERENCE_CONFIG if reference else {}),
-    )
-    if reference:
-        _set_process_fast_paths(False)
+    config = ReboundConfig(fmax=fmax, fconc=1, variant=variant, rsa_bits=256)
     system = ReboundSystem(topology, workload, config, seed=0, scale_workers=workers)
     digest = hashlib.sha256()
     link_bytes = 0
@@ -85,8 +64,6 @@ def run_cell(cell: str, workers: int = 0, reference: bool = False) -> Dict[str, 
         counters = system.total_crypto_counters().as_dict()
     finally:
         system.close()
-        if reference:
-            _set_process_fast_paths(True)
     return {
         "transcript_sha256": digest.hexdigest(),
         "crypto_counters": counters,
@@ -100,17 +77,15 @@ def load_golden() -> Dict[str, Any]:
 
 
 def main(argv) -> int:
-    reference = "--reference" in argv
-    args = [a for a in argv if a != "--reference"]
-    if args == ["--write"]:
-        golden = load_golden() if os.path.exists(GOLDEN_PATH) else {}
-        golden["cells"] = {cell: run_cell(cell, reference=reference) for cell in CELLS}
+    if argv == ["--write"]:
+        golden = load_golden()
+        golden["cells"] = {cell: run_cell(cell) for cell in CELLS}
         with open(GOLDEN_PATH, "w") as fh:
             json.dump(golden, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return 0
-    if len(args) == 1 and args[0] in CELLS:
-        print(json.dumps(run_cell(args[0], reference=reference), sort_keys=True))
+    if len(argv) == 1 and argv[0] in CELLS:
+        print(json.dumps(run_cell(argv[0]), sort_keys=True))
         return 0
     print(__doc__, file=sys.stderr)
     return 2

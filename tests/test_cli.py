@@ -156,6 +156,24 @@ class TestBenchDiffCommand:
                      "--current", str(cur), "--strict"]) == 0
         assert "SKIPPED" in capsys.readouterr().out
 
+    def test_one_sided_keys_are_reported_not_raised(self, tmp_path, capsys):
+        import json
+
+        base, cur = tmp_path / "base.json", tmp_path / "cur.json"
+        self._write(base, 1.0)
+        self._write(cur, 1.0)
+        doc = json.loads(base.read_text())
+        doc["sweeps"][0]["legacy_run_s"] = 3.0
+        base.write_text(json.dumps(doc))
+        doc = json.loads(cur.read_text())
+        doc["sweeps"][0]["sharded_rec_run_s"] = 2.0
+        cur.write_text(json.dumps(doc))
+        assert main(["bench-diff", "--baseline", str(base),
+                     "--current", str(cur), "--strict"]) == 0
+        out = capsys.readouterr().out
+        assert "sweeps[n=200].legacy_run_s: removed" in out
+        assert "sweeps[n=200].sharded_rec_run_s: added" in out
+
     def test_within_threshold_passes_strict(self, tmp_path):
         base, cur = tmp_path / "base.json", tmp_path / "cur.json"
         self._write(base, 1.0)

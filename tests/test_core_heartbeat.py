@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.heartbeat import (
     AggregateHeartbeat,
-    BasicHeartbeatStore,
+    HeartbeatStore,
     CoverageCalculator,
     HeartbeatRecord,
 )
@@ -98,32 +98,32 @@ class TestCoverageCalculator:
                 prev = m
 
 
-class TestBasicHeartbeatStore:
+class TestHeartbeatStore:
     def _rec(self, origin=1, round_no=5, delta=0, sig=b"s"):
         return HeartbeatRecord(origin=origin, round_no=round_no, delta_count=delta, signature=sig)
 
     def test_new_then_dup(self):
-        store = BasicHeartbeatStore(window=10)
+        store = HeartbeatStore(window=10)
         assert store.add(self._rec())[0] == "new"
         assert store.add(self._rec())[0] == "dup"
 
     def test_conflict_detected(self):
         """Same origin + round, different delta => equivocation material."""
-        store = BasicHeartbeatStore(window=10)
+        store = HeartbeatStore(window=10)
         store.add(self._rec(delta=0))
         status, existing = store.add(self._rec(delta=2, sig=b"s2"))
         assert status == "conflict"
         assert existing.delta_count == 0
 
     def test_drain_new(self):
-        store = BasicHeartbeatStore(window=10)
+        store = HeartbeatStore(window=10)
         store.add(self._rec(round_no=1))
         store.add(self._rec(round_no=2))
         assert len(store.drain_new()) == 2
         assert store.drain_new() == []
 
     def test_expiry(self):
-        store = BasicHeartbeatStore(window=3)
+        store = HeartbeatStore(window=3)
         for r in range(10):
             store.add(self._rec(round_no=r))
         dropped = store.expire(current_round=10)
@@ -132,28 +132,40 @@ class TestBasicHeartbeatStore:
         assert store.get(1, 6) is None
         assert store.get(1, 7) is not None
 
+    def test_expiry_drops_whole_rounds_across_origins(self):
+        store = HeartbeatStore(window=3)
+        for round_no in (3, 4, 5, 7):
+            for origin in (0, 2, 5):
+                store.add(self._rec(origin=origin, round_no=round_no))
+        assert store.expire(current_round=9) == 9  # rounds 3, 4, 5
+        assert sorted(store._records) == [(0, 7), (2, 7), (5, 7)]
+        assert store.expire(current_round=9) == 0
+        # An expired slot is forgotten entirely: the same record is new again.
+        assert store.add(self._rec(origin=2, round_no=4))[0] == "new"
+        assert store.expire(current_round=9) == 1
+
     def test_expiry_disabled(self):
-        store = BasicHeartbeatStore(window=3, expiry=False)
+        store = HeartbeatStore(window=3, expiry=False)
         for r in range(10):
             store.add(self._rec(round_no=r))
         assert store.expire(current_round=10) == 0
         assert len(store) == 10
 
     def test_latest_round_of(self):
-        store = BasicHeartbeatStore(window=10)
+        store = HeartbeatStore(window=10)
         assert store.latest_round_of(1) is None
         store.add(self._rec(round_no=3))
         store.add(self._rec(round_no=7))
         assert store.latest_round_of(1) == 7
 
     def test_serialized_size_grows(self):
-        store = BasicHeartbeatStore(window=100)
+        store = HeartbeatStore(window=100)
         empty = store.serialized_size()
         store.add(self._rec())
         assert store.serialized_size() > empty
 
     def test_records_from_distinct_origins_coexist(self):
-        store = BasicHeartbeatStore(window=10)
+        store = HeartbeatStore(window=10)
         assert store.add(self._rec(origin=1))[0] == "new"
         assert store.add(self._rec(origin=2))[0] == "new"
         assert len(store) == 2

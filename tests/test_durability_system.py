@@ -12,7 +12,7 @@ verified prefix instead of silently replaying forged records.
 The Hypothesis property pins the determinism contract: a node swapped
 for its own sealed-snapshot restore (``restore_exact()``) continues the
 deployment byte-identically to one that never snapshotted, with
-admission quotas and the bitset heartbeat store enabled.
+admission quotas enabled.
 """
 
 import os
@@ -64,7 +64,7 @@ def _er6(durability_dir=None, seed=7, snapshot_interval=8):
         }
     config = ReboundConfig(
         fmax=2, fconc=1, variant="multi", rsa_bits=256,
-        quotas_enabled=True, bitset_coverage=True, **kwargs
+        quotas_enabled=True, **kwargs
     )
     return ReboundSystem(topology, workload, config, seed=seed)
 
@@ -188,7 +188,7 @@ class TestExactRestoreProperty:
     )
     def test_restore_exact_is_transcript_transparent(self, seed, cut, extra):
         """``restore(snapshot(node))`` continues byte-identically to the
-        never-snapshotted run (quotas + bitset stores enabled)."""
+        never-snapshotted run (quotas enabled)."""
         durability_dir = tempfile.mkdtemp(prefix="rebound-prop-durable-")
         control = _er6(None, seed=seed)
         durable = _er6(durability_dir, seed=seed, snapshot_interval=64)

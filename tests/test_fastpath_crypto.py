@@ -1,31 +1,39 @@
 """Tests for the crypto/wire fast path (ISSUE 1).
 
 Covers: CRT/plain signature bit-identity, deterministic-keygen enforcement,
-signature wire-format validation, verification-cache transparency under
-fault/equivocation injection, cache bounds, codec-memo correctness, and
-batched multisignature verification.
+signature wire-format validation, verification-cache transparency against
+the uncached primitives, cache bounds, codec-memo correctness, and batched
+multisignature verification.  (Whole-run transparency -- transcripts and
+counters of faulty deployments -- is pinned by tests/test_golden_cells.py.)
 """
 
+import copy
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.metrics import fastpath_stats
-from repro.core import ReboundConfig, ReboundSystem
 from repro.core.forwarding import (
     _coverage_cache,
     _coverage_for,
     configure_coverage_cache,
     coverage_cache_stats,
 )
+from repro.core.heartbeat import HeartbeatRecord
+from repro.core.identity import Directory
 from repro.crypto import verify_cache
-from repro.crypto.multisig import MultisigGroup, verify_multisig_values_batch
+from repro.crypto.multisig import (
+    MultisigGroup,
+    Multisignature,
+    aggregate_keys,
+    verify_multisig,
+    verify_multisig_values_batch,
+)
 from repro.crypto.rsa import RSAKeyPair, RSASignature
-from repro.faults.adversary import CrashBehavior, EquivocateBehavior
 from repro.net import message
-from repro.net.topology import erdos_renyi_topology, grid_topology
-from repro.sched.workload import WorkloadGenerator
+from repro.net.topology import grid_topology
 
 
 # -- CRT signing ---------------------------------------------------------------
@@ -101,78 +109,140 @@ def test_verification_cache_is_capacity_bounded():
     assert cache.get(("k", 0)) is None
 
 
-def _run_transcript(variant: str, use_cache: bool, seed: int = 2):
-    """Run a faulty deployment; return its per-round observable transcript."""
-    topology = erdos_renyi_topology(6, seed=seed)
-    workload = WorkloadGenerator(seed=seed, chain_length_range=(1, 2)).workload(
-        target_utilization=1.5
-    )
-    config = ReboundConfig(
-        fmax=2, fconc=1, variant=variant, rsa_bits=256, verify_cache=use_cache
-    )
-    system = ReboundSystem(topology, workload, config, seed=seed)
-    transcript = []
-    for r in range(1, 26):
-        if r == 8:
-            system.inject_now(0, EquivocateBehavior())
-        if r == 14:
-            system.inject_now(1, CrashBehavior())
-        system.run_round()
-        entry = []
-        for node_id in sorted(system.nodes):
-            node = system.nodes[node_id]
-            schedule = node.current_schedule
-            mode = (
-                (
-                    tuple(sorted(schedule.failed_nodes)),
-                    tuple(sorted(schedule.failed_links)),
-                )
-                if schedule
-                else None
-            )
-            entry.append(
-                (node_id, node.forwarding.evidence.digest(), mode)
-            )
-        transcript.append(tuple(entry))
-    counters = system.total_crypto_counters().as_dict()
-    return transcript, counters
+# A hit must be indistinguishable from a miss: the same verdict the uncached
+# primitive gives, and the same logical counters charged.  Every example
+# derives four inputs from one signed body -- valid, forged signature, wrong
+# key, wrong body -- clears the process-wide cache, caches the three it did
+# not draw (so a cache key that ignored the body, the key or the signature
+# would now answer for the fourth), then verifies the drawn one through a
+# fresh handle (which must miss) and through another (which must hit).
+
+_DIRECTORY = Directory(rsa_bits=256, multisig_bits=128, seed=77)
+for _node in range(4):
+    _DIRECTORY.register(_node)
+
+_CASES = ("valid", "forged", "wrong_key", "wrong_body")
+# Bodies straddle the 64-byte bound above which cache keys hold a digest.
+_BODIES = st.binary(min_size=1, max_size=80)
 
 
-@pytest.mark.parametrize("variant", ["basic", "multi"])
-def test_cache_transparency_under_equivocation_and_crash(variant):
-    """Cache on vs off: byte-identical evidence sets, mode switches, and
-    operation counts, even with an equivocating and a crashing node."""
+def _miss_then_hit(call, drawn, siblings):
+    """``call(crypto, variant)`` on the ``drawn`` variants, cold then warm,
+    with every sibling variant already cached; returns both results."""
     verify_cache.GLOBAL.clear()
-    on_transcript, on_counters = _run_transcript(variant, use_cache=True)
-    off_transcript, off_counters = _run_transcript(variant, use_cache=False)
-    assert on_transcript == off_transcript
-    assert on_counters == off_counters
+    call(_DIRECTORY.crypto_for(2), siblings)
+    verify_cache.GLOBAL.reset_stats()
+    cold, warm = _DIRECTORY.crypto_for(0), _DIRECTORY.crypto_for(1)
+    first = call(cold, drawn)
+    assert verify_cache.GLOBAL.hits == 0 and verify_cache.GLOBAL.misses == len(drawn)
+    second = call(warm, drawn)
+    assert verify_cache.GLOBAL.hits == len(drawn) == verify_cache.GLOBAL.misses
+    assert cold.total_counters() == warm.total_counters()
+    return first, second
 
 
-def test_cache_transparency_under_random_tampering():
-    """Cache hits never change a verify outcome: random valid/corrupted
-    signatures, checked twice (miss then hit), agree with the uncached
-    verifier on every call."""
-    rng = random.Random(7)
-    pair = RSAKeyPair(bits=256, seed=77)
-    from repro.core.identity import Directory
+def _rsa_variants(body, signer, flip):
+    """case -> ((claimed origin, body, signature bytes), uncached verdict)."""
+    wire = _DIRECTORY._rsa_pairs[signer].sign(body).to_bytes()
+    index = flip % len(wire)  # corrupt one byte, possibly the length prefix
+    forged = wire[:index] + bytes([wire[index] ^ (1 + flip % 255)]) + wire[index + 1:]
+    variants = {
+        "valid": (signer, body, wire),
+        "forged": (signer, body, forged),
+        "wrong_key": ((signer + 1) % 4, body, wire),
+        "wrong_body": (signer, body + b"!", wire),
+    }
+    out = {}
+    for case, (claimed, signed, sig) in variants.items():
+        try:
+            verdict = _DIRECTORY.rsa_public(claimed).verify(
+                signed, RSASignature.from_bytes(sig)
+            )
+        except ValueError:
+            verdict = False
+        assert verdict == (case == "valid")
+        out[case] = ((claimed, signed, sig), verdict)
+    return out
 
-    directory = Directory(rsa_bits=256, seed=77)
-    directory.register(0)
-    cached = directory.crypto_for(0, use_cache=True)
-    uncached = directory.crypto_for(0, use_cache=False)
-    verify_cache.GLOBAL.clear()
-    for trial in range(40):
-        body = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 40)))
-        wire = bytearray(directory._rsa_pairs[0].sign(body).to_bytes())
-        if rng.random() < 0.5:  # corrupt a byte (possibly the length prefix)
-            index = rng.randrange(len(wire))
-            wire[index] ^= 1 + rng.randrange(255)
-        wire = bytes(wire)
-        expected = uncached.verify(0, body, wire)
-        assert cached.verify(0, body, wire) == expected  # miss path
-        assert cached.verify(0, body, wire) == expected  # hit path
-    assert pair is not None
+
+@settings(max_examples=60, deadline=None)
+@given(body=_BODIES, case=st.sampled_from(_CASES), signer=st.integers(0, 3),
+       flip=st.integers(0, 10**6))
+def test_cached_rsa_verify_equals_public_key_verify(body, case, signer, flip):
+    variants = _rsa_variants(body, signer, flip)
+    args, expected = variants.pop(case)
+    first, second = _miss_then_hit(
+        lambda crypto, inputs: [crypto.verify(*a) for a in inputs],
+        [args], [a for a, _verdict in variants.values()],
+    )
+    assert first == [expected] and second == [expected]
+
+
+def _multisig_variants(body, mults):
+    """case -> ((body, sig value, multiset, aggregate-key cache key),
+    verdict of the plain, uncached multisignature check)."""
+    group = _DIRECTORY.group
+    multiset = Counter({node: m for node, m in enumerate(mults) if m})
+    value = sum(
+        m * _DIRECTORY._ms_pairs[node].sign(body).value for node, m in multiset.items()
+    ) % group.q
+    variants = {
+        "valid": (body, value, multiset),
+        "forged": (body, (value + 1) % group.q, multiset),
+        "wrong_key": (body, value, multiset + Counter({3: 1})),
+        "wrong_body": (body + b"!", value, multiset),
+    }
+    out = {}
+    for case, (signed, sig, signers) in variants.items():
+        apk = aggregate_keys(
+            group, [_DIRECTORY.ms_public(node) for node in sorted(signers.elements())]
+        )
+        verdict = verify_multisig(group, signed, Multisignature(sig, apk.signers), apk)
+        assert verdict == (case == "valid")
+        key = ("test", tuple(sorted(signers.items())))
+        out[case] = ((signed, sig, signers, key), verdict)
+    return out
+
+
+_MULTS = st.lists(st.integers(0, 2), min_size=3, max_size=3).filter(any)
+
+
+@settings(max_examples=60, deadline=None)
+@given(body=_BODIES, case=st.sampled_from(_CASES), mults=_MULTS)
+def test_cached_ms_verify_value_equals_plain_multisig_check(body, case, mults):
+    variants = _multisig_variants(body, mults)
+    entry, expected = variants.pop(case)
+    first, second = _miss_then_hit(
+        lambda crypto, entries: [crypto.ms_verify_value(*e) for e in entries],
+        [entry], [e for e, _verdict in variants.values()],
+    )
+    assert first == [expected] and second == [expected]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # Distinct bodies: one body's valid variant is a sibling of its others.
+    cases=st.lists(st.tuples(_BODIES, st.sampled_from(_CASES), _MULTS),
+                   min_size=1, max_size=6, unique_by=lambda c: c[0])
+)
+def test_cached_ms_verify_batch_equals_plain_multisig_check(cases):
+    entries, expected, siblings = [], [], []
+    for body, case, mults in cases:
+        variants = _multisig_variants(body, mults)
+        entry, verdict = variants.pop(case)
+        entries.append(entry)
+        expected.append(verdict)
+        siblings.extend(e for e, _verdict in variants.values())
+    first, second = _miss_then_hit(
+        lambda crypto, batch: crypto.ms_verify_batch(batch), entries, siblings
+    )
+    assert first == expected and second == expected
+    # ...and charges what one ms_verify_value per entry charges.
+    batch, single = _DIRECTORY.crypto_for(2), _DIRECTORY.crypto_for(3)
+    batch.ms_verify_batch(entries)
+    for entry in entries:
+        single.ms_verify_value(*entry)
+    assert batch.total_counters() == single.total_counters()
 
 
 # -- coverage cache bound ------------------------------------------------------
@@ -200,31 +270,50 @@ def test_coverage_cache_is_bounded():
 # -- codec memo ----------------------------------------------------------------
 
 
-def test_codec_memo_preserves_encodings():
-    shared = ("record", 17, b"sig-bytes", (1, 2, 3))
-    values = [
-        (shared, 1),
-        (shared, 2),
-        [shared, shared],
-        {"k": shared, True: "t", 1: "one"},
-        frozenset({1, (2, 3)}),
-    ]
-    message.configure_codec_memo(enabled=True)
-    with_memo = [message.encode(v) for v in values]
-    assert message.codec_memo_stats()["hits"] > 0
-    message.configure_codec_memo(enabled=False)
-    without_memo = [message.encode(v) for v in values]
-    message.configure_codec_memo(enabled=True)
-    assert with_memo == without_memo
-    for v, blob in zip(values, with_memo):
-        assert message.decode(blob) == v
-    # bool/int cousins stay distinct.
-    assert message.encode(True) != message.encode(1)
+_ATOMS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70),
+    st.binary(max_size=12), st.text(max_size=6),
+)
+_RECORDS = st.builds(
+    HeartbeatRecord,
+    origin=st.integers(0, 50), round_no=st.integers(0, 50),
+    delta_count=st.integers(0, 3), signature=st.binary(max_size=8),
+)
+_IMMUTABLE = st.recursive(
+    st.one_of(_ATOMS, _RECORDS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(tuple),
+        st.frozensets(st.one_of(st.integers(0, 9), st.binary(max_size=3)), max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts=st.lists(_IMMUTABLE, max_size=4), record=_RECORDS)
+def test_codec_memo_hit_equals_fresh_encoding(parts, record):
+    """A memoized value encodes to the bytes a never-seen equal value does."""
+    value = (record, *parts)
+    message.encode(value)  # populates the memo
+    hits = message.codec_memo_stats()["hits"]
+    blob = message.encode(value)
+    assert message.codec_memo_stats()["hits"] > hits
+    assert message.encoded_size(value) == len(blob)
+    fresh = copy.deepcopy(value)
+    assert fresh is not value and fresh[0] is not record
+    assert blob == message.encode(fresh)
+    assert message.decode(blob) == value
+
+
+def test_codec_memo_keeps_bool_and_int_distinct():
+    # True == 1 and hash-equal, but the memo is keyed by identity.
     assert message.encode((True,)) != message.encode((1,))
+    assert message.encode(True) != message.encode(1)
+    assert message.decode(message.encode((True, 1))) == (True, 1)
+    assert message.decode(message.encode((True, 1)))[0] is True
 
 
 def test_codec_memo_never_caches_mutable_content():
-    message.configure_codec_memo(enabled=True)
     inner = [1, 2]
     holder = (0, inner)
     first = message.encode(holder)
@@ -235,7 +324,7 @@ def test_codec_memo_never_caches_mutable_content():
 
 
 def test_codec_memo_is_bounded():
-    message.configure_codec_memo(enabled=True, capacity=16)
+    message.configure_codec_memo(capacity=16)
     try:
         for i in range(200):
             message.encode((i, i + 1))
@@ -243,7 +332,7 @@ def test_codec_memo_is_bounded():
         assert stats["entries"] <= 16
         assert stats["evictions"] > 0
     finally:
-        message.configure_codec_memo(enabled=True, capacity=4096)
+        message.configure_codec_memo(capacity=4096)
 
 
 # -- batched multisignature verification ---------------------------------------

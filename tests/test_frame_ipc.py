@@ -58,11 +58,11 @@ class _MutableFrameMsg:
 @pytest.fixture
 def fresh_cache():
     """A small, empty frame cache; restores defaults afterwards."""
-    configure_frame_cache(enabled=True, capacity=8)
+    configure_frame_cache(capacity=8)
     try:
         yield
     finally:
-        configure_frame_cache(enabled=True, capacity=4096)
+        configure_frame_cache(capacity=4096)
 
 
 _values = st.recursive(
@@ -94,7 +94,7 @@ class TestFrameDecodeCache:
         """Any encodable value's frame decodes to an equal object via the
         cache -- repeatedly, with interned duplicates, and across
         evictions forced by the tiny capacity."""
-        configure_frame_cache(enabled=True, capacity=4)
+        configure_frame_cache(capacity=4)
         try:
             blobs = [encode(v) for v in values]
             # Duplicate the whole batch: the second pass decodes interned
@@ -103,7 +103,7 @@ class TestFrameDecodeCache:
                 assert decode_frame(blob) == value
                 assert decode(blob) == value  # cache agrees with plain decode
         finally:
-            configure_frame_cache(enabled=True, capacity=4096)
+            configure_frame_cache(capacity=4096)
 
     def test_cache_hit_returns_same_object(self, fresh_cache):
         value = _FrozenFrameMsg(a=1, b=b"x", c=(1, 2))
@@ -238,13 +238,11 @@ class TestWorkerCallError:
         assert "storage_bytes" in str(clone) and "node 7" in str(clone)
 
 
-def _sharded_system(workers=2, frame_ipc=True):
+def _sharded_system(workers=2):
     workload = WorkloadGenerator(
         seed=0, chain_length_range=(1, 2)
     ).workload(target_utilization=1.5)
-    config = ReboundConfig(
-        fmax=1, fconc=1, variant="multi", rsa_bits=256, frame_ipc=frame_ipc
-    )
+    config = ReboundConfig(fmax=1, fconc=1, variant="multi", rsa_bits=256)
     return ReboundSystem(
         grid_topology(4, 5), workload, config, seed=0, scale_workers=workers
     )
@@ -299,22 +297,10 @@ class TestEngineIPC:
             for stage in ("encode", "ipc", "step", "replay", "merge"):
                 assert prof[f"{stage}_s"] >= 0.0
             ipc = stats["engine_ipc"]
-            assert ipc["mode"] == "frames"
             assert ipc["rounds"] == 3
             assert ipc["delivery_bytes"] > 0
             assert ipc["intent_bytes"] > 0
             assert ipc["frames_shipped"] > 0
             assert stats["frame_cache"]["hits"] + stats["frame_cache"]["misses"] > 0
-        finally:
-            system.close()
-
-    def test_pickle_fallback_reports_mode(self):
-        system = _sharded_system(frame_ipc=False)
-        try:
-            system.run_round()
-            ipc = system.fastpath_stats()["engine_ipc"]
-            assert ipc["mode"] == "pickle"
-            assert ipc["delivery_bytes"] > 0
-            assert ipc["interned_hits"] == 0
         finally:
             system.close()

@@ -34,11 +34,12 @@ class TestDefaultComponents:
             snapshot = component.stats()
             assert isinstance(snapshot, dict), name
             component.reset()  # must not raise
-            # After a reset, every numeric *counter* reads zero.  Bools are
-            # configuration flags (verify_cache.enabled); capacity/entries
-            # describe the cache itself, which a stats reset keeps.
+            # After a reset, every numeric *counter* reads zero;
+            # capacity/entries describe the cache itself, which a stats
+            # reset keeps.
             for key, value in component.stats().items():
-                if key in ("capacity", "entries") or isinstance(value, bool):
+                assert key != "enabled", f"{name} reports an on/off switch"
+                if key in ("capacity", "entries"):
                     continue
                 if isinstance(value, (int, float)):
                     assert value == 0, f"{name}.{key} survived reset"
@@ -100,12 +101,12 @@ class TestMergeStatsSnapshots:
         base = {
             "verify_cache": {
                 "hits": 10, "misses": 10, "hit_rate": 0.5,
-                "capacity": 1024, "entries": 7, "enabled": True,
+                "capacity": 1024, "entries": 7,
             }
         }
         extras = [
             {"verify_cache": {"hits": 30, "misses": 0, "hit_rate": 1.0,
-                              "capacity": 1024, "entries": 3, "enabled": True}},
+                              "capacity": 1024, "entries": 3}},
             {"verify_cache": {"hits": 0, "misses": 10, "hit_rate": 0.0}},
         ]
         merged = registry.merge_stats_snapshots(base, extras)
@@ -114,7 +115,6 @@ class TestMergeStatsSnapshots:
         # Non-additive keys keep the parent's value, never a sum.
         assert vc["capacity"] == 1024
         assert vc["entries"] == 7
-        assert vc["enabled"] is True
         # hit_rate is recomputed from the merged counters, not summed.
         assert vc["hit_rate"] == pytest.approx(40 / 60)
 
@@ -122,21 +122,19 @@ class TestMergeStatsSnapshots:
         base = {
             "round_engine": {
                 "workers": 2, "shard_sizes": [10, 9], "parent_resident": 1,
-                "mode": "frames", "rounds": 5,
+                "rounds": 5,
             },
             "round_profile": {"rounds": 5, "mean_round_ms": 12.0},
         }
         extras = [
             {"round_engine": {"workers": 2, "shard_sizes": [10, 9],
-                              "parent_resident": 1, "mode": "frames",
-                              "rounds": 5},
+                              "parent_resident": 1, "rounds": 5},
              "round_profile": {"rounds": 5, "mean_round_ms": 30.0}},
         ]
         merged = registry.merge_stats_snapshots(base, extras)
         assert merged["round_engine"]["workers"] == 2
         assert merged["round_engine"]["shard_sizes"] == [10, 9]
         assert merged["round_engine"]["parent_resident"] == 1
-        assert merged["round_engine"]["mode"] == "frames"
         assert merged["round_profile"]["mean_round_ms"] == 12.0
         # Genuinely additive counters still sum.
         assert merged["round_engine"]["rounds"] == 10

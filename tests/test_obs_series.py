@@ -52,11 +52,7 @@ class TestColumnStore:
         with pytest.raises(ValueError):
             MetricsTimeSeries(capacity=0)
 
-    def test_list_fallback_matches_numpy_path(self, monkeypatch):
-        """With numpy unavailable the plain-list columns behave the same."""
-        import repro.obs.series as series_mod
-
-        monkeypatch.setattr(series_mod, "_np", None)
+    def test_backfilled_series_survives_trimming(self):
         series = MetricsTimeSeries(capacity=3)
         series.record(1, {"a": 1.0})
         series.record(2, {"a": 2.0, "late": 9.0})

@@ -5,9 +5,8 @@ The headline property: on any small topology, under any impairment plan
 Hypothesis draws, running the deployment on the sharded engine (2 or 4
 fork workers) produces *byte-identical* per-round transcripts, identical
 logical crypto counters, and identical BTRMonitor verdicts to the plain
-serial engine.  Alongside it: regression pins that the numpy bitset
-heartbeat store is state-equivalent to the dict-based one, and that
-worker processes never double count inherited parent telemetry.
+serial engine.  Alongside it: a regression pin that worker processes never
+double count inherited parent telemetry.
 """
 
 import pytest
@@ -16,12 +15,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.analysis.metrics import transcript_entry
 from repro.chaos import BTRMonitor, ChaosRoundNetwork, ImpairmentPlan
 from repro.core import ReboundConfig, ReboundSystem
-from repro.core.heartbeat import (
-    HAVE_NUMPY,
-    BasicHeartbeatStore,
-    BitsetHeartbeatStore,
-    HeartbeatRecord,
-)
 from repro.faults.adversary import CrashBehavior, EquivocateBehavior
 from repro.net.topology import erdos_renyi_topology, grid_topology
 from repro.obs import registry
@@ -162,42 +155,6 @@ class TestShardedEquivalence:
             assert log.verify()  # non-empty: the round-8 snapshot landed
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="bitset store needs numpy")
-class TestBitsetHeartbeatStore:
-    def _fill(self, store):
-        for round_no in (3, 4, 5, 7):
-            for origin in (0, 2, 5):
-                store.add(HeartbeatRecord(
-                    origin=origin, round_no=round_no, delta_count=0,
-                    signature=b"s",
-                ))
-
-    def test_state_equivalent_to_dict_store(self):
-        index = {nid: pos for pos, nid in enumerate(range(8))}
-        base = BasicHeartbeatStore(window=3)
-        bits = BitsetHeartbeatStore(window=3, node_index=index)
-        self._fill(base)
-        self._fill(bits)
-        assert dict(bits._records) == dict(base._records)
-        removed_base = base.expire(9)
-        removed_bits = bits.expire(9)
-        assert removed_bits == removed_base
-        assert dict(bits._records) == dict(base._records)
-
-    def test_presence_bits_track_membership(self):
-        import numpy as np
-
-        index = {nid: pos for pos, nid in enumerate(range(8))}
-        store = BitsetHeartbeatStore(window=3, node_index=index)
-        self._fill(store)
-        bits = store.presence_bits(4)
-        present = {
-            nid for nid, pos in index.items()
-            if bits[pos >> 6] & np.uint64(1 << (pos & 63))
-        }
-        assert present == {0, 2, 5}
-
-
 class TestWorkerTelemetryHygiene:
     def test_workers_reset_inherited_stats(self):
         """Fork workers must zero the telemetry they inherit: the parent
@@ -238,18 +195,17 @@ class TestWorkerTelemetryHygiene:
     def test_merge_stats_snapshots_semantics(self):
         base = {
             "cache": {"hits": 2, "misses": 2, "hit_rate": 0.5,
-                      "capacity": 64, "enabled": True},
+                      "capacity": 64},
         }
         extras = [
             {"cache": {"hits": 6, "misses": 0, "hit_rate": 1.0,
-                       "capacity": 32, "enabled": True}},
+                       "capacity": 32}},
             {"other": {"count": 3}},
         ]
         merged = registry.merge_stats_snapshots(base, extras)
         assert merged["cache"]["hits"] == 8
         assert merged["cache"]["misses"] == 2
         assert merged["cache"]["capacity"] == 64  # base wins, not summed
-        assert merged["cache"]["enabled"] is True
         assert merged["cache"]["hit_rate"] == pytest.approx(0.8)
         assert merged["other"]["count"] == 3
         # The inputs are not mutated.
