@@ -233,24 +233,20 @@ class _WorkerState:
     sink: List[Tuple[str, int, int, Any]] = field(default_factory=list)
 
 
-#: One round's IPC batch: a buffer in the flat frame layout of
-#: :mod:`repro.net.frames`.  Deliveries carry ``(sender, dest, payload)``;
-#: intents carry ``(kind, sender, target, payload)``.
-Batch = bytes
-
 #: A deferred worker call: (node_id, op, args).
 Call = Tuple[int, str, Tuple[Any, ...]]
 
 
 @dataclass
 class _RoundResult:
-    intents: Batch
+    #: captured ``(kind, sender, target, payload)`` intents as one frame
+    #: buffer (:func:`repro.net.frames.unpack_intents`).
+    intents: bytes
     summaries: Dict[int, NodeSummary]
     telemetry: Dict[str, Dict[str, Any]]
     encode_s: float
     decode_s: float
     step_s: float
-    intent_bytes: int
     intent_raw_bytes: int
     frames_shipped: int
     interned_hits: int
@@ -310,13 +306,14 @@ def _group_intents(
 def _worker_round(
     round_no: int,
     crashed: FrozenSet[int],
-    batch: Batch,
+    batch: bytes,
     calls: List[Call],
     seq_sync: Optional[Dict[int, int]] = None,
 ) -> _RoundResult:
     """Run one round's three phases for this worker's resident nodes.
 
-    ``calls`` are the shard's deferred writes, applied *before* any phase
+    ``batch`` is the shard's ``(sender, dest, payload)`` deliveries as one
+    frame buffer (:func:`repro.net.frames.unpack_deliveries`).  ``calls`` are the shard's deferred writes, applied *before* any phase
     -- between rounds worker nodes never step, so this is exactly when the
     serial engine would have applied them.  ``seq_sync`` is the parent
     recorder's per-node seq snapshot for ``round_no``: max-merged in first
@@ -389,7 +386,6 @@ def _worker_round(
         encode_s=t_encode,
         decode_s=t_decode,
         step_s=t_step,
-        intent_bytes=len(intents),
         intent_raw_bytes=writer.raw_bytes,
         frames_shipped=writer.frame_count,
         interned_hits=writer.interned_hits,
@@ -830,7 +826,7 @@ class ShardedRoundEngine:
         # in one flat buffer (duplicate payloads are interned).
         t0 = perf()
         parent_deliveries: List[Tuple[int, int, Any, int]] = []
-        batches: List[Batch] = []
+        batches: List[bytes] = []
         writers = [DeliveryWriter() for _ in self._pools]
         for d in deliveries:
             shard = self._shard_of.get(d[1])
@@ -900,7 +896,7 @@ class ShardedRoundEngine:
         # Join + merge.
         t_wait = t_merge = 0.0
         worker_encode = worker_decode = worker_step = 0.0
-        intent_batches: List[Batch] = []
+        intent_batches: List[bytes] = []
         for shard_id, future in enumerate(futures):
             ta = perf()
             result: _RoundResult = future.result()
@@ -911,7 +907,7 @@ class ShardedRoundEngine:
             worker_encode += result.encode_s
             worker_decode += result.decode_s
             worker_step += result.step_s
-            self._ipc["intent_bytes"] += result.intent_bytes
+            self._ipc["intent_bytes"] += len(result.intents)
             self._ipc["intent_raw_bytes"] += result.intent_raw_bytes
             self._ipc["frames_shipped"] += result.frames_shipped
             self._ipc["interned_hits"] += result.interned_hits

@@ -69,8 +69,6 @@ def test_signature_from_bytes_rejects_malformed_input():
 def test_garbage_signature_bytes_verify_false_not_raise():
     system_bits = 256
     directory_pair = RSAKeyPair(bits=system_bits, seed=5)
-    from repro.core.identity import Directory
-
     directory = Directory(rsa_bits=system_bits, seed=5)
     directory.register(0)
     crypto = directory.crypto_for(0)
