@@ -1,17 +1,15 @@
-"""Mode-tree generation scaling: seed serial path vs the optimized engine.
+"""Mode-tree generation scaling: serial vs parallel engine.
 
 Runs the ``bench_modegen`` sweep (the same driver behind
 ``python -m repro bench-modegen``) under pytest-benchmark and asserts the
-engine's contract: the parallel tree is identical to the serial tree, the
-optimized flow sets match the seed path, and the optimized engine is
-faster end-to-end.  Small-scale by default; ``REPRO_FULL=1`` runs the full
-ILP cells (tens of seconds of seed-path branch-and-bound per cell).
+engine's contract: the parallel tree is identical to the serial tree.
+Small-scale by default; ``REPRO_FULL=1`` runs the full ILP cells.
 """
 
 from conftest import scale
 
 
-def test_modegen_speedup_and_identity(benchmark):
+def test_modegen_parallel_identity(benchmark):
     from repro.experiments.bench_modegen import run_modegen_bench
 
     result = benchmark.pedantic(
@@ -25,19 +23,10 @@ def test_modegen_speedup_and_identity(benchmark):
     )
     for cell in result["cells"]:
         assert cell["parallel_identical_to_serial"], cell["name"]
-        assert cell["same_flow_sets_as_seed"], cell["name"]
-        if cell["method"] == "greedy":
-            assert cell["identical_to_seed"], cell["name"]
     assert result["all_parallel_identical"]
-    assert result["all_flow_sets_match_seed"]
-    # ILP cells dominate both sweeps; warm starts + batch admission +
-    # the placement memo must beat the seed path end to end.
-    assert result["speedup_end_to_end"] > 1.0
     print(
-        f"modegen: seed {result['total_seed_s']:.2f}s, "
-        f"optimized serial {result['total_opt_serial_s']:.2f}s, "
-        f"parallel {result['total_opt_parallel_s']:.2f}s, "
-        f"end-to-end speedup {result['speedup_end_to_end']:.1f}x"
+        f"modegen: serial {result['total_serial_s']:.2f}s, "
+        f"parallel {result['total_parallel_s']:.2f}s"
     )
 
 
@@ -57,8 +46,8 @@ def test_parallel_workers_sweep(benchmark):
     def sweep():
         trees = {}
         for workers in (1, 2, 4):
-            gen = ModeTreeGenerator(topology, workload, fmax=fmax)
-            trees[workers] = gen.generate(workers=workers)
+            gen = ModeTreeGenerator(topology, workload, fmax=fmax, workers=workers)
+            trees[workers] = gen.generate()
         return trees
 
     trees = benchmark.pedantic(sweep, rounds=1, iterations=1)

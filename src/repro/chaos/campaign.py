@@ -571,8 +571,7 @@ def known_issue_tag(cell: CampaignCell) -> Optional[str]:
 def run_cell(cell: CampaignCell, workers: Optional[int] = None) -> Dict[str, Any]:
     """Build, impair, run, and judge one cell.
 
-    ``workers >= 2`` runs the cell on the sharded round engine
-    (``REBOUND_SCALE_WORKERS`` supplies a default when None); the victim is
+    ``workers >= 2`` runs the cell on the sharded round engine; the victim is
     parent-pinned so mid-run injection needs no worker recall.  Transcripts
     are engine-independent, so judgments are identical either way.
     """
@@ -899,7 +898,6 @@ def run_campaign(
     shrinking, so a slow shrink does not delay the verdict line.
     """
     from repro.experiments.common import bench_env
-    from repro.net.shard import resolve_workers
 
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r} (have {sorted(PRESETS)})")
@@ -934,7 +932,7 @@ def run_campaign(
     noop_identical = noop_transcript_check()
     report = {
         "benchmark": "chaos",
-        "env": bench_env(workers=resolve_workers(workers)),
+        "env": bench_env(workers=workers or 0),
         "preset": preset,
         "fmax": FMAX,
         "cells": results,

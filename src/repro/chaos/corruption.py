@@ -129,8 +129,6 @@ class QuotaLedgerCorrupt(TransientCorruption):
 
     def apply(self, system, node_id: int) -> Dict[str, Any]:
         quotas = system.nodes[node_id].forwarding.quotas
-        if quotas is None:
-            return {"target": "quotas", "skipped": "quotas disabled"}
         mix = _mix(self.seed, node_id, 0x0_07A)
         for kind in sorted(quotas.caps):
             quotas.caps[kind] = (quotas.caps[kind] * (mix % 7)) // 3

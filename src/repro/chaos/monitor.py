@@ -459,13 +459,11 @@ class BTRMonitor:
         )
 
     # Memory: adversary-growable state at every correct node stays under
-    # its cap, every round, whatever the environment does.  Armed whenever
-    # the quota layer is on (in- and out-of-budget alike: memory bounds,
-    # like hard accuracy, must survive arbitrarily hostile environments).
+    # its cap, every round, whatever the environment does (in- and
+    # out-of-budget alike: memory bounds, like hard accuracy, must survive
+    # arbitrarily hostile environments).
     def _check_memory_bounds(self, system, correct: Set[int]) -> None:
         config = system.config
-        if not getattr(config, "quotas_enabled", False):
-            return
         from repro.core.quotas import (
             evidence_item_cap,
             heartbeat_record_cap,
@@ -486,18 +484,17 @@ class BTRMonitor:
                 ("rule-b-pending", len(fwd._pending_rule_b), n)
             )
             auditing = system.nodes[node_id].auditing
-            if auditing.pending_cap is not None:
-                for (task_id, copy_idx), rep in auditing._replicas.items():
-                    for name, buf in (
-                        ("bundles", rep.bundles),
-                        ("auths", rep.auths),
-                        ("xrep-digests", rep.peer_digests),
-                    ):
-                        checks.append((
-                            f"audit-{name}[{task_id},{copy_idx}]",
-                            len(buf),
-                            auditing.pending_cap,
-                        ))
+            for (task_id, copy_idx), rep in auditing._replicas.items():
+                for name, buf in (
+                    ("bundles", rep.bundles),
+                    ("auths", rep.auths),
+                    ("xrep-digests", rep.peer_digests),
+                ):
+                    checks.append((
+                        f"audit-{name}[{task_id},{copy_idx}]",
+                        len(buf),
+                        auditing.pending_cap,
+                    ))
             for store, size, cap in checks:
                 if size > cap:
                     self._emit(

@@ -138,14 +138,9 @@ def cmd_bench_modegen(args) -> int:
     refresh = result["time_to_new_tree"]
     ok = (
         result["all_parallel_identical"]
-        and result["all_flow_sets_match_seed"]
         and refresh["all_identical_to_scratch"]
         and refresh["all_parallel_identical"]
     )
-    if not args.quick:
-        # Tiny smoke cells are dominated by pool startup; the speedup gate
-        # only applies to the full sweep.
-        ok = ok and result["speedup_end_to_end"] >= 1.0
     return 0 if ok else 1
 
 
@@ -311,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     benchm = sub.add_parser(
         "bench-modegen",
-        help="mode-tree generation speedup benchmark: seed serial path vs "
-        "warm-started/memoized/parallel engine (prints a BENCH JSON line)",
+        help="mode-tree generation benchmark: serial vs parallel engine, "
+        "plus online tree refresh (prints a BENCH JSON line)",
     )
     benchm.add_argument(
         "--workers",
@@ -337,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     benchs.add_argument(
         "--workers", type=int, default=None,
         help="worker processes for the sharded runs "
-        "(default REBOUND_SCALE_WORKERS or 4)",
+        "(default 4)",
     )
     benchs.add_argument(
         "--smoke", action="store_true",
@@ -395,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--workers", type=int, default=None,
         help="run each cell on the sharded round engine with N worker "
-        "processes (>= 2; default REBOUND_SCALE_WORKERS or serial); "
+        "processes (>= 2; serial by default); "
         "transcripts and judgments are engine-independent",
     )
     chaos.add_argument(

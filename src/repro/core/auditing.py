@@ -167,7 +167,7 @@ class AuditingLayer:
         crypto: NodeCrypto,
         submit_evidence: Callable[[Any], None],
         send_on_path: Callable[[Path, bytes], None],
-        pending_cap: Optional[int] = None,
+        pending_cap: int,
     ):
         self.node_id = node_id
         self.workload = workload
@@ -175,11 +175,11 @@ class AuditingLayer:
         self.crypto = crypto
         self.submit_evidence = submit_evidence
         self.send_on_path = send_on_path
-        # Max buffered bundle/auth/xrep rounds per replica (None = unbounded,
-        # ablations only).  An honest primary streams in round order and the
-        # audit loop drains after a short wait, so honest traffic never
-        # reaches the cap; a gap that would stall the window is the
-        # primary's fault and rounds past it are never audited anyway.
+        # Max buffered bundle/auth/xrep rounds per replica.  An honest
+        # primary streams in round order and the audit loop drains after a
+        # short wait, so honest traffic never reaches the cap; a gap that
+        # would stall the window is the primary's fault and rounds past it
+        # are never audited anyway.
         self.pending_cap = pending_cap
         self.pending_drops = 0
 
@@ -386,7 +386,7 @@ class AuditingLayer:
         if not self._admit_pending(replica, out_round, replica.auths):
             return
         entries = replica.auths.setdefault(out_round, [])
-        if self.pending_cap is not None and len(entries) >= self.pending_cap:
+        if len(entries) >= self.pending_cap:
             self.pending_drops += 1
             return
         entries.append((out_path_id, digest, sig))
@@ -409,7 +409,7 @@ class AuditingLayer:
         if not self._admit_pending(replica, exec_round, replica.peer_digests):
             return
         digests = replica.peer_digests.setdefault(exec_round, [])
-        if self.pending_cap is not None and len(digests) >= self.pending_cap:
+        if len(digests) >= self.pending_cap:
             self.pending_drops += 1
             return
         digests.append(digest)
@@ -420,8 +420,6 @@ class AuditingLayer:
         """Admission check for per-replica pending buffers: the round must
         sit inside the audit window [next - 2, next + pending_cap), and a
         *new* round key must not grow the buffer past the cap."""
-        if self.pending_cap is None:
-            return True
         nxt = replica.next_audit_round
         if nxt >= 0:
             if round_no < nxt - 2 or round_no >= nxt + self.pending_cap:

@@ -13,6 +13,10 @@ VARIANT_MULTI = "multi"
 class ReboundConfig:
     """Parameters of a REBOUND deployment.
 
+    Admission quotas and the bounded evidence/challenge stores
+    (:mod:`repro.core.quotas`) are not parameters: every deployment runs
+    with them.
+
     Attributes:
         fmax: total faults planned for (size of the mode tree).
         fconc: maximum concurrent faults within one recovery window; also
@@ -44,11 +48,6 @@ class ReboundConfig:
         protocol_enabled: set False for the *unprotected* baseline of
             Fig. 8/10/11: no heartbeats, no omission detection, no
             auditing replicas -- just task execution and data routing.
-        quotas_enabled: admission control + bounded evidence/challenge
-            stores (:mod:`repro.core.quotas`).  Transcript-preserving
-            whenever no quota fires -- i.e. in any run where every sender
-            stays within what a correct node could legitimately originate
-            per round.  Disabled only for ablations.
         durability_enabled: persist every node's protocol state to disk --
             an append-only HMAC-chained event log plus periodic sealed
             snapshots (:mod:`repro.durability`) -- enabling verified
@@ -96,7 +95,6 @@ class ReboundConfig:
     scheduler_method: str = "greedy"
     audit_lag_rounds: int = 1
     protocol_enabled: bool = True
-    quotas_enabled: bool = True
     durability_enabled: bool = False
     durability_dir: Optional[str] = None
     snapshot_interval: int = 8

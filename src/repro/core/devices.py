@@ -59,7 +59,7 @@ class _DeviceBase(NodeProtocol):
             replay_state=registry.replay_state,
             verify_operator=crypto.verify_operator,
         )
-        self.evidence = EvidenceSet(bounded=config.quotas_enabled)
+        self.evidence = EvidenceSet()
         self.schedule: Optional[ModeSchedule] = None
         self.paths: PathSet = PathSet([])
         self._round = 0

@@ -396,7 +396,7 @@ def _accusation_round_of(item: EvidenceItem) -> Optional[int]:
     """The round an evidence item accuses (None if not attributable).
 
     Mirrors :func:`repro.core.blessing.accusation_round` without importing
-    it (blessing imports this module); kept here so the bounded-store
+    it (blessing imports this module); kept here so the bucket
     ordering and the PoM-explains-LFD window are pure functions of the item.
     """
     if isinstance(item, LFD):
@@ -411,8 +411,8 @@ def _accusation_round_of(item: EvidenceItem) -> Optional[int]:
     return None
 
 
-# How many items a bounded EvidenceSet keeps per bucket: the earliest and
-# the latest by accusation round.  This is pattern-equivalent to keeping
+# How many items an EvidenceSet keeps per bucket: the earliest and the
+# latest by accusation round.  This is pattern-equivalent to keeping
 # everything: a rejected middle item is bracketed by a kept item with a
 # round >= its own, so whenever the middle item would be unabsolved (its
 # round exceeds every blessing's as_of_round) the kept maximum is too, and
@@ -423,21 +423,20 @@ _BUCKET_KEEP = 2
 
 
 class EvidenceSet:
-    """A monotonic, canonically-digestible set of evidence items.
+    """A monotonic, canonically-digestible, bounded set of evidence items.
 
-    With ``bounded=True`` (the quota layer), attributable items are grouped
-    into buckets -- LFDs per (link, issuer), PoMs per (kind, accused) --
-    and each bucket retains only its extremes by (accusation round, digest).
-    Total attributable storage is then O(n^2) regardless of how fast an
-    adversary manufactures validly signed evidence, while the derived
-    failure pattern is identical to the unbounded set's (see _BUCKET_KEEP).
-    Blessings are operator-minted and idempotent, so they stay unbounded.
+    Attributable items are grouped into buckets -- LFDs per (link, issuer),
+    PoMs per (kind, accused) -- and each bucket retains only its extremes by
+    (accusation round, digest).  Total attributable storage is then O(n^2)
+    regardless of how fast an adversary manufactures validly signed
+    evidence, while the derived failure pattern is identical to keeping
+    every item (see _BUCKET_KEEP).  Blessings are operator-minted and
+    idempotent, so they are not bucketed.
     """
 
-    def __init__(self, bounded: bool = False) -> None:
+    def __init__(self) -> None:
         self._items: Dict[bytes, EvidenceItem] = {}
         self._digest_cache: Optional[bytes] = None
-        self._bounded = bounded
         self._buckets: Dict[Tuple, List[Tuple[Tuple[int, bytes], bytes]]] = {}
         self.evictions = 0
 
@@ -465,29 +464,28 @@ class EvidenceSet:
     def add(self, item: EvidenceItem) -> bool:
         """Add an (already verified) item; True if it was new.
 
-        A bounded set may refuse a bucket-dominated item (returns False) or
-        evict a previous extreme to admit the new one."""
+        May refuse a bucket-dominated item (returns False) or evict a
+        previous extreme to admit the new one."""
         digest = evidence_digest(item)
         if digest in self._items:
             return False
-        if self._bounded:
-            bucket = self._bucket_of(item)
-            if bucket is not None:
-                rank = ((_accusation_round_of(item) or 0), digest)
-                members = self._buckets.setdefault(bucket, [])
-                if len(members) >= _BUCKET_KEEP:
-                    members.sort()
-                    lo, hi = members[0], members[-1]
-                    if rank < lo[0]:
-                        evict = lo
-                    elif rank > hi[0]:
-                        evict = hi
-                    else:
-                        return False  # dominated by the kept extremes
-                    members.remove(evict)
-                    del self._items[evict[1]]
-                    self.evictions += 1
-                members.append((rank, digest))
+        bucket = self._bucket_of(item)
+        if bucket is not None:
+            rank = ((_accusation_round_of(item) or 0), digest)
+            members = self._buckets.setdefault(bucket, [])
+            if len(members) >= _BUCKET_KEEP:
+                members.sort()
+                lo, hi = members[0], members[-1]
+                if rank < lo[0]:
+                    evict = lo
+                elif rank > hi[0]:
+                    evict = hi
+                else:
+                    return False  # dominated by the kept extremes
+                members.remove(evict)
+                del self._items[evict[1]]
+                self.evictions += 1
+            members.append((rank, digest))
         self._items[digest] = item
         self._digest_cache = None
         return True
@@ -495,12 +493,10 @@ class EvidenceSet:
     def dominated(self, item: EvidenceItem) -> bool:
         """Would :meth:`add` refuse this item as bucket-dominated?
 
-        A bounded store keeps only the rank extremes per bucket, so two
-        same-policy stores fed different item orders can legitimately
-        disagree on mid-rank members; the state auditor treats a dominated
-        item as covered rather than as divergence."""
-        if not self._bounded:
-            return False
+        The store keeps only the rank extremes per bucket, so two stores
+        fed different item orders can legitimately disagree on mid-rank
+        members; the state auditor treats a dominated item as covered
+        rather than as divergence."""
         bucket = self._bucket_of(item)
         if bucket is None:
             return False
@@ -512,19 +508,10 @@ class EvidenceSet:
 
     def merge(self, other: "EvidenceSet") -> List[EvidenceItem]:
         """Union in ``other``; returns the newly added items."""
-        if self._bounded:
-            added = []
-            for digest in sorted(other._items):
-                if digest not in self._items and self.add(other._items[digest]):
-                    added.append(other._items[digest])
-            return added
         added = []
-        for digest, item in other._items.items():
-            if digest not in self._items:
-                self._items[digest] = item
-                added.append(item)
-        if added:
-            self._digest_cache = None
+        for digest in sorted(other._items):
+            if digest not in self._items and self.add(other._items[digest]):
+                added.append(other._items[digest])
         return added
 
     def items(self) -> List[EvidenceItem]:
@@ -564,7 +551,7 @@ class EvidenceSet:
         for stored in bad:
             item = self._items.pop(stored)
             self._items.setdefault(evidence_digest(item), item)
-        if bad and self._bounded:
+        if bad:
             self._buckets = {}
             for digest, item in self._items.items():
                 bucket = self._bucket_of(item)

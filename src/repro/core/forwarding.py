@@ -259,7 +259,7 @@ class ForwardingLayer:
         self.window = self.d_max + 2
         self.stabilization_slack = self.d_max + 2
 
-        self.evidence = EvidenceSet(bounded=config.quotas_enabled)
+        self.evidence = EvidenceSet()
         self.last_evidence_change = -(10**9)
         # Delivered/coverage sets are uint64 bit arrays keyed by controller
         # bit position.
@@ -301,11 +301,7 @@ class ForwardingLayer:
         # propagation plus the Rule B horizon plus the deferral window).
         self.pom_lfd_slack = pom_lfd_slack(self.d_max)
         self.lfd_reissue_cooldown = self.pom_lfd_slack + 1
-        self.quotas: Optional[AdmissionQuotas] = (
-            AdmissionQuotas.from_topology(topology, self.d_max)
-            if config.quotas_enabled and config.protocol_enabled
-            else None
-        )
+        self.quotas = AdmissionQuotas.from_topology(topology, self.d_max)
 
         # Data-path state.
         self.paths: PathSet = PathSet([])
@@ -510,8 +506,7 @@ class ForwardingLayer:
         self._round = round_no
         self._got_message_from = set()
         self._packets_this_round = set()
-        if self.quotas is not None:
-            self.quotas.begin_round(round_no)
+        self.quotas.begin_round(round_no)
 
     def _charge_quota(self, sender: int, kind: str) -> bool:
         """Admission control: one unit of round-``kind`` verification budget
@@ -519,10 +514,7 @@ class ForwardingLayer:
         legitimately originate in one round is dropped *before* signature
         verification (the flood defense); the first drop per (sender, kind)
         per round is flight-recorded."""
-        quotas = self.quotas
-        if quotas is None:
-            return True
-        allowed, first_drop = quotas.charge(sender, kind)
+        allowed, first_drop = self.quotas.charge(sender, kind)
         if not allowed and first_drop:
             flight = _flight.active
             if flight is not None:

@@ -99,11 +99,7 @@ class ReboundNode(NodeProtocol):
             crypto=crypto,
             submit_evidence=self._submit_evidence,
             send_on_path=self._send_on_path,
-            pending_cap=(
-                pending_audit_cap(config.d_max)
-                if config.quotas_enabled and config.d_max is not None
-                else None
-            ),
+            pending_cap=pending_audit_cap(config.d_max),
         )
         self.forwarding = ForwardingLayer(
             node_id=node_id,

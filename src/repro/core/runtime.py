@@ -23,7 +23,7 @@ from repro.core.node import PathCache, ReboundNode
 from repro.core.paths import PathComputer
 from repro.faults.scenarios import FaultScenario
 from repro.net.network import RoundNetwork
-from repro.net.shard import ShardedRoundEngine, resolve_workers
+from repro.net.shard import ShardedRoundEngine
 from repro.net.topology import Topology
 from repro.obs import recorder as _flight
 from repro.obs.events import (
@@ -60,7 +60,7 @@ class ReboundSystem:
         seed: key-generation seed.
         scale_workers: >= 2 runs rounds on the sharded engine
             (:mod:`repro.net.shard`) with that many worker processes;
-            ``None`` consults ``REBOUND_SCALE_WORKERS``; <= 1 stays serial.
+            ``None`` or <= 1 stays serial.
         parent_resident: node ids that must not be sharded to a worker
             (e.g. planned fault-injection victims); devices and scenario
             targets are pinned automatically.
@@ -185,7 +185,7 @@ class ReboundSystem:
         self.monitor = None
         self.series = None
         self.budget_exceeded = False
-        self.scale_workers = resolve_workers(scale_workers)
+        self.scale_workers = max(0, scale_workers or 0)
         self._parent_pinned: Set[int] = set(parent_resident or ())
         self._engine: Optional[ShardedRoundEngine] = None
         #: Ground truth of applied transient corruptions (corrupt_now).
@@ -378,7 +378,6 @@ class ReboundSystem:
                 fconc=self.config.fconc,
                 method=self.config.scheduler_method,
                 utilization_cap=self.config.utilization_cap,
-                ilp_warm_start=self.config.scheduler_method == "ilp",
             )
             if self.mode_tree.builder is not None:
                 # Reuse the tree's builder: its placement memo warm-starts

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.crypto.hashing import derive_seed
 from repro.crypto.rsa import RSAKeyPair, RSAPublicKey, RSASignature
 
 
@@ -90,7 +91,8 @@ class KeyRotationManager:
         """Generate, certify, and adopt a fresh working key."""
         self._epoch += 1
         self._working = RSAKeyPair(
-            bits=self._working_bits, seed=(self._seed, self._epoch).__hash__()
+            bits=self._working_bits,
+            seed=derive_seed(self._seed, "rotation", self._epoch),
         )
         cert_body = RotatingKey(
             node_id=self.node_id,

@@ -198,9 +198,7 @@ class NodeDurableStore:
                 "failed_nodes": sorted(scenario.nodes),
                 "failed_links": [list(link) for link in sorted(scenario.links)],
             },
-            "quotas": None
-            if quotas is None
-            else {
+            "quotas": {
                 "suspects": sorted(quotas.suspects),
                 "charged": quotas.total_charged,
                 "dropped": quotas.total_dropped,

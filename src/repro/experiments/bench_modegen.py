@@ -1,20 +1,9 @@
-"""Mode-tree generation benchmark: seed serial path vs the optimized engine.
+"""Mode-tree generation benchmark: serial vs parallel generation.
 
-Runs a Fig. 7-style node-fault sweep three times per cell in one process:
-
-* ``seed``      -- the pre-optimization serial path (no ILP warm starts, no
-                   batch admission, no placement memo, no schedule
-                   interning): the code path the repo shipped before the
-                   parallel engine landed.
-* ``opt_serial``-- all solver-level optimizations on, ``workers=1``.
-* ``opt_par``   -- the same configuration fanned out across a worker pool.
-
-For every cell the benchmark itself verifies the parallel tree is
-*identical* to the serial tree (schedules, parents, child order, and both
-serialized encodings), and that the optimized trees admit exactly the same
-flow sets as the seed tree (ILP warm starts may pick a different
-equally-optimal placement, so full bit-identity to the seed path is only
-asserted for greedy cells, where every optimization is result-preserving).
+Runs a Fig. 7-style node-fault sweep twice per cell in one process --
+``workers=1`` and fanned out across a worker pool -- and verifies the
+parallel tree is *identical* to the serial tree (schedules, parents, child
+order, and both serialized encodings).
 
 The result is written to ``BENCH_modegen.json`` so regressions are
 diffable across commits; ``python -m repro bench-modegen`` prints the
@@ -34,8 +23,7 @@ from repro.sched.workload import WorkloadGenerator
 DEFAULT_WORKERS = 2
 
 #: Fig. 7-style sweep cells.  ILP cells are deliberately small: the
-#: pure-Python branch-and-bound seed path takes tens of seconds per cell
-#: already at n=6 (that cost is exactly what this benchmark measures).
+#: pure-Python branch-and-bound is exponential in the model size.
 CELLS: List[Dict[str, Any]] = [
     {"name": "ilp_n6_f1", "n": 6, "fmax": 1, "method": "ilp", "util": 1.2},
     {"name": "ilp_n6_f2", "n": 6, "fmax": 2, "method": "ilp", "util": 1.2},
@@ -74,20 +62,6 @@ def _trees_identical(a: ModeTree, b: ModeTree) -> bool:
     )
 
 
-def _same_flow_sets(a: ModeTree, b: ModeTree) -> bool:
-    """Same scenarios with the same active/dropped flows (placements may
-    differ between equally-optimal ILP solutions)."""
-    if set(a.schedules) != set(b.schedules):
-        return False
-    for scenario, sched_a in a.schedules.items():
-        sched_b = b.schedules[scenario]
-        if sched_a.active_flows != sched_b.active_flows:
-            return False
-        if sched_a.dropped_flows != sched_b.dropped_flows:
-            return False
-    return True
-
-
 def _subtree_identical(
     extended: ModeTree, scratch: ModeTree, target: FailureScenario
 ) -> bool:
@@ -117,19 +91,13 @@ def _subtree_identical(
     return True
 
 
-def _refresh_setup(cell: Dict[str, Any], fmax: int, seed: int):
+def _refresh_setup(cell: Dict[str, Any], fmax: int, seed: int, workers: int = 1):
     topology = erdos_renyi_topology(cell["nodes"], seed=seed)
     workload = WorkloadGenerator(seed=seed, chain_length_range=(1, 2)).workload(
         target_utilization=cell["util"]
     )
     generator = ModeTreeGenerator(
-        topology,
-        workload,
-        fmax=fmax,
-        fconc=1,
-        method="greedy",
-        place_memo=True,
-        intern_schedules=True,
+        topology, workload, fmax=fmax, fconc=1, method="greedy", workers=workers
     )
     return topology, generator
 
@@ -145,17 +113,17 @@ def _run_refresh_cell(
     )
 
     def extend(n_workers: int):
-        _, generator = _refresh_setup(cell, fmax, seed)
-        tree = generator.generate(workers=1)
+        _, generator = _refresh_setup(cell, fmax, seed, workers=n_workers)
+        tree = generator.generate()
         t0 = time.perf_counter()
-        stats = generator.extend_for(tree, target, workers=n_workers)
+        stats = generator.extend_for(tree, target)
         return tree, stats, time.perf_counter() - t0
 
     tree_serial, stats, extend_serial_s = extend(1)
     tree_parallel, _, extend_parallel_s = extend(workers)
     _, scratch_gen = _refresh_setup(cell, fmax + extra, seed)
     t0 = time.perf_counter()
-    scratch = scratch_gen.generate(workers=1)
+    scratch = scratch_gen.generate()
     scratch_s = time.perf_counter() - t0
     return {
         **{k: cell[k] for k in ("name", "nodes", "fmax", "extra", "util")},
@@ -179,7 +147,7 @@ def _run_refresh_cell(
     }
 
 
-def _generate(cell: Dict[str, Any], optimized: bool, workers: int, seed: int):
+def _generate(cell: Dict[str, Any], workers: int, seed: int):
     topology = erdos_renyi_topology(cell["n"], seed=seed)
     workload = WorkloadGenerator(seed=seed, chain_length_range=(1, 2)).workload(
         target_utilization=cell["util"]
@@ -190,55 +158,35 @@ def _generate(cell: Dict[str, Any], optimized: bool, workers: int, seed: int):
         fmax=cell["fmax"],
         fconc=1,
         method=cell["method"],
-        ilp_warm_start=optimized,
-        ilp_batch_admit=optimized,
-        place_memo=optimized,
-        intern_schedules=optimized,
+        workers=workers,
     )
     t0 = time.perf_counter()
-    tree = generator.generate(workers=workers)
+    tree = generator.generate()
     elapsed = time.perf_counter() - t0
     return tree, elapsed
 
 
 def _run_cell(cell: Dict[str, Any], workers: int, seed: int) -> Dict[str, Any]:
-    tree_seed, seed_s = _generate(cell, optimized=False, workers=1, seed=seed)
-    tree_opt, opt_serial_s = _generate(cell, optimized=True, workers=1, seed=seed)
-    tree_par, opt_parallel_s = _generate(
-        cell, optimized=True, workers=workers, seed=seed
-    )
-    solver_seed = tree_seed.stats.solver
-    solver_opt = tree_par.stats.solver
-    row = {
+    tree_serial, serial_s = _generate(cell, workers=1, seed=seed)
+    tree_par, parallel_s = _generate(cell, workers=workers, seed=seed)
+    solver = tree_par.stats.solver
+    return {
         **{k: cell[k] for k in ("name", "n", "fmax", "method", "util")},
-        "modes": tree_seed.num_modes,
-        "seed_s": seed_s,
-        "opt_serial_s": opt_serial_s,
-        "opt_parallel_s": opt_parallel_s,
-        "speedup_serial": seed_s / opt_serial_s if opt_serial_s else float("inf"),
-        "speedup_parallel": (
-            seed_s / opt_parallel_s if opt_parallel_s else float("inf")
-        ),
+        "modes": tree_serial.num_modes,
+        "serial_s": serial_s,
+        "parallel_s": parallel_s,
         # The headline identity claim: the pool produces the very tree the
         # serial engine does.
-        "parallel_identical_to_serial": _trees_identical(tree_opt, tree_par),
-        "same_flow_sets_as_seed": _same_flow_sets(tree_seed, tree_par),
-        "size_flat_bytes": tree_seed.serialized_size(dedup=False),
+        "parallel_identical_to_serial": _trees_identical(tree_serial, tree_par),
+        "size_flat_bytes": tree_serial.serialized_size(dedup=False),
         "size_dedup_bytes": tree_par.serialized_size(),
         "interned_schedules": tree_par.stats.interned_schedules,
         "unique_schedule_bodies": tree_par.stats.unique_schedule_bodies,
-        "seed_ilp_nodes": solver_seed.get("ilp_nodes_explored", 0),
-        "opt_ilp_nodes": solver_opt.get("ilp_nodes_explored", 0),
-        "seed_ilp_solves": solver_seed.get("ilp_solves", 0),
-        "opt_ilp_solves": solver_opt.get("ilp_solves", 0),
-        "opt_warm_proved_optimal": solver_opt.get("ilp_warm_proved_optimal", 0),
-        "opt_place_memo_hits": solver_opt.get("place_memo_hits", 0),
+        "ilp_nodes": solver.get("ilp_nodes_explored", 0),
+        "ilp_solves": solver.get("ilp_solves", 0),
+        "warm_proved_optimal": solver.get("ilp_warm_proved_optimal", 0),
+        "place_memo_hits": solver.get("place_memo_hits", 0),
     }
-    if cell["method"] == "greedy":
-        # Every optimization is result-preserving for greedy placement, so
-        # the optimized trees must be bit-identical to the seed tree.
-        row["identical_to_seed"] = _trees_identical(tree_seed, tree_par)
-    return row
 
 
 def run_modegen_bench(
@@ -247,7 +195,7 @@ def run_modegen_bench(
     quick: bool = False,
     output_path: Optional[str] = "BENCH_modegen.json",
 ) -> Dict[str, Any]:
-    """The headline before/after measurement (see module docstring).
+    """The serial/parallel measurement (see module docstring).
 
     Returns the result dict; also writes it to ``output_path`` (JSON)
     unless that is None.
@@ -259,9 +207,6 @@ def run_modegen_bench(
         _run_refresh_cell(cell, workers=workers, seed=seed)
         for cell in refresh_cells
     ]
-    total_seed = sum(r["seed_s"] for r in rows)
-    total_serial = sum(r["opt_serial_s"] for r in rows)
-    total_parallel = sum(r["opt_parallel_s"] for r in rows)
     from repro.experiments.common import bench_env
 
     result = {
@@ -271,20 +216,10 @@ def run_modegen_bench(
         "workers": workers,
         "seed": seed,
         "cells": rows,
-        "total_seed_s": total_seed,
-        "total_opt_serial_s": total_serial,
-        "total_opt_parallel_s": total_parallel,
-        "speedup_serial": (
-            total_seed / total_serial if total_serial else float("inf")
-        ),
-        "speedup_end_to_end": (
-            total_seed / total_parallel if total_parallel else float("inf")
-        ),
+        "total_serial_s": sum(r["serial_s"] for r in rows),
+        "total_parallel_s": sum(r["parallel_s"] for r in rows),
         "all_parallel_identical": all(
             r["parallel_identical_to_serial"] for r in rows
-        ),
-        "all_flow_sets_match_seed": all(
-            r["same_flow_sets_as_seed"] for r in rows
         ),
         # Online tree refresh (PROTOCOL.md §16.5): time to extend a live
         # tree with the sub-lattice of one >fmax pattern, vs regenerating
@@ -330,10 +265,8 @@ def main(
                 k: result[k]
                 for k in (
                     "benchmark", "quick", "workers",
-                    "total_seed_s", "total_opt_serial_s",
-                    "total_opt_parallel_s",
-                    "speedup_serial", "speedup_end_to_end",
-                    "all_parallel_identical", "all_flow_sets_match_seed",
+                    "total_serial_s", "total_parallel_s",
+                    "all_parallel_identical",
                 )
             },
             "time_to_new_tree_s": refresh["total_extend_serial_run_s"],

@@ -44,7 +44,6 @@ from repro.core.config import ReboundConfig
 from repro.core.runtime import ReboundSystem
 from repro.experiments.common import bench_env
 from repro.faults.adversary import CrashBehavior
-from repro.net.shard import resolve_workers
 from repro.net.topology import erdos_renyi_topology, grid_topology
 from repro.obs.collector import canonical_jsonl
 from repro.obs.recorder import FlightRecorder
@@ -278,9 +277,7 @@ def run_scale_bench(
         sizes = SMOKE_SIZES if smoke else SWEEP_SIZES
     if rounds is None:
         rounds = SMOKE_ROUNDS if smoke else DEFAULT_ROUNDS
-    workers = resolve_workers(workers) or DEFAULT_WORKERS
-    if workers < 2:
-        workers = 2
+    workers = max(2, workers or DEFAULT_WORKERS)
 
     cells = identity_cells(workers)
     sweeps = [_sweep(n, rounds, workers, engines=engines) for n in sizes]

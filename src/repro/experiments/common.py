@@ -9,6 +9,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence
 
+import numpy
+
 
 def bench_env(workers: Optional[int] = None) -> Dict[str, Any]:
     """Provenance block shared by every ``BENCH_*.json`` writer.
@@ -25,11 +27,6 @@ def bench_env(workers: Optional[int] = None) -> Dict[str, Any]:
         ).stdout.strip() or None
     except (OSError, subprocess.SubprocessError):
         commit = None
-    try:
-        import numpy  # noqa: F401
-        have_numpy = True
-    except ImportError:
-        have_numpy = False
     env: Dict[str, Any] = {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -37,7 +34,7 @@ def bench_env(workers: Optional[int] = None) -> Dict[str, Any]:
         "machine": platform.machine(),
         # CPUs this process may run on (a container's share), not the host's.
         "cpu_count": len(os.sched_getaffinity(0)),
-        "numpy": have_numpy,
+        "numpy": numpy.__version__,
         "commit": commit,
     }
     if workers is not None:

@@ -90,7 +90,6 @@ from __future__ import annotations
 
 import copy
 import multiprocessing as mp
-import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -110,18 +109,6 @@ from repro.obs import registry as _telemetry
 from repro.obs.collector import EventBatch, TraceCollector, pack_events
 from repro.obs.profiler import RoundProfiler
 from repro.obs.recorder import FlightRecorder
-
-WORKERS_ENV = "REBOUND_SCALE_WORKERS"
-
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else ``REBOUND_SCALE_WORKERS``,
-    else 0 (serial).  Values <= 1 mean the serial engine."""
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        workers = int(raw) if raw else 0
-    return max(0, int(workers))
-
 
 class WorkerCallError(Exception):
     """A worker-side node operation failed.
@@ -186,7 +173,7 @@ class NodeSummary:
     store_len: int
     pending_rule_b: int
     replica_lens: Dict[Tuple[int, int], Tuple[int, int, int]]
-    pending_cap: Optional[int]
+    pending_cap: int
     counters: Dict[str, Any]
     mode_switches: List[Tuple[int, Any]]
 
@@ -596,7 +583,7 @@ class _AuditingView:
         return self._engine.summary(self._node_id)
 
     @property
-    def pending_cap(self) -> Optional[int]:
+    def pending_cap(self) -> int:
         return self._summary().pending_cap
 
     @property

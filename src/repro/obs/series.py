@@ -134,7 +134,7 @@ class MetricsTimeSeries:
             "system.budget_exceeded": float(system.budget_exceeded),
         }
         config = system.config
-        if getattr(config, "quotas_enabled", False) and config.d_max:
+        if config.d_max:
             from repro.core.quotas import (
                 evidence_item_cap,
                 heartbeat_record_cap,

@@ -122,29 +122,17 @@ class ScheduleBuilder:
             copy (used by case studies to model a function's natural home,
             e.g. cruise control on the ECM); honored when feasible, ignored
             when the node is failed or full.
-        ilp_warm_start: seed the ILP with the greedy placement as the
-            initial incumbent (prunes from node one; solves with a
-            provably-at-bound incumbent skip the search entirely).
-            Objective-preserving but may return a different equally-optimal
-            assignment than a cold solve, so it is opt-in.
-        ilp_batch_admit: for the exact ILP method, admit the full normal
-            flow set with a single solve when it is feasible instead of one
-            solve per flow (the exact solver makes the incremental
-            most-critical-first admission loop redundant in that case:
-            every prefix of a feasible set is feasible, so the loop admits
-            everything and its final solve equals the batch solve).
-            Result-identical; opt-in alongside ``ilp_warm_start``.
         ilp_node_budget: deterministic branch-and-bound node budget passed
             to every ILP solve; makes solver outcomes (and thus mode
             trees) machine-independent, unlike the wall-clock limit.
         ilp_time_limit_s: wall-clock safety net behind the node budget.
-        place_memo: memoize placement subproblems under a canonical key
-            (flow set, per-flow candidate lists, parent placements).
-            Scenarios whose failures do not disturb that structure --
-            symmetric siblings, pruned-link modes, repeated on-demand
-            lookups -- reuse the solved placement instead of re-solving.
-            Exactly result-preserving (the key captures every input the
-            placement engines read), so it defaults on.
+
+    Placement subproblems are memoized under a canonical key (flow set,
+    per-flow candidate lists, parent placements): scenarios whose failures
+    do not disturb that structure -- symmetric siblings, pruned-link modes,
+    repeated on-demand lookups -- reuse the solved placement.  The key
+    captures every input the placement engines read, so the memo is
+    exactly result-preserving.
     """
 
     #: Bounded size of the per-builder placement memo.
@@ -158,11 +146,8 @@ class ScheduleBuilder:
         utilization_cap: float = 0.9,
         method: str = "greedy",
         pinned_primaries: Optional[Dict[int, int]] = None,
-        ilp_warm_start: bool = False,
-        ilp_batch_admit: bool = False,
         ilp_node_budget: Optional[int] = 1_000_000,
         ilp_time_limit_s: float = 20.0,
-        place_memo: bool = True,
     ):
         if fconc < 0:
             raise ValueError("fconc must be non-negative")
@@ -174,11 +159,8 @@ class ScheduleBuilder:
         self.utilization_cap = utilization_cap
         self.method = method
         self.pinned_primaries = dict(pinned_primaries or {})
-        self.ilp_warm_start = ilp_warm_start
-        self.ilp_batch_admit = ilp_batch_admit
         self.ilp_node_budget = ilp_node_budget
         self.ilp_time_limit_s = ilp_time_limit_s
-        self.place_memo = place_memo
         self._place_cache: "OrderedDict[Tuple, Optional[Dict[Copy, int]]]" = (
             OrderedDict()
         )
@@ -291,7 +273,7 @@ class ScheduleBuilder:
                 dropped.add(flow.flow_id)
                 return
             trial = admitted + [flow]
-            result = self._place(trial, graph, available, parent, candidate_cache)
+            result = self._place(trial, available, parent, candidate_cache)
             if result is None:
                 dropped.add(flow.flow_id)
             else:
@@ -299,28 +281,22 @@ class ScheduleBuilder:
                 placements = result
 
         normal = self.workload.normal_flows()
-        batch_done = False
-        if self.method == "ilp" and self.ilp_batch_admit:
+        if self.method == "ilp":
+            # The exact solver admits every placeable flow anyway when the
+            # full set fits (any prefix of a feasible set is feasible), so
+            # one solve replaces the per-flow loop and produces the
+            # identical final placement; only unplaceable flows remain.
             placeable = [f for f in normal if candidates(f) is not None]
             result = (
-                self._place(placeable, graph, available, parent, candidate_cache)
+                self._place(placeable, available, parent, candidate_cache)
                 if placeable
                 else None
             )
             if result is not None:
-                # The exact solver admits every placeable flow anyway when
-                # the full set fits (any prefix of a feasible set is
-                # feasible), so one solve replaces the per-flow loop and
-                # produces the identical final placement.
-                dropped.update(
-                    f.flow_id for f in normal if candidates(f) is None
-                )
-                admitted = placeable
-                placements = result
-                batch_done = True
-        if not batch_done:
-            for flow in normal:
-                try_admit(flow)
+                admitted, placements = placeable, result
+                normal = [f for f in normal if candidates(f) is None]
+        for flow in normal:
+            try_admit(flow)
         # Emergency substitutes (paper S2.7): active only while the flow
         # they stand in for is dropped.
         admitted_ids = {f.flow_id for f in admitted}
@@ -340,31 +316,6 @@ class ScheduleBuilder:
         )
 
     # -- placement engines ----------------------------------------------------
-
-    def _candidates_for(
-        self, flow: Flow, graph: nx.Graph, available: Sequence[int]
-    ) -> List[int]:
-        nodes = self._flow_component_nodes(flow, graph, available)
-        return nodes if nodes is not None else []
-
-    def _resolve_candidates(
-        self,
-        flows: Sequence[Flow],
-        graph: nx.Graph,
-        available: Sequence[int],
-        candidate_cache: Optional[Dict[int, Optional[List[int]]]],
-    ) -> Dict[int, List[int]]:
-        out: Dict[int, List[int]] = {}
-        for flow in flows:
-            cached = (
-                candidate_cache.get(flow.flow_id)
-                if candidate_cache is not None
-                else None
-            )
-            if cached is None:
-                cached = self._candidates_for(flow, graph, available)
-            out[flow.flow_id] = cached
-        return out
 
     def _place_key(
         self,
@@ -397,33 +348,29 @@ class ScheduleBuilder:
     def _place(
         self,
         flows: Sequence[Flow],
-        graph: nx.Graph,
         available: Sequence[int],
         parent: Optional[ModeSchedule],
-        candidate_cache: Optional[Dict[int, Optional[List[int]]]] = None,
+        candidate_cache: Dict[int, Optional[List[int]]],
     ) -> Optional[Dict[Copy, int]]:
+        """Place ``flows`` (each with a candidate list in
+        ``candidate_cache``), memoized by :meth:`_place_key`."""
         self.counters["place_calls"] += 1
-        per_flow_candidates = self._resolve_candidates(
-            flows, graph, available, candidate_cache
-        )
-        key: Optional[Tuple] = None
-        if self.place_memo:
-            key = self._place_key(flows, parent, per_flow_candidates)
-            if key in self._place_cache:
-                self._place_cache.move_to_end(key)
-                self.counters["place_memo_hits"] += 1
-                _PLACE_STATS["hits"] += 1
-                return self._place_cache[key]
-            _PLACE_STATS["misses"] += 1
+        per_flow_candidates = {f.flow_id: candidate_cache[f.flow_id] for f in flows}
+        key = self._place_key(flows, parent, per_flow_candidates)
+        if key in self._place_cache:
+            self._place_cache.move_to_end(key)
+            self.counters["place_memo_hits"] += 1
+            _PLACE_STATS["hits"] += 1
+            return self._place_cache[key]
+        _PLACE_STATS["misses"] += 1
         if self.method == "ilp":
             result = self._place_ilp(flows, available, parent, per_flow_candidates)
         else:
             result = self._place_greedy(flows, available, parent, per_flow_candidates)
-        if key is not None:
-            self._place_cache[key] = result
-            while len(self._place_cache) > self.PLACE_MEMO_MAX:
-                self._place_cache.popitem(last=False)
-                _PLACE_STATS["evictions"] += 1
+        self._place_cache[key] = result
+        while len(self._place_cache) > self.PLACE_MEMO_MAX:
+            self._place_cache.popitem(last=False)
+            _PLACE_STATS["evictions"] += 1
         return result
 
     def _copies(self, flows: Sequence[Flow]) -> List[Tuple[Copy, Task, Flow]]:
@@ -451,8 +398,6 @@ class ScheduleBuilder:
         )
         for copy, task, flow in copies:
             candidates = per_flow_candidates[flow.flow_id]
-            if not candidates:
-                return None
             taken = {
                 placements[(task.task_id, c)]
                 for c in range(self.fconc + 1)
@@ -486,14 +431,17 @@ class ScheduleBuilder:
         parent: Optional[ModeSchedule],
         per_flow_candidates: Dict[int, List[int]],
     ) -> Optional[Dict[Copy, int]]:
-        ilp = ZeroOneILP()
         copies = self._copies(flows)
+        # Aggregate-capacity precheck: no assignment exists when the copies
+        # need more than every candidate node's budget combined.
+        hosts = set().union(*(per_flow_candidates[f.flow_id] for f in flows))
+        demand = sum(task.utilization for _copy, task, _flow in copies)
+        if demand > (self.utilization_cap + 1e-9) * len(hosts):
+            return None
+        ilp = ZeroOneILP()
         var_names: Dict[Tuple[Copy, int], str] = {}
         for copy, task, flow in copies:
-            candidates = per_flow_candidates[flow.flow_id]
-            if not candidates:
-                return None
-            for node in candidates:
+            for node in per_flow_candidates[flow.flow_id]:
                 preferred = parent.placements.get(copy) if parent else None
                 cost = 0.0 if preferred is None or node == preferred else 1.0
                 name = f"x_{copy[0]}_{copy[1]}_{node}"
@@ -523,16 +471,16 @@ class ScheduleBuilder:
                     coeffs[var_names[(copy, node)]] = task.utilization
             if coeffs:
                 ilp.add_constraint(coeffs, "<=", self.utilization_cap)
+        # The greedy placement seeds the incumbent: it prunes from node one,
+        # a GUB bound can prove it optimal with no search, and a tripped
+        # budget still returns a placement whenever greedy found one.
         warm_start: Optional[Dict[str, int]] = None
-        if self.ilp_warm_start:
-            greedy = self._place_greedy(
-                flows, available, parent, per_flow_candidates
-            )
-            if greedy is not None:
-                warm_start = {
-                    name: 1 if greedy.get(copy) == node else 0
-                    for (copy, node), name in var_names.items()
-                }
+        greedy = self._place_greedy(flows, available, parent, per_flow_candidates)
+        if greedy is not None:
+            warm_start = {
+                name: 1 if greedy.get(copy) == node else 0
+                for (copy, node), name in var_names.items()
+            }
         self.counters["ilp_solves"] += 1
         solution = ilp.solve(
             time_limit_s=self.ilp_time_limit_s,

@@ -22,8 +22,8 @@ Two features support the mode-tree generator's offline scheduling path:
   returns immediately without any search.  A warm-started solve always
   returns the *same objective* as a cold solve (the incumbent only prunes
   subtrees that cannot strictly improve), though it may return a different
-  equally-optimal assignment, so it is opt-in where bit-identical
-  placements matter.
+  equally-optimal assignment; when a budget trips, the best incumbent so
+  far (at worst the warm start) is returned.
 * **Deterministic node budgets** -- ``max_nodes`` bounds the number of
   branch-and-bound nodes explored, a machine-independent alternative to the
   wall-clock ``time_limit_s``: identical models explore identical node

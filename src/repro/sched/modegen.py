@@ -13,11 +13,11 @@ which explodes for large n.  Like the paper we parallelize per fault layer:
 every scenario in a layer depends only on its parent's schedule (computed in
 the previous layer), so the layer's solves are embarrassingly parallel.
 :meth:`ModeTreeGenerator.generate` fans them out across a
-``concurrent.futures.ProcessPoolExecutor`` when ``workers > 1`` (or the
-``REBOUND_MODEGEN_WORKERS`` environment variable opts in); the expansion
-plan and the merge are computed deterministically in the parent process, so
-the parallel tree is byte-identical to the serial one -- same canonical
-parents, same child ordering, same schedules.  Serial remains the default.
+``concurrent.futures.ProcessPoolExecutor`` when the generator's ``workers``
+argument is above 1; the expansion plan and the merge are computed
+deterministically in the parent process, so the parallel tree is
+byte-identical to the serial one -- same canonical parents, same child
+ordering, same schedules.  Serial (``workers=1``) is the default.
 
 For large n the Fig. 7 benchmark additionally uses a *sampling estimator*:
 it schedules the root plus a random sample of modes per layer and
@@ -33,7 +33,6 @@ body once -- cutting both memory and the Fig. 7a flash footprint.
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
 from collections import OrderedDict
@@ -46,9 +45,6 @@ from repro.sched.assign import InfeasibleSchedule, ModeSchedule, ScheduleBuilder
 from repro.sched.task import Workload
 
 Link = Tuple[int, int]
-
-#: Environment variable opting generation into a worker pool.
-WORKERS_ENV = "REBOUND_MODEGEN_WORKERS"
 
 #: Process-wide mode-lookup memo counters (surfaced via analysis.metrics).
 _LOOKUP_STATS: Dict[str, int] = {"hits": 0, "misses": 0}
@@ -424,16 +420,12 @@ class ModeTreeGenerator:
             (the full cross-product of link faults is enormous; the paper's
             Fig. 7 sweep counts node-fault vertices, so the default is off).
         method: ``"greedy"`` or ``"ilp"`` placement.
-        workers: fan each fault layer out across this many worker
-            processes (layers are embarrassingly parallel; the merge is
-            deterministic, so the tree is byte-identical to a serial run).
-            None consults the ``REBOUND_MODEGEN_WORKERS`` environment
-            variable and falls back to 1 (serial, the default).
-        ilp_warm_start / ilp_batch_admit / ilp_node_budget / place_memo /
-        intern_schedules: solver-level optimizations, forwarded to
-            :class:`ScheduleBuilder` (see its docstring).  Warm starts and
-            batch admission are opt-in; the placement memo and schedule
-            interning are exactly result-preserving and default on.
+        workers: fan each fault layer of :meth:`generate`,
+            :meth:`extend_for` and :meth:`estimate` out across this many
+            worker processes (layers are embarrassingly parallel; the merge
+            is deterministic, so the tree is byte-identical to a serial
+            run).  1, the default, stays serial.
+        ilp_node_budget: forwarded to :class:`ScheduleBuilder`.
     """
 
     def __init__(
@@ -446,12 +438,8 @@ class ModeTreeGenerator:
         method: str = "greedy",
         utilization_cap: float = 0.9,
         pinned_primaries=None,
-        workers: Optional[int] = None,
-        ilp_warm_start: bool = False,
-        ilp_batch_admit: bool = False,
+        workers: int = 1,
         ilp_node_budget: Optional[int] = 1_000_000,
-        place_memo: bool = True,
-        intern_schedules: bool = True,
     ):
         if fmax < 0:
             raise ValueError("fmax must be non-negative")
@@ -460,8 +448,7 @@ class ModeTreeGenerator:
         self.fmax = fmax
         self.fconc = fconc
         self.include_link_faults = include_link_faults
-        self.workers = workers
-        self.intern_schedules = intern_schedules
+        self.workers = max(1, workers)
         self.last_stats: Optional[GenerationStats] = None
         self.builder = ScheduleBuilder(
             topology,
@@ -470,37 +457,23 @@ class ModeTreeGenerator:
             utilization_cap=utilization_cap,
             method=method,
             pinned_primaries=pinned_primaries,
-            ilp_warm_start=ilp_warm_start,
-            ilp_batch_admit=ilp_batch_admit,
             ilp_node_budget=ilp_node_budget,
-            place_memo=place_memo,
         )
 
-    # -- worker resolution --------------------------------------------------
+    # -- worker pool ----------------------------------------------------------
 
-    def _resolve_workers(self, workers: Optional[int]) -> int:
-        if workers is None:
-            workers = self.workers
-        if workers is None:
-            env = os.environ.get(WORKERS_ENV, "").strip()
-            if env:
-                try:
-                    workers = int(env)
-                except ValueError:
-                    workers = 1
-            else:
-                workers = 1
-        return max(1, int(workers))
-
-    def _make_pool(self, workers: int):
-        """A ProcessPoolExecutor primed with this generator's builder."""
+    def _make_pool(self):
+        """A ProcessPoolExecutor primed with this generator's builder, or
+        None when serial."""
+        if self.workers <= 1:
+            return None
         import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
 
         method = "fork" if "fork" in mp.get_all_start_methods() else None
         context = mp.get_context(method) if method else mp.get_context()
         return ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=self.workers,
             mp_context=context,
             initializer=_pool_init,
             initargs=(self.builder,),
@@ -526,16 +499,15 @@ class ModeTreeGenerator:
 
     # -- exact generation ----------------------------------------------------
 
-    def generate(self, workers: Optional[int] = None) -> ModeTree:
+    def generate(self) -> ModeTree:
         """Generate the full tree (exponential in fmax; use for small n).
 
         With ``workers > 1`` each fault layer's scenarios are solved by a
         process pool; the expansion plan (which child belongs to which
         canonical parent, and in which order) is fixed in the parent
         process before any solve, so the result is identical to a serial
-        run -- the satellite equivalence tests assert this bit-for-bit.
+        run -- the equivalence tests assert this bit-for-bit.
         """
-        workers = self._resolve_workers(workers)
         start = time.perf_counter()
         baseline = dict(self.builder.counters)
         extra: Dict[str, int] = {}
@@ -543,11 +515,8 @@ class ModeTreeGenerator:
         per_layer: List[Dict[str, Any]] = []
 
         root_t0 = time.perf_counter()
-        root_schedule = self.builder.build()
+        root_schedule = tree.intern(self.builder.build())
         root_solve_s = time.perf_counter() - root_t0
-        root_schedule = (
-            tree.intern(root_schedule) if self.intern_schedules else root_schedule
-        )
         tree.schedules[EMPTY_SCENARIO] = root_schedule
         tree.parents[EMPTY_SCENARIO] = None
         tree.children[EMPTY_SCENARIO] = []
@@ -561,7 +530,7 @@ class ModeTreeGenerator:
             }
         )
 
-        pool = self._make_pool(workers) if workers > 1 else None
+        pool = self._make_pool()
         try:
             frontier = [EMPTY_SCENARIO]
             for layer_no in range(1, self.fmax + 1):
@@ -592,11 +561,7 @@ class ModeTreeGenerator:
                         for key, value in delta.items():
                             extra[key] = extra.get(key, 0) + value
                     if schedule is not None:
-                        solved[child] = (
-                            tree.intern(schedule)
-                            if self.intern_schedules
-                            else schedule
-                        )
+                        solved[child] = tree.intern(schedule)
                 # Deterministic merge replicating the serial insertion
                 # semantics: first parent inserts, later parents only link.
                 next_frontier: List[FailureScenario] = []
@@ -645,7 +610,7 @@ class ModeTreeGenerator:
             estimated_total_modes=tree.num_modes,
             estimated_total_time_s=wall,
             estimated_size_bytes=0,
-            workers=workers,
+            workers=self.workers,
             per_layer=per_layer,
             solver=solver,
             interned_schedules=intern["interned"],
@@ -657,12 +622,7 @@ class ModeTreeGenerator:
 
     # -- online subtree extension (PROTOCOL.md §16.5) -----------------------------
 
-    def extend_for(
-        self,
-        tree: ModeTree,
-        target: FailureScenario,
-        workers: Optional[int] = None,
-    ) -> Dict[str, Any]:
+    def extend_for(self, tree: ModeTree, target: FailureScenario) -> Dict[str, Any]:
         """Extend ``tree`` in place with the sub-lattice under ``target``.
 
         When a live system observes a failure pattern with more than
@@ -688,7 +648,6 @@ class ModeTreeGenerator:
         ``layers`` (per-layer scenario/feasible counts), ``base_layer``,
         ``target_layer``, ``wall_s``, ``solve_s``, ``workers``.
         """
-        workers = self._resolve_workers(workers)
         target = FailureScenario(
             nodes=frozenset(target.nodes), links=frozenset(target.links)
         )
@@ -701,7 +660,7 @@ class ModeTreeGenerator:
             "target_layer": target.fault_count,
             "wall_s": 0.0,
             "solve_s": 0.0,
-            "workers": workers,
+            "workers": self.workers,
         }
         if target.fault_count <= tree.fmax:
             stats["wall_s"] = time.perf_counter() - start
@@ -741,7 +700,7 @@ class ModeTreeGenerator:
                     order.append(child)
             frontier = [c for c in order if c in tree.schedules]
 
-        pool = self._make_pool(workers) if workers > 1 else None
+        pool = self._make_pool()
         try:
             for layer_no in range(tree.fmax + 1, target.fault_count + 1):
                 layer_t0 = time.perf_counter()
@@ -769,11 +728,7 @@ class ModeTreeGenerator:
                 ):
                     solve_s += elapsed
                     if schedule is not None:
-                        solved[child] = (
-                            tree.intern(schedule)
-                            if self.intern_schedules
-                            else schedule
-                        )
+                        solved[child] = tree.intern(schedule)
                 next_frontier: List[FailureScenario] = []
                 for scenario, child in plan:
                     if child in tree.schedules:
@@ -837,12 +792,7 @@ class ModeTreeGenerator:
         n = len(self.topology.controllers)
         return [math.comb(n, i) for i in range(self.fmax + 1)]
 
-    def estimate(
-        self,
-        samples_per_layer: int = 8,
-        seed: int = 0,
-        workers: Optional[int] = None,
-    ) -> GenerationStats:
+    def estimate(self, samples_per_layer: int = 8, seed: int = 0) -> GenerationStats:
         """Estimate full-tree generation cost by sampling each fault layer.
 
         Schedules the root exactly, then for each layer draws random
@@ -853,7 +803,6 @@ class ModeTreeGenerator:
         scenarios; with ``workers > 1`` the samples are solved by the same
         worker pool as :meth:`generate`.
         """
-        workers = self._resolve_workers(workers)
         rng = random.Random(seed)
         controllers = self.topology.controllers
         counts = self.layer_counts()
@@ -898,7 +847,7 @@ class ModeTreeGenerator:
                 )
             layer_samples.append(scenarios)
 
-        pool = self._make_pool(workers) if workers > 1 else None
+        pool = self._make_pool()
         total_time = root_time
         total_size = root_size
         modes_generated = 1
@@ -950,7 +899,7 @@ class ModeTreeGenerator:
             estimated_total_modes=sum(counts),
             estimated_total_time_s=total_time,
             estimated_size_bytes=total_size,
-            workers=workers,
+            workers=self.workers,
             per_layer=per_layer,
             solver=solver,
         )

@@ -120,10 +120,9 @@ class StateAuditor:
         )
         quotas = fwd.quotas
         quota_key = (
-            (tuple(sorted(quotas.suspects)),
-             quotas.total_charged, quotas.total_dropped)
-            if quotas is not None
-            else None
+            tuple(sorted(quotas.suspects)),
+            quotas.total_charged,
+            quotas.total_dropped,
         )
         root = fwd.evidence.digest()
         return {
@@ -149,9 +148,7 @@ class StateAuditor:
         expected = node.mode_tree.schedule_for(fwd.fault_pattern)
         if node.current_schedule != expected:
             issues.append("mode-pointer")
-        if fwd.quotas is not None and fwd.quotas.ledger_issues(
-            self.system.topology.controllers
-        ):
+        if fwd.quotas.ledger_issues(self.system.topology.controllers):
             issues.append("quota-ledger")
         return issues
 
@@ -333,9 +330,8 @@ class StateAuditor:
         record["merged"] += merged
 
         # 4. Rebuild the quota ledger's derivable fields.
-        if fwd.quotas is not None:
-            fwd.quotas.reset_ledger(self.system.topology.controllers)
-            fwd.quotas.begin_round(round_no)
+        fwd.quotas.reset_ledger(self.system.topology.controllers)
+        fwd.quotas.begin_round(round_no)
 
         # 5. Recompute the fault pattern from the repaired evidence and
         #    force a fresh mode adoption (the pointer itself may be what

@@ -42,8 +42,13 @@ SCENARIOS: Dict[str, Tuple[Callable, int, Optional[Callable]]] = {
 CELLS = [f"{scenario}/{variant}" for scenario in SCENARIOS for variant in ("basic", "multi")]
 
 
-def run_cell(cell: str, workers: int = 0) -> Dict[str, Any]:
-    """Run one cell; ``workers >= 2`` selects the sharded engine."""
+def run_cell(
+    cell: str,
+    workers: int = 0,
+    inspect: Optional[Callable[[ReboundSystem], None]] = None,
+) -> Dict[str, Any]:
+    """Run one cell; ``workers >= 2`` selects the sharded engine.
+    ``inspect`` sees the system after the last round."""
     scenario, variant = cell.split("/")
     build_topology, fmax, behaviour = SCENARIOS[scenario]
     topology = build_topology()
@@ -62,6 +67,8 @@ def run_cell(cell: str, workers: int = 0) -> Dict[str, Any]:
             digest.update(repr(transcript_entry(system)).encode())
             link_bytes += system.network.bytes_in_round(system.network.round_no)
         counters = system.total_crypto_counters().as_dict()
+        if inspect is not None:
+            inspect(system)
     finally:
         system.close()
     return {

@@ -11,8 +11,8 @@ verified prefix instead of silently replaying forged records.
 
 The Hypothesis property pins the determinism contract: a node swapped
 for its own sealed-snapshot restore (``restore_exact()``) continues the
-deployment byte-identically to one that never snapshotted, with
-admission quotas enabled.
+deployment byte-identically to one that never snapshotted, admission
+quota ledger included.
 """
 
 import os
@@ -63,8 +63,7 @@ def _er6(durability_dir=None, seed=7, snapshot_interval=8):
             "snapshot_interval": snapshot_interval,
         }
     config = ReboundConfig(
-        fmax=2, fconc=1, variant="multi", rsa_bits=256,
-        quotas_enabled=True, **kwargs
+        fmax=2, fconc=1, variant="multi", rsa_bits=256, **kwargs
     )
     return ReboundSystem(topology, workload, config, seed=seed)
 
@@ -188,7 +187,7 @@ class TestExactRestoreProperty:
     )
     def test_restore_exact_is_transcript_transparent(self, seed, cut, extra):
         """``restore(snapshot(node))`` continues byte-identically to the
-        never-snapshotted run (quotas enabled)."""
+        never-snapshotted run."""
         durability_dir = tempfile.mkdtemp(prefix="rebound-prop-durable-")
         control = _er6(None, seed=seed)
         durable = _er6(durability_dir, seed=seed, snapshot_interval=64)

@@ -22,6 +22,27 @@ def test_cell_reproduces_golden_fingerprint(cell, workers):
     assert run_cell(cell, workers=workers) == load_golden()["cells"][cell]
 
 
+@pytest.mark.parametrize(
+    "cell", [c for c in CELLS if c.startswith(("er20-faultfree/", "grid20-crash/"))]
+)
+def test_quota_layer_never_fires_without_an_adversary(cell):
+    """Admission quotas and evidence buckets bound what an adversary can
+    make a correct node store; with none (fault-free, crash) neither may
+    drop a message or evict an item."""
+    fired, charged = [], []
+
+    def inspect(system):
+        for node_id, node in system.nodes.items():
+            fwd = node.forwarding
+            charged.append(fwd.quotas.total_charged)
+            if fwd.quotas.total_dropped or fwd.evidence.evictions:
+                fired.append(node_id)
+
+    assert run_cell(cell, inspect=inspect) == load_golden()["cells"][cell]
+    assert fired == []
+    assert sum(charged) > 0  # the layer ran
+
+
 def test_runs_are_deterministic_across_interpreter_hash_seeds():
     """str hashes are salted per process; nothing observable may depend on
     them (keys were once derived from ``hash((seed, "rsa", node_id))``)."""

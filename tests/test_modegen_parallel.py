@@ -1,15 +1,15 @@
 """Parallel/serial equivalence of the mode-tree generation engine.
 
-The engine's contract (ISSUE 2 / docs/PROTOCOL.md "Offline scheduling
-performance") is that every optimization is invisible in the results:
+The engine's contract (docs/PROTOCOL.md "Offline scheduling performance")
+is that every optimization is invisible in the results:
 
 * ``workers=N`` produces a tree *identical* to the serial one (schedules,
   canonical parents, child order, serialized encodings);
-* the default solver flags (placement memo, schedule interning) are exactly
-  result-preserving, so ``workers=1`` with defaults is bit-identical to the
-  pre-optimization path (all flags off);
+* the placement memo and schedule interning are exactly result-preserving
+  (``tests/golden/mode_trees.json`` pins whole trees; here every mode is
+  rebuilt with the memo cleared);
 * ILP warm starts preserve the cold-solve *objective* (the assignment may
-  be a different equally-optimal one, which is why they are opt-in);
+  be a different equally-optimal one);
 * ``max_nodes`` budgets are deterministic and reported via ``stopped_by``.
 """
 
@@ -59,30 +59,20 @@ class TestParallelEqualsSerial:
     def test_parallel_tree_identical_across_random_systems(self, n, seed, fmax):
         topology, workload = _system(n, seed)
         serial = ModeTreeGenerator(topology, workload, fmax=fmax).generate()
-        parallel = ModeTreeGenerator(topology, workload, fmax=fmax).generate(
-            workers=2
-        )
+        parallel = ModeTreeGenerator(
+            topology, workload, fmax=fmax, workers=2
+        ).generate()
         _assert_trees_identical(serial, parallel)
         assert parallel.stats.workers == 2
         assert serial.stats.workers == 1
-
-    def test_workers_env_var_opts_in(self, monkeypatch):
-        topology, workload = _system(6, 3)
-        monkeypatch.setenv("REBOUND_MODEGEN_WORKERS", "2")
-        via_env = ModeTreeGenerator(topology, workload, fmax=1)
-        tree_env = via_env.generate()
-        assert tree_env.stats.workers == 2
-        monkeypatch.delenv("REBOUND_MODEGEN_WORKERS")
-        serial = ModeTreeGenerator(topology, workload, fmax=1).generate()
-        _assert_trees_identical(serial, tree_env)
 
     def test_estimate_parallel_matches_serial(self):
         topology, workload = _system(9, 1)
         s = ModeTreeGenerator(topology, workload, fmax=2).estimate(
             samples_per_layer=4, seed=5
         )
-        p = ModeTreeGenerator(topology, workload, fmax=2).estimate(
-            samples_per_layer=4, seed=5, workers=2
+        p = ModeTreeGenerator(topology, workload, fmax=2, workers=2).estimate(
+            samples_per_layer=4, seed=5
         )
         assert s.modes_generated == p.modes_generated
         assert s.estimated_total_modes == p.estimated_total_modes
@@ -93,25 +83,6 @@ class TestParallelEqualsSerial:
 
 
 class TestDefaultsAreResultPreserving:
-    @pytest.mark.parametrize("method", ["greedy", "ilp"])
-    def test_default_flags_match_unoptimized_path(self, method):
-        """workers=1 with default flags is bit-identical to the seed path
-        (every optimization on by default is result-preserving)."""
-        n, util = (7, 1.5) if method == "greedy" else (5, 1.0)
-        topology, workload = _system(n, 2, util)
-        plain = ModeTreeGenerator(
-            topology,
-            workload,
-            fmax=1,
-            method=method,
-            place_memo=False,
-            intern_schedules=False,
-        ).generate()
-        defaults = ModeTreeGenerator(
-            topology, workload, fmax=1, method=method
-        ).generate()
-        _assert_trees_identical(plain, defaults)
-
     def test_interning_dedupes_bodies(self):
         topology, workload = _system(8, 0)
         tree = ModeTreeGenerator(topology, workload, fmax=2).generate()
@@ -179,21 +150,16 @@ class TestWarmStartObjectiveEquality:
         assert sol.status is ILPStatus.OPTIMAL
         assert sol.objective == pytest.approx(-2.0)
 
-    def test_builder_warm_start_same_flows_and_migration_cost(self):
+    def test_builder_warm_start_same_flows_and_migration_cost(self, monkeypatch):
         """At the ScheduleBuilder level: against the *same* parent, a
         warm-started ILP solve admits the same flows with the same
-        transition objective as a cold one.  (Across a whole tree the
-        placements -- and hence descendants' minimal migration costs -- may
-        legitimately differ, which is exactly why warm starts are opt-in.)"""
+        transition objective as a cold one (greedy yields no incumbent).
+        Across a whole tree the placements -- and hence descendants'
+        minimal migration costs -- may legitimately differ."""
         topology, workload = _system(5, 4, util=1.0)
         cold_b = ScheduleBuilder(topology, workload, method="ilp")
-        warm_b = ScheduleBuilder(
-            topology,
-            workload,
-            method="ilp",
-            ilp_warm_start=True,
-            ilp_batch_admit=True,
-        )
+        monkeypatch.setattr(cold_b, "_place_greedy", lambda *args: None)
+        warm_b = ScheduleBuilder(topology, workload, method="ilp")
         parent = cold_b.build()  # shared parent for both children
         for victim in topology.controllers:
             failed = frozenset({victim})
@@ -283,12 +249,27 @@ class TestBoundedMemos:
 
 class TestPlacementMemo:
     def test_memo_reuses_subproblems_without_changing_results(self):
-        topology, workload = _system(7, 9)
-        memo_builder = ScheduleBuilder(topology, workload, place_memo=True)
-        plain_builder = ScheduleBuilder(topology, workload, place_memo=False)
-        scenarios = [frozenset(), frozenset({topology.controllers[0]})]
-        for failed in scenarios * 2:  # repeat: second pass must hit
-            assert memo_builder.build(failed_nodes=failed) == plain_builder.build(
-                failed_nodes=failed
+        """Every mode of a memoized tree equals a fresh build of that mode
+        against its canonical parent with the placement memo cleared.
+        Link-fault modes that leave every candidate list intact are where
+        the memo hits."""
+        for method, (n, seed, util) in (
+            ("greedy", (7, 9, 1.5)),
+            ("ilp", (5, 2, 1.0)),
+        ):
+            topology, workload = _system(n, seed, util)
+            generator = ModeTreeGenerator(
+                topology, workload, fmax=1, method=method, include_link_faults=True
             )
-        assert memo_builder.counters["place_memo_hits"] > 0
+            tree = generator.generate()
+            builder = generator.builder
+            for scenario, schedule in tree.schedules.items():
+                parent = tree.parents[scenario]
+                builder._place_cache.clear()
+                fresh = builder.build(
+                    failed_nodes=scenario.nodes,
+                    failed_links=scenario.links,
+                    parent=None if parent is None else tree.schedules[parent],
+                )
+                assert fresh == schedule, (method, scenario)
+            assert tree.stats.solver["place_memo_hits"] > 0, method

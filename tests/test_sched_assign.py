@@ -1,10 +1,17 @@
 """Tests for per-mode schedule construction (greedy + ILP paths)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.net.topology import chemical_plant_topology, fully_connected_topology
+from repro.net.topology import (
+    chemical_plant_topology,
+    erdos_renyi_topology,
+    fully_connected_topology,
+)
 from repro.sched.assign import InfeasibleSchedule, ModeSchedule, ScheduleBuilder
+from repro.sched.modegen import ModeTreeGenerator
 from repro.sched.task import chemical_plant_workload
+from repro.sched.workload import WorkloadGenerator
 
 
 @pytest.fixture
@@ -187,3 +194,47 @@ class TestScheduleAccessors:
             ScheduleBuilder(topo, workload, fconc=-1)
         with pytest.raises(ValueError):
             ScheduleBuilder(topo, workload, method="magic")
+
+
+class TestGreedyIncumbent:
+    """The ILP starts from the greedy placement, so a tripped node budget
+    can no longer drop a flow that greedy would have kept."""
+
+    def test_er7_ilp_tree_keeps_every_flow(self):
+        # Cold solves of modes {5} and {6} once exhausted the 1 M-node
+        # budget with no incumbent and dropped flow 2.
+        topology = erdos_renyi_topology(7, seed=0)
+        workload = WorkloadGenerator(seed=0, chain_length_range=(1, 2)).workload(
+            target_utilization=1.5
+        )
+        tree = ModeTreeGenerator(topology, workload, fmax=1, method="ilp").generate()
+        assert tree.num_modes == 8
+        for scenario, schedule in tree.schedules.items():
+            assert schedule.active_flows == {0, 1, 2}, scenario
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(
+        n=st.integers(min_value=5, max_value=8),
+        seed=st.integers(min_value=0, max_value=50),
+        util=st.sampled_from([1.0, 1.5, 2.0]),
+        victim=st.integers(min_value=0, max_value=7),
+    )
+    def test_ilp_places_whenever_greedy_does(self, n, seed, util, victim):
+        topology = erdos_renyi_topology(n, seed=seed)
+        workload = WorkloadGenerator(seed=seed, chain_length_range=(1, 2)).workload(
+            target_utilization=util
+        )
+        builder = ScheduleBuilder(topology, workload, method="ilp", ilp_node_budget=50)
+        parent = ScheduleBuilder(topology, workload).build()
+        failed = frozenset({topology.controllers[victim % n]})
+        graph = builder.surviving_graph(failed, frozenset())
+        available = [c for c in topology.controllers if c not in failed]
+        candidates = {
+            f.flow_id: builder._flow_component_nodes(f, graph, available)
+            for f in workload.normal_flows()
+        }
+        flows = [f for f in workload.normal_flows() if candidates[f.flow_id]]
+        for k in range(1, len(flows) + 1):
+            args = (flows[:k], available, parent, candidates)
+            if builder._place_greedy(*args) is not None:
+                assert builder._place_ilp(*args) is not None, k

@@ -24,13 +24,13 @@ from repro.sched.workload import WorkloadGenerator
 FMAX = 2
 
 
-def _generator(fmax, seed=9, n=6):
+def _generator(fmax, seed=9, n=6, workers=1):
     topology = erdos_renyi_topology(n, seed=seed)
     workload = WorkloadGenerator(seed=seed, chain_length_range=(1, 2)).workload(
         target_utilization=1.2
     )
     generator = ModeTreeGenerator(
-        topology, workload, fmax=fmax, fconc=1, method="greedy"
+        topology, workload, fmax=fmax, fconc=1, method="greedy", workers=workers
     )
     return topology, generator
 
@@ -43,21 +43,21 @@ def test_extend_for_identical_to_scratch():
     from repro.experiments.bench_modegen import _subtree_identical
 
     topology, generator = _generator(FMAX)
-    tree = generator.generate(workers=1)
+    tree = generator.generate()
     target = FailureScenario(
         nodes=frozenset(topology.controllers[: FMAX + 1]), links=frozenset()
     )
     assert target not in tree.schedules
-    serial_stats = generator.extend_for(tree, target, workers=1)
+    serial_stats = generator.extend_for(tree, target)
     assert serial_stats["added_modes"] > 0
     assert target in tree.schedules
 
-    _, gen2 = _generator(FMAX)
-    tree_parallel = gen2.generate(workers=1)
-    gen2.extend_for(tree_parallel, target, workers=2)
+    _, gen2 = _generator(FMAX, workers=2)
+    tree_parallel = gen2.generate()
+    gen2.extend_for(tree_parallel, target)
 
     _, scratch_gen = _generator(FMAX + 1)
-    scratch = scratch_gen.generate(workers=1)
+    scratch = scratch_gen.generate()
     assert _subtree_identical(tree, scratch, target)
     assert _subtree_identical(tree_parallel, scratch, target)
     assert tree.schedules == tree_parallel.schedules
@@ -67,13 +67,13 @@ def test_extend_for_identical_to_scratch():
 
 def test_extend_for_is_idempotent():
     topology, generator = _generator(FMAX)
-    tree = generator.generate(workers=1)
+    tree = generator.generate()
     target = FailureScenario(
         nodes=frozenset(topology.controllers[: FMAX + 1]), links=frozenset()
     )
-    generator.extend_for(tree, target, workers=1)
+    generator.extend_for(tree, target)
     before = (dict(tree.schedules), dict(tree.parents))
-    again = generator.extend_for(tree, target, workers=1)
+    again = generator.extend_for(tree, target)
     assert again["added_modes"] == 0
     assert (dict(tree.schedules), dict(tree.parents)) == before
 
