@@ -39,10 +39,8 @@ back to individual flooding while evidence is in flux.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
-
-import numpy as _np
 
 from repro.core.config import VARIANT_BASIC, VARIANT_MULTI, ReboundConfig
 from repro.core.evidence import (
@@ -61,7 +59,6 @@ from repro.core.heartbeat import (
     CoverageCalculator,
     HeartbeatRecord,
     HeartbeatStore,
-    bitset_words,
 )
 from repro.core.identity import NodeCrypto
 from repro.core.paths import Path, PathSet
@@ -185,7 +182,11 @@ class RoundOutput:
     The flood content (records/aggregates/evidence) is identical for every
     neighbor -- which is what makes the S3.5 bus-broadcast optimization
     possible; data packets are routed to their specific next hops (which may
-    be devices).
+    be devices).  So the output builds one frozen :class:`RoundMessage` per
+    distinct packet tuple and hands that same object to every recipient
+    with an equal tuple (in steady state, every neighbor): the wire codec
+    sizes it once per sender-round and serves the other recipients from its
+    identity-keyed memo.
     """
 
     round_no: int
@@ -194,20 +195,28 @@ class RoundOutput:
     evidence: Tuple[Any, ...]
     packets_by_next_hop: Dict[int, List[DataPacket]]
     controller_neighbors: List[int]
+    _messages: Dict[Tuple[int, Tuple[DataPacket, ...]], RoundMessage] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def message_for(self, sender: int, destinations: List[int]) -> RoundMessage:
-        """Compose one wire message covering ``destinations``."""
+        """The wire message covering ``destinations`` (shared by every
+        call with the same sender and an equal packet tuple)."""
         packets: List[DataPacket] = []
         for dest in destinations:
-            packets.extend(self.packets_by_next_hop.get(dest, []))
-        return RoundMessage(
-            sender=sender,
-            round_no=self.round_no,
-            records=self.records,
-            aggregates=self.aggregates,
-            evidence=self.evidence,
-            packets=tuple(packets),
-        )
+            packets.extend(self.packets_by_next_hop.get(dest, ()))
+        key = (sender, tuple(packets))
+        msg = self._messages.get(key)
+        if msg is None:
+            msg = self._messages[key] = RoundMessage(
+                sender=sender,
+                round_no=self.round_no,
+                records=self.records,
+                aggregates=self.aggregates,
+                evidence=self.evidence,
+                packets=key[1],
+            )
+        return msg
 
 
 @dataclass
@@ -215,7 +224,7 @@ class _AggregateState:
     """This node's in-progress aggregate for one origin round."""
 
     value: int
-    support: Set[int]
+    support: int  # signer set as a mask, bit i = node i
     grew: bool = True  # support grew this round (transmit trigger)
     broken: bool = False  # diverged from the DP; stop aggregating
 
@@ -261,12 +270,7 @@ class ForwardingLayer:
 
         self.evidence = EvidenceSet()
         self.last_evidence_change = -(10**9)
-        # Delivered/coverage sets are uint64 bit arrays keyed by controller
-        # bit position.
-        self._node_index: Dict[int, int] = {
-            nid: pos for pos, nid in enumerate(sorted(topology.controllers))
-        }
-        self._bit_words = bitset_words(len(self._node_index))
+        self._controllers = frozenset(topology.controllers)
         self.store = HeartbeatStore(
             window=self.window, expiry=config.expiry_optimization
         )
@@ -274,8 +278,8 @@ class ForwardingLayer:
         # MULTI aggregate state per origin round.
         self._aggregates: Dict[int, _AggregateState] = {}
         # Rule B bookkeeping: neighbor -> origin round -> delivered origins
-        # (a packed bit array).
-        self._delivered: Dict[int, Dict[int, Any]] = defaultdict(dict)
+        # (an int mask, bit i = node i, like CoverageCalculator.support_bits).
+        self._delivered: Dict[int, Dict[int, int]] = defaultdict(dict)
         self._got_message_from: Set[int] = set()
         # link -> round of the last LFD this layer issued for it.  Re-issue
         # is allowed after ``lfd_reissue_cooldown`` rounds so a genuine link
@@ -353,42 +357,25 @@ class ForwardingLayer:
             ]
             adjacency[c] = tuple(neigh)
         self._coverage = _coverage_for(adjacency, self.d_max)
-        self._coverage.ensure_bit_index(self._node_index)
 
-    def _mark_delivered(self, sender: int, round_no: int, origin: int) -> None:
-        """Record that ``sender`` relayed ``origin``'s round-``round_no``
-        heartbeat (individually)."""
-        pos = self._node_index.get(origin)
-        if pos is None:
-            return  # non-controller origin: never in any expected support
+    def _mark_delivered(self, sender: int, round_no: int, bits: int) -> None:
+        """Record that ``sender`` relayed the round-``round_no`` heartbeats
+        of every origin in the mask ``bits``."""
         bucket = self._delivered[sender]
-        bits = bucket.get(round_no)
-        if bits is None:
-            bits = _np.zeros(self._bit_words, dtype=_np.uint64)
-            bucket[round_no] = bits
-        bits[pos >> 6] |= _np.uint64(1) << _np.uint64(pos & 63)
+        bucket[round_no] = bucket.get(round_no, 0) | bits
 
-    def _mark_delivered_support(self, sender: int, round_no: int, age: int) -> None:
-        """Fold a verified aggregate's whole support set into the
-        delivered map (the hot O(n) union of Rule B bookkeeping)."""
-        assert self._coverage is not None
-        support_bits = self._coverage.support_bits(sender, age)
-        bucket = self._delivered[sender]
-        bits = bucket.get(round_no)
-        if bits is None:
-            bucket[round_no] = support_bits.copy()
-        else:
-            _np.bitwise_or(bits, support_bits, out=bits)
+    def _mark_record_delivered(self, sender: int, rec: HeartbeatRecord) -> None:
+        # Only controllers ever sit in an expected support; the guard also
+        # keeps a spot-check-skipped (unverified) origin id out of the mask.
+        if rec.origin in self._controllers:
+            self._mark_delivered(sender, rec.round_no, 1 << rec.origin)
 
     def _coverage_shortfall(self, j: int, r_origin: int) -> bool:
         """Rule B subset test: did neighbor ``j`` fail to deliver some
         origin it must have covered by age d_max?"""
         assert self._coverage is not None
-        expected_bits = self._coverage.support_bits(j, self.d_max)
-        bits = self._delivered[j].get(r_origin)
-        if bits is None:
-            return bool(_np.any(expected_bits))
-        return bool(_np.any(expected_bits & ~bits))
+        expected = self._coverage.support_bits(j, self.d_max)
+        return bool(expected & ~self._delivered[j].get(r_origin, 0))
 
     @property
     def fault_pattern(self) -> FailureScenario:
@@ -630,7 +617,7 @@ class ForwardingLayer:
                 continue  # expired or from the future; ignore (S3.5)
             existing = self.store.get(rec.origin, rec.round_no)
             if existing is not None and existing.delta_count == rec.delta_count:
-                self._mark_delivered(sender, rec.round_no, rec.origin)
+                self._mark_record_delivered(sender, rec)
                 continue
             if not self._charge_quota(sender, "records"):
                 continue
@@ -638,7 +625,7 @@ class ForwardingLayer:
                 ok = False
                 continue
             status, conflict = self.store.add(rec)
-            self._mark_delivered(sender, rec.round_no, rec.origin)
+            self._mark_record_delivered(sender, rec)
             if status == "conflict" and conflict is not None:
                 pom = EquivocationPoM(
                     accused=rec.origin,
@@ -764,14 +751,14 @@ class ForwardingLayer:
                 # can expose the conflicting signatures.
                 self._start_probe()
                 continue
-            self._mark_delivered_support(sender, agg.round_no, age)
+            support = self._coverage.support_bits(sender, age)
+            self._mark_delivered(sender, agg.round_no, support)
             state = self._aggregates.get(agg.round_no)
             if state is None or state.broken:
                 continue
             # Combine every verified aggregate: the DP multiset recurrence
             # adds every transmitting neighbor's aggregate, even when the
             # support set does not grow (multiplicities still change).
-            support = self._coverage.support(sender, age)
             new_support = state.support | support
             state.value = self.crypto.ms_combine(state.value, agg.sig_value)
             if new_support != state.support:
@@ -991,7 +978,7 @@ class ForwardingLayer:
         if self.config.variant == VARIANT_MULTI:
             self._aggregates[r] = _AggregateState(
                 value=int.from_bytes(own_sig, "big") if delta == 0 else 0,
-                support={self.node_id} if delta == 0 else set(),
+                support=1 << self.node_id if delta == 0 else 0,
                 grew=True,
                 broken=delta != 0,  # nonzero-delta bodies cannot join the aggregate
             )

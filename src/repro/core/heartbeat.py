@@ -30,31 +30,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
-
-import numpy as _np
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.evidence import heartbeat_body
 from repro.net.message import encode, register_message
 from repro.obs import recorder as _flight
 from repro.obs.events import EV_HEARTBEAT_STORED
-
-_ONE = _np.uint64(1)
-
-
-def bitset_words(n: int) -> int:
-    """uint64 words needed for an ``n``-bit set (at least one)."""
-    return max(1, (n + 63) >> 6)
-
-
-def pack_node_bits(nodes: Iterable[int], index: Mapping[int, int], words: int):
-    """Pack node ids into a uint64 bit array via their index positions."""
-    bits = _np.zeros(words, dtype=_np.uint64)
-    for node in nodes:
-        pos = index.get(node)
-        if pos is not None:
-            bits[pos >> 6] |= _ONE << _np.uint64(pos & 63)
-    return bits
 
 
 @register_message
@@ -108,6 +89,12 @@ class AggregateHeartbeat:
 class CoverageCalculator:
     """Deterministic aggregate-coverage multisets for one fault epoch.
 
+    Support sets are plain ``int`` masks with bit *i* set for node *i*
+    (:meth:`support_bits`), so Rule B and aggregate folding are integer
+    ``|`` / ``& ~`` instead of set algebra.  Keying bits by node id (not by
+    a per-system position) keeps the masks valid for every system that
+    shares this calculator through the process-wide cache.
+
     Args:
         adjacency: node -> iterable of live neighbors (the fault-adjusted
             connectivity among controllers).
@@ -117,46 +104,37 @@ class CoverageCalculator:
     def __init__(self, adjacency: Mapping[int, Iterable[int]], max_age: int):
         self._adj = {n: sorted(neigh) for n, neigh in adjacency.items()}
         self.max_age = max_age
-        # multiset[a][i] and support[a][i]; transmitted[a][i] -> bool.
+        # multiset[a][i] and support_bits[a][i]; transmitted[a][i] -> bool.
         self._multiset: List[Dict[int, Counter]] = []
-        self._support: List[Dict[int, FrozenSet[int]]] = []
+        self._support_bits: List[Dict[int, int]] = []
         self._transmitted: List[Dict[int, bool]] = []
-        # Lazily packed support bitsets, valid for one node index at a time
-        # (calculators are shared process-wide; different systems carry
-        # different indexes and simply repack on first use).
-        self._bit_index: Optional[Mapping[int, int]] = None
-        self._bit_words = 0
-        self._support_bits: List[Dict[int, Any]] = []
         self._compute()
 
     def _compute(self) -> None:
         nodes = sorted(self._adj)
-        m0 = {i: Counter({i: 1}) for i in nodes}
-        s0 = {i: frozenset({i}) for i in nodes}
-        t0 = {i: True for i in nodes}  # every node transmits its own at age 0
-        self._multiset.append(m0)
-        self._support.append(s0)
-        self._transmitted.append(t0)
+        self._multiset.append({i: Counter({i: 1}) for i in nodes})
+        self._support_bits.append({i: 1 << i for i in nodes})
+        # every node transmits its own at age 0
+        self._transmitted.append({i: True for i in nodes})
         for age in range(1, self.max_age + 1):
             prev_m = self._multiset[age - 1]
-            prev_s = self._support[age - 1]
+            prev_b = self._support_bits[age - 1]
             prev_t = self._transmitted[age - 1]
             m: Dict[int, Counter] = {}
-            s: Dict[int, FrozenSet[int]] = {}
+            b: Dict[int, int] = {}
             t: Dict[int, bool] = {}
             for i in nodes:
                 acc = Counter(prev_m[i])
-                sup = set(prev_s[i])
+                bits = prev_b[i]
                 for j in self._adj[i]:
                     if prev_t.get(j):
                         acc.update(prev_m[j])
-                        sup.update(prev_s[j])
+                        bits |= prev_b[j]
                 m[i] = acc
-                new_sup = frozenset(sup)
-                s[i] = new_sup
-                t[i] = new_sup > prev_s[i]
+                b[i] = bits
+                t[i] = bits != prev_b[i]  # supports only grow
             self._multiset.append(m)
-            self._support.append(s)
+            self._support_bits.append(b)
             self._transmitted.append(t)
 
     def has_node(self, node: int) -> bool:
@@ -167,37 +145,15 @@ class CoverageCalculator:
         age = min(age, self.max_age)
         return self._multiset[age][node]
 
+    def support_bits(self, node: int, age: int) -> int:
+        """Expected signer set of ``node``'s aggregate at ``age`` as an int
+        mask, bit *i* = node *i*."""
+        return self._support_bits[min(age, self.max_age)][node]
+
     def support(self, node: int, age: int) -> FrozenSet[int]:
         """Expected signer *set* of ``node``'s aggregate at ``age``."""
-        age = min(age, self.max_age)
-        return self._support[age][node]
-
-    def ensure_bit_index(self, index: Mapping[int, int]) -> None:
-        """Adopt ``index`` (node id -> bit position) for support bitsets,
-        discarding packs made under a different index."""
-        if self._bit_index is index:
-            return
-        if self._bit_index == index:
-            self._bit_index = index  # same mapping: keep packs, fast-path next call
-            return
-        self._bit_index = index
-        self._bit_words = bitset_words(len(index))
-        self._support_bits = [{} for _ in range(self.max_age + 1)]
-
-    def support_bits(self, node: int, age: int):
-        """``support(node, age)`` as a packed uint64 bit array (cached).
-
-        Requires a prior :meth:`ensure_bit_index`; the returned array is
-        shared -- callers must not mutate it in place."""
-        age = min(age, self.max_age)
-        cache = self._support_bits[age]
-        bits = cache.get(node)
-        if bits is None:
-            bits = pack_node_bits(
-                self._support[age][node], self._bit_index, self._bit_words
-            )
-            cache[node] = bits
-        return bits
+        bits = self.support_bits(node, age)
+        return frozenset(i for i in self._adj if bits >> i & 1)
 
     def transmitted(self, node: int, age: int) -> bool:
         """Whether a correct ``node`` transmits its aggregate at ``age``."""
@@ -210,13 +166,13 @@ class CoverageCalculator:
     def saturation_age(self, node: int) -> int:
         """First age at which ``node``'s support stops growing."""
         for age in range(1, self.max_age + 1):
-            if self._support[age][node] == self._support[age - 1][node]:
+            if not self._transmitted[age][node]:
                 return age - 1
         return self.max_age
 
     def full_support(self, node: int) -> FrozenSet[int]:
         """The eventual support: every node reachable from ``node``."""
-        return self._support[self.max_age][node]
+        return self.support(node, self.max_age)
 
 
 class HeartbeatStore:

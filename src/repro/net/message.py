@@ -15,9 +15,9 @@ subsystem relies on (signatures are computed over encodings).
 
 Encoding is also *memoized* for recursively-immutable values (tuples and
 frozen registered dataclasses whose fields are themselves immutable): a
-:class:`RoundMessage`'s shared record tuples are identical objects across
-all of a node's per-neighbor messages within a round, so they are encoded
-once and the bytes reused.  The memo is keyed by object *identity* and
+node hands one :class:`RoundMessage` object to every neighbor with an
+equal packet tuple in a round (and its record tuples to the rest), so it
+is encoded once and the bytes reused.  The memo is keyed by object *identity* and
 holds a strong reference to the key object, which makes it sound: the entry
 can only be hit while the exact object is alive, and an immutable object's
 encoding never changes.  (A value-keyed cache would be unsound here --

@@ -8,6 +8,7 @@ handling, aggregation state, and the transmission plan.
 from typing import Any, List
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ReboundConfig
 from repro.core.evidence import EvidenceVerifier, LFD, lfd_body
@@ -349,6 +350,113 @@ class TestRoundOutput:
         assert set(msg.packets) == {packet_a, packet_b}
         only_1 = output.message_for(0, [1])
         assert only_1.packets == (packet_a,)
+
+
+def _topology(nodes, edges):
+    from repro.net.topology import Topology
+
+    topo = Topology()
+    for n in nodes:
+        topo.add_node(n)
+    for a, b in edges:
+        topo.add_link(a, b)
+    return topo
+
+
+@st.composite
+def _connected_graphs(draw):
+    """(node ids, edges) of a random connected graph; the ids are sparse so
+    a bit position can never coincide with a node's rank by accident."""
+    nodes = draw(st.lists(st.integers(0, 63), min_size=2, max_size=9, unique=True))
+    edges = {
+        (nodes[k], nodes[draw(st.integers(0, k - 1))]) for k in range(1, len(nodes))
+    }
+    extra = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)),
+                          max_size=8))
+    edges |= {(a, b) for a, b in extra if a != b}
+    return nodes, sorted(edges)
+
+
+class TestCoverageMasks:
+    """Rule B's int masks against the set algebra they replace."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=_connected_graphs(), data=st.data())
+    def test_shortfall_is_set_difference(self, graph, data):
+        nodes, edges = graph
+        topo = _topology(nodes, edges)
+        layer = _make_layer(topo, nodes[0], Directory(rsa_bits=256, seed=5),
+                            d_max=3)
+        calc = layer._coverage
+        for node in nodes:
+            for age in range(calc.max_age + 1):
+                # The DP's support is the radius-``age`` ball (Rule B's
+                # one-hop-per-round propagation).
+                ball = {x for x in nodes if topo.shortest_path_length(node, x) <= age}
+                assert calc.support(node, age) == ball
+                assert calc.support_bits(node, age) == sum(1 << x for x in ball)
+        j = data.draw(st.sampled_from(nodes))
+        delivered = data.draw(st.sets(st.sampled_from(nodes)))
+        for origin in delivered:
+            rec = HeartbeatRecord(origin=origin, round_no=7, delta_count=0,
+                                  signature=b"")
+            layer._mark_record_delivered(j, rec)
+        expected = calc.support(j, layer.d_max)
+        assert layer._coverage_shortfall(j, 7) == bool(expected - delivered)
+        assert layer._coverage_shortfall(j, 8) == bool(expected)
+
+    @pytest.mark.parametrize("origin", [-1, 1 << 20])
+    def test_unverified_bus_record_origin_stays_out_of_the_mask(self, origin):
+        """A bus member outside the spot-check subset stores a record
+        unverified; its origin id is sender-controlled and must not reach
+        ``1 << origin``."""
+        bus = _topology(range(4), [])
+        bus.add_bus(range(4))
+        layer = _make_layer(bus, 0, Directory(rsa_bits=256, seed=5))
+        rec = next(
+            rec for rec in (
+                HeartbeatRecord(origin=origin, round_no=r, delta_count=0,
+                                signature=b"forged")
+                for r in range(1, 64)
+            )
+            if layer._spot_check_skip(1, rec)
+        )
+        layer.begin_round(rec.round_no + 1)
+        layer.receive(rec.round_no + 1, 1,
+                      _msg(sender=1, round_no=rec.round_no, records=[rec]))
+        assert layer.store.get(origin, rec.round_no) is rec
+        assert layer._delivered[1].get(rec.round_no, 0) == 0
+
+    def test_shared_calculator_keeps_each_systems_verdict(self):
+        """Two systems whose fault-adjusted graphs coincide share one
+        calculator; a node that is controller 4 of five in one and 4 of
+        four in the other must mean the same bit in both."""
+        from repro.core.evidence import EquivocationPoM, heartbeat_body
+
+        ring_dir = Directory(rsa_bits=256, seed=5)
+        ring5 = ring_topology(5)
+        for n in ring5.nodes:
+            ring_dir.register(n)
+        x = _make_layer(ring5, 0, ring_dir)
+        signer = ring_dir.crypto_for(3)
+        body_a, body_b = heartbeat_body(1, 0), heartbeat_body(1, 2)
+        x.submit_evidence(EquivocationPoM(
+            accused=3, body_a=body_a, sig_a=signer.sign(body_a),
+            body_b=body_b, sig_b=signer.sign(body_b),
+        ))
+        assert 3 in x.fault_pattern.nodes
+        r = 2
+        x.begin_round(r + 1)
+        x.receive(r + 1, 1, _msg(sender=1, round_no=r, records=[
+            _own_record(ring_dir, origin, r) for origin in (0, 1, 2, 4)
+        ]))
+        assert x._coverage.support(1, x.d_max) == {0, 1, 2, 4}
+        assert not x._coverage_shortfall(1, r)
+
+        other = _topology([0, 1, 2, 4], [(0, 1), (1, 2), (4, 0)])
+        y = _make_layer(other, 0, Directory(rsa_bits=256, seed=6))
+        assert y._coverage is x._coverage
+        assert not x._coverage_shortfall(1, r)
 
 
 class TestUnprotectedMode:
