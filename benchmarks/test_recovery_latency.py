@@ -4,14 +4,15 @@ Not a single paper figure, but the claim behind all of them: for every
 attack class, Tdet + Tstab + Tswitch stays within a bound that depends on
 the topology (D_max) and the audit latency -- never on what the adversary
 does.  This bench sweeps behaviours x topology sizes and reports the
-detection and recovery milestones in rounds; with the testbed's 40 ms
-rounds, the chemical-plant numbers land on the paper's ~200 ms.
+detection and recovery milestones in rounds, read from a flight-recorder
+trace by :func:`repro.obs.timeline.reconstruct` and counted from the round
+the fault is first active; with the testbed's 40 ms rounds, the
+chemical-plant numbers land on the paper's ~200 ms.
 """
 
 import pytest
 
 from conftest import scale
-from repro.analysis.recovery import measure_recovery
 from repro.core import ReboundConfig, ReboundSystem
 from repro.experiments.common import print_table
 from repro.faults.adversary import (
@@ -21,6 +22,8 @@ from repro.faults.adversary import (
     SilenceBehavior,
 )
 from repro.net.topology import erdos_renyi_topology
+from repro.obs.recorder import FlightRecorder
+from repro.obs.timeline import reconstruct
 from repro.sched.workload import WorkloadGenerator
 
 SIZES = scale((8, 14), (8, 14, 24))
@@ -38,22 +41,26 @@ def _measure(n: int, behavior_name: str, factory) -> dict:
         target_utilization=n * 0.25
     )
     config = ReboundConfig(fmax=2, fconc=1, variant="multi", rsa_bits=256)
-    system = ReboundSystem(topology, workload, config, seed=2)
-    system.run(12)
-    victim = max(
-        system.topology.controllers,
-        key=lambda c: len(system.nodes[c].auditing.primaries),
-    )
-    timeline = measure_recovery(
-        system, lambda: system.inject_now(victim, factory()), max_rounds=25
-    )
+    with FlightRecorder().recording() as recorder:
+        system = ReboundSystem(topology, workload, config, seed=2)
+        system.run(12)
+        victim = max(
+            system.topology.controllers,
+            key=lambda c: len(system.nodes[c].auditing.primaries),
+        )
+        system.inject_now(victim, factory())
+        system.run(25)
+    assert recorder.dropped == 0, "trace window lost the initial modes"
+    timeline = reconstruct(recorder.events())
+    fault_round = timeline.truth.first_round
+    detection = timeline.detection_round
     return {
         "n": n,
         "behavior": behavior_name,
         "d_max": config.d_max,
-        "detect_rounds": timeline.detection_rounds,
+        "detect_rounds": None if detection is None else detection - fault_round,
         "recover_rounds": timeline.recovery_rounds,
-        "recovered": timeline.recovered,
+        "recovered": timeline.convergence_round is not None,
     }
 
 

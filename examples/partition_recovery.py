@@ -11,13 +11,9 @@ This example builds a barbell topology (two controller clusters joined by
 two bridge links), cuts both bridges, and shows each side settling into a
 mode that keeps the flows whose sensors and actuators it can still reach.
 
-It also contrasts REBOUND's f+1 replication with the PBFT baseline, which
-simply stalls when a partition denies it a 2f+1 quorum.
-
 Run:  python examples/partition_recovery.py
 """
 
-from repro.bft.pbft import PBFTCluster
 from repro.core import ReboundConfig, ReboundSystem
 from repro.net.topology import ROLE_ACTUATOR, ROLE_SENSOR, Topology
 from repro.sched.task import CRITICALITY_HIGH, CRITICALITY_MEDIUM, MS, Flow, Task, Workload
@@ -95,17 +91,6 @@ def main() -> None:
           f"{sorted(system.workload.flows[f].name for f in east_active)}")
     print("  -> each partition keeps serving what it can reach; neither "
           "blocks waiting for the other.")
-
-    print("\nThe PBFT baseline under the same stress (f=1, so n=4, "
-          "quorum 3): partition 2+2 and it stalls:")
-    cluster = PBFTCluster(f=1, view_change_timeout=3)
-    cluster.crash(2)
-    cluster.crash(3)  # a 2-replica "partition" has no 2f+1 quorum
-    rid = cluster.submit(b"west-command")
-    cluster.run(20)
-    print(f"   request executed by the surviving pair: "
-          f"{cluster.all_executed(rid)} (masking needs the quorum REBOUND "
-          f"deliberately does without)")
 
 
 if __name__ == "__main__":

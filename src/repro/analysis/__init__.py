@@ -1,11 +1,12 @@
-"""Measurement utilities: cost accounting and recovery timing."""
+"""Measurement utilities: cost accounting.
+
+Recovery timing is read from a flight-recorder trace by
+:func:`repro.obs.timeline.reconstruct`.
+"""
 
 from repro.analysis.metrics import CostSnapshot, MetricsCollector
-from repro.analysis.recovery import RecoveryTimeline, measure_recovery
 
 __all__ = [
     "CostSnapshot",
     "MetricsCollector",
-    "RecoveryTimeline",
-    "measure_recovery",
 ]

@@ -1,18 +1,13 @@
-"""Byzantine fault tolerance baselines (paper S5.6, Fig. 9).
+"""Byzantine fault tolerance baselines (paper S5.6, Fig. 9): an analytic
+cost model only.
 
-Two artifacts:
-
-* :mod:`repro.bft.pbft` -- an executable, simplified PBFT (pre-prepare /
-  prepare / commit with view changes) over the round-synchronous network,
-  used to demonstrate the masking alternative REBOUND is compared against.
-* :mod:`repro.bft.replication` -- the *scheduling* cost models used by the
-  Fig. 9 comparison: a BFT-protected task needs 3f+1 executing copies
-  (asynchronous PBFT) or 2f+1 (synchronous BFT), against REBOUND's f+1;
-  workloads are packed onto a node set under EDF capacity and the useful
-  (replica-free) utilization is measured.
+:mod:`repro.bft.replication` holds the *scheduling* cost models used by
+the Fig. 9 comparison: a BFT-protected task needs 3f+1 executing copies
+(asynchronous PBFT) or 2f+1 (synchronous BFT), against REBOUND's f+1;
+workloads are packed onto a node set under EDF capacity and the useful
+(replica-free) utilization is measured.
 """
 
-from repro.bft.pbft import PBFTCluster, PBFTReplica
 from repro.bft.replication import (
     ReplicationSchedulingModel,
     pbft_model,
@@ -21,8 +16,6 @@ from repro.bft.replication import (
 )
 
 __all__ = [
-    "PBFTCluster",
-    "PBFTReplica",
     "ReplicationSchedulingModel",
     "pbft_model",
     "sync_bft_model",

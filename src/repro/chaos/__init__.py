@@ -50,7 +50,6 @@ from repro.chaos.campaign import (
     PLANS,
     PRESETS,
     CampaignCell,
-    known_issue_tag,
     noop_transcript_check,
     run_campaign,
     run_cell,
@@ -86,7 +85,6 @@ __all__ = [
     "PLANS",
     "PRESETS",
     "CampaignCell",
-    "known_issue_tag",
     "noop_transcript_check",
     "run_campaign",
     "run_cell",

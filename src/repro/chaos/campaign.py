@@ -110,7 +110,8 @@ class BehaviorSpec:
     #: the cell runs with persistence on (a tempdir durable store per run).
     durability: bool = False
     #: the behavior corrupts the durable log; passing requires the restore
-    #: path to report at least one tamper detection.
+    #: path to report at least one tamper detection (and, without this
+    #: flag, a durability cell fails on any detection).
     expect_tamper: bool = False
     #: scripted churn arc: ``seed -> [(round_no, fn(system, victim)), ...]``.
     #: Arc cells run with stabilization + online tree refresh enabled on the
@@ -557,14 +558,6 @@ PRESETS: Dict[str, Callable[[], List[CampaignCell]]] = {
 }
 
 
-def known_issue_tag(cell: CampaignCell) -> Optional[str]:
-    """Configurations held open by the suite (strict-xfail pins) are
-    tagged, not failed, so the campaign stays green while they are open.
-    Currently empty: the equivocation accuracy gap that used to live here
-    is fixed and pinned green by ``tests/test_regression_equivocation.py``."""
-    return None
-
-
 # -- execution -----------------------------------------------------------------
 
 
@@ -687,7 +680,7 @@ def run_cell(cell: CampaignCell, workers: Optional[int] = None) -> Dict[str, Any
     result["detection_round"] = monitor.detection_round
     result["recovery_round"] = monitor.recovery_round
     if spec.durability:
-        detections = getattr(system, "durability_tamper_detections", [])
+        detections = system.durability_tamper_detections
         result["tamper_detections"] = len(detections)
         result["tamper_reasons"] = [d["reason"] for d in detections]
     stats = getattr(system.network, "chaos_stats", None)
@@ -700,15 +693,11 @@ def run_cell(cell: CampaignCell, workers: Optional[int] = None) -> Dict[str, Any
     else:
         result["rounds_to_recovery"] = None
 
-    tag = known_issue_tag(cell)
     hard_accuracy = [
         v for v in monitor.violations
         if v.kind == "accuracy" and v.repro.get("layer") == "evidence"
     ]
-    if monitor.violations and tag is not None:
-        result["outcome"] = "tagged"
-        result["tag"] = tag
-    elif in_budget:
+    if in_budget:
         result["outcome"] = "fail" if monitor.violations else "pass"
     else:
         ok = system.budget_exceeded and not hard_accuracy
@@ -717,13 +706,17 @@ def run_cell(cell: CampaignCell, workers: Optional[int] = None) -> Dict[str, Any
             result["fail_reason"] = "budget_exceeded not reported"
         elif hard_accuracy:
             result["fail_reason"] = "verifiable evidence condemned a correct node"
-    if spec.expect_tamper and result["outcome"] == "pass":
+    if spec.durability and result["outcome"] == "pass":
         # A tamper cell only passes when the restore path actually caught
         # the corruption; a clean rejoin over a forged log is the failure
-        # this cell exists to rule out.
-        if result.get("tamper_detections", 0) < 1:
+        # this cell exists to rule out.  A clean restart must restore
+        # without one: a detection there is a false alarm.
+        if spec.expect_tamper and not result["tamper_detections"]:
             result["outcome"] = "fail"
             result["fail_reason"] = "log tamper not detected on restore"
+        elif not spec.expect_tamper and result["tamper_detections"]:
+            result["outcome"] = "fail"
+            result["fail_reason"] = "tamper detected on a clean restart"
     if spec.arc is not None:
         from repro.stabilize.auditor import convergence_bound
 
@@ -920,7 +913,7 @@ def run_campaign(
         if outcome["outcome"] in ("fail", "crash") and shrink:
             outcome["shrunk"] = shrink_cell(cell, workers=workers)
             failures.append(outcome["shrunk"])
-    matrix = {"pass": 0, "fail": 0, "tagged": 0, "crash": 0}
+    matrix = {"pass": 0, "fail": 0, "crash": 0}
     census: Dict[str, int] = {}
     recovery_rounds: List[int] = []
     for outcome in results:

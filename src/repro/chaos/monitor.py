@@ -36,8 +36,8 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.obs import recorder as _flight
 
 #: trailing-window size embedded in violation repro dicts.  Bounded so a
-#: campaign's BENCH report stays small even when every equivocate cell
-#: carries its (tagged) violations.
+#: campaign's BENCH report stays small even when many cells carry
+#: violations.
 TRACE_TAIL_EVENTS = 96
 
 

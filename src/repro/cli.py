@@ -14,11 +14,9 @@ Usage::
     python -m repro bench-modegen [--workers 2] [--quick] [--out BENCH_modegen.json]
     python -m repro bench-scale [--smoke] [--workers 4] [--out BENCH_scale.json]
     python -m repro chaos [--preset smoke|full|storm|restart|churn] [--seeds 0,1] [--workers 2] [--out BENCH_chaos.json]
-    python -m repro bench-durability [--rounds 24] [--out BENCH_durability.json]
     python -m repro trace [--preset smoke|equivocation-gap] [--rounds 30]
     python -m repro trace --validate TRACE_smoke.jsonl
     python -m repro top [--preset smoke] [--rounds 30] [--once]
-    python -m repro bench-diff --baseline old.json [--current BENCH_scale.json] [--strict]
 
 Each command prints the regenerated rows and the paper's qualitative shape
 checks.  The same drivers back the pytest benchmarks.
@@ -158,14 +156,6 @@ def cmd_bench_scale(args) -> int:
     return 0 if result["identity"]["all_identical"] else 1
 
 
-def cmd_bench_durability(args) -> int:
-    from repro.experiments import bench_durability
-
-    result = bench_durability.main(output_path=args.out, rounds=args.rounds)
-    ok = result["transcripts_identical"] and result["restore"]["ok"]
-    return 0 if ok else 1
-
-
 def cmd_chaos(args) -> int:
     from repro.chaos import run_campaign
 
@@ -188,7 +178,7 @@ def cmd_chaos(args) -> int:
     print(
         f"chaos[{args.preset}]: {report['cell_count']} cells -- "
         f"{matrix.get('pass', 0)} pass, {matrix.get('fail', 0)} fail, "
-        f"{matrix.get('tagged', 0)} tagged, {matrix.get('crash', 0)} crash "
+        f"{matrix.get('crash', 0)} crash "
         f"({report['elapsed_s']:.1f}s)"
     )
     print(f"violation census: {report['violation_census'] or 'none'}")
@@ -236,17 +226,6 @@ def cmd_top(args) -> int:
         seed=args.seed,
         once=args.once,
         interval=args.interval,
-    )
-
-
-def cmd_bench_diff(args) -> int:
-    from repro.experiments import bench_diff
-
-    return bench_diff.main(
-        current_path=args.current,
-        baseline_path=args.baseline,
-        threshold=args.threshold,
-        strict=args.strict,
     )
 
 
@@ -353,16 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     benchs.add_argument("--out", default="BENCH_scale.json")
     benchs.set_defaults(func=cmd_bench_scale)
 
-    benchd = sub.add_parser(
-        "bench-durability",
-        help="durability-layer benchmark: persistence overhead (chained "
-        "log + snapshots vs off), transcript identity, and verified "
-        "restore timing (writes BENCH_durability.json)",
-    )
-    benchd.add_argument("--rounds", type=int, default=24)
-    benchd.add_argument("--out", default="BENCH_durability.json")
-    benchd.set_defaults(func=cmd_bench_durability)
-
     chaos = sub.add_parser(
         "chaos",
         help="chaos campaign: adversaries x impairment plans x topologies "
@@ -421,24 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds to sleep between frames on a TTY",
     )
     top.set_defaults(func=cmd_top)
-
-    bdiff = sub.add_parser(
-        "bench-diff",
-        help="compare a BENCH_*.json against a committed baseline: flags "
-        "wall-clock regressions beyond a ratio threshold, skips itself "
-        "when the env blocks are not comparable (different cpu_count)",
-    )
-    bdiff.add_argument("--current", default="BENCH_scale.json",
-                       help="candidate BENCH json (default BENCH_scale.json)")
-    bdiff.add_argument("--baseline", required=True,
-                       help="baseline BENCH json to compare against")
-    bdiff.add_argument("--threshold", type=float, default=1.5,
-                       help="flag ratios beyond this factor (default 1.5)")
-    bdiff.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero on regressions (default warn-only)",
-    )
-    bdiff.set_defaults(func=cmd_bench_diff)
 
     trace = sub.add_parser(
         "trace",

@@ -37,9 +37,8 @@ QUICK_CELLS: List[Dict[str, Any]] = [
 
 #: Online-refresh sweep: base tree at ``fmax``, one observed pattern with
 #: ``fmax + extra`` node faults, extended via ``extend_for`` (serial and
-#: parallel) vs a from-scratch generation at ``fmax + extra``.  The key
-#: ``nodes`` (not ``n``) keeps bench-diff's by-``n`` list matcher off this
-#: sweep -- two cells share a node count.
+#: parallel) vs a from-scratch generation at ``fmax + extra``.  ``nodes``
+#: is the node count; two cells share one, so ``name`` identifies a cell.
 REFRESH_CELLS: List[Dict[str, Any]] = [
     {"name": "refresh_n8_f2_x1", "nodes": 8, "fmax": 2, "extra": 1, "util": 1.5},
     {"name": "refresh_n8_f2_x2", "nodes": 8, "fmax": 2, "extra": 2, "util": 1.5},

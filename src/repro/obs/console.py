@@ -224,7 +224,7 @@ class CampaignLiveSink:
     """A ``chaos --live`` progress sink: one tally line per finished cell.
 
     Plugged into ``run_campaign(on_result=...)``; keeps a running
-    pass/fail/tagged/crash matrix and surfaces each cell's recovery
+    pass/fail/crash matrix and surfaces each cell's recovery
     rounds as it lands, so a long campaign is watchable instead of
     silent-until-JSON.
     """

@@ -1,22 +1,36 @@
-"""Tests for metrics collection and recovery measurement."""
+"""Tests for metrics collection and recovery measurement.
+
+Recovery is read from a flight-recorder trace with
+:func:`repro.obs.timeline.reconstruct`, as ``python -m repro trace`` does.
+"""
 
 import pytest
 
 from repro.analysis.metrics import MetricsCollector
-from repro.analysis.recovery import RecoveryTimeline, measure_recovery
 from repro.core import ReboundConfig, ReboundSystem
 from repro.crypto.cost_model import CryptoCostModel
 from repro.faults.adversary import CrashBehavior
 from repro.net.topology import chemical_plant_topology
+from repro.obs.recorder import FlightRecorder
+from repro.obs.timeline import (
+    FaultGroundTruth,
+    NodeRecovery,
+    RecoveryDecomposition,
+    reconstruct,
+)
 from repro.sched.task import chemical_plant_workload
 
 
-@pytest.fixture
-def system():
+def _plant_system() -> ReboundSystem:
     topo = chemical_plant_topology()
     wl = chemical_plant_workload()
     cfg = ReboundConfig(fmax=2, fconc=1, variant="multi", rsa_bits=256)
     return ReboundSystem(topo, wl, cfg, seed=1)
+
+
+@pytest.fixture
+def system():
+    return _plant_system()
 
 
 class TestMetricsCollector:
@@ -55,25 +69,43 @@ class TestMetricsCollector:
 
 
 class TestRecoveryMeasurement:
-    def test_crash_timeline(self, system):
-        system.run(10)
-        victim = system.topology.node_by_name("N4")
-        timeline = measure_recovery(
-            system, lambda: system.inject_now(victim, CrashBehavior())
-        )
-        assert timeline.recovered
-        assert timeline.detection_rounds is not None
-        assert timeline.detection_rounds <= 3
+    def test_crash_timeline(self):
+        # Record from construction: the initial modes tell the timeline
+        # which nodes were already clean when the fault hit.
+        with FlightRecorder().recording() as recorder:
+            system = _plant_system()
+            system.run(10)
+            victim = system.topology.node_by_name("N4")
+            system.inject_now(victim, CrashBehavior())
+            system.run(30)
+        assert recorder.dropped == 0
+        timeline = reconstruct(recorder.events())
+        assert timeline.truth.nodes == {victim: 11}  # first active round
+        assert timeline.convergence_round is not None
+        assert timeline.detection_round is not None
+        assert timeline.detection_round - 11 <= 3
         assert timeline.recovery_rounds <= 8
-        assert timeline.detection_round <= timeline.recovery_round
+        assert timeline.detection_round <= timeline.convergence_round
 
     def test_recovery_time_units(self):
-        timeline = RecoveryTimeline(fault_round=10, recovery_round=15)
+        timeline = RecoveryDecomposition(
+            truth=FaultGroundTruth(nodes={4: 10}),
+            per_node={},
+            detection_round=11,
+            convergence_round=15,
+        )
+        # Counted from the fault's activation: 5 x 40 ms rounds = 200 ms.
         assert timeline.recovery_rounds == 5
-        assert timeline.recovery_time_us(40_000) == 200_000  # 5 x 40 ms
 
     def test_unrecovered_timeline(self):
-        timeline = RecoveryTimeline(fault_round=10)
-        assert not timeline.recovered
+        node = NodeRecovery(node=0, fault_round=10, detection_round=11)
+        assert not node.recovered
+        assert node.total_rounds is None
+        timeline = RecoveryDecomposition(
+            truth=FaultGroundTruth(nodes={4: 10}),
+            per_node={0: node},
+            detection_round=11,
+            convergence_round=None,
+        )
         assert timeline.recovery_rounds is None
-        assert timeline.recovery_time_us(40_000) is None
+        assert timeline.max_node_total() is None

@@ -1,8 +1,7 @@
-"""Tests for the PBFT baseline and the replication scheduling models."""
+"""Tests for the Fig. 9 replication scheduling models."""
 
 import pytest
 
-from repro.bft.pbft import PBFTCluster
 from repro.bft.replication import (
     pbft_model,
     rebound_model,
@@ -10,67 +9,6 @@ from repro.bft.replication import (
     useful_utilization,
 )
 from repro.sched.workload import WorkloadGenerator
-
-
-class TestPBFTNormalCase:
-    def test_single_request_executes_everywhere(self):
-        cluster = PBFTCluster(f=1)
-        rid = cluster.submit(b"open-valve")
-        cluster.run(6)
-        assert cluster.all_executed(rid)
-        assert cluster.executed_logs_consistent()
-
-    def test_requests_execute_in_order(self):
-        cluster = PBFTCluster(f=1)
-        ids = [cluster.submit(bytes([i])) for i in range(5)]
-        cluster.run(10)
-        for replica in cluster.correct_replicas():
-            executed_ids = [rid for rid, _ in replica.executed]
-            assert executed_ids == ids
-
-    def test_f2_cluster(self):
-        cluster = PBFTCluster(f=2)
-        assert cluster.n == 7
-        rid = cluster.submit(b"x")
-        cluster.run(6)
-        assert cluster.all_executed(rid)
-
-
-class TestPBFTFaults:
-    def test_backup_crash_tolerated(self):
-        cluster = PBFTCluster(f=1)
-        cluster.crash(2)  # a backup
-        rid = cluster.submit(b"y")
-        cluster.run(6)
-        assert cluster.all_executed(rid)
-        assert cluster.executed_logs_consistent()
-
-    def test_leader_crash_triggers_view_change(self):
-        cluster = PBFTCluster(f=1, view_change_timeout=3)
-        cluster.crash(0)  # view 0 leader
-        rid = cluster.submit(b"z")
-        cluster.run(25)
-        assert cluster.all_executed(rid), "liveness after view change"
-        views = {r.view for r in cluster.correct_replicas()}
-        assert max(views) >= 1
-
-    def test_silent_byzantine_backup_safe(self):
-        cluster = PBFTCluster(f=1)
-        cluster.make_byzantine_silent(3)
-        rid = cluster.submit(b"w")
-        cluster.run(8)
-        assert cluster.all_executed(rid)
-        assert cluster.executed_logs_consistent()
-
-    def test_two_faults_with_f1_stall(self):
-        """Beyond the fault threshold, progress (correctly) stops."""
-        cluster = PBFTCluster(f=1, view_change_timeout=3)
-        cluster.crash(1)
-        cluster.crash(2)
-        rid = cluster.submit(b"v")
-        cluster.run(20)
-        # With only 2 of 4 replicas alive there is no 2f+1 = 3 quorum.
-        assert not cluster.all_executed(rid)
 
 
 class TestReplicationModels:
@@ -103,35 +41,3 @@ class TestReplicationModels:
     def test_infeasible_when_copies_exceed_nodes(self):
         wl = WorkloadGenerator(seed=1).workload(target_utilization=2.0)
         assert useful_utilization(wl, n_nodes=3, f=1, model=pbft_model()) == 0.0
-
-
-class TestPBFTEquivocatingLeader:
-    def test_safety_under_equivocation(self):
-        """An equivocating leader must never cause two correct replicas to
-        execute different requests at the same sequence number: backups
-        that received a conflicting pre-prepare cannot assemble a 2f+1
-        prepare quorum for either value."""
-        cluster = PBFTCluster(f=1, view_change_timeout=4)
-        cluster.make_byzantine_equivocating_leader(0)
-        cluster.submit(b"cmd-a")
-        cluster.submit(b"cmd-b")
-        cluster.run(20)
-        assert cluster.executed_logs_consistent()
-        # Stronger: per-sequence agreement across correct replicas.
-        by_sequence = {}
-        for replica in cluster.correct_replicas():
-            for seq, (rid, payload) in enumerate(replica.executed):
-                by_sequence.setdefault(seq, set()).add((rid, payload))
-        for seq, values in by_sequence.items():
-            assert len(values) == 1, f"sequence {seq} diverged: {values}"
-
-    def test_liveness_restored_by_view_change(self):
-        """Starved backups vote out the equivocating leader and the next
-        view makes progress."""
-        cluster = PBFTCluster(f=1, view_change_timeout=3)
-        cluster.make_byzantine_equivocating_leader(0)
-        rid = cluster.submit(b"survive")
-        cluster.run(30)
-        views = {r.view for r in cluster.correct_replicas()}
-        assert max(views) >= 1, "no view change happened"
-        assert cluster.all_executed(rid), "request lost after view change"

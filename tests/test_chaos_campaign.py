@@ -10,11 +10,11 @@ from repro.chaos import (
     PLANS,
     CampaignCell,
     ImpairmentPlan,
-    known_issue_tag,
     run_campaign,
     run_cell,
     shrink_cell,
 )
+from repro.core.runtime import ReboundSystem
 
 
 class TestMatrix:
@@ -44,6 +44,12 @@ class TestMatrix:
         for cells in (smoke, storm, restart, churn):
             ids = [c.cell_id for c in cells]
             assert len(ids) == len(set(ids))
+        # One restart cell per log-tamper mode, two seeds of >fmax drift.
+        tamper = [c for c in restart if BEHAVIORS[c.behavior].expect_tamper]
+        assert sorted(c.behavior for c in tamper) == [
+            "tamper-bitflip", "tamper-splice", "tamper-truncate"
+        ]
+        assert [c.seed for c in churn if c.behavior == "drift-overflow"] == [0, 1]
 
     def test_storm_preset_targets_the_evidence_layer(self):
         cells = campaign.storm_cells()
@@ -64,10 +70,11 @@ class TestMatrix:
         assert any(c.plan not in oob for c in cells)
 
     def test_no_known_issues_remain_open(self):
-        """The equivocation gap is fixed; no cell is tagged any more."""
+        """The equivocation gap is fixed: its cells run in smoke and storm
+        with the detection deadline armed, judged like any other cell."""
+        assert BEHAVIORS["equivocate"].observable
         for cells in (campaign.smoke_cells(), campaign.storm_cells()):
-            for cell in cells:
-                assert known_issue_tag(cell) is None
+            assert any(c.behavior == "equivocate" for c in cells)
 
 
 class TestCells:
@@ -103,6 +110,31 @@ class TestCells:
         result = run_cell(CampaignCell("er6", "equivocate", "dup", 0))
         assert result["outcome"] == "pass"
         assert result["violations"] == []
+
+    def test_tamper_detection_fails_a_clean_restart(self, monkeypatch):
+        """A tamper detection on a restart whose log nobody touched is a
+        false alarm, and the cell fails on it."""
+        restart = ReboundSystem.restart_from_durable
+
+        def restart_with_false_alarm(system, node_id):
+            result = restart(system, node_id)
+            system.durability_tamper_detections.append({
+                "node": node_id, "round": system.round_no,
+                "reason": "stub", "refused_records": 0,
+            })
+            return result
+
+        monkeypatch.setattr(
+            ReboundSystem, "restart_from_durable", restart_with_false_alarm
+        )
+        cell = next(
+            c for c in campaign.restart_cells()
+            if c.cell_id == "er6/crash-restart/none/s0/multi"
+        )
+        result = run_cell(cell)
+        assert result["tamper_detections"] == 1
+        assert result["outcome"] == "fail"
+        assert result["fail_reason"] == "tamper detected on a clean restart"
 
 
 class TestShrinker:
@@ -159,7 +191,8 @@ class TestReport:
         on_disk = json.loads(out.read_text())
         assert on_disk["benchmark"] == "chaos"
         assert on_disk["cell_count"] == 3
-        assert set(on_disk["matrix"]) >= {"pass", "fail", "tagged", "crash"}
+        assert set(on_disk["matrix"]) == {"pass", "fail", "crash"}
+        assert on_disk["env"]["cpu_count"]
         assert "violation_census" in on_disk
         assert "recovery_rounds" in on_disk
         assert on_disk["noop_transcript_identical"] is True

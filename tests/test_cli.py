@@ -112,71 +112,15 @@ class TestTraceValidate:
 
 class TestTopCommand:
     def test_top_once_renders_headless(self, capsys):
-        assert main(["top", "--rounds", "8", "--once"]) == 0
+        # The smoke preset crashes a node at round 10 and recovers by 16.
+        assert main(["top", "--rounds", "20", "--once"]) == 0
         out = capsys.readouterr().out
         assert "rebound top [smoke]" in out
-        assert "round 8/8" in out
-        assert "nodes:" in out
+        assert "round 20/20" in out
+        assert "btr:" in out and "nodes:" in out
+        assert "recovered" in out
         assert "\x1b[" not in out  # headless frame carries no ANSI codes
 
     def test_top_rejects_unknown_preset(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["top", "--preset", "nope"])
-
-
-class TestBenchDiffCommand:
-    def _write(self, path, run_s, cpu=1):
-        import json
-
-        path.write_text(json.dumps({
-            "benchmark": "scale",
-            "env": {"cpu_count": cpu, "platform": "linux",
-                    "implementation": "CPython"},
-            "sweeps": [{"n": 200, "sharded_run_s": run_s}],
-        }))
-
-    def test_regression_warns_by_default_gates_with_strict(
-        self, tmp_path, capsys
-    ):
-        base, cur = tmp_path / "base.json", tmp_path / "cur.json"
-        self._write(base, 1.0)
-        self._write(cur, 2.0)
-        assert main(["bench-diff", "--baseline", str(base),
-                     "--current", str(cur)]) == 0
-        out = capsys.readouterr().out
-        assert "SLOWER" in out and "1 regression" in out
-        assert main(["bench-diff", "--baseline", str(base),
-                     "--current", str(cur), "--strict"]) == 1
-
-    def test_skips_on_cpu_count_mismatch(self, tmp_path, capsys):
-        base, cur = tmp_path / "base.json", tmp_path / "cur.json"
-        self._write(base, 1.0, cpu=8)
-        self._write(cur, 50.0, cpu=1)
-        assert main(["bench-diff", "--baseline", str(base),
-                     "--current", str(cur), "--strict"]) == 0
-        assert "SKIPPED" in capsys.readouterr().out
-
-    def test_one_sided_keys_are_reported_not_raised(self, tmp_path, capsys):
-        import json
-
-        base, cur = tmp_path / "base.json", tmp_path / "cur.json"
-        self._write(base, 1.0)
-        self._write(cur, 1.0)
-        doc = json.loads(base.read_text())
-        doc["sweeps"][0]["legacy_run_s"] = 3.0
-        base.write_text(json.dumps(doc))
-        doc = json.loads(cur.read_text())
-        doc["sweeps"][0]["sharded_rec_run_s"] = 2.0
-        cur.write_text(json.dumps(doc))
-        assert main(["bench-diff", "--baseline", str(base),
-                     "--current", str(cur), "--strict"]) == 0
-        out = capsys.readouterr().out
-        assert "sweeps[n=200].legacy_run_s: removed" in out
-        assert "sweeps[n=200].sharded_rec_run_s: added" in out
-
-    def test_within_threshold_passes_strict(self, tmp_path):
-        base, cur = tmp_path / "base.json", tmp_path / "cur.json"
-        self._write(base, 1.0)
-        self._write(cur, 1.3)
-        assert main(["bench-diff", "--baseline", str(base),
-                     "--current", str(cur), "--strict"]) == 0

@@ -13,7 +13,6 @@ from repro.experiments import (
     fig7_scheduling,
     fig8_casestudy,
     fig9_pbft,
-    fig10_xc90,
     fig11_testbed,
     timescales,
 )
@@ -118,9 +117,9 @@ class TestFig9:
 
 
 class TestFig10:
-    @pytest.fixture(scope="class")
-    def results(self):
-        return fig10_xc90.run_all(duration_s=1.2)
+    @pytest.fixture
+    def results(self, fig10_results):
+        return fig10_results
 
     def test_protected_scenario(self, results):
         protected = results["attack_rebound"]

@@ -298,7 +298,7 @@ class TestEngineIPC:
                 assert prof[f"{stage}_s"] >= 0.0
             ipc = stats["engine_ipc"]
             assert ipc["rounds"] == 3
-            assert ipc["delivery_bytes"] > 0
+            assert 0 < ipc["delivery_bytes"] <= ipc["delivery_raw_bytes"]
             assert ipc["intent_bytes"] > 0
             assert ipc["frames_shipped"] > 0
             assert stats["frame_cache"]["hits"] + stats["frame_cache"]["misses"] > 0

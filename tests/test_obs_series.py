@@ -127,6 +127,28 @@ class TestSampling:
 
         assert run(False) == run(True)
 
+    def test_openmetrics_from_a_monitored_run(self):
+        """A real run's export: every sample line is a ``rebound_*`` gauge
+        with a float value, the gauges cover the BTR monitor phase, and the
+        text is EOF-terminated."""
+        system = self._system()
+        system.attach_monitor(BTRMonitor(record_only=True))
+        series = MetricsTimeSeries()
+        system.attach_series(series)
+        system.run(6)
+        text = series.to_openmetrics()
+        assert text.endswith("# EOF\n")
+        samples = 0
+        for line in text.splitlines():
+            if line.startswith("#"):
+                continue
+            name, value = line.rsplit(" ", 1)
+            float(value)
+            assert name.startswith("rebound_"), line
+            samples += 1
+        assert samples > 20
+        assert "rebound_btr_phase" in text
+
 
 class TestExporters:
     def _series(self):
