@@ -114,8 +114,7 @@ class BehaviorSpec:
     #: flag, a durability cell fails on any detection).
     expect_tamper: bool = False
     #: scripted churn arc: ``seed -> [(round_no, fn(system, victim)), ...]``.
-    #: Arc cells run with stabilization + online tree refresh enabled on the
-    #: serial engine (the arcs poke node internals mid-run).
+    #: Arc cells run with stabilization + online tree refresh enabled.
     arc: Optional[Callable[[int], List[Tuple[int, Callable[..., Any]]]]] = None
     #: every transient corruption the arc injects must be detected by the
     #: auditor and resolved within the Req-S convergence bound.
@@ -245,7 +244,7 @@ BEHAVIORS: Dict[str, BehaviorSpec] = {
             1, True, durability=True, expect_tamper=True,
         ),
         # Churn arcs (the ``churn`` preset): stabilization + online tree
-        # refresh enabled, serial engine.  The corruption arcs spend one
+        # refresh enabled.  The corruption arcs spend one
         # budget unit on a crash that seeds the evidence store; the drift
         # arc deliberately overspends the budget.
         BehaviorSpec(
@@ -561,13 +560,8 @@ PRESETS: Dict[str, Callable[[], List[CampaignCell]]] = {
 # -- execution -----------------------------------------------------------------
 
 
-def run_cell(cell: CampaignCell, workers: Optional[int] = None) -> Dict[str, Any]:
-    """Build, impair, run, and judge one cell.
-
-    ``workers >= 2`` runs the cell on the sharded round engine; the victim is
-    parent-pinned so mid-run injection needs no worker recall.  Transcripts
-    are engine-independent, so judgments are identical either way.
-    """
+def run_cell(cell: CampaignCell) -> Dict[str, Any]:
+    """Build, impair, run, and judge one cell."""
     spec = BEHAVIORS[cell.behavior]
     topology, workload = TOPOLOGIES[cell.topology](cell.seed)
     victim = (
@@ -575,8 +569,6 @@ def run_cell(cell: CampaignCell, workers: Optional[int] = None) -> Dict[str, Any
         if spec.factory is not None or spec.arc is not None
         else None
     )
-    if spec.arc is not None:
-        workers = 0  # arcs poke node internals mid-run; keep them resident
     plan = cell.plan_override
     if plan is None:
         plan = PLANS[cell.plan](topology, cell.seed, victim)
@@ -643,11 +635,7 @@ def run_cell(cell: CampaignCell, workers: Optional[int] = None) -> Dict[str, Any
             network_factory=lambda topo: ChaosRoundNetwork(
                 topo, plan, budget=budget
             ),
-            scale_workers=workers,
-            parent_resident=({victim} if victim is not None else None),
         )
-        result["engine"] = system.engine_name
-        result["workers"] = system.scale_workers
         system.run(WARMUP_ROUNDS)
         system.attach_monitor(monitor)
         if spec.arc is not None:
@@ -778,9 +766,7 @@ def run_cell(cell: CampaignCell, workers: Optional[int] = None) -> Dict[str, Any
 # -- shrinking -----------------------------------------------------------------
 
 
-def shrink_cell(
-    cell: CampaignCell, max_attempts: int = 16, workers: Optional[int] = None
-) -> Dict[str, Any]:
+def shrink_cell(cell: CampaignCell, max_attempts: int = 16) -> Dict[str, Any]:
     """Greedy minimization of a failing cell.
 
     Re-runs simplified variants (drop one impairment component, drop the
@@ -803,8 +789,7 @@ def shrink_cell(
         if attempts >= max_attempts:
             return False
         attempts += 1
-        kwargs = {} if workers is None else {"workers": workers}
-        return run_cell(candidate, **kwargs)["outcome"] in ("fail", "crash")
+        return run_cell(candidate)["outcome"] in ("fail", "crash")
 
     changed = True
     while changed and attempts < max_attempts:
@@ -880,7 +865,6 @@ def run_campaign(
     shrink: bool = True,
     output_path: Optional[str] = "BENCH_chaos.json",
     progress: Optional[Callable[[str], None]] = None,
-    workers: Optional[int] = None,
     on_result: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> Dict[str, Any]:
     """Run a preset's cells and write the BENCH report.
@@ -904,14 +888,14 @@ def run_campaign(
     results: List[Dict[str, Any]] = []
     failures: List[Dict[str, Any]] = []
     for cell in cells:
-        outcome = run_cell(cell, workers=workers)
+        outcome = run_cell(cell)
         results.append(outcome)
         if on_result is not None:
             on_result(outcome)
         if progress is not None:
             progress(f"[{outcome['outcome']:>6}] {outcome['cell']}")
         if outcome["outcome"] in ("fail", "crash") and shrink:
-            outcome["shrunk"] = shrink_cell(cell, workers=workers)
+            outcome["shrunk"] = shrink_cell(cell)
             failures.append(outcome["shrunk"])
     matrix = {"pass": 0, "fail": 0, "crash": 0}
     census: Dict[str, int] = {}
@@ -925,7 +909,7 @@ def run_campaign(
     noop_identical = noop_transcript_check()
     report = {
         "benchmark": "chaos",
-        "env": bench_env(workers=workers or 0),
+        "env": bench_env(),
         "preset": preset,
         "fmax": FMAX,
         "cells": results,

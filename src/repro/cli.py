@@ -12,8 +12,8 @@ Usage::
     python -m repro table1
     python -m repro report --out results.md [--scale full]
     python -m repro bench-modegen [--workers 2] [--quick] [--out BENCH_modegen.json]
-    python -m repro bench-scale [--smoke] [--workers 4] [--out BENCH_scale.json]
-    python -m repro chaos [--preset smoke|full|storm|restart|churn] [--seeds 0,1] [--workers 2] [--out BENCH_chaos.json]
+    python -m repro bench-scale [--smoke] [--out BENCH_scale.json]
+    python -m repro chaos [--preset smoke|full|storm|restart|churn] [--seeds 0,1] [--out BENCH_chaos.json]
     python -m repro trace [--preset smoke|equivocation-gap] [--rounds 30]
     python -m repro trace --validate TRACE_smoke.jsonl
     python -m repro top [--preset smoke] [--rounds 30] [--once]
@@ -147,13 +147,11 @@ def cmd_bench_scale(args) -> int:
 
     result = bench_scale.main(
         output_path=args.out,
-        workers=args.workers,
         smoke=args.smoke,
         rounds=args.rounds,
         sizes=args.sizes,
-        engines=args.engines.split(",") if args.engines else None,
     )
-    return 0 if result["identity"]["all_identical"] else 1
+    return 0 if result["all_clean"] else 1
 
 
 def cmd_chaos(args) -> int:
@@ -171,7 +169,6 @@ def cmd_chaos(args) -> int:
         shrink=not args.no_shrink,
         output_path=args.out,
         progress=print if args.verbose else None,
-        workers=args.workers,
         on_result=on_result,
     )
     matrix = report["matrix"]
@@ -304,14 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     benchs = sub.add_parser(
         "bench-scale",
-        help="scale-out round-engine benchmark: Erdos-Renyi n=200/500/1000 "
-        "sweeps, serial vs sharded engine, with byte-identity "
-        "checks at small n (writes BENCH_scale.json)",
-    )
-    benchs.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for the sharded runs "
-        "(default 4)",
+        help="serial round time on fault-free Erdos-Renyi n=200/500/1000 "
+        "sweeps; exits non-zero if any node is suspected "
+        "(writes BENCH_scale.json)",
     )
     benchs.add_argument(
         "--smoke", action="store_true",
@@ -321,13 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override rounds per sweep")
     benchs.add_argument(
         "--sizes", type=_int_list, default=None,
-        help="comma-separated sweep sizes (default 200,500,1000; "
-        "recorded in the output's filters block)",
-    )
-    benchs.add_argument(
-        "--engines", default=None,
-        help="comma-separated engine subset of serial,sharded "
-        "(default all; recorded in the output's filters block)",
+        help="comma-separated sweep sizes (default 200,500,1000)",
     )
     benchs.add_argument("--out", default="BENCH_scale.json")
     benchs.set_defaults(func=cmd_bench_scale)
@@ -356,12 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--verbose", action="store_true",
                        help="print one line per cell")
-    chaos.add_argument(
-        "--workers", type=int, default=None,
-        help="run each cell on the sharded round engine with N worker "
-        "processes (>= 2; serial by default); "
-        "transcripts and judgments are engine-independent",
-    )
     chaos.add_argument(
         "--live", action="store_true",
         help="print a live running tally line as each cell finishes",

@@ -14,7 +14,7 @@ so sharing the cache across simulated nodes loses no fidelity while keeping
 simulations fast.  The ms_combine_key cost is charged per node, once per
 distinct key (each real node keeps its own memo and pays to build each
 entry exactly once) -- attribution is therefore independent of the order
-nodes are stepped in and of how execution is sharded across processes.
+nodes are stepped in.
 
 Verification outcomes are likewise shared through the process-wide
 :mod:`repro.crypto.verify_cache` (same fidelity argument: an outcome is a

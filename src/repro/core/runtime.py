@@ -23,7 +23,6 @@ from repro.core.node import PathCache, ReboundNode
 from repro.core.paths import PathComputer
 from repro.faults.scenarios import FaultScenario
 from repro.net.network import RoundNetwork
-from repro.net.shard import ShardedRoundEngine
 from repro.net.topology import Topology
 from repro.obs import recorder as _flight
 from repro.obs.events import (
@@ -58,12 +57,6 @@ class ReboundSystem:
         actuator_applies: node_id -> callable(round, payload, origin) for
             actuators.
         seed: key-generation seed.
-        scale_workers: >= 2 runs rounds on the sharded engine
-            (:mod:`repro.net.shard`) with that many worker processes;
-            ``None`` or <= 1 stays serial.
-        parent_resident: node ids that must not be sharded to a worker
-            (e.g. planned fault-injection victims); devices and scenario
-            targets are pinned automatically.
     """
 
     def __init__(
@@ -78,8 +71,6 @@ class ReboundSystem:
         seed: int = 0,
         pin_primaries: Optional[Dict[int, int]] = None,
         network_factory: Optional[Callable[[Topology], RoundNetwork]] = None,
-        scale_workers: Optional[int] = None,
-        parent_resident: Optional[Set[int]] = None,
     ):
         self.topology = topology
         self.workload = workload
@@ -185,9 +176,6 @@ class ReboundSystem:
         self.monitor = None
         self.series = None
         self.budget_exceeded = False
-        self.scale_workers = max(0, scale_workers or 0)
-        self._parent_pinned: Set[int] = set(parent_resident or ())
-        self._engine: Optional[ShardedRoundEngine] = None
         #: Ground truth of applied transient corruptions (corrupt_now).
         self.transient_corruptions: List[Dict] = []
         #: One dict per online subtree regeneration (_maybe_refresh_tree).
@@ -202,48 +190,12 @@ class ReboundSystem:
                 for node_id in topology.controllers
             }
 
-    # -- sharded engine ----------------------------------------------------------
-
-    @property
-    def engine_name(self) -> str:
-        return "sharded" if self.scale_workers >= 2 else "serial"
-
-    def _start_engine(self) -> None:
-        """Fork the sharded engine (lazily, on the first round, so the
-        fully-configured system is what workers inherit)."""
-        pinned = set(self._parent_pinned)
-        pinned.update(self.true_faulty_nodes)
-        pinned.update(e.node for e in self.scenario.events if e.node is not None)
-        engine = ShardedRoundEngine(
-            self.network,
-            self.mode_tree,
-            self.scale_workers,
-            parent_resident=pinned,
-        )
-        views = engine.start(self.nodes)
-        self.nodes.update(views)
-        self.network.set_engine(engine)
-        self._engine = engine
-
     def close(self) -> None:
-        """Flush durable stores and release engine worker processes."""
+        """Flush durable stores."""
         for node in self.nodes.values():
             durable = getattr(node, "durable", None)
             if durable is not None:
                 durable.flush()
-        engine, self._engine = self._engine, None
-        if engine is not None:
-            self.network.set_engine(None)
-            engine.shutdown()
-
-    def fastpath_stats(self):
-        """Registry snapshot with worker-side counters merged in when the
-        sharded engine is active."""
-        from repro.obs import registry as _registry
-
-        if self._engine is not None:
-            return self._engine.merged_stats()
-        return _registry.stats_snapshot()
 
     def _resolve_d_max(self) -> int:
         controllers = set(self.topology.controllers)
@@ -289,14 +241,6 @@ class ReboundSystem:
                 {"target": node_id, "behavior": type(behavior).__name__},
                 round_no=self.round_no + 1,
             )
-        if self._engine is not None and self._engine.is_sharded(node_id):
-            # The victim lives in a worker: pull its (pickled) state back
-            # into the parent so the adversary manipulates the live copy.
-            # Pre-declared targets avoid this path -- they are pinned
-            # parent-resident before the engine forks.
-            recalled = self._engine.recall(node_id)
-            self.nodes[node_id] = recalled
-            self.network.attach(node_id, recalled)
         behavior.activate(self, node_id)
         self.network.set_tamper_hook(node_id, behavior.tamper)
         self._active_behaviors.append(behavior)
@@ -315,10 +259,6 @@ class ReboundSystem:
         """
         if node_id not in self.topology.controllers:
             raise ValueError(f"{node_id} is not a controller")
-        if self._engine is not None and self._engine.is_sharded(node_id):
-            recalled = self._engine.recall(node_id)
-            self.nodes[node_id] = recalled
-            self.network.attach(node_id, recalled)
         description = corruption.apply(self, node_id)
         self.transient_corruptions.append(
             {
@@ -355,8 +295,6 @@ class ReboundSystem:
         fmax = self.config.fmax
         targets: List[FailureScenario] = []
         for node_id in self.correct_controllers():
-            if self._engine is not None and self._engine.is_sharded(node_id):
-                continue  # parent copy is stale; refreshed on recall
             pattern = self.nodes[node_id].fault_pattern
             if (
                 pattern.fault_count > fmax
@@ -427,8 +365,6 @@ class ReboundSystem:
         # refresh that adds nothing (all layers infeasible) perturbs no
         # transcript.
         for node_id in self.correct_controllers():
-            if self._engine is not None and self._engine.is_sharded(node_id):
-                continue
             node = self.nodes[node_id]
             if tree.schedule_for(node.fault_pattern) != node.current_schedule:
                 node.readopt_mode(self.round_no)
@@ -479,8 +415,6 @@ class ReboundSystem:
     def _install_node(self, node_id: int, node: ReboundNode) -> None:
         """Swap ``node`` in as the live controller and start it at the
         current round (rejoin semantics)."""
-        if self._engine is not None:
-            self._engine.adopt_parent(node_id)
         self.nodes[node_id] = node
         self.network.attach(node_id, node)
         node.start(round_no=self.round_no)
@@ -662,8 +596,6 @@ class ReboundSystem:
     # -- execution --------------------------------------------------------------------
 
     def run_round(self) -> None:
-        if self.scale_workers >= 2 and self._engine is None:
-            self._start_engine()
         next_round = self.round_no + 1
         rec = _flight.active
         if rec is not None:
@@ -680,8 +612,6 @@ class ReboundSystem:
             for node_id in sorted(self.auditors):
                 if node_id in self.true_faulty_nodes:
                     continue
-                if self._engine is not None and self._engine.is_sharded(node_id):
-                    continue  # worker-resident state is audited on recall
                 self.auditors[node_id].maybe_audit(self.round_no)
         if self.config.tree_refresh_enabled:
             self._maybe_refresh_tree()
@@ -768,15 +698,6 @@ class ReboundSystem:
     def mean_storage_bytes(self) -> float:
         if not self.nodes:
             return 0.0
-        if self._engine is not None:
-            # One RPC per shard instead of one per node.
-            sizes = self._engine.storage_bytes_map()
-            total = sum(sizes.values()) + sum(
-                node.forwarding.storage_bytes()
-                for nid, node in self.nodes.items()
-                if nid not in sizes
-            )
-            return total / len(self.nodes)
         return sum(
             node.forwarding.storage_bytes() for node in self.nodes.values()
         ) / len(self.nodes)

@@ -69,9 +69,8 @@ class RestoreResult:
 class NodeDurableStore:
     """Owns one node's on-disk durable state (see module docstring).
 
-    Picklable by design: the sharded engine moves nodes between processes
-    by pickling, and the store rides along (no open file handles are
-    held; appends buffer in memory until :meth:`flush`).
+    No open file handles are held: appends buffer in memory until
+    :meth:`flush`.
     """
 
     def __init__(
@@ -170,8 +169,8 @@ class NodeDurableStore:
 
     @staticmethod
     def _pickle_node(node: Any) -> bytes:
-        # Same detach trick as the sharded engine's recall: the network
-        # handle (and this store itself) are re-bound after restore.
+        # Detach the network handle and this store itself; both are
+        # re-bound after restore.
         network, durable = node.network, node.durable
         node.network = None
         node.durable = None

@@ -51,31 +51,6 @@ _registry_by_id: Dict[int, Type] = {}
 _frozen_by_name: Dict[str, bool] = {}
 
 
-class Frame:
-    """A payload already in canonical wire form.
-
-    The sharded engine's IPC plane (:mod:`repro.net.frames`) ships payloads
-    between processes as codec frames -- the exact bytes :func:`encode`
-    would produce -- and replays worker-captured intents through the real
-    network send path without re-encoding.  A ``Frame`` wraps those bytes
-    and *encodes to itself* (``encode(Frame(b)) == b``), so guardian
-    charging, per-channel byte accounting, and chaos corruption (which
-    garbles the canonical encoding) see byte-for-byte what they would see
-    handling the decoded object.  ``decode()`` materializes the payload
-    when a consumer actually needs the object.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: bytes):
-        self.data = data
-
-    def decode(self) -> Any:
-        return decode(self.data)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Frame({len(self.data)} bytes)"
-
 # -- encode memo (see module docstring) ---------------------------------------
 
 _MEMO_CAPACITY = 4096
@@ -200,10 +175,6 @@ def _encode_into(value: Any, out: List[bytes]) -> bool:
         for item in items:
             safe = _encode_into(item, out) and safe
         return safe
-    elif type(value) is Frame:
-        # Already canonical bytes; splice them in verbatim.  Immutable, so
-        # containers holding frames stay memo-safe.
-        out.append(value.data)
     elif dataclasses.is_dataclass(value) and not isinstance(value, type):
         name = type(value).__name__
         if name not in _registry_by_name:
@@ -243,12 +214,9 @@ def encoded_size(value: Any) -> int:
     """Size in bytes of ``encode(value)``.
 
     Routed through the encode memo: sizing an already-memoized frozen
-    message (or a :class:`Frame`) is O(1) and never re-materializes the
-    bytes.  Memo hits are counted in the memo stats exactly like
-    :func:`encode` hits.
+    message is O(1) and never re-materializes the bytes.  Memo hits are
+    counted in the memo stats exactly like :func:`encode` hits.
     """
-    if type(value) is Frame:
-        return len(value.data)
     hit = _memo.get(id(value))
     if hit is not None and hit[0] is value:
         _memo.move_to_end(id(value))
@@ -259,21 +227,11 @@ def encoded_size(value: Any) -> int:
 
 
 class _Decoder:
-    """Streaming decoder over one canonical encoding.
-
-    Tracks two safety flags the frame-decode cache (:mod:`repro.net.frames`)
-    consults: ``saw_mutable_container`` (a list or dict anywhere in the
-    value -- sharing such a decode between recipients would alias mutable
-    state) and ``saw_unfrozen`` (a non-frozen registered dataclass -- safe
-    to share the way bus broadcast already shares delivered messages, but
-    not safe to seed the identity-keyed encode memo with).
-    """
+    """Streaming decoder over one canonical encoding."""
 
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
-        self.saw_mutable_container = False
-        self.saw_unfrozen = False
 
     def _take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
@@ -304,11 +262,9 @@ class _Decoder:
             (count,) = struct.unpack(">I", self._take(4))
             return tuple(self.decode_value() for _ in range(count))
         if tag == _T_LIST:
-            self.saw_mutable_container = True
             (count,) = struct.unpack(">I", self._take(4))
             return [self.decode_value() for _ in range(count)]
         if tag == _T_DICT:
-            self.saw_mutable_container = True
             (count,) = struct.unpack(">I", self._take(4))
             return {self.decode_value(): self.decode_value() for _ in range(count)}
         if tag == _T_FROZENSET:
@@ -319,8 +275,6 @@ class _Decoder:
             cls = _registry_by_id.get(type_id)
             if cls is None:
                 raise ValueError(f"unknown message type id {type_id}")
-            if not _frozen_by_name.get(cls.__name__, False):
-                self.saw_unfrozen = True
             (count,) = struct.unpack(">I", self._take(4))
             fields = dataclasses.fields(cls)
             if count != len(fields):

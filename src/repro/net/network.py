@@ -25,8 +25,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.net.frames import decode_frame
-from repro.net.message import Frame, encoded_size
+from repro.net.message import encoded_size
 from repro.net.topology import Topology
 
 # An outgoing message as (sender, destination, payload, serialized bytes).
@@ -124,21 +123,6 @@ class RoundNetwork:
         self._guardian_usage: Dict[Tuple[Tuple[str, object], int], int] = defaultdict(int)
         self.dropped_by_guardian = 0
         self.dropped_by_adversary = 0
-        # When set, send()/broadcast() append ("u"/"b", sender, target,
-        # payload) intents here instead of entering the network, *before*
-        # any crash/adversary/guardian processing.  The sharded round engine
-        # (repro.net.shard) captures intents in workers and replays them
-        # through the real send path in the parent, in ascending node order,
-        # so sequence numbers, guardian charging, tamper hooks, and byte
-        # accounting are identical to serial execution.
-        self._intent_sink: Optional[List[Tuple[str, int, int, Any]]] = None
-        self._engine: Optional[Any] = None
-
-    def set_engine(self, engine: Optional[Any]) -> None:
-        """Install a round engine (see :class:`repro.net.shard.ShardedRoundEngine`).
-
-        ``None`` restores the default serial execution of :meth:`run_round`."""
-        self._engine = engine
 
     # -- setup --------------------------------------------------------------
 
@@ -203,9 +187,6 @@ class RoundNetwork:
         and destination; sending to a non-neighbor raises (protocols must
         relay explicitly -- that is the whole point of the forwarding layer).
         """
-        if self._intent_sink is not None:
-            self._intent_sink.append(("u", sender, destination, payload))
-            return
         if sender in self._crashed:
             return
         channel = self.topology.channel_between(sender, destination)
@@ -226,9 +207,6 @@ class RoundNetwork:
         This is the bus optimization of S3.5: a single copy of the heartbeat
         is charged to the shared medium rather than one copy per neighbor.
         """
-        if self._intent_sink is not None:
-            self._intent_sink.append(("b", sender, bus_id, payload))
-            return
         if sender in self._crashed:
             return
         bus = self.topology.buses[bus_id]
@@ -310,13 +288,8 @@ class RoundNetwork:
         self._begin_round()
         self._inbox, self._outbox = self._outbox, []
         # Deliveries are fixed before any node steps: _collect_deliveries
-        # only reads the inbox (and, in the chaos layer, a round-keyed RNG),
-        # so hoisting it out of the delivery loop is behavior-preserving and
-        # gives the engine hook one well-defined batch per round.
+        # only reads the inbox (and, in the chaos layer, a round-keyed RNG).
         deliveries = self._collect_deliveries()
-        if self._engine is not None:
-            self._engine.step_round(self, deliveries)
-            return
         for node_id in self.topology.nodes:
             if node_id in self._crashed:
                 continue
@@ -328,10 +301,6 @@ class RoundNetwork:
                 continue
             proto = self._protocols.get(destination)
             if proto is not None:
-                if type(payload) is Frame:
-                    # A frame replayed by the sharded engine whose delivery
-                    # round runs serially (e.g. after the engine detached).
-                    payload = decode_frame(payload.data)
                 proto.on_receive(self.round_no, sender, payload)
         for node_id in self.topology.nodes:
             if node_id in self._crashed:

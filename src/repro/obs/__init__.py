@@ -25,8 +25,6 @@ from repro.obs.events import (
     validate_jsonl,
     validate_record,
 )
-from repro.obs.profiler import STAGES as PROFILE_STAGES
-from repro.obs.profiler import RoundProfiler
 from repro.obs.recorder import FlightRecorder
 
 __all__ = [
@@ -44,8 +42,6 @@ __all__ = [
     "EV_POM_CREATED",
     "EVENT_NAMES",
     "FlightRecorder",
-    "PROFILE_STAGES",
-    "RoundProfiler",
     "TraceEvent",
     "events_from_dicts",
     "validate_jsonl",

@@ -78,7 +78,7 @@ def render_top(
     if total_rounds:
         progress += f"/{total_rounds}"
     lines.append(
-        f"{title} | {progress} | engine {system.engine_name}"
+        f"{title} | {progress}"
         + (" | OVER BUDGET" if system.budget_exceeded else "")
     )
     if monitor is not None and hasattr(monitor, "gauges"):
@@ -123,13 +123,7 @@ def render_top(
             lines.append(stab)
     rec = _flight.active
     if rec is not None:
-        shipped = ""
-        if rec.shipped:
-            shipped = f", {rec.shipped} shipped"
-        lines.append(
-            f"recorder: {rec.emitted} events"
-            f" ({rec.dropped} dropped{shipped})"
-        )
+        lines.append(f"recorder: {rec.emitted} events ({rec.dropped} dropped)")
     lines.append("nodes: " + _health_strip(system))
     # The decomposition appears once the stream contains a recovery
     # episode -- the detection -> evidence -> switch view of Reqs 1/2.

@@ -65,8 +65,6 @@ class FlightRecorder:
         #: per-node sequence counters for the *current* round.
         self._seq: Dict[int, int] = {}
         self.emitted = 0
-        #: events removed via :meth:`drain` (shipped, not lost).
-        self.shipped = 0
 
     # -- installation --------------------------------------------------------
 
@@ -135,11 +133,8 @@ class FlightRecorder:
 
     @property
     def dropped(self) -> int:
-        """Events evicted from the ring (emitted beyond capacity).
-
-        Drained (shipped) and absorbed events are accounted for so a
-        shipping recorder that never overflows reports zero."""
-        return self.emitted - self.shipped - len(self._events)
+        """Events evicted from the ring (emitted beyond capacity)."""
+        return self.emitted - len(self._events)
 
     def events(self) -> List[TraceEvent]:
         return list(self._events)
@@ -155,55 +150,6 @@ class FlightRecorder:
         self._events.clear()
         self._seq.clear()
         self.emitted = 0
-        self.shipped = 0
-
-    # -- cross-process shipping ----------------------------------------------
-    #
-    # The sharded engine's workers run a *shipping* recorder: each round the
-    # engine drains the worker ring into event frames riding the round batch,
-    # and the parent-side TraceCollector absorbs them.  ``seq`` counters are
-    # NOT part of the drained payload -- they are synchronized separately
-    # (max-merge in both directions) so that replay-time emits in the parent
-    # and deferred-call emits in the worker number exactly as the serial
-    # engine would.
-
-    def drain(self) -> List[TraceEvent]:
-        """Remove and return all buffered events (for shipping).
-
-        Leaves ``emitted`` and the per-node ``seq`` counters untouched:
-        draining is transport, not a reset -- subsequent emits in the same
-        round must keep numbering where they left off.
-        """
-        events = list(self._events)
-        self._events.clear()
-        self.shipped += len(events)
-        return events
-
-    def seq_snapshot(self) -> Dict[int, int]:
-        """Copy of the per-node sequence counters for the current round."""
-        return dict(self._seq)
-
-    def merge_seq(self, counters: Dict[int, int]) -> None:
-        """Max-merge foreign per-node sequence counters into this round's.
-
-        Each side of a process boundary only ever *under*-counts (it missed
-        the other side's emits), so taking the max per node is exact as long
-        as the two sides never emit for the same node concurrently -- which
-        the round barrier guarantees.
-        """
-        for node, count in counters.items():
-            if count > self._seq.get(node, 0):
-                self._seq[node] = count
-
-    def absorb(self, events: List[TraceEvent]) -> None:
-        """Append already-sequenced events (shipped from another process).
-
-        Does not touch the ``seq`` counters: the events carry their final
-        numbers.  Counts toward ``emitted`` so ``dropped`` stays honest when
-        the ring evicts.
-        """
-        self._events.extend(events)
-        self.emitted += len(events)
 
     # -- exporters -----------------------------------------------------------
 

@@ -41,7 +41,6 @@ DEFAULT_COMPONENT_MODULES = (
     "repro.crypto.verify_cache",  # verify_cache
     "repro.crypto.multisig",     # multisig_batch
     "repro.net.message",         # codec_memo
-    "repro.net.frames",          # frame_cache
     "repro.core.forwarding",     # coverage_cache
     "repro.sched.ilp",           # ilp_solver
     "repro.sched.assign",        # place_memo
@@ -92,45 +91,3 @@ def reset_all() -> List[str]:
         names.append(name)
     return names
 
-
-#: Stat keys that are configuration or derived values, not additive
-#: counters; merging keeps the base snapshot's value instead of summing.
-_NON_ADDITIVE_KEYS = frozenset(
-    {"capacity", "entries", "hit_rate", "workers", "shard_sizes",
-     "parent_resident", "mean_round_ms"}
-)
-
-
-def merge_stats_snapshots(
-    base: Dict[str, Dict[str, Any]],
-    extras: List[Dict[str, Dict[str, Any]]],
-) -> Dict[str, Dict[str, Any]]:
-    """Fold worker-process snapshots into ``base`` without double counting.
-
-    Numeric counters are summed across snapshots; configuration keys
-    (capacity, entries, ...) keep the base value; ``hit_rate`` is
-    recomputed from the merged hits/misses where both are present.  Used
-    by the sharded round engine, whose worker initializers zero their
-    inherited registries so every worker-side count is post-fork work.
-    """
-    merged = {comp: dict(stats) for comp, stats in base.items()}
-    for snapshot in extras:
-        for comp, stats in snapshot.items():
-            target = merged.setdefault(comp, {})
-            for key, value in stats.items():
-                additive = (
-                    key not in _NON_ADDITIVE_KEYS
-                    and isinstance(value, (int, float))
-                    and not isinstance(value, bool)
-                )
-                if not additive:
-                    target.setdefault(key, value)
-                elif key in target:
-                    target[key] = target[key] + value
-                else:
-                    target[key] = value
-    for stats in merged.values():
-        if "hit_rate" in stats and "hits" in stats and "misses" in stats:
-            total = stats["hits"] + stats["misses"]
-            stats["hit_rate"] = stats["hits"] / total if total else 0.0
-    return merged

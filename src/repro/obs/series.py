@@ -2,11 +2,10 @@
 
 The flight recorder answers "what happened" (discrete events); this module
 answers "how much, over time": once per round it samples every numeric
-counter in the telemetry registry (merged across sharded-engine workers
-via ``system.fastpath_stats()``) plus a handful of derived system gauges
--- suspected nodes, evidence-store high-water marks against their quota
-caps, and the BTR monitor's detection -> evidence -> switch phase -- into
-a bounded columnar store.
+counter in the telemetry registry (``registry.stats_snapshot()``) plus a
+handful of derived system gauges -- suspected nodes, evidence-store
+high-water marks against their quota caps, and the BTR monitor's
+detection -> evidence -> switch phase -- into a bounded columnar store.
 
 Storage is one list of floats per series, bounded to the latest
 ``capacity`` samples.  A series that appears mid-run is NaN-backfilled so
@@ -29,8 +28,9 @@ import math
 import re
 from typing import Any, Dict, List, Optional
 
-#: Perfetto pid for the metrics counter tracks (the round engine uses
-#: 10**9; node pids are small ints).
+from repro.obs import registry as _registry
+
+#: Perfetto pid for the metrics counter tracks (node pids are small ints).
 METRICS_TRACE_PID = 10**9 + 1
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -99,7 +99,7 @@ class MetricsTimeSeries:
         """Sample a :class:`~repro.core.runtime.ReboundSystem` (and
         optionally its BTR monitor) for the round just executed; returns
         the recorded gauge dict."""
-        values = flatten_stats(system.fastpath_stats())
+        values = flatten_stats(_registry.stats_snapshot())
         values.update(self._system_gauges(system))
         if monitor is not None and hasattr(monitor, "gauges"):
             for key, value in monitor.gauges().items():

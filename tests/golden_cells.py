@@ -6,8 +6,7 @@ fingerprint is the SHA-256 over every round's
 counters and the total bytes put on links.  The committed file was
 recorded by reference paths that have since been deleted (every simulator
 fast path switched off); the production paths must reproduce it bit for
-bit on the serial engine and on the sharded one.  See
-``tests/golden/README.md`` for when and how to regenerate it.
+bit.  See ``tests/golden/README.md`` for when and how to regenerate it.
 
     PYTHONPATH=src python -m tests.golden_cells CELL      # print one cell
     PYTHONPATH=src python -m tests.golden_cells --write   # rewrite the file
@@ -43,12 +42,9 @@ CELLS = [f"{scenario}/{variant}" for scenario in SCENARIOS for variant in ("basi
 
 
 def run_cell(
-    cell: str,
-    workers: int = 0,
-    inspect: Optional[Callable[[ReboundSystem], None]] = None,
+    cell: str, inspect: Optional[Callable[[ReboundSystem], None]] = None
 ) -> Dict[str, Any]:
-    """Run one cell; ``workers >= 2`` selects the sharded engine.
-    ``inspect`` sees the system after the last round."""
+    """Run one cell; ``inspect`` sees the system after the last round."""
     scenario, variant = cell.split("/")
     build_topology, fmax, behaviour = SCENARIOS[scenario]
     topology = build_topology()
@@ -56,7 +52,7 @@ def run_cell(
         target_utilization=1.5
     )
     config = ReboundConfig(fmax=fmax, fconc=1, variant=variant, rsa_bits=256)
-    system = ReboundSystem(topology, workload, config, seed=0, scale_workers=workers)
+    system = ReboundSystem(topology, workload, config, seed=0)
     digest = hashlib.sha256()
     link_bytes = 0
     try:

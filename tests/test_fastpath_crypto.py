@@ -369,7 +369,6 @@ def test_fastpath_stats_shape():
         "verify_cache",
         "multisig_batch",
         "codec_memo",
-        "frame_cache",
         "coverage_cache",
         "ilp_solver",
         "place_memo",

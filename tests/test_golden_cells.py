@@ -16,10 +16,9 @@ def test_golden_file_covers_every_cell():
     assert sorted(load_golden()["cells"]) == sorted(CELLS)
 
 
-@pytest.mark.parametrize("workers", [0, 2], ids=["serial", "sharded"])
 @pytest.mark.parametrize("cell", CELLS)
-def test_cell_reproduces_golden_fingerprint(cell, workers):
-    assert run_cell(cell, workers=workers) == load_golden()["cells"][cell]
+def test_cell_reproduces_golden_fingerprint(cell):
+    assert run_cell(cell) == load_golden()["cells"][cell]
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,13 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.message import decode, encode, encoded_size, register_message
+from repro.net.message import (
+    codec_memo_stats,
+    decode,
+    encode,
+    encoded_size,
+    register_message,
+)
 
 
 @register_message
@@ -48,6 +54,13 @@ class TestPrimitives:
     def test_encoded_size_matches(self):
         value = (1, b"abc", "def")
         assert encoded_size(value) == len(encode(value))
+
+    def test_encoded_size_uses_memo(self):
+        value = _Sample(a=3, b=b"m", c=(1,))
+        encode(value)  # populates the identity-keyed memo
+        before = codec_memo_stats()["hits"]
+        assert encoded_size(value) == len(encode(value))
+        assert codec_memo_stats()["hits"] > before
 
     def test_dict_encoding_canonical(self):
         a = {1: "x", 2: "y", 3: "z"}

@@ -95,57 +95,3 @@ class TestRegisterApi:
     def test_unregister_missing_is_noop(self):
         registry.unregister("never_registered")
 
-
-class TestMergeStatsSnapshots:
-    def test_counters_sum_and_config_keys_keep_base(self):
-        base = {
-            "verify_cache": {
-                "hits": 10, "misses": 10, "hit_rate": 0.5,
-                "capacity": 1024, "entries": 7,
-            }
-        }
-        extras = [
-            {"verify_cache": {"hits": 30, "misses": 0, "hit_rate": 1.0,
-                              "capacity": 1024, "entries": 3}},
-            {"verify_cache": {"hits": 0, "misses": 10, "hit_rate": 0.0}},
-        ]
-        merged = registry.merge_stats_snapshots(base, extras)
-        vc = merged["verify_cache"]
-        assert vc["hits"] == 40 and vc["misses"] == 20
-        # Non-additive keys keep the parent's value, never a sum.
-        assert vc["capacity"] == 1024
-        assert vc["entries"] == 7
-        # hit_rate is recomputed from the merged counters, not summed.
-        assert vc["hit_rate"] == pytest.approx(40 / 60)
-
-    def test_engine_shape_keys_are_not_summed(self):
-        base = {
-            "round_engine": {
-                "workers": 2, "shard_sizes": [10, 9], "parent_resident": 1,
-                "rounds": 5,
-            },
-            "round_profile": {"rounds": 5, "mean_round_ms": 12.0},
-        }
-        extras = [
-            {"round_engine": {"workers": 2, "shard_sizes": [10, 9],
-                              "parent_resident": 1, "rounds": 5},
-             "round_profile": {"rounds": 5, "mean_round_ms": 30.0}},
-        ]
-        merged = registry.merge_stats_snapshots(base, extras)
-        assert merged["round_engine"]["workers"] == 2
-        assert merged["round_engine"]["shard_sizes"] == [10, 9]
-        assert merged["round_engine"]["parent_resident"] == 1
-        assert merged["round_profile"]["mean_round_ms"] == 12.0
-        # Genuinely additive counters still sum.
-        assert merged["round_engine"]["rounds"] == 10
-
-    def test_component_only_in_extras_is_adopted(self):
-        merged = registry.merge_stats_snapshots(
-            {}, [{"codec_memo": {"hits": 2}}, {"codec_memo": {"hits": 3}}]
-        )
-        assert merged["codec_memo"]["hits"] == 5
-
-    def test_base_untouched(self):
-        base = {"c": {"hits": 1}}
-        registry.merge_stats_snapshots(base, [{"c": {"hits": 9}}])
-        assert base == {"c": {"hits": 1}}
