@@ -58,9 +58,7 @@ def test_fig7_estimator_cross_check(benchmark):
 
     tree, exact_time, stats = benchmark.pedantic(both, rounds=1, iterations=1)
     assert stats.estimated_total_modes == tree.num_modes
-    # The estimator extrapolates flat per-mode encodings, so compare
-    # against the flat (non-deduplicated) serialization.
-    size_ratio = stats.estimated_size_bytes / tree.serialized_size(dedup=False)
+    size_ratio = stats.estimated_size_bytes / tree.serialized_size()
     time_ratio = stats.estimated_total_time_s / max(1e-9, exact_time)
     print(
         f"estimator cross-check: size ratio {size_ratio:.2f}, "

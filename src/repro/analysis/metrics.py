@@ -4,16 +4,15 @@ Collects exactly the quantities the paper's evaluation reports: per-link
 bandwidth (Fig. 5a, 6, 8a), per-node storage (Fig. 5b, 8c), and per-node
 cryptographic operation counts split by layer (Fig. 5c, 8b).
 
-Also aggregates the *fast-path* instrumentation: hit/miss/time counters
-from the CRT signer, the process-wide verification cache, batched multisig
-checks, the codec encode memo, and the coverage-calculator cache (see
-docs/PROTOCOL.md, "Performance architecture").
+The fast-path counters (CRT signer, verification cache, batched multisig,
+codec memo, coverage cache, ILP solver) are read through
+:mod:`repro.obs.registry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Dict, List
 
 from repro.core.identity import DOMAIN_AUDITING, DOMAIN_FORWARDING
 from repro.crypto.cost_model import CryptoCostModel, CryptoCounters
@@ -155,36 +154,6 @@ def transcript_entry(system) -> tuple:
         )
         digests.append((node_id, node.forwarding.evidence.digest().hex(), mode))
     return tuple(digests)
-
-
-def fastpath_stats() -> Dict[str, Dict[str, Any]]:
-    """One dict with every fast-path counter, keyed by component.
-
-    Components: ``rsa_sign`` (CRT vs plain counts, wall-clock),
-    ``verify_cache`` (process-wide verification outcomes),
-    ``multisig_batch`` (batched aggregate checks), ``codec_memo``
-    (canonical-encoding memo), ``coverage_cache`` (coverage DP reuse),
-    ``ilp_solver`` (branch-and-bound solves, explored nodes, warm-start
-    outcomes, tripped budgets), ``place_memo`` (placement-subproblem memo
-    in the schedule builder), ``edf_memo`` (schedulability-test memo),
-    ``modegen_lookup`` (mode-tree ``schedule_for`` memo).
-
-    Each component module registers itself with
-    :mod:`repro.obs.registry` at import time; this is a thin view over
-    that registry, kept for callers that predate it.
-    """
-    from repro.obs import registry
-
-    registry.ensure_default_components()
-    return registry.stats_snapshot()
-
-
-def reset_fastpath_stats() -> None:
-    """Zero every fast-path counter (caches keep their contents)."""
-    from repro.obs import registry
-
-    registry.ensure_default_components()
-    registry.reset_all()
 
 
 def _scale(counters: CryptoCounters, factor: float) -> CryptoCounters:

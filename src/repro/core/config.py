@@ -37,14 +37,10 @@ class ReboundConfig:
         signature_spot_checking: on buses, have each broadcast signature
             verified by a subset of fmax+1 members instead of everyone
             (third refinement of S3.5, challenge-based).
-        crypto_profile: cost-model profile name (see
-            :mod:`repro.crypto.cost_model`).
         rsa_bits: modulus size for ordinary signatures (paper: 512).
         multisig_bits: group size for multisignatures (paper: 256).
         scheduler_method: per-mode placement engine, ``"greedy"`` or
             ``"ilp"``.
-        audit_lag_rounds: rounds a replica waits for downstream
-            authenticators before auditing a primary output.
         protocol_enabled: set False for the *unprotected* baseline of
             Fig. 8/10/11: no heartbeats, no omission detection, no
             auditing replicas -- just task execution and data routing.
@@ -89,11 +85,9 @@ class ReboundConfig:
     expiry_optimization: bool = True
     bus_broadcast: bool = True
     signature_spot_checking: bool = True
-    crypto_profile: str = "x86"
     rsa_bits: int = 512
     multisig_bits: int = 256
     scheduler_method: str = "greedy"
-    audit_lag_rounds: int = 1
     protocol_enabled: bool = True
     durability_enabled: bool = False
     durability_dir: Optional[str] = None

@@ -317,10 +317,6 @@ class ReboundSystem:
                 method=self.config.scheduler_method,
                 utilization_cap=self.config.utilization_cap,
             )
-            if self.mode_tree.builder is not None:
-                # Reuse the tree's builder: its placement memo warm-starts
-                # the subtree solves.
-                generator.builder = self.mode_tree.builder
             self._modegen = generator
         tree = self.mode_tree
         holding_depth = max(

@@ -3,7 +3,8 @@
 Runs a Fig. 7-style node-fault sweep twice per cell in one process --
 ``workers=1`` and fanned out across a worker pool -- and verifies the
 parallel tree is *identical* to the serial tree (schedules, parents, child
-order, and both serialized encodings).
+order, serialized size).  Each row also records the Fig. 7 sampling
+estimator's size against the exact tree's.
 
 The result is written to ``BENCH_modegen.json`` so regressions are
 diffable across commits; ``python -m repro bench-modegen`` prints the
@@ -29,6 +30,18 @@ CELLS: List[Dict[str, Any]] = [
     {"name": "ilp_n6_f2", "n": 6, "fmax": 2, "method": "ilp", "util": 1.2},
     {"name": "greedy_n12_f2", "n": 12, "fmax": 2, "method": "greedy", "util": 2.0},
 ]
+
+#: Full runs only, and not a golden cell: Fig. 7's own exact n = 30,
+#: fmax 2 tree (its workload family, chains of 1-4 tasks), where the worker
+#: pool has to earn its keep (>= 1.3x at workers = cores) and where the
+#: estimator is cross-checked.
+POOL_CELLS: List[Dict[str, Any]] = [
+    {"name": "greedy_n30_f2", "n": 30, "fmax": 2, "method": "greedy", "util": 9.0,
+     "chains": (1, 4)},
+]
+
+#: Samples per layer for the estimator cross-check (Fig. 7's default).
+ESTIMATOR_SAMPLES = 6
 
 QUICK_CELLS: List[Dict[str, Any]] = [
     {"name": "greedy_n8_f2", "n": 8, "fmax": 2, "method": "greedy", "util": 1.5},
@@ -57,7 +70,6 @@ def _trees_identical(a: ModeTree, b: ModeTree) -> bool:
         and a.parents == b.parents
         and a.children == b.children
         and a.serialized_size() == b.serialized_size()
-        and a.serialized_size(dedup=False) == b.serialized_size(dedup=False)
     )
 
 
@@ -146,12 +158,12 @@ def _run_refresh_cell(
     }
 
 
-def _generate(cell: Dict[str, Any], workers: int, seed: int):
+def _generator(cell: Dict[str, Any], workers: int, seed: int) -> ModeTreeGenerator:
     topology = erdos_renyi_topology(cell["n"], seed=seed)
-    workload = WorkloadGenerator(seed=seed, chain_length_range=(1, 2)).workload(
-        target_utilization=cell["util"]
-    )
-    generator = ModeTreeGenerator(
+    workload = WorkloadGenerator(
+        seed=seed, chain_length_range=cell.get("chains", (1, 2))
+    ).workload(target_utilization=cell["util"])
+    return ModeTreeGenerator(
         topology,
         workload,
         fmax=cell["fmax"],
@@ -159,6 +171,10 @@ def _generate(cell: Dict[str, Any], workers: int, seed: int):
         method=cell["method"],
         workers=workers,
     )
+
+
+def _generate(cell: Dict[str, Any], workers: int, seed: int):
+    generator = _generator(cell, workers, seed)
     t0 = time.perf_counter()
     tree = generator.generate()
     elapsed = time.perf_counter() - t0
@@ -169,6 +185,9 @@ def _run_cell(cell: Dict[str, Any], workers: int, seed: int) -> Dict[str, Any]:
     tree_serial, serial_s = _generate(cell, workers=1, seed=seed)
     tree_par, parallel_s = _generate(cell, workers=workers, seed=seed)
     solver = tree_par.stats.solver
+    estimate = _generator(cell, 1, seed).estimate(
+        samples_per_layer=ESTIMATOR_SAMPLES, seed=seed
+    )
     return {
         **{k: cell[k] for k in ("name", "n", "fmax", "method", "util")},
         "modes": tree_serial.num_modes,
@@ -177,14 +196,13 @@ def _run_cell(cell: Dict[str, Any], workers: int, seed: int) -> Dict[str, Any]:
         # The headline identity claim: the pool produces the very tree the
         # serial engine does.
         "parallel_identical_to_serial": _trees_identical(tree_serial, tree_par),
-        "size_flat_bytes": tree_serial.serialized_size(dedup=False),
-        "size_dedup_bytes": tree_par.serialized_size(),
-        "interned_schedules": tree_par.stats.interned_schedules,
-        "unique_schedule_bodies": tree_par.stats.unique_schedule_bodies,
+        "size_bytes": tree_par.serialized_size(),
+        "estimator_size_ratio": (
+            estimate.estimated_size_bytes / tree_serial.serialized_size()
+        ),
         "ilp_nodes": solver.get("ilp_nodes_explored", 0),
         "ilp_solves": solver.get("ilp_solves", 0),
         "warm_proved_optimal": solver.get("ilp_warm_proved_optimal", 0),
-        "place_memo_hits": solver.get("place_memo_hits", 0),
     }
 
 
@@ -199,7 +217,7 @@ def run_modegen_bench(
     Returns the result dict; also writes it to ``output_path`` (JSON)
     unless that is None.
     """
-    cells = QUICK_CELLS if quick else CELLS
+    cells = QUICK_CELLS if quick else CELLS + POOL_CELLS
     rows = [_run_cell(cell, workers=workers, seed=seed) for cell in cells]
     refresh_cells = QUICK_REFRESH_CELLS if quick else REFRESH_CELLS
     refresh_rows = [

@@ -43,9 +43,6 @@ DEFAULT_COMPONENT_MODULES = (
     "repro.net.message",         # codec_memo
     "repro.core.forwarding",     # coverage_cache
     "repro.sched.ilp",           # ilp_solver
-    "repro.sched.assign",        # place_memo
-    "repro.sched.edf",           # edf_memo
-    "repro.sched.modegen",       # modegen_lookup
     "repro.stabilize.auditor",   # stabilize
 )
 

@@ -25,7 +25,6 @@ branch-and-bound solver (the Gurobi substitute).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -38,19 +37,6 @@ from repro.sched.task import Flow, Task, Workload
 
 # A copy is (task_id, copy_index); copy 0 is the primary, 1..fconc replicas.
 Copy = Tuple[int, int]
-
-#: Process-wide placement-memo counters (surfaced via repro.analysis.metrics).
-_PLACE_STATS: Dict[str, int] = {"hits": 0, "misses": 0, "evictions": 0}
-
-
-def place_memo_stats() -> Dict[str, int]:
-    """A copy of the process-wide placement-memo counters."""
-    return dict(_PLACE_STATS)
-
-
-def reset_place_memo_stats() -> None:
-    for key in _PLACE_STATS:
-        _PLACE_STATS[key] = 0
 
 
 @register_message
@@ -127,16 +113,10 @@ class ScheduleBuilder:
             trees) machine-independent, unlike the wall-clock limit.
         ilp_time_limit_s: wall-clock safety net behind the node budget.
 
-    Placement subproblems are memoized under a canonical key (flow set,
-    per-flow candidate lists, parent placements): scenarios whose failures
-    do not disturb that structure -- symmetric siblings, pruned-link modes,
-    repeated on-demand lookups -- reuse the solved placement.  The key
-    captures every input the placement engines read, so the memo is
-    exactly result-preserving.
+    Building is deterministic: equal inputs give equal schedules, so every
+    node (and every modegen worker) computes the same mode without
+    coordination.
     """
-
-    #: Bounded size of the per-builder placement memo.
-    PLACE_MEMO_MAX = 20_000
 
     def __init__(
         self,
@@ -161,15 +141,11 @@ class ScheduleBuilder:
         self.pinned_primaries = dict(pinned_primaries or {})
         self.ilp_node_budget = ilp_node_budget
         self.ilp_time_limit_s = ilp_time_limit_s
-        self._place_cache: "OrderedDict[Tuple, Optional[Dict[Copy, int]]]" = (
-            OrderedDict()
-        )
-        #: Per-builder counters; mirrored into the process-wide stats so
-        #: parallel modegen workers can ship deltas back to the parent.
+        #: Per-builder counters; parallel modegen workers ship their
+        #: deltas back to the parent.
         self.counters: Dict[str, int] = {
             "builds": 0,
             "place_calls": 0,
-            "place_memo_hits": 0,
             "ilp_solves": 0,
             "ilp_nodes_explored": 0,
             "ilp_warm_proved_optimal": 0,
@@ -317,34 +293,6 @@ class ScheduleBuilder:
 
     # -- placement engines ----------------------------------------------------
 
-    def _place_key(
-        self,
-        flows: Sequence[Flow],
-        parent: Optional[ModeSchedule],
-        per_flow_candidates: Dict[int, List[int]],
-    ) -> Tuple:
-        """Canonical key capturing every input the placement engines read.
-
-        Two placement subproblems with identical flow sets, identical
-        per-flow candidate lists, and identical parent placements for the
-        copies being placed are the same instance -- whatever failure
-        scenarios produced them -- so the solved placement can be reused.
-        """
-        prefs: Tuple = ()
-        if parent is not None:
-            prefs = tuple(
-                parent.placements.get((task.task_id, copy_idx))
-                for flow in flows
-                for task in flow.tasks
-                for copy_idx in range(self.fconc + 1)
-            )
-        return (
-            self.method,
-            tuple(f.flow_id for f in flows),
-            tuple(tuple(per_flow_candidates[f.flow_id]) for f in flows),
-            prefs,
-        )
-
     def _place(
         self,
         flows: Sequence[Flow],
@@ -352,26 +300,12 @@ class ScheduleBuilder:
         parent: Optional[ModeSchedule],
         candidate_cache: Dict[int, Optional[List[int]]],
     ) -> Optional[Dict[Copy, int]]:
-        """Place ``flows`` (each with a candidate list in
-        ``candidate_cache``), memoized by :meth:`_place_key`."""
+        """Place ``flows``, each with a candidate list in ``candidate_cache``."""
         self.counters["place_calls"] += 1
         per_flow_candidates = {f.flow_id: candidate_cache[f.flow_id] for f in flows}
-        key = self._place_key(flows, parent, per_flow_candidates)
-        if key in self._place_cache:
-            self._place_cache.move_to_end(key)
-            self.counters["place_memo_hits"] += 1
-            _PLACE_STATS["hits"] += 1
-            return self._place_cache[key]
-        _PLACE_STATS["misses"] += 1
         if self.method == "ilp":
-            result = self._place_ilp(flows, available, parent, per_flow_candidates)
-        else:
-            result = self._place_greedy(flows, available, parent, per_flow_candidates)
-        self._place_cache[key] = result
-        while len(self._place_cache) > self.PLACE_MEMO_MAX:
-            self._place_cache.popitem(last=False)
-            _PLACE_STATS["evictions"] += 1
-        return result
+            return self._place_ilp(flows, available, parent, per_flow_candidates)
+        return self._place_greedy(flows, available, parent, per_flow_candidates)
 
     def _copies(self, flows: Sequence[Flow]) -> List[Tuple[Copy, Task, Flow]]:
         out: List[Tuple[Copy, Task, Flow]] = []
@@ -499,7 +433,3 @@ class ScheduleBuilder:
             if solution.assignment.get(name) == 1:
                 placements[copy] = node
         return placements
-
-from repro.obs import registry as _telemetry
-
-_telemetry.register("place_memo", place_memo_stats, reset_place_memo_stats)

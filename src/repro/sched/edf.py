@@ -16,28 +16,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.sched.task import Task
-
-#: Bound on the schedulability memo (see :func:`edf_schedulable`).
-EDF_MEMO_MAX = 8192
-
-_EDF_MEMO: "OrderedDict[Tuple, bool]" = OrderedDict()
-_EDF_MEMO_STATS: Dict[str, int] = {"hits": 0, "misses": 0}
-
-
-def edf_memo_stats() -> Dict[str, int]:
-    """A copy of the :func:`edf_schedulable` memo counters."""
-    return dict(_EDF_MEMO_STATS)
-
-
-def reset_edf_memo() -> None:
-    _EDF_MEMO.clear()
-    for key in _EDF_MEMO_STATS:
-        _EDF_MEMO_STATS[key] = 0
 
 
 def total_utilization(tasks: Iterable[Task]) -> float:
@@ -72,33 +54,10 @@ def edf_schedulable(tasks: Sequence[Task], utilization_cap: float = 1.0) -> bool
     processor-demand analysis over the testing interval (up to the
     hyperperiod, checking each absolute deadline).  ``utilization_cap``
     lets callers reserve headroom (e.g. for the REBOUND protocol task).
-
-    Placement engines probe the same candidate task sets over and over
-    (once per admission trial per node), so results are memoized under the
-    timing parameters -- ``(wcet, period, deadline)`` multiset plus the cap
-    -- in a bounded LRU (``EDF_MEMO_MAX`` entries).
     """
     tasks = list(tasks)
     if not tasks:
         return True
-    memo_key = (
-        tuple(sorted((t.wcet_us, t.period_us, t.deadline_us) for t in tasks)),
-        round(utilization_cap, 12),
-    )
-    cached = _EDF_MEMO.get(memo_key)
-    if cached is not None:
-        _EDF_MEMO.move_to_end(memo_key)
-        _EDF_MEMO_STATS["hits"] += 1
-        return cached
-    _EDF_MEMO_STATS["misses"] += 1
-    result = _edf_schedulable_uncached(tasks, utilization_cap)
-    _EDF_MEMO[memo_key] = result
-    while len(_EDF_MEMO) > EDF_MEMO_MAX:
-        _EDF_MEMO.popitem(last=False)
-    return result
-
-
-def _edf_schedulable_uncached(tasks: Sequence[Task], utilization_cap: float) -> bool:
     u = total_utilization(tasks)
     if u > utilization_cap + 1e-12:
         return False
@@ -237,7 +196,3 @@ class EDFSimulator:
                 now = finish_at
                 record.finish_us = now
         return EDFResult(jobs=jobs, preemptions=preemptions)
-
-from repro.obs import registry as _telemetry
-
-_telemetry.register("edf_memo", edf_memo_stats, reset_edf_memo)

@@ -1,12 +1,14 @@
 """Mode-tree generation (paper S3.9, evaluated in Fig. 7).
 
 Conceptually there is a mode for every failure scenario (KN, KL).  The
-generator organizes them into a tree rooted at the fault-free mode; children
-differ from their parents by exactly one additional node (or link) failure,
-and leaves are modes with ``fmax`` faults.  Schedules are computed bottom-up
-against the parent to minimize transition cost, and the whole tree is
-precomputed offline and stored on every node (a few MB, fitting embedded
-flash -- Fig. 7a).
+generator precomputes the node-fault modes as a tree rooted at the
+fault-free mode; children differ from their parents by exactly one
+additional node failure, and leaves are modes with ``fmax`` faults.
+Schedules are computed top-down against the parent to minimize transition
+cost, and the whole tree is stored on every node (a few MB, fitting
+embedded flash -- Fig. 7a).  Link-fault scenarios, whose cross-product is
+far larger, are scheduled on demand by :meth:`ModeTree.schedule_for`, as
+the paper suggests ("could be computed on demand").
 
 The number of node-fault vertices is sum_{i=0..fmax} C(n, i) (paper S5.4),
 which explodes for large n.  Like the paper we parallelize per fault layer:
@@ -24,18 +26,18 @@ it schedules the root plus a random sample of modes per layer and
 extrapolates total generation time and tree size.  The exact and estimated
 paths share all scheduling code (and the same worker pool).
 
-Identical schedule *bodies* (placements + active/dropped flows, which
-repeat heavily across sibling modes whose failed node hosted nothing) are
-interned tree-wide, and :meth:`ModeTree.serialized_size` stores each unique
-body once -- cutting both memory and the Fig. 7a flash footprint.
+:meth:`ModeTree.serialized_size` stores each distinct schedule *body*
+(placements + active/dropped flows) once; sibling modes whose failed node
+hosted nothing repeat their parent's body, which keeps the Fig. 7a flash
+footprint down.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -45,19 +47,6 @@ from repro.sched.assign import InfeasibleSchedule, ModeSchedule, ScheduleBuilder
 from repro.sched.task import Workload
 
 Link = Tuple[int, int]
-
-#: Process-wide mode-lookup memo counters (surfaced via analysis.metrics).
-_LOOKUP_STATS: Dict[str, int] = {"hits": 0, "misses": 0}
-
-
-def lookup_memo_stats() -> Dict[str, int]:
-    """A copy of the process-wide ``ModeTree.schedule_for`` memo counters."""
-    return dict(_LOOKUP_STATS)
-
-
-def reset_lookup_memo_stats() -> None:
-    for key in _LOOKUP_STATS:
-        _LOOKUP_STATS[key] = 0
 
 
 @register_message
@@ -136,20 +125,11 @@ class ModeTree:
 
     ``builder`` (attached by the generator) enables deterministic *on-demand*
     scheduling for scenarios outside the precomputed tree -- chiefly
-    link-fault combinations, whose full cross-product is too large to
-    precompute (the paper notes schedules "could be computed on demand",
-    S3.9).  Because the builder is deterministic, every correct node
-    computes the identical schedule without coordination.
-
-    Recovery experiments call :meth:`schedule_for` / :meth:`depth_of` once
-    per node per round for the same handful of scenarios, so both are
-    backed by bounded LRU memos (``LOOKUP_MEMO_MAX`` entries).  The memos
-    are sound: an entry is only written after any on-demand insertion for
-    that scenario has happened, and existing tree nodes never change.
+    link-fault combinations, which the tree never precomputes (the paper
+    notes schedules "could be computed on demand", S3.9).  Because the
+    builder is deterministic, every correct node computes the identical
+    schedule without coordination.
     """
-
-    #: Bound on the per-tree schedule_for / depth_of memos.
-    LOOKUP_MEMO_MAX = 4096
 
     fmax: int
     fconc: int
@@ -160,18 +140,8 @@ class ModeTree:
     stats: Optional["GenerationStats"] = field(
         default=None, compare=False, repr=False
     )
-    _body_pool: Dict[Tuple, ModeSchedule] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-    _interned_count: int = field(default=0, compare=False, repr=False)
-    _lookup_memo: "OrderedDict[FailureScenario, ModeSchedule]" = field(
-        default_factory=OrderedDict, compare=False, repr=False
-    )
-    _depth_memo: "OrderedDict[FailureScenario, int]" = field(
-        default_factory=OrderedDict, compare=False, repr=False
-    )
-    #: Scenarios inserted by the on-demand single-jump path
-    #: (:meth:`_schedule_for_uncached`) rather than layered generation.
+    #: Scenarios inserted by the on-demand single-jump path of
+    #: :meth:`schedule_for` rather than layered generation.
     #: :meth:`ModeTreeGenerator.extend_for` replaces these with canonical
     #: layered entries when it regenerates a subtree online.
     ondemand: Set[FailureScenario] = field(
@@ -186,66 +156,16 @@ class ModeTree:
     def num_edges(self) -> int:
         return sum(len(c) for c in self.children.values())
 
-    # -- schedule interning ------------------------------------------------
-
-    def intern(self, schedule: ModeSchedule) -> ModeSchedule:
-        """Dedupe the schedule's body against the tree-wide pool.
-
-        The returned schedule is value-equal to the input; when another
-        mode already carries the same placements and flow sets, their
-        container objects are shared, cutting the memory held by large
-        trees (the per-scenario ``failed_nodes``/``failed_links`` stay
-        distinct).
-        """
-        key = _body_key(schedule)
-        pooled = self._body_pool.get(key)
-        if pooled is None:
-            self._body_pool[key] = schedule
-            return schedule
-        self._interned_count += 1
-        if (
-            pooled.placements is schedule.placements
-            and pooled.active_flows is schedule.active_flows
-            and pooled.dropped_flows is schedule.dropped_flows
-        ):
-            return schedule
-        return ModeSchedule(
-            failed_nodes=schedule.failed_nodes,
-            failed_links=schedule.failed_links,
-            placements=pooled.placements,
-            active_flows=pooled.active_flows,
-            dropped_flows=pooled.dropped_flows,
-        )
-
-    def intern_stats(self) -> Dict[str, int]:
-        return {
-            "unique_bodies": len(self._body_pool),
-            "interned": self._interned_count,
-        }
-
-    # -- lookups -----------------------------------------------------------
-
     def schedule_for(self, scenario: FailureScenario) -> ModeSchedule:
         """Look up the schedule for a (normalized) scenario.
 
-        Scenarios over budget are normalized per S3.2; scenarios absent from
-        the tree (e.g. a link combination that was pruned) fall back to the
-        closest generated ancestor that covers a maximal subset of the
-        faults -- conservative but always defined.
+        Scenarios over budget are normalized per S3.2.  A scenario absent
+        from the tree (any link fault, or a node pattern beyond the
+        generated layers) is built on demand against the closest generated
+        ancestor -- the one covering the most of its faults -- and added to
+        the tree; without a builder, or when the build fails, that ancestor's
+        schedule is returned.  Either way the answer is always defined.
         """
-        memo_hit = self._lookup_memo.get(scenario)
-        if memo_hit is not None:
-            self._lookup_memo.move_to_end(scenario)
-            _LOOKUP_STATS["hits"] += 1
-            return memo_hit
-        _LOOKUP_STATS["misses"] += 1
-        result = self._schedule_for_uncached(scenario)
-        self._lookup_memo[scenario] = result
-        while len(self._lookup_memo) > self.LOOKUP_MEMO_MAX:
-            self._lookup_memo.popitem(last=False)
-        return result
-
-    def _schedule_for_uncached(self, scenario: FailureScenario) -> ModeSchedule:
         normalized = normalize_scenario(scenario, self.fmax)
         if normalized in self.schedules:
             return self.schedules[normalized]
@@ -256,44 +176,31 @@ class ModeTree:
                     best = candidate
         if best is None:
             best = EMPTY_SCENARIO
-        if self.builder is not None:
-            # Deterministic on-demand scheduling against the closest
-            # precomputed ancestor (minimizes transition cost).
-            try:
-                schedule = self.builder.build(
-                    failed_nodes=normalized.nodes,
-                    failed_links=normalized.links,
-                    parent=self.schedules[best],
-                )
-            except Exception:
-                return self.schedules[best]
-            schedule = self.intern(schedule)
-            self.schedules[normalized] = schedule
-            self.parents[normalized] = best
-            self.children.setdefault(best, []).append(normalized)
-            self.children.setdefault(normalized, [])
-            self.ondemand.add(normalized)
-            return schedule
-        return self.schedules[best]
+        if self.builder is None:
+            return self.schedules[best]
+        try:
+            schedule = self.builder.build(
+                failed_nodes=normalized.nodes,
+                failed_links=normalized.links,
+                parent=self.schedules[best],
+            )
+        except Exception:
+            return self.schedules[best]
+        self.schedules[normalized] = schedule
+        self.parents[normalized] = best
+        self.children.setdefault(best, []).append(normalized)
+        self.children.setdefault(normalized, [])
+        self.ondemand.add(normalized)
+        return schedule
 
-    def invalidate_lookups(self) -> None:
-        """Drop the schedule_for/depth_of memos (after an online extension
-        changed what a lookup should return)."""
-        self._lookup_memo.clear()
-        self._depth_memo.clear()
-
-    def serialized_size(self, dedup: bool = True) -> int:
+    def serialized_size(self) -> int:
         """Bytes needed to store the tree on a node (Fig. 7a metric).
 
-        With ``dedup`` (the default) each unique schedule body --
-        placements plus active/dropped flow sets -- is stored once and
-        scenarios reference it by index; the per-mode failure sets are
-        recoverable from the scenario key itself.  ``dedup=False`` gives
-        the legacy flat encoding (every mode carries its full schedule).
+        Each unique schedule body -- placements plus active/dropped flow
+        sets -- is stored once and scenarios reference it by index; the
+        per-mode failure sets are recoverable from the scenario key itself.
         """
         items = sorted(self.schedules.items(), key=lambda kv: encode(kv[0]))
-        if not dedup:
-            return len(encode(list(items)))
         bodies: List[Tuple] = []
         body_index: Dict[Tuple, int] = {}
         entries: List[Tuple[FailureScenario, int]] = []
@@ -314,18 +221,11 @@ class ModeTree:
         return len(encode(("modetree/v2", bodies, entries)))
 
     def depth_of(self, scenario: FailureScenario) -> int:
-        cached = self._depth_memo.get(scenario)
-        if cached is not None:
-            self._depth_memo.move_to_end(scenario)
-            return cached
         depth = 0
         current = self.parents.get(scenario)
         while current is not None:
             depth += 1
             current = self.parents.get(current)
-        self._depth_memo[scenario] = depth
-        while len(self._depth_memo) > self.LOOKUP_MEMO_MAX:
-            self._depth_memo.popitem(last=False)
         return depth
 
 
@@ -344,11 +244,9 @@ class GenerationStats:
         per_layer: one dict per fault layer -- ``layer``, ``scenarios``
             (solve jobs), ``feasible`` (schedules produced), ``wall_s``,
             ``solve_s`` (summed per-job solver time, across workers).
-        solver: aggregated ScheduleBuilder counters (ILP solves, explored
-            nodes, warm-start proofs, placement-memo hits, ...), including
-            deltas shipped back from pool workers.
-        interned_schedules: schedule bodies deduped by the tree-wide pool.
-        unique_schedule_bodies: distinct bodies kept.
+        solver: ScheduleBuilder counters summed over this run's solves
+            (builds, placement calls, ILP solves, explored nodes,
+            warm-start proofs, ...), wherever the solve ran.
     """
 
     modes_generated: int
@@ -359,8 +257,18 @@ class GenerationStats:
     workers: int = 1
     per_layer: List[Dict[str, Any]] = field(default_factory=list)
     solver: Dict[str, int] = field(default_factory=dict)
-    interned_schedules: int = 0
-    unique_schedule_bodies: int = 0
+
+
+def _layer_stats(
+    layer: int, scenarios: int, feasible: int, wall_s: float, solve_s: float
+) -> Dict[str, Any]:
+    return {
+        "layer": layer,
+        "scenarios": scenarios,
+        "feasible": feasible,
+        "wall_s": wall_s,
+        "solve_s": solve_s,
+    }
 
 
 # -- worker-pool plumbing -----------------------------------------------------
@@ -372,6 +280,8 @@ class GenerationStats:
 
 _WORKER_BUILDER: Optional[ScheduleBuilder] = None
 
+Job = Tuple[FrozenSet[int], FrozenSet[Link], Optional[ModeSchedule]]
+
 
 def _pool_init(builder: ScheduleBuilder) -> None:
     global _WORKER_BUILDER
@@ -379,11 +289,9 @@ def _pool_init(builder: ScheduleBuilder) -> None:
 
 
 def _solve_with(
-    builder: ScheduleBuilder,
-    nodes: FrozenSet[int],
-    links: FrozenSet[Link],
-    parent: Optional[ModeSchedule],
+    builder: ScheduleBuilder, job: Job
 ) -> Tuple[Optional[ModeSchedule], float, Dict[str, int]]:
+    nodes, links, parent = job
     before = dict(builder.counters)
     start = time.perf_counter()
     try:
@@ -400,25 +308,19 @@ def _solve_with(
     return schedule, elapsed, delta
 
 
-def _pool_job(
-    job: Tuple[FrozenSet[int], FrozenSet[Link], Optional[ModeSchedule]]
-) -> Tuple[Optional[ModeSchedule], float, Dict[str, int]]:
-    nodes, links, parent = job
+def _pool_job(job: Job) -> Tuple[Optional[ModeSchedule], float, Dict[str, int]]:
     assert _WORKER_BUILDER is not None, "pool worker not initialized"
-    return _solve_with(_WORKER_BUILDER, nodes, links, parent)
+    return _solve_with(_WORKER_BUILDER, job)
 
 
 class ModeTreeGenerator:
-    """Generates mode trees for node-fault (and optional link-fault) scenarios.
+    """Generates mode trees over node-fault scenarios.
 
     Args:
         topology: the network.
         workload: the flows to schedule.
         fmax: maximum total faults planned for.
         fconc: replicas per task (concurrent-fault bound).
-        include_link_faults: also expand single-link-failure children
-            (the full cross-product of link faults is enormous; the paper's
-            Fig. 7 sweep counts node-fault vertices, so the default is off).
         method: ``"greedy"`` or ``"ilp"`` placement.
         workers: fan each fault layer of :meth:`generate`,
             :meth:`extend_for` and :meth:`estimate` out across this many
@@ -434,7 +336,6 @@ class ModeTreeGenerator:
         workload: Workload,
         fmax: int = 1,
         fconc: int = 1,
-        include_link_faults: bool = False,
         method: str = "greedy",
         utilization_cap: float = 0.9,
         pinned_primaries=None,
@@ -447,7 +348,6 @@ class ModeTreeGenerator:
         self.workload = workload
         self.fmax = fmax
         self.fconc = fconc
-        self.include_link_faults = include_link_faults
         self.workers = max(1, workers)
         self.last_stats: Optional[GenerationStats] = None
         self.builder = ScheduleBuilder(
@@ -463,10 +363,10 @@ class ModeTreeGenerator:
     # -- worker pool ----------------------------------------------------------
 
     def _make_pool(self):
-        """A ProcessPoolExecutor primed with this generator's builder, or
-        None when serial."""
+        """A context manager yielding a ProcessPoolExecutor primed with this
+        generator's builder, or None when serial."""
         if self.workers <= 1:
-            return None
+            return contextlib.nullcontext()
         import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
 
@@ -480,22 +380,116 @@ class ModeTreeGenerator:
         )
 
     def _solve_batch(
-        self,
-        jobs: Sequence[Tuple[FrozenSet[int], FrozenSet[Link], Optional[ModeSchedule]]],
-        pool,
-    ) -> List[Tuple[Optional[ModeSchedule], float, Dict[str, int]]]:
-        """Solve jobs in order; via the pool when one is attached.
+        self, jobs: Sequence[Job], pool, solver: Dict[str, int]
+    ) -> List[Tuple[Optional[ModeSchedule], float]]:
+        """Solve jobs in order, via the pool when one is attached, and add
+        every job's builder-counter delta to ``solver``.
 
         ``Executor.map`` preserves input order, so results merge
         deterministically regardless of completion order.
         """
         if pool is None:
-            return [
-                _solve_with(self.builder, nodes, links, parent)
-                for nodes, links, parent in jobs
-            ]
-        chunksize = max(1, len(jobs) // (pool._max_workers * 4) or 1)
-        return list(pool.map(_pool_job, jobs, chunksize=chunksize))
+            results = [_solve_with(self.builder, job) for job in jobs]
+        else:
+            chunksize = max(1, len(jobs) // (pool._max_workers * 4))
+            results = list(pool.map(_pool_job, jobs, chunksize=chunksize))
+        for _schedule, _elapsed, delta in results:
+            for key, value in delta.items():
+                solver[key] = solver.get(key, 0) + value
+        return [(schedule, elapsed) for schedule, elapsed, _delta in results]
+
+    def _solve_root(
+        self, solver: Dict[str, int]
+    ) -> Tuple[ModeSchedule, Dict[str, Any]]:
+        [(root, elapsed)] = self._solve_batch(
+            [(frozenset(), frozenset(), None)], None, solver
+        )
+        if root is None:
+            raise InfeasibleSchedule("no surviving controllers")
+        return root, _layer_stats(0, 1, 1, elapsed, elapsed)
+
+    # -- layer expansion -------------------------------------------------------
+
+    def _expand(
+        self,
+        tree: ModeTree,
+        depth: int,
+        target: Optional[FailureScenario],
+        pool,
+        solver: Dict[str, int],
+    ) -> List[Dict[str, Any]]:
+        """Grow ``tree`` from its root down to layer ``depth``.
+
+        The one expansion loop behind :meth:`generate` and
+        :meth:`extend_for`.  Per layer it *plans* every (parent, child)
+        edge in frontier order -- children restricted to ``target``'s
+        sub-lattice when one is given -- *claims* each child not yet in
+        the tree for the first parent reaching it, *solves* the claimed
+        children (serially or on ``pool``), and *merges* in plan order: the
+        first parent inserts a child, later parents only link it (the
+        scenario space is a DAG; the tree keeps one canonical parent).
+        Children already in the tree -- the precomputed layers an
+        extension replays, or an earlier extension's entries -- are linked
+        and stay on the frontier, so deeper layers expand under them.
+        Because the plan is fixed before any solve, the result does not
+        depend on the pool.  Returns one stats dict per layer.
+        """
+        per_layer: List[Dict[str, Any]] = []
+        frontier = [EMPTY_SCENARIO]
+        for layer_no in range(1, depth + 1):
+            layer_t0 = time.perf_counter()
+            plan: List[Tuple[FailureScenario, FailureScenario]] = []
+            claimed: Set[FailureScenario] = set()
+            job_children: List[FailureScenario] = []
+            jobs: List[Job] = []
+            for scenario in frontier:
+                for child in self._children_of(scenario):
+                    if target is not None and not target.covers(child):
+                        continue
+                    plan.append((scenario, child))
+                    if child in tree.schedules or child in claimed:
+                        continue
+                    claimed.add(child)
+                    job_children.append(child)
+                    jobs.append((child.nodes, child.links, tree.schedules[scenario]))
+            results = self._solve_batch(jobs, pool, solver)
+            solved = {
+                child: schedule
+                for child, (schedule, _elapsed) in zip(job_children, results)
+                if schedule is not None
+            }
+            next_frontier: List[FailureScenario] = []
+            on_frontier: Set[FailureScenario] = set()
+            for scenario, child in plan:
+                if child in tree.schedules:
+                    if child not in tree.children[scenario]:
+                        tree.children[scenario].append(child)
+                elif child in solved:
+                    tree.schedules[child] = solved[child]
+                    tree.parents[child] = scenario
+                    tree.children[scenario].append(child)
+                    tree.children[child] = []
+                else:
+                    continue  # infeasible under every parent
+                if child not in on_frontier:
+                    on_frontier.add(child)
+                    next_frontier.append(child)
+            frontier = next_frontier
+            per_layer.append(
+                _layer_stats(
+                    layer_no,
+                    len(jobs),
+                    len(solved),
+                    time.perf_counter() - layer_t0,
+                    sum(elapsed for _schedule, elapsed in results),
+                )
+            )
+        return per_layer
+
+    def _children_of(self, scenario: FailureScenario) -> Iterable[FailureScenario]:
+        for node in self.topology.controllers:
+            if node not in scenario.nodes:
+                yield scenario.with_node(node)
 
     # -- exact generation ----------------------------------------------------
 
@@ -509,101 +503,17 @@ class ModeTreeGenerator:
         run -- the equivalence tests assert this bit-for-bit.
         """
         start = time.perf_counter()
-        baseline = dict(self.builder.counters)
-        extra: Dict[str, int] = {}
+        solver: Dict[str, int] = {}
         tree = ModeTree(fmax=self.fmax, fconc=self.fconc, builder=self.builder)
-        per_layer: List[Dict[str, Any]] = []
-
-        root_t0 = time.perf_counter()
-        root_schedule = tree.intern(self.builder.build())
-        root_solve_s = time.perf_counter() - root_t0
-        tree.schedules[EMPTY_SCENARIO] = root_schedule
+        root, root_layer = self._solve_root(solver)
+        tree.schedules[EMPTY_SCENARIO] = root
         tree.parents[EMPTY_SCENARIO] = None
         tree.children[EMPTY_SCENARIO] = []
-        per_layer.append(
-            {
-                "layer": 0,
-                "scenarios": 1,
-                "feasible": 1,
-                "wall_s": root_solve_s,
-                "solve_s": root_solve_s,
-            }
-        )
-
-        pool = self._make_pool()
-        try:
-            frontier = [EMPTY_SCENARIO]
-            for layer_no in range(1, self.fmax + 1):
-                layer_t0 = time.perf_counter()
-                # Deterministic expansion plan: every (parent, child) edge
-                # in serial visit order.  The first parent reaching a child
-                # is canonical and owns the (single) solve.
-                plan: List[Tuple[FailureScenario, FailureScenario]] = []
-                claimed: Set[FailureScenario] = set()
-                jobs = []
-                job_children: List[FailureScenario] = []
-                for scenario in frontier:
-                    for child in self._children_of(scenario):
-                        plan.append((scenario, child))
-                        if child in tree.schedules or child in claimed:
-                            continue
-                        claimed.add(child)
-                        job_children.append(child)
-                        jobs.append(
-                            (child.nodes, child.links, tree.schedules[scenario])
-                        )
-                results = self._solve_batch(jobs, pool)
-                solved: Dict[FailureScenario, ModeSchedule] = {}
-                solve_s = 0.0
-                for child, (schedule, elapsed, delta) in zip(job_children, results):
-                    solve_s += elapsed
-                    if pool is not None:
-                        for key, value in delta.items():
-                            extra[key] = extra.get(key, 0) + value
-                    if schedule is not None:
-                        solved[child] = tree.intern(schedule)
-                # Deterministic merge replicating the serial insertion
-                # semantics: first parent inserts, later parents only link.
-                next_frontier: List[FailureScenario] = []
-                for scenario, child in plan:
-                    if child in tree.schedules:
-                        # DAG-shaped scenario space collapses onto the first
-                        # parent (the tree keeps one canonical parent).
-                        if child not in tree.children[scenario]:
-                            tree.children[scenario].append(child)
-                        continue
-                    schedule = solved.get(child)
-                    if schedule is None:
-                        continue  # infeasible under every parent
-                    tree.schedules[child] = schedule
-                    tree.parents[child] = scenario
-                    tree.children[scenario].append(child)
-                    tree.children[child] = []
-                    next_frontier.append(child)
-                frontier = next_frontier
-                per_layer.append(
-                    {
-                        "layer": layer_no,
-                        "scenarios": len(jobs),
-                        "feasible": len(solved),
-                        "wall_s": time.perf_counter() - layer_t0,
-                        "solve_s": solve_s,
-                    }
-                )
-        finally:
-            if pool is not None:
-                pool.shutdown()
-
+        with self._make_pool() as pool:
+            per_layer = [root_layer] + self._expand(
+                tree, self.fmax, None, pool, solver
+            )
         wall = time.perf_counter() - start
-        intern = tree.intern_stats()
-        # This run's solver work: the parent builder's delta plus the
-        # deltas shipped back from pool workers.
-        solver = {
-            key: self.builder.counters.get(key, 0)
-            - baseline.get(key, 0)
-            + extra.get(key, 0)
-            for key in set(self.builder.counters) | set(extra)
-        }
         stats = GenerationStats(
             modes_generated=tree.num_modes,
             wall_time_s=wall,
@@ -613,8 +523,6 @@ class ModeTreeGenerator:
             workers=self.workers,
             per_layer=per_layer,
             solver=solver,
-            interned_schedules=intern["interned"],
-            unique_schedule_bodies=intern["unique_bodies"],
         )
         tree.stats = stats
         self.last_stats = stats
@@ -630,14 +538,16 @@ class ModeTreeGenerator:
         nodes degrade to a *holding mode* (the best covering ancestor, or a
         single-jump on-demand build against that ancestor).  This method
         regenerates online exactly the scenarios the overflow needs --
-        ``{S : S ⊆ target, |S| > fmax}`` -- layer by layer with the same
-        deterministic plan/solve/merge machinery as :meth:`generate`, so
-        the added entries are **byte-identical** to what a from-scratch
-        generation at ``fmax' = target.fault_count`` would have produced
-        for those scenarios (the benchmark and the satellite tests assert
-        this).  The identity holds because every parent of a scenario
-        ``⊆ target`` is itself ``⊆ target``: restricting the frontier to
-        the sub-lattice preserves both the serial visit order and the
+        ``{S : S ⊆ target, |S| > fmax}`` -- by running :meth:`generate`'s
+        expansion restricted to the sub-lattice under ``target``, down to
+        ``target.fault_count``.  The layers up to ``fmax`` are already in
+        the tree, so replaying them solves nothing and only rebuilds their
+        frontier order; the added entries are therefore **byte-identical**
+        to what a from-scratch generation at ``fmax' = target.fault_count``
+        would have produced for those scenarios (the benchmark and the
+        tests assert this).  The identity holds because every parent of a
+        scenario ``⊆ target`` is itself ``⊆ target``: restricting the
+        frontier to the sub-lattice preserves both the visit order and the
         first-parent-canonical claims of the full expansion.
 
         Any scenarios in the open sub-lattice previously inserted by the
@@ -645,8 +555,9 @@ class ModeTreeGenerator:
         entries (the jump parent differs, so its schedule may too).
 
         Returns a stats dict: ``added_modes``, ``replaced_ondemand``,
-        ``layers`` (per-layer scenario/feasible counts), ``base_layer``,
-        ``target_layer``, ``wall_s``, ``solve_s``, ``workers``.
+        ``layers`` (per-layer scenario/feasible counts above ``fmax``),
+        ``base_layer``, ``target_layer``, ``wall_s``, ``solve_s``,
+        ``workers``.
         """
         target = FailureScenario(
             nodes=frozenset(target.nodes), links=frozenset(target.links)
@@ -662,128 +573,32 @@ class ModeTreeGenerator:
             "solve_s": 0.0,
             "workers": self.workers,
         }
-        if target.fault_count <= tree.fmax:
-            stats["wall_s"] = time.perf_counter() - start
-            return stats
-
-        # Evict on-demand single-jump entries inside the open sub-lattice:
-        # their parent was a coarse covering ancestor, not the canonical
-        # layered parent, so keeping them would break the identity.
-        for scenario in [
-            s
-            for s in tree.ondemand
-            if s.fault_count > tree.fmax and target.covers(s)
-        ]:
-            parent = tree.parents.pop(scenario, None)
-            tree.schedules.pop(scenario, None)
-            tree.children.pop(scenario, None)
-            if parent is not None and scenario in tree.children.get(parent, ()):
-                tree.children[parent].remove(scenario)
-            tree.ondemand.discard(scenario)
-            stats["replaced_ondemand"] += 1
-
-        # Replay the full expansion's frontier order restricted to the
-        # sub-lattice (plan only -- no solving).  Children outside the
-        # target never produce descendants inside it, so filtering is
-        # order-preserving; filtering to feasible (present in the tree)
-        # mirrors generation, where infeasible children never joined the
-        # frontier.
-        frontier = [EMPTY_SCENARIO]
-        seen: Set[FailureScenario] = {EMPTY_SCENARIO}
-        for _layer in range(1, tree.fmax + 1):
-            order: List[FailureScenario] = []
-            for scenario in frontier:
-                for child in self._children_of(scenario):
-                    if not target.covers(child) or child in seen:
-                        continue
-                    seen.add(child)
-                    order.append(child)
-            frontier = [c for c in order if c in tree.schedules]
-
-        pool = self._make_pool()
-        try:
-            for layer_no in range(tree.fmax + 1, target.fault_count + 1):
-                layer_t0 = time.perf_counter()
-                plan: List[Tuple[FailureScenario, FailureScenario]] = []
-                claimed: Set[FailureScenario] = set()
-                jobs = []
-                job_children: List[FailureScenario] = []
-                for scenario in frontier:
-                    for child in self._children_of(scenario):
-                        if not target.covers(child):
-                            continue
-                        plan.append((scenario, child))
-                        if child in tree.schedules or child in claimed:
-                            continue
-                        claimed.add(child)
-                        job_children.append(child)
-                        jobs.append(
-                            (child.nodes, child.links, tree.schedules[scenario])
-                        )
-                results = self._solve_batch(jobs, pool)
-                solved: Dict[FailureScenario, ModeSchedule] = {}
-                solve_s = 0.0
-                for child, (schedule, elapsed, _delta) in zip(
-                    job_children, results
-                ):
-                    solve_s += elapsed
-                    if schedule is not None:
-                        solved[child] = tree.intern(schedule)
-                next_frontier: List[FailureScenario] = []
-                for scenario, child in plan:
-                    if child in tree.schedules:
-                        if child not in tree.children[scenario]:
-                            tree.children[scenario].append(child)
-                        # Extension layers re-visit scenarios added by a
-                        # previous extend_for call; those still belong to
-                        # the frontier so deeper layers expand under them.
-                        if child.fault_count == layer_no and child not in next_frontier:
-                            next_frontier.append(child)
-                        continue
-                    schedule = solved.get(child)
-                    if schedule is None:
-                        continue
-                    tree.schedules[child] = schedule
-                    tree.parents[child] = scenario
-                    tree.children[scenario].append(child)
-                    tree.children[child] = []
-                    next_frontier.append(child)
-                    stats["added_modes"] += 1
-                frontier = next_frontier
-                stats["layers"].append(
-                    {
-                        "layer": layer_no,
-                        "scenarios": len(jobs),
-                        "feasible": len(solved),
-                        "wall_s": time.perf_counter() - layer_t0,
-                        "solve_s": solve_s,
-                    }
-                )
-                stats["solve_s"] += solve_s
-        finally:
-            if pool is not None:
-                pool.shutdown()
-
-        # Lookups memoized before the extension may now be stale (an
-        # overflow pattern that resolved to a holding ancestor now has an
-        # exact entry).
-        tree.invalidate_lookups()
+        if target.fault_count > tree.fmax:
+            # Evict on-demand single-jump entries inside the open
+            # sub-lattice: their parent was a coarse covering ancestor, not
+            # the canonical layered parent, so keeping them would break the
+            # identity.
+            for scenario in [
+                s
+                for s in tree.ondemand
+                if s.fault_count > tree.fmax and target.covers(s)
+            ]:
+                parent = tree.parents.pop(scenario, None)
+                tree.schedules.pop(scenario, None)
+                tree.children.pop(scenario, None)
+                if parent is not None and scenario in tree.children.get(parent, ()):
+                    tree.children[parent].remove(scenario)
+                tree.ondemand.discard(scenario)
+                stats["replaced_ondemand"] += 1
+            with self._make_pool() as pool:
+                layers = self._expand(
+                    tree, target.fault_count, target, pool, {}
+                )[tree.fmax:]
+            stats["layers"] = layers
+            stats["added_modes"] = sum(layer["feasible"] for layer in layers)
+            stats["solve_s"] = sum(layer["solve_s"] for layer in layers)
         stats["wall_s"] = time.perf_counter() - start
         return stats
-
-    def _children_of(self, scenario: FailureScenario) -> Iterable[FailureScenario]:
-        controllers = self.topology.controllers
-        for node in controllers:
-            if node not in scenario.nodes:
-                yield scenario.with_node(node)
-        if self.include_link_faults:
-            for link in self.topology.p2p_links:
-                a, b = tuple(sorted(link))
-                if (a, b) in scenario.links:
-                    continue
-                if a in scenario.nodes or b in scenario.nodes:
-                    continue
-                yield scenario.with_link((a, b))
 
     # -- sampling estimator (Fig. 7 at large n) -----------------------------------
 
@@ -806,22 +621,12 @@ class ModeTreeGenerator:
         rng = random.Random(seed)
         controllers = self.topology.controllers
         counts = self.layer_counts()
-        per_layer: List[Dict[str, Any]] = []
-        baseline = dict(self.builder.counters)
-        extra: Dict[str, int] = {}
+        solver: Dict[str, int] = {}
         start = time.perf_counter()
-        root = self.builder.build()
-        root_time = time.perf_counter() - start
+        root, root_layer = self._solve_root(solver)
+        root_time = root_layer["solve_s"]
         root_size = len(encode((EMPTY_SCENARIO, root)))
-        per_layer.append(
-            {
-                "layer": 0,
-                "scenarios": 1,
-                "feasible": 1,
-                "wall_s": root_time,
-                "solve_s": root_time,
-            }
-        )
+        per_layer: List[Dict[str, Any]] = [root_layer]
 
         # Pre-draw each layer's sample deterministically.  The serial loop
         # only ever fails a draw when no controller survives, which is a
@@ -847,25 +652,19 @@ class ModeTreeGenerator:
                 )
             layer_samples.append(scenarios)
 
-        pool = self._make_pool()
         total_time = root_time
         total_size = root_size
         modes_generated = 1
-        try:
+        with self._make_pool() as pool:
             for layer, scenarios in enumerate(layer_samples, start=1):
                 layer_t0 = time.perf_counter()
                 count = counts[layer]
                 jobs = [(s.nodes, s.links, root) for s in scenarios]
-                results = self._solve_batch(jobs, pool)
+                results = self._solve_batch(jobs, pool, solver)
                 layer_time = 0.0
                 layer_size = 0
                 scheduled = 0
-                for scenario, (schedule, elapsed, delta) in zip(
-                    scenarios, results
-                ):
-                    if pool is not None:
-                        for key, value in delta.items():
-                            extra[key] = extra.get(key, 0) + value
+                for scenario, (schedule, elapsed) in zip(scenarios, results):
                     if schedule is None:
                         continue
                     layer_time += elapsed
@@ -876,23 +675,14 @@ class ModeTreeGenerator:
                     total_size += layer_size // scheduled * count
                     modes_generated += scheduled
                 per_layer.append(
-                    {
-                        "layer": layer,
-                        "scenarios": len(jobs),
-                        "feasible": scheduled,
-                        "wall_s": time.perf_counter() - layer_t0,
-                        "solve_s": layer_time,
-                    }
+                    _layer_stats(
+                        layer,
+                        len(jobs),
+                        scheduled,
+                        time.perf_counter() - layer_t0,
+                        layer_time,
+                    )
                 )
-        finally:
-            if pool is not None:
-                pool.shutdown()
-        solver = {
-            key: self.builder.counters.get(key, 0)
-            - baseline.get(key, 0)
-            + extra.get(key, 0)
-            for key in set(self.builder.counters) | set(extra)
-        }
         stats = GenerationStats(
             modes_generated=modes_generated,
             wall_time_s=time.perf_counter() - start,
@@ -905,7 +695,3 @@ class ModeTreeGenerator:
         )
         self.last_stats = stats
         return stats
-
-from repro.obs import registry as _telemetry
-
-_telemetry.register("modegen_lookup", lookup_memo_stats, reset_lookup_memo_stats)

@@ -5,11 +5,12 @@ node faults up to ``fmax``, built exactly as ``bench-modegen`` builds it.  Its
 fingerprint is the SHA-256 of ``encode`` over the tree's (scenario,
 schedule, parent, children) entries sorted by encoded scenario -- so
 schedules, canonical parents and child order all count.  The cells are the
-``bench-modegen`` quick and full cells plus ER-7 (``fmax=1``, ILP), whose
-cold ILP once dropped a flow in two modes.  The committed file was recorded
-with every solver optimisation of the time switched on (ILP warm starts,
-batch admission, placement memo, schedule interning); the default
-generator must reproduce it bit for bit, serial and with a worker pool.
+``bench-modegen`` quick and full cells (not its n = 30 pool cell) plus ER-7
+(``fmax=1``, ILP), whose cold ILP once dropped a flow in two modes.  The
+committed file was recorded with every solver optimisation of the time
+switched on (ILP warm starts, batch admission, and a placement memo and
+schedule interning that have since been deleted); the default generator
+must reproduce it bit for bit, serial and with a worker pool.
 See ``tests/golden/README.md`` for when and how to regenerate it.
 
     PYTHONPATH=src python -m tests.golden_mode_trees CELL      # print one cell

@@ -14,7 +14,6 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.metrics import fastpath_stats
 from repro.core.forwarding import (
     _coverage_cache,
     _coverage_for,
@@ -34,6 +33,7 @@ from repro.crypto.multisig import (
 from repro.crypto.rsa import RSAKeyPair, RSASignature
 from repro.net import message
 from repro.net.topology import grid_topology
+from repro.obs import registry
 
 
 # -- CRT signing ---------------------------------------------------------------
@@ -362,8 +362,9 @@ def test_batch_multisig_matches_individual_verdicts():
     assert verify_multisig_values_batch(group, []) == []
 
 
-def test_fastpath_stats_shape():
-    stats = fastpath_stats()
+def test_stats_snapshot_shape():
+    registry.ensure_default_components()
+    stats = registry.stats_snapshot()
     assert set(stats) == {
         "rsa_sign",
         "verify_cache",
@@ -371,17 +372,11 @@ def test_fastpath_stats_shape():
         "codec_memo",
         "coverage_cache",
         "ilp_solver",
-        "place_memo",
-        "edf_memo",
-        "modegen_lookup",
         "quotas",
         "stabilize",
     }
     assert "hit_rate" in stats["verify_cache"]
     assert {"charged", "dropped"} <= set(stats["quotas"])
-    assert {"hits", "misses"} <= set(stats["place_memo"])
-    assert {"hits", "misses"} <= set(stats["edf_memo"])
-    assert {"hits", "misses"} <= set(stats["modegen_lookup"])
     assert "warm_starts" in stats["ilp_solver"]
 
 

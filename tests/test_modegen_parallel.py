@@ -4,10 +4,8 @@ The engine's contract (docs/PROTOCOL.md "Offline scheduling performance")
 is that every optimization is invisible in the results:
 
 * ``workers=N`` produces a tree *identical* to the serial one (schedules,
-  canonical parents, child order, serialized encodings);
-* the placement memo and schedule interning are exactly result-preserving
-  (``tests/golden/mode_trees.json`` pins whole trees; here every mode is
-  rebuilt with the memo cleared);
+  canonical parents, child order, serialized size;
+  ``tests/golden/mode_trees.json`` pins whole trees);
 * ILP warm starts preserve the cold-solve *objective* (the assignment may
   be a different equally-optimal one);
 * ``max_nodes`` budgets are deterministic and reported via ``stopped_by``.
@@ -20,10 +18,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.net.topology import erdos_renyi_topology
 from repro.sched.assign import ScheduleBuilder
-from repro.sched.edf import edf_memo_stats, edf_schedulable, reset_edf_memo
 from repro.sched.ilp import ILPStatus, ZeroOneILP
-from repro.sched.modegen import FailureScenario, ModeTreeGenerator
-from repro.sched.task import Task
+from repro.sched.modegen import ModeTreeGenerator
 from repro.sched.workload import WorkloadGenerator
 
 
@@ -40,7 +36,6 @@ def _assert_trees_identical(a, b):
     assert a.parents == b.parents
     assert a.children == b.children
     assert a.serialized_size() == b.serialized_size()
-    assert a.serialized_size(dedup=False) == b.serialized_size(dedup=False)
     assert a == b
 
 
@@ -80,17 +75,6 @@ class TestParallelEqualsSerial:
         assert [d["scenarios"] for d in s.per_layer] == [
             d["scenarios"] for d in p.per_layer
         ]
-
-
-class TestDefaultsAreResultPreserving:
-    def test_interning_dedupes_bodies(self):
-        topology, workload = _system(8, 0)
-        tree = ModeTreeGenerator(topology, workload, fmax=2).generate()
-        stats = tree.intern_stats()
-        assert stats["unique_bodies"] + stats["interned"] == tree.num_modes
-        # Sibling modes whose failed node hosts nothing share bodies, so
-        # dedup must strictly shrink the serialized tree.
-        assert tree.serialized_size() < tree.serialized_size(dedup=False)
 
 
 class TestWarmStartObjectiveEquality:
@@ -202,74 +186,3 @@ class TestDeterministicBudgets:
         sol = self._knapsack().solve(max_nodes=10_000_000)
         assert sol.status is ILPStatus.OPTIMAL
         assert sol.stopped_by is None
-
-
-class TestBoundedMemos:
-    def test_schedule_for_memo_is_bounded_and_correct(self):
-        topology, workload = _system(7, 6)
-        tree = ModeTreeGenerator(topology, workload, fmax=2).generate()
-        tree.LOOKUP_MEMO_MAX = 2  # shadow the class attribute for the test
-        controllers = topology.controllers
-        scenarios = [
-            FailureScenario(nodes=frozenset({c}), links=frozenset())
-            for c in controllers[:4]
-        ]
-        expected = [tree.schedules[s] for s in scenarios]
-        for _round in range(3):
-            for scenario, want in zip(scenarios, expected):
-                assert tree.schedule_for(scenario) == want
-        assert len(tree._lookup_memo) <= 2
-        for scenario in scenarios:
-            tree.depth_of(scenario)
-        assert len(tree._depth_memo) <= 2
-
-    def test_edf_memo_hits_repeated_task_sets(self):
-        reset_edf_memo()
-        tasks = [
-            Task(
-                task_id=1, flow_id=0, name="T1",
-                period_us=1000, wcet_us=200, deadline_us=1000,
-            ),
-            Task(
-                task_id=2, flow_id=0, name="T2",
-                period_us=1500, wcet_us=300, deadline_us=1500,
-            ),
-        ]
-        first = edf_schedulable(tasks)
-        again = edf_schedulable(list(reversed(tasks)))  # order-insensitive key
-        assert first == again
-        stats = edf_memo_stats()
-        assert stats["misses"] == 1
-        assert stats["hits"] == 1
-        # A different cap is a different memo entry, not a stale hit
-        # (the set's utilization is exactly 0.4).
-        assert edf_schedulable(tasks, utilization_cap=0.3) is False
-        reset_edf_memo()
-
-
-class TestPlacementMemo:
-    def test_memo_reuses_subproblems_without_changing_results(self):
-        """Every mode of a memoized tree equals a fresh build of that mode
-        against its canonical parent with the placement memo cleared.
-        Link-fault modes that leave every candidate list intact are where
-        the memo hits."""
-        for method, (n, seed, util) in (
-            ("greedy", (7, 9, 1.5)),
-            ("ilp", (5, 2, 1.0)),
-        ):
-            topology, workload = _system(n, seed, util)
-            generator = ModeTreeGenerator(
-                topology, workload, fmax=1, method=method, include_link_faults=True
-            )
-            tree = generator.generate()
-            builder = generator.builder
-            for scenario, schedule in tree.schedules.items():
-                parent = tree.parents[scenario]
-                builder._place_cache.clear()
-                fresh = builder.build(
-                    failed_nodes=scenario.nodes,
-                    failed_links=scenario.links,
-                    parent=None if parent is None else tree.schedules[parent],
-                )
-                assert fresh == schedule, (method, scenario)
-            assert tree.stats.solver["place_memo_hits"] > 0, method

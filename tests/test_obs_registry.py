@@ -1,8 +1,7 @@
-"""Telemetry registry: self-registered components back fastpath_stats()."""
+"""Telemetry registry: every fast-path component registers itself."""
 
 import pytest
 
-from repro.analysis.metrics import fastpath_stats, reset_fastpath_stats
 from repro.obs import registry
 
 #: every fast-path component the system ships; the canonical key set used
@@ -14,9 +13,6 @@ EXPECTED_COMPONENTS = {
     "codec_memo",
     "coverage_cache",
     "ilp_solver",
-    "place_memo",
-    "edf_memo",
-    "modegen_lookup",
 }
 
 
@@ -55,8 +51,9 @@ class TestDefaultComponents:
 
 
 class TestFastpathWrappers:
-    def test_fastpath_stats_covers_all_components(self):
-        stats = fastpath_stats()
+    def test_snapshot_covers_all_components(self):
+        registry.ensure_default_components()
+        stats = registry.stats_snapshot()
         assert EXPECTED_COMPONENTS <= set(stats)
         for name, counters in stats.items():
             assert isinstance(counters, dict), name
@@ -66,9 +63,9 @@ class TestFastpathWrappers:
 
         pair = rsa.RSAKeyPair(bits=256, seed=7)
         pair.sign(b"count me")
-        assert fastpath_stats()["rsa_sign"]["crt_signs"] >= 1
-        reset_fastpath_stats()
-        assert fastpath_stats()["rsa_sign"]["crt_signs"] == 0
+        assert registry.stats_snapshot()["rsa_sign"]["crt_signs"] >= 1
+        registry.reset_all()
+        assert registry.stats_snapshot()["rsa_sign"]["crt_signs"] == 0
 
 
 class TestRegisterApi:
@@ -77,13 +74,13 @@ class TestRegisterApi:
         registry.register("test_component", lambda: {"x": 1}, lambda: calls.append(1))
         try:
             assert "test_component" in registry.components()
-            assert fastpath_stats()["test_component"] == {"x": 1}
+            assert registry.stats_snapshot()["test_component"] == {"x": 1}
             registry.reset_all()
             assert calls == [1]
         finally:
             registry.unregister("test_component")
         assert "test_component" not in registry.components()
-        assert "test_component" not in fastpath_stats()
+        assert "test_component" not in registry.stats_snapshot()
 
     def test_register_rejects_non_callables(self):
         with pytest.raises(TypeError):

@@ -136,13 +136,24 @@ class TestGeneration:
         assert tree.depth_of(EMPTY_SCENARIO) == 0
         assert tree.depth_of(two) == 2
 
-    def test_link_fault_children(self):
+    def test_link_fault_schedule_built_on_demand(self):
+        """The tree precomputes node faults only; a link-fault scenario is
+        built on demand against the root and kept as an on-demand entry."""
         topo = chemical_plant_topology()
         wl = chemical_plant_workload()
-        gen = ModeTreeGenerator(topo, wl, fmax=1, fconc=1, include_link_faults=True)
+        gen = ModeTreeGenerator(topo, wl, fmax=1, fconc=1)
         tree = gen.generate()
-        link_modes = [s for s in tree.schedules if s.links]
-        assert len(link_modes) == len(topo.p2p_links)
+        assert not any(s.links for s in tree.schedules)
+        link = tuple(sorted(next(iter(topo.p2p_links))))
+        scenario = EMPTY_SCENARIO.with_link(link)
+        schedule = tree.schedule_for(scenario)
+        assert schedule == gen.builder.build(
+            failed_links=[link], parent=tree.schedules[EMPTY_SCENARIO]
+        )
+        assert schedule.failed_links == {link}
+        assert scenario in tree.ondemand
+        assert tree.parents[scenario] == EMPTY_SCENARIO
+        assert tree.schedule_for(scenario) is schedule
 
     def test_invalid_fmax_rejected(self):
         topo = chemical_plant_topology()
