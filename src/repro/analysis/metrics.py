@@ -5,7 +5,7 @@ bandwidth (Fig. 5a, 6, 8a), per-node storage (Fig. 5b, 8c), and per-node
 cryptographic operation counts split by layer (Fig. 5c, 8b).
 
 The fast-path counters (CRT signer, verification cache, batched multisig,
-codec memo, coverage cache, ILP solver) are read through
+codec memo, ILP solver) are read through
 :mod:`repro.obs.registry`.
 """
 

@@ -33,20 +33,13 @@ class ReplicationSchedulingModel:
 
     Attributes:
         name: label for reports.
-        copies_for: executing copies per task as a function of f.
+        slope, intercept: executing copies per task are
+            ``slope * f + intercept``.
     """
 
     name: str
-    extra_copies_for_f: int  # copies = 1 + extra_copies_for_f * something
-
-    def copies(self, f: int) -> int:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class _LinearModel(ReplicationSchedulingModel):
-    slope: int = 1
-    intercept: int = 1
+    slope: int
+    intercept: int
 
     def copies(self, f: int) -> int:
         return self.slope * f + self.intercept
@@ -54,17 +47,17 @@ class _LinearModel(ReplicationSchedulingModel):
 
 def pbft_model() -> ReplicationSchedulingModel:
     """Asynchronous BFT: 3f + 1 executing copies."""
-    return _LinearModel(name="pbft", extra_copies_for_f=3, slope=3, intercept=1)
+    return ReplicationSchedulingModel(name="pbft", slope=3, intercept=1)
 
 
 def sync_bft_model() -> ReplicationSchedulingModel:
     """Synchronous BFT (e.g. Sync HotStuff): 2f + 1 executing copies."""
-    return _LinearModel(name="sync-bft", extra_copies_for_f=2, slope=2, intercept=1)
+    return ReplicationSchedulingModel(name="sync-bft", slope=2, intercept=1)
 
 
 def rebound_model() -> ReplicationSchedulingModel:
     """REBOUND: the primary plus fconc = f replicas."""
-    return _LinearModel(name="rebound", extra_copies_for_f=1, slope=1, intercept=1)
+    return ReplicationSchedulingModel(name="rebound", slope=1, intercept=1)
 
 
 def useful_utilization(

@@ -514,7 +514,7 @@ class BTRMonitor:
     # off the bound is zero and the check keeps its original semantics.
     def _check_structural_lookup(self, system, correct: Set[int]) -> None:
         grace = 0
-        if getattr(system.config, "stabilize_enabled", False):
+        if system.config.stabilize_enabled:
             from repro.stabilize.auditor import convergence_bound
 
             grace = convergence_bound(

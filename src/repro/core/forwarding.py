@@ -38,7 +38,7 @@ back to individual flooding while evidence is in flux.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict, defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -57,6 +57,7 @@ from repro.core.evidence import (
 from repro.core.heartbeat import (
     AggregateHeartbeat,
     CoverageCalculator,
+    CoverageRegistry,
     HeartbeatRecord,
     HeartbeatStore,
 )
@@ -78,42 +79,6 @@ from repro.obs.events import (
 )
 from repro.sched.modegen import FailureScenario
 
-# Process-wide LRU cache of coverage calculators, keyed by the canonical
-# adjacency encoding.  The DP is a deterministic function of shared public
-# information (topology + fault pattern), so sharing it across simulated
-# nodes loses no fidelity.  Bounded so a long-lived process sweeping many
-# scenarios (the figure scripts) cannot grow it without limit.
-_COVERAGE_CACHE_CAPACITY = 256
-_coverage_cache: "OrderedDict[bytes, CoverageCalculator]" = OrderedDict()
-_coverage_cache_stats: Dict[str, int] = {"hits": 0, "misses": 0, "evictions": 0}
-
-
-def _coverage_for(adjacency: Dict[int, Tuple[int, ...]], max_age: int) -> CoverageCalculator:
-    key = hash_bytes(encode((sorted(adjacency.items()), max_age)))
-    calc = _coverage_cache.get(key)
-    if calc is None:
-        _coverage_cache_stats["misses"] += 1
-        calc = CoverageCalculator(adjacency, max_age)
-        _coverage_cache[key] = calc
-        while len(_coverage_cache) > _COVERAGE_CACHE_CAPACITY:
-            _coverage_cache.popitem(last=False)
-            _coverage_cache_stats["evictions"] += 1
-    else:
-        _coverage_cache_stats["hits"] += 1
-        _coverage_cache.move_to_end(key)
-    return calc
-
-
-def coverage_cache_stats() -> Dict[str, int]:
-    stats = dict(_coverage_cache_stats)
-    stats["capacity"] = _COVERAGE_CACHE_CAPACITY
-    stats["entries"] = len(_coverage_cache)
-    return stats
-
-
-def reset_coverage_cache_stats() -> None:
-    _coverage_cache_stats.update(hits=0, misses=0, evictions=0)
-
 
 def _evidence_event_data(item: Any) -> Dict[str, Any]:
     """Kind-specific flight-recorder fields for one evidence item."""
@@ -130,17 +95,6 @@ def _evidence_event_data(item: Any) -> Dict[str, Any]:
         if accused is not None:
             data["accused"] = accused
     return data
-
-
-def configure_coverage_cache(capacity: int) -> None:
-    """Resize the coverage-calculator cache (evicting LRU entries)."""
-    global _COVERAGE_CACHE_CAPACITY
-    if capacity <= 0:
-        raise ValueError("coverage cache capacity must be positive")
-    _COVERAGE_CACHE_CAPACITY = capacity
-    while len(_coverage_cache) > capacity:
-        _coverage_cache.popitem(last=False)
-        _coverage_cache_stats["evictions"] += 1
 
 
 @register_message
@@ -242,6 +196,8 @@ class ForwardingLayer:
         on_packet: callback(path, origin_round, payload, origin,
             signature) when a packet reaches this node as sink (signature
             already verified).
+        coverage: the system's coverage registry (one DP per fault
+            pattern, shared by the system's nodes).
     """
 
     def __init__(
@@ -253,6 +209,7 @@ class ForwardingLayer:
         verifier: EvidenceVerifier,
         on_new_evidence: Callable[[List[Any]], None],
         on_packet: Callable[[Path, int, bytes, int, bytes], None],
+        coverage: CoverageRegistry,
     ):
         self.node_id = node_id
         self.topology = topology
@@ -261,6 +218,7 @@ class ForwardingLayer:
         self.verifier = verifier
         self.on_new_evidence = on_new_evidence
         self.on_packet = on_packet
+        self.coverage = coverage
 
         if config.d_max is None:
             raise ValueError("config.d_max must be resolved before layer creation")
@@ -328,7 +286,7 @@ class ForwardingLayer:
         self._joined_round = round_no
         self._round = round_no
         self.started = True
-        self._refresh_pattern(initial=True)
+        self._refresh_pattern()
 
     def set_paths(self, paths: PathSet, stable_since: int) -> None:
         self.paths = paths
@@ -336,27 +294,11 @@ class ForwardingLayer:
 
     # -- fault pattern / coverage ------------------------------------------------
 
-    def _refresh_pattern(self, initial: bool = False) -> None:
-        pattern = self.evidence.failure_pattern(
+    def _refresh_pattern(self) -> None:
+        self._fault_pattern = self.evidence.failure_pattern(
             self.config.fmax, pom_lfd_slack=self.pom_lfd_slack
         )
-        if not initial and pattern == self._fault_pattern and self._coverage is not None:
-            return
-        self._fault_pattern = pattern
-        adjacency: Dict[int, Tuple[int, ...]] = {}
-        controllers = [
-            c for c in self.topology.controllers if c not in pattern.nodes
-        ]
-        controller_set = set(controllers)
-        for c in controllers:
-            neigh = [
-                x
-                for x in self.topology.neighbors(c)
-                if x in controller_set
-                and (min(c, x), max(c, x)) not in pattern.links
-            ]
-            adjacency[c] = tuple(neigh)
-        self._coverage = _coverage_for(adjacency, self.d_max)
+        self._coverage = self.coverage.for_pattern(self._fault_pattern)
 
     def _mark_delivered(self, sender: int, round_no: int, bits: int) -> None:
         """Record that ``sender`` relayed the round-``round_no`` heartbeats
@@ -1093,7 +1035,3 @@ class ForwardingLayer:
             element = self.crypto.directory.group.element_size
             size += len(self._aggregates) * (element + 16)
         return size
-
-from repro.obs import registry as _telemetry
-
-_telemetry.register("coverage_cache", coverage_cache_stats, reset_coverage_cache_stats)

@@ -34,8 +34,10 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.evidence import heartbeat_body
 from repro.net.message import encode, register_message
+from repro.net.topology import Topology
 from repro.obs import recorder as _flight
 from repro.obs.events import EV_HEARTBEAT_STORED
+from repro.sched.modegen import FailureScenario
 
 
 @register_message
@@ -91,9 +93,7 @@ class CoverageCalculator:
 
     Support sets are plain ``int`` masks with bit *i* set for node *i*
     (:meth:`support_bits`), so Rule B and aggregate folding are integer
-    ``|`` / ``& ~`` instead of set algebra.  Keying bits by node id (not by
-    a per-system position) keeps the masks valid for every system that
-    shares this calculator through the process-wide cache.
+    ``|`` / ``& ~`` instead of set algebra.
 
     Args:
         adjacency: node -> iterable of live neighbors (the fault-adjusted
@@ -173,6 +173,46 @@ class CoverageCalculator:
     def full_support(self, node: int) -> FrozenSet[int]:
         """The eventual support: every node reachable from ``node``."""
         return self.support(node, self.max_age)
+
+
+class CoverageRegistry:
+    """One system's coverage DPs, one per distinct fault pattern.
+
+    The DP is a pure function of (topology, fault pattern, D_max), so every
+    node of a system that holds the same pattern shares one calculator.  A
+    system only ever holds a few patterns; the dict is unbounded.
+    """
+
+    def __init__(self, topology: Topology, d_max: int):
+        self.topology = topology
+        self.d_max = d_max
+        self._calculators: Dict[FailureScenario, CoverageCalculator] = {}
+
+    def for_pattern(self, pattern: FailureScenario) -> CoverageCalculator:
+        calc = self._calculators.get(pattern)
+        if calc is None:
+            adjacency: Dict[int, Tuple[int, ...]] = {}
+            controllers = [
+                c for c in self.topology.controllers if c not in pattern.nodes
+            ]
+            controller_set = set(controllers)
+            for c in controllers:
+                neigh = [
+                    x
+                    for x in self.topology.neighbors(c)
+                    if x in controller_set
+                    and (min(c, x), max(c, x)) not in pattern.links
+                ]
+                adjacency[c] = tuple(neigh)
+            calc = CoverageCalculator(adjacency, self.d_max)
+            self._calculators[pattern] = calc
+        return calc
+
+    def __reduce__(self):
+        # A cache is not node state: a pickled registry comes back empty,
+        # and a pickled node carries only its live calculator
+        # (ForwardingLayer._coverage).
+        return (CoverageRegistry, (self.topology, self.d_max))
 
 
 class HeartbeatStore:

@@ -8,13 +8,13 @@ per-node handle that performs operations while incrementing the node's
 :class:`~repro.crypto.cost_model.CryptoCounters`, split into a *forwarding*
 bucket and an *auditing* bucket to reproduce Fig. 8b's breakdown.
 
-Aggregate public keys for coverage multisets are cached process-wide: they
-are deterministic functions of public information (topology + fault epoch),
-so sharing the cache across simulated nodes loses no fidelity while keeping
-simulations fast.  The ms_combine_key cost is charged per node, once per
-distinct key (each real node keeps its own memo and pays to build each
-entry exactly once) -- attribution is therefore independent of the order
-nodes are stepped in.
+Aggregate public keys for coverage multisets are cached in the system's
+:class:`Directory`: they are deterministic functions of public information
+(topology + fault epoch), so sharing the cache across the system's simulated
+nodes loses no fidelity while keeping simulations fast.  The
+ms_combine_key cost is charged per node, once per distinct key (each real
+node keeps its own memo and pays to build each entry exactly once) --
+attribution is therefore independent of the order nodes are stepped in.
 
 Verification outcomes are likewise shared through the process-wide
 :mod:`repro.crypto.verify_cache` (same fidelity argument: an outcome is a

@@ -16,6 +16,7 @@ from repro.core.auditing import AuditingLayer, TaskRegistry
 from repro.core.config import VARIANT_MULTI, ReboundConfig
 from repro.core.evidence import EvidenceVerifier
 from repro.core.forwarding import ForwardingLayer, RoundOutput
+from repro.core.heartbeat import CoverageRegistry
 from repro.core.identity import NodeCrypto
 from repro.core.paths import PATH_DATA, PathComputer, PathSet
 from repro.net.message import encoded_size
@@ -29,10 +30,10 @@ from repro.sched.task import Workload
 
 
 class PathCache:
-    """Process-wide cache of PATH(m) per mode schedule.
+    """One system's cache of PATH(m) per mode schedule.
 
     Path computation is a deterministic function of public information, so
-    sharing the cache across simulated nodes is fidelity-neutral.
+    sharing the cache across the system's nodes is fidelity-neutral.
     """
 
     def __init__(self, computer: PathComputer):
@@ -66,6 +67,7 @@ class ReboundNode(NodeProtocol):
         registry: TaskRegistry,
         mode_tree: ModeTree,
         path_cache: PathCache,
+        coverage: CoverageRegistry,
     ):
         self.node_id = node_id
         self.topology = topology
@@ -109,6 +111,7 @@ class ReboundNode(NodeProtocol):
             verifier=verifier,
             on_new_evidence=self._on_new_evidence,
             on_packet=self.auditing.on_packet,
+            coverage=coverage,
         )
         self.current_scenario: FailureScenario = EMPTY_SCENARIO
         self.current_schedule: Optional[ModeSchedule] = None

@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.core.auditing import TaskRegistry
 from repro.core.config import ReboundConfig
 from repro.core.devices import ActuatorDevice, SensorDevice
+from repro.core.heartbeat import CoverageRegistry
 from repro.core.identity import Directory
 from repro.core.node import PathCache, ReboundNode
 from repro.core.paths import PathComputer
@@ -101,6 +102,7 @@ class ReboundSystem:
             self._modegen = generator
         self.mode_tree = mode_tree
         self.path_cache = PathCache(PathComputer(topology, workload, config.fconc))
+        self.coverage = CoverageRegistry(topology, config.d_max)
 
         self.network = (network_factory or RoundNetwork)(topology)
         self.nodes: Dict[int, ReboundNode] = {}
@@ -119,6 +121,7 @@ class ReboundSystem:
                 registry=self.registry,
                 mode_tree=mode_tree,
                 path_cache=self.path_cache,
+                coverage=self.coverage,
             )
             self.nodes[node_id] = node
             self.network.attach(node_id, node)
@@ -406,6 +409,7 @@ class ReboundSystem:
             registry=self.registry,
             mode_tree=self.mode_tree,
             path_cache=self.path_cache,
+            coverage=self.coverage,
         )
 
     def _install_node(self, node_id: int, node: ReboundNode) -> None:
@@ -505,6 +509,8 @@ class ReboundSystem:
             )
         node = result.node if result.node is not None else self._fresh_node(node_id)
         node.durable = store
+        # A snapshot pickles the registry empty; share the system's instead.
+        node.forwarding.coverage = self.coverage
         # Force a full mode adoption at the rejoin round: the restored
         # schedule may equal the one start() adopts, and _adopt_mode's
         # no-change fast path would then skip re-syncing the path set and

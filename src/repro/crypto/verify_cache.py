@@ -6,8 +6,7 @@ dominant cost).  A verification outcome is a deterministic pure function of
 public data -- (modulus, exponent, message digest, signature value) for RSA,
 (group, aggregate key, message digest, signature value) for multisignatures
 -- so sharing one cache across all simulated nodes loses no fidelity: every
-node computes exactly the answer it would have computed itself.  This
-mirrors the ``_coverage_cache`` pattern in :mod:`repro.core.forwarding`.
+node computes exactly the answer it would have computed itself.
 
 Crucially the cache only removes *redundant arithmetic*: every call site
 still increments its :class:`~repro.crypto.cost_model.CryptoCounters`

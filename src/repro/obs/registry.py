@@ -41,7 +41,6 @@ DEFAULT_COMPONENT_MODULES = (
     "repro.crypto.verify_cache",  # verify_cache
     "repro.crypto.multisig",     # multisig_batch
     "repro.net.message",         # codec_memo
-    "repro.core.forwarding",     # coverage_cache
     "repro.sched.ilp",           # ilp_solver
     "repro.stabilize.auditor",   # stabilize
 )

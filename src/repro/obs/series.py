@@ -162,9 +162,7 @@ class MetricsTimeSeries:
                 )
             )
         refreshes = getattr(system, "tree_refreshes", None)
-        if refreshes is not None and getattr(
-            config, "tree_refresh_enabled", False
-        ):
+        if refreshes is not None and config.tree_refresh_enabled:
             values["stabilize.tree_refreshes"] = float(len(refreshes))
             if refreshes:
                 values["stabilize.last_refresh_ms"] = (

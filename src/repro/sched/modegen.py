@@ -163,8 +163,9 @@ class ModeTree:
         from the tree (any link fault, or a node pattern beyond the
         generated layers) is built on demand against the closest generated
         ancestor -- the one covering the most of its faults -- and added to
-        the tree; without a builder, or when the build fails, that ancestor's
-        schedule is returned.  Either way the answer is always defined.
+        the tree; without a builder, or when no feasible schedule exists
+        (:class:`InfeasibleSchedule`), that ancestor's schedule is
+        returned.  Any other builder error propagates.
         """
         normalized = normalize_scenario(scenario, self.fmax)
         if normalized in self.schedules:
@@ -184,7 +185,7 @@ class ModeTree:
                 failed_links=normalized.links,
                 parent=self.schedules[best],
             )
-        except Exception:
+        except InfeasibleSchedule:
             return self.schedules[best]
         self.schedules[normalized] = schedule
         self.parents[normalized] = best

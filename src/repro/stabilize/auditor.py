@@ -337,7 +337,7 @@ class StateAuditor:
         #    force a fresh mode adoption (the pointer itself may be what
         #    was corrupted, and _adopt_mode's no-change fast path would
         #    otherwise trust it).
-        fwd._refresh_pattern(initial=True)
+        fwd._refresh_pattern()
         node.readopt_mode(round_no)
 
         # Coverage suspicions this node raised while corrupted are about a

@@ -18,7 +18,7 @@ from repro.core.forwarding import (
     RoundMessage,
     RoundOutput,
 )
-from repro.core.heartbeat import HeartbeatRecord
+from repro.core.heartbeat import CoverageRegistry, HeartbeatRecord
 from repro.core.identity import Directory
 from repro.core.paths import PATH_DATA, Path, PathSet
 from repro.crypto.hashing import hash_bytes
@@ -43,6 +43,7 @@ def _make_layer(topo, node_id, directory, variant="basic", d_max=4,
         verifier=verifier,
         on_new_evidence=received_evidence.append,
         on_packet=on_packet or (lambda *a: delivered.append(a)),
+        coverage=CoverageRegistry(topo, d_max),
     )
     layer.start(0)
     layer._test_evidence_events = received_evidence
@@ -427,10 +428,10 @@ class TestCoverageMasks:
         assert layer.store.get(origin, rec.round_no) is rec
         assert layer._delivered[1].get(rec.round_no, 0) == 0
 
-    def test_shared_calculator_keeps_each_systems_verdict(self):
-        """Two systems whose fault-adjusted graphs coincide share one
-        calculator; a node that is controller 4 of five in one and 4 of
-        four in the other must mean the same bit in both."""
+    def test_each_system_keeps_its_own_calculator_and_verdict(self):
+        """Two systems whose fault-adjusted graphs coincide still hold
+        distinct calculators; a node that is controller 4 of five in one
+        and 4 of four in the other keeps its own verdict in each."""
         from repro.core.evidence import EquivocationPoM, heartbeat_body
 
         ring_dir = Directory(rsa_bits=256, seed=5)
@@ -455,8 +456,12 @@ class TestCoverageMasks:
 
         other = _topology([0, 1, 2, 4], [(0, 1), (1, 2), (4, 0)])
         y = _make_layer(other, 0, Directory(rsa_bits=256, seed=6))
-        assert y._coverage is x._coverage
+        assert y._coverage is not x._coverage
+        assert y._coverage.support(1, y.d_max) == x._coverage.support(1, x.d_max)
+        assert y.coverage.for_pattern(y.fault_pattern) is y._coverage
+        assert x.coverage.for_pattern(x.fault_pattern) is x._coverage
         assert not x._coverage_shortfall(1, r)
+        assert y._coverage_shortfall(1, r)
 
 
 class TestUnprotectedMode:

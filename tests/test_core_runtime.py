@@ -175,3 +175,57 @@ class TestDirectory:
         assert crypto.verify_operator(b"bless", sig)
         assert not crypto.verify_operator(b"curse", sig)
         assert not crypto.verify_operator(b"bless", b"junk")
+
+
+class TestCoverageRegistry:
+    def test_one_calculator_per_distinct_pattern(self, monkeypatch):
+        """ER-20 MULTI through a crash and an LFD storm: nodes holding
+        equal fault patterns share one calculator, the registry builds
+        each pattern's DP once, and a pickled registry carries none."""
+        import pickle
+
+        from repro.core import heartbeat
+        from repro.faults.adversary import LFDStormBehavior
+        from repro.net.topology import erdos_renyi_topology
+        from repro.sched.workload import WorkloadGenerator
+
+        builds = []
+
+        class CountingCalculator(heartbeat.CoverageCalculator):
+            def __init__(self, adjacency, max_age):
+                builds.append(adjacency)
+                super().__init__(adjacency, max_age)
+
+        monkeypatch.setattr(heartbeat, "CoverageCalculator", CountingCalculator)
+        topo = erdos_renyi_topology(20, seed=0)
+        workload = WorkloadGenerator(seed=0, chain_length_range=(1, 2)).workload(
+            target_utilization=1.5
+        )
+        cfg = ReboundConfig(fmax=2, fconc=1, variant="multi", rsa_bits=256)
+        system = ReboundSystem(topo, workload, cfg, seed=0)
+        registry = system.coverage
+        controllers = sorted(topo.controllers)
+        held = set()
+        try:
+            for r in range(1, 25):
+                if r == 5:
+                    system.inject_now(controllers[-1], CrashBehavior())
+                if r == 8:
+                    system.inject_now(controllers[0], LFDStormBehavior())
+                system.run_round()
+                by_pattern = {}
+                for node in system.nodes.values():
+                    fwd = node.forwarding
+                    assert fwd.coverage is registry
+                    pattern = fwd.fault_pattern
+                    held.add(pattern)
+                    assert fwd._coverage is registry._calculators[pattern]
+                    assert by_pattern.setdefault(pattern, fwd._coverage) is fwd._coverage
+        finally:
+            system.close()
+        assert len(held) > 2
+        assert held <= set(registry._calculators)
+        assert len(builds) == len(registry._calculators)
+        restored = pickle.loads(pickle.dumps(registry))
+        assert restored._calculators == {}
+        assert restored.d_max == registry.d_max

@@ -14,12 +14,6 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.forwarding import (
-    _coverage_cache,
-    _coverage_for,
-    configure_coverage_cache,
-    coverage_cache_stats,
-)
 from repro.core.heartbeat import HeartbeatRecord
 from repro.core.identity import Directory
 from repro.crypto import verify_cache
@@ -243,28 +237,6 @@ def test_cached_ms_verify_batch_equals_plain_multisig_check(cases):
     assert batch.total_counters() == single.total_counters()
 
 
-# -- coverage cache bound ------------------------------------------------------
-
-
-def test_coverage_cache_is_bounded():
-    before = coverage_cache_stats()["capacity"]
-    try:
-        configure_coverage_cache(4)
-        for i in range(20):
-            adjacency = {j: tuple(x for x in range(4) if x != j) for j in range(4)}
-            adjacency[0] = tuple(range(1, 2 + i % 3))  # vary the key
-            _coverage_for({**adjacency, 99: (i,)}, max_age=3)
-        assert len(_coverage_cache) <= 4
-        assert coverage_cache_stats()["evictions"] > 0
-        # Repeated lookups of a live entry count as hits.
-        _coverage_for({0: (1,), 1: (0,)}, max_age=2)
-        hits_before = coverage_cache_stats()["hits"]
-        _coverage_for({0: (1,), 1: (0,)}, max_age=2)
-        assert coverage_cache_stats()["hits"] == hits_before + 1
-    finally:
-        configure_coverage_cache(before)
-
-
 # -- codec memo ----------------------------------------------------------------
 
 
@@ -370,7 +342,6 @@ def test_stats_snapshot_shape():
         "verify_cache",
         "multisig_batch",
         "codec_memo",
-        "coverage_cache",
         "ilp_solver",
         "quotas",
         "stabilize",

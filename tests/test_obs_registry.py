@@ -11,7 +11,6 @@ EXPECTED_COMPONENTS = {
     "verify_cache",
     "multisig_batch",
     "codec_memo",
-    "coverage_cache",
     "ilp_solver",
 }
 

@@ -155,6 +155,33 @@ class TestGeneration:
         assert tree.parents[scenario] == EMPTY_SCENARIO
         assert tree.schedule_for(scenario) is schedule
 
+    def test_ondemand_build_refuses_only_infeasible(self, monkeypatch):
+        """Only InfeasibleSchedule falls back to the covering ancestor; any
+        other builder error is a bug and propagates."""
+        from repro.sched.assign import InfeasibleSchedule
+
+        topo = chemical_plant_topology()
+        wl = chemical_plant_workload()
+        gen = ModeTreeGenerator(topo, wl, fmax=1, fconc=1)
+        tree = gen.generate()
+        link = tuple(sorted(next(iter(topo.p2p_links))))
+        scenario = EMPTY_SCENARIO.with_link(link)
+
+        def planted_bug(**kwargs):
+            raise RuntimeError("planted builder bug")
+
+        monkeypatch.setattr(gen.builder, "build", planted_bug)
+        with pytest.raises(RuntimeError, match="planted"):
+            tree.schedule_for(scenario)
+        assert scenario not in tree.schedules
+
+        def infeasible(**kwargs):
+            raise InfeasibleSchedule("no schedule")
+
+        monkeypatch.setattr(gen.builder, "build", infeasible)
+        assert tree.schedule_for(scenario) is tree.schedules[EMPTY_SCENARIO]
+        assert scenario not in tree.schedules
+
     def test_invalid_fmax_rejected(self):
         topo = chemical_plant_topology()
         wl = chemical_plant_workload()
