@@ -31,14 +31,14 @@ style):
 
 Variants: REBOUND-BASIC floods individually signed heartbeats with delta
 flooding + expiry + bus broadcast (S3.5).  REBOUND-MULTI additionally
-aggregates heartbeats into multisignatures whose signer multisets are
+aggregates heartbeats into multisignatures whose aggregate keys are
 derived from the topology (S3.6; see :mod:`repro.core.heartbeat`), falling
 back to individual flooding while evidence is in flux.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -502,7 +502,7 @@ class ForwardingLayer:
         ):
             return
         digest = self.epoch_digest
-        entries: List[Tuple[bytes, int, Counter, Tuple]] = []
+        entries: List[Tuple[bytes, int, int]] = []
         for round_no, sender, msg in batch:
             if not isinstance(msg, RoundMessage):
                 continue
@@ -522,8 +522,7 @@ class ForwardingLayer:
                     (
                         agg.body(),
                         agg.sig_value,
-                        self._coverage.multiset(sender, age),
-                        (digest, sender, age),
+                        self._coverage.aggregate_key(sender, age),
                     )
                 )
         if entries:
@@ -591,16 +590,7 @@ class ForwardingLayer:
         if self._spot_check_skip(sender, rec):
             return True
         if self.config.variant == VARIANT_MULTI:
-            try:
-                value = int.from_bytes(rec.signature, "big")
-            except (TypeError, ValueError):
-                return False
-            ok = self.crypto.ms_verify_value(
-                rec.body(),
-                value,
-                Counter({rec.origin: 1}),
-                cache_key=("single", rec.origin),
-            )
+            ok = self.crypto.ms_verify_record(rec.origin, rec.body(), rec.signature)
         else:
             ok = self.crypto.verify(rec.origin, rec.body(), rec.signature)
         flight = _flight.active
@@ -678,7 +668,8 @@ class ForwardingLayer:
                 (
                     agg.body(),
                     agg.sig_value,
-                    self._coverage.multiset(sender, age),
+                    self._coverage.aggregate_key(sender, age),
+                    self._coverage.support_bits(sender, age),
                     (self.epoch_digest, sender, age),
                 )
                 for agg, age in admissible
@@ -698,8 +689,8 @@ class ForwardingLayer:
             state = self._aggregates.get(agg.round_no)
             if state is None or state.broken:
                 continue
-            # Combine every verified aggregate: the DP multiset recurrence
-            # adds every transmitting neighbor's aggregate, even when the
+            # Combine every verified aggregate: the DP key recurrence adds
+            # every transmitting neighbor's aggregate, even when the
             # support set does not grow (multiplicities still change).
             new_support = state.support | support
             state.value = self.crypto.ms_combine(state.value, agg.sig_value)

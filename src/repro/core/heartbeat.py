@@ -18,17 +18,19 @@ the (fault-adjusted) topology:
               of M(j, a-1)
 
 where a node transmits its aggregate at age a iff its *support* (the signer
-set) grew at that age (age 0 always).  The :class:`CoverageCalculator`
-computes these multisets, so aggregate messages need carry no signer list at
-all -- the receiver derives the expected aggregate public key itself.  When
-faults disturb propagation the multisets stop matching, verification fails,
-and nodes fall back to forwarding individual signatures (the bounded
-worst case of S3.6); once evidence stabilizes, aggregation resumes.
+set) grew at that age (age 0 always).  Public keys are linear, so the
+aggregate key K(i, a) = sum of mult * pk over M(i, a) follows the same
+recurrence mod q; the :class:`CoverageCalculator` computes those keys and
+the support masks directly, never the multisets.  Aggregate messages
+therefore need carry no signer list at all -- the receiver derives the
+expected aggregate public key itself.  When faults disturb propagation the
+keys stop matching, verification fails, and nodes fall back to forwarding
+individual signatures (the bounded worst case of S3.6); once evidence
+stabilizes, aggregation resumes.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
@@ -68,8 +70,8 @@ class HeartbeatRecord:
 class AggregateHeartbeat:
     """A multisignature aggregate over one origin-round's heartbeats.
 
-    Carries *no signer list*: the receiver derives the expected multiset
-    from the sender identity, the age (current round minus origin round),
+    Carries *no signer list*: the receiver derives the expected aggregate
+    key from the sender identity, the age (current round minus origin round),
     and the shared fault epoch.
 
     Attributes:
@@ -89,61 +91,71 @@ class AggregateHeartbeat:
 
 
 class CoverageCalculator:
-    """Deterministic aggregate-coverage multisets for one fault epoch.
+    """Deterministic aggregate coverage for one fault epoch.
 
-    Support sets are plain ``int`` masks with bit *i* set for node *i*
-    (:meth:`support_bits`), so Rule B and aggregate folding are integer
-    ``|`` / ``& ~`` instead of set algebra.
+    For every (node, age) the DP holds the expected aggregate public key
+    (:meth:`aggregate_key`) and the expected signer set as a plain ``int``
+    mask with bit *i* set for node *i* (:meth:`support_bits`), so Rule B
+    and aggregate folding are integer ``|`` / ``& ~`` instead of set
+    algebra.
 
     Args:
         adjacency: node -> iterable of live neighbors (the fault-adjusted
             connectivity among controllers).
         max_age: compute coverage up to this age (typically D_max).
+        keys: node -> multisignature public-key value.
+        q: the multisignature group order.
     """
 
-    def __init__(self, adjacency: Mapping[int, Iterable[int]], max_age: int):
+    def __init__(
+        self,
+        adjacency: Mapping[int, Iterable[int]],
+        max_age: int,
+        keys: Mapping[int, int],
+        q: int,
+    ):
         self._adj = {n: sorted(neigh) for n, neigh in adjacency.items()}
         self.max_age = max_age
-        # multiset[a][i] and support_bits[a][i]; transmitted[a][i] -> bool.
-        self._multiset: List[Dict[int, Counter]] = []
+        # key[a][i] and support_bits[a][i]; transmitted[a][i] -> bool.
+        self._key: List[Dict[int, int]] = []
         self._support_bits: List[Dict[int, int]] = []
         self._transmitted: List[Dict[int, bool]] = []
-        self._compute()
+        self._compute(keys, q)
 
-    def _compute(self) -> None:
+    def _compute(self, keys: Mapping[int, int], q: int) -> None:
         nodes = sorted(self._adj)
-        self._multiset.append({i: Counter({i: 1}) for i in nodes})
+        self._key.append({i: keys[i] % q for i in nodes})
         self._support_bits.append({i: 1 << i for i in nodes})
         # every node transmits its own at age 0
         self._transmitted.append({i: True for i in nodes})
         for age in range(1, self.max_age + 1):
-            prev_m = self._multiset[age - 1]
+            prev_k = self._key[age - 1]
             prev_b = self._support_bits[age - 1]
             prev_t = self._transmitted[age - 1]
-            m: Dict[int, Counter] = {}
+            k: Dict[int, int] = {}
             b: Dict[int, int] = {}
             t: Dict[int, bool] = {}
             for i in nodes:
-                acc = Counter(prev_m[i])
+                acc = prev_k[i]
                 bits = prev_b[i]
                 for j in self._adj[i]:
                     if prev_t.get(j):
-                        acc.update(prev_m[j])
+                        acc += prev_k[j]
                         bits |= prev_b[j]
-                m[i] = acc
+                k[i] = acc % q
                 b[i] = bits
                 t[i] = bits != prev_b[i]  # supports only grow
-            self._multiset.append(m)
+            self._key.append(k)
             self._support_bits.append(b)
             self._transmitted.append(t)
 
     def has_node(self, node: int) -> bool:
         return node in self._adj
 
-    def multiset(self, node: int, age: int) -> Counter:
-        """Expected signer multiset of ``node``'s aggregate at ``age``."""
-        age = min(age, self.max_age)
-        return self._multiset[age][node]
+    def aggregate_key(self, node: int, age: int) -> int:
+        """Expected aggregate public-key value of ``node``'s aggregate at
+        ``age``: the sum of mult * pk over its signer multiset, mod q."""
+        return self._key[min(age, self.max_age)][node]
 
     def support_bits(self, node: int, age: int) -> int:
         """Expected signer set of ``node``'s aggregate at ``age`` as an int
@@ -181,11 +193,21 @@ class CoverageRegistry:
     The DP is a pure function of (topology, fault pattern, D_max), so every
     node of a system that holds the same pattern shares one calculator.  A
     system only ever holds a few patterns; the dict is unbounded.
+
+    Args:
+        topology: the system's topology.
+        d_max: the max-fail distance (the DP's maximum age).
+        keys: controller -> multisignature public-key value.
+        q: the multisignature group order.
     """
 
-    def __init__(self, topology: Topology, d_max: int):
+    def __init__(
+        self, topology: Topology, d_max: int, keys: Mapping[int, int], q: int
+    ):
         self.topology = topology
         self.d_max = d_max
+        self.keys = keys
+        self.q = q
         self._calculators: Dict[FailureScenario, CoverageCalculator] = {}
 
     def for_pattern(self, pattern: FailureScenario) -> CoverageCalculator:
@@ -204,7 +226,7 @@ class CoverageRegistry:
                     and (min(c, x), max(c, x)) not in pattern.links
                 ]
                 adjacency[c] = tuple(neigh)
-            calc = CoverageCalculator(adjacency, self.d_max)
+            calc = CoverageCalculator(adjacency, self.d_max, self.keys, self.q)
             self._calculators[pattern] = calc
         return calc
 
@@ -212,7 +234,7 @@ class CoverageRegistry:
         # A cache is not node state: a pickled registry comes back empty,
         # and a pickled node carries only its live calculator
         # (ForwardingLayer._coverage).
-        return (CoverageRegistry, (self.topology, self.d_max))
+        return (CoverageRegistry, (self.topology, self.d_max, self.keys, self.q))
 
 
 class HeartbeatStore:

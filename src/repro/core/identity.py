@@ -8,13 +8,14 @@ per-node handle that performs operations while incrementing the node's
 :class:`~repro.crypto.cost_model.CryptoCounters`, split into a *forwarding*
 bucket and an *auditing* bucket to reproduce Fig. 8b's breakdown.
 
-Aggregate public keys for coverage multisets are cached in the system's
-:class:`Directory`: they are deterministic functions of public information
-(topology + fault epoch), so sharing the cache across the system's simulated
-nodes loses no fidelity while keeping simulations fast.  The
-ms_combine_key cost is charged per node, once per distinct key (each real
-node keeps its own memo and pays to build each entry exactly once) --
-attribution is therefore independent of the order nodes are stepped in.
+Aggregate public keys come from the system's coverage DP
+(:class:`repro.core.heartbeat.CoverageCalculator`): they are deterministic
+functions of public information (topology + fault epoch), so sharing them
+across the system's simulated nodes loses no fidelity while keeping
+simulations fast.  The ms_combine_key cost -- one combine per distinct
+signer -- is charged per node, once per distinct key (each real node keeps
+its own memo and pays to build each entry exactly once); attribution is
+therefore independent of the order nodes are stepped in.
 
 Verification outcomes are likewise shared through the process-wide
 :mod:`repro.crypto.verify_cache` (same fidelity argument: an outcome is a
@@ -27,7 +28,6 @@ happens to hold.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,13 +58,6 @@ class Directory:
         # The deployment's operator trust root (paper S2.4 blessing).
         self.operator = RSAKeyPair(bits=max(rsa_bits, 256),
                                    seed=derive_seed(seed, "operator"))
-        # (adjacency_key, node, age) -> aggregate key value.
-        self._agg_key_cache: Dict[Tuple, int] = {}
-        # Warm-pass lookaside (see peek_aggregate_key): keeps peeked values
-        # out of the counted cache so charging semantics never change.
-        self._agg_key_peek_cache: Dict[Tuple, int] = {}
-        self.agg_key_hits = 0
-        self.agg_key_misses = 0
 
     def register(self, node_id: int) -> None:
         if node_id in self._rsa_pairs:
@@ -84,53 +77,6 @@ class Directory:
 
     def crypto_for(self, node_id: int) -> "NodeCrypto":
         return NodeCrypto(node_id, self)
-
-    # -- aggregate key computation (cached, cost charged on miss) ---------------
-
-    def aggregate_key_value(
-        self, cache_key: Tuple, multiset: Counter, counters: Optional[CryptoCounters]
-    ) -> int:
-        """Aggregate key for ``multiset``, memoized under ``cache_key``.
-
-        ``counters`` (legacy direct callers only) is charged one
-        ms_combine_key per distinct signer on a cache miss; NodeCrypto
-        passes None and charges per node instead (see module docstring).
-        """
-        cached = self._agg_key_cache.get(cache_key)
-        if cached is not None:
-            self.agg_key_hits += 1
-            return cached
-        self.agg_key_misses += 1
-        if counters is not None:
-            counters.ms_combine_key += len(multiset)
-        peeked = self._agg_key_peek_cache.get(cache_key)
-        if peeked is not None:
-            self._agg_key_cache[cache_key] = peeked
-            return peeked
-        q = self.group.q
-        value = 0
-        for node, mult in sorted(multiset.items()):
-            value = (value + mult * self._ms_pairs[node].public_key.value) % q
-        self._agg_key_cache[cache_key] = value
-        return value
-
-    def peek_aggregate_key(self, cache_key: Tuple, multiset: Counter) -> int:
-        """Aggregate key for warm passes: never charges counters and never
-        populates the main (hit/miss-counted) cache.  Peeked values are
-        memoized separately and promoted on the first real
-        :meth:`aggregate_key_value` miss, which still charges as usual."""
-        cached = self._agg_key_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        cached = self._agg_key_peek_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        q = self.group.q
-        value = 0
-        for node, mult in sorted(multiset.items()):
-            value = (value + mult * self._ms_pairs[node].public_key.value) % q
-        self._agg_key_peek_cache[cache_key] = value
-        return value
 
 
 @dataclass
@@ -156,11 +102,14 @@ class NodeCrypto:
         # regardless of what other (simulated) nodes computed first.
         self._agg_keys_charged: set = set()
 
-    def _aggregate_key(self, cache_key: Tuple, multiset: Counter, domain: str) -> int:
+    def _charge_aggregate_key(
+        self, cache_key: Tuple, signer_bits: int, domain: str
+    ) -> None:
+        # One combine per distinct signer, the first time this node uses
+        # the key (the popcount is taken only then: it is not free).
         if cache_key not in self._agg_keys_charged:
             self._agg_keys_charged.add(cache_key)
-            self.counters[domain].ms_combine_key += len(multiset)
-        return self.directory.aggregate_key_value(cache_key, multiset, None)
+            self.counters[domain].ms_combine_key += signer_bits.bit_count()
 
     def total_counters(self) -> CryptoCounters:
         total = CryptoCounters()
@@ -224,14 +173,17 @@ class NodeCrypto:
         self,
         body: bytes,
         sig_value: int,
-        multiset: Counter,
+        apk: int,
+        signer_bits: int,
         cache_key: Tuple,
         domain: str = DOMAIN_FORWARDING,
     ) -> bool:
-        """Verify an aggregate signature value against a signer multiset."""
+        """Verify an aggregate signature value against the aggregate key
+        ``apk`` of the signers in ``signer_bits`` (bit *i* = node *i*);
+        ``cache_key`` names the key for ms_combine_key charging."""
         self.counters[domain].ms_verify += 1
         group = self.directory.group
-        apk = self._aggregate_key(cache_key, multiset, domain)
+        self._charge_aggregate_key(cache_key, signer_bits, domain)
 
         def compute() -> bool:
             h = group.hash_to_group(body)
@@ -241,12 +193,36 @@ class NodeCrypto:
             self._ms_cache_key(body, sig_value, apk), compute
         )
 
+    def ms_verify_record(
+        self,
+        origin: int,
+        body: bytes,
+        signature: bytes,
+        domain: str = DOMAIN_FORWARDING,
+    ) -> bool:
+        """Verify one heartbeat record under the multisignature variant,
+        where a record carries its origin's partial-multisig value instead
+        of an RSA signature.  An unregistered origin counts one ms_verify
+        and fails, as :meth:`verify` does for RSA."""
+        try:
+            value = int.from_bytes(signature, "big")
+        except (TypeError, ValueError):
+            return False
+        pair = self.directory._ms_pairs.get(origin)
+        if pair is None:
+            self.counters[domain].ms_verify += 1
+            return False
+        return self.ms_verify_value(
+            body, value, pair.public_key.value, 1 << origin, ("single", origin), domain
+        )
+
     def ms_verify_batch(
         self,
-        entries: Sequence[Tuple[bytes, int, Counter, Tuple]],
+        entries: Sequence[Tuple[bytes, int, int, int, Tuple]],
         domain: str = DOMAIN_FORWARDING,
     ) -> List[bool]:
-        """Batch :meth:`ms_verify_value` over (body, sig, multiset, key).
+        """Batch :meth:`ms_verify_value` over (body, sig, apk, signer_bits,
+        cache_key).
 
         Counting semantics are identical to calling :meth:`ms_verify_value`
         once per entry (the batch is a simulator fast path, not a modeled
@@ -261,9 +237,11 @@ class NodeCrypto:
         bucket = self.counters[domain]
         results: List[Optional[bool]] = [None] * len(entries)
         misses: List[Tuple[int, Tuple[bytes, int, int], Tuple]] = []
-        for index, (body, sig_value, multiset, agg_cache_key) in enumerate(entries):
+        for index, (body, sig_value, apk, signer_bits, agg_cache_key) in enumerate(
+            entries
+        ):
             bucket.ms_verify += 1
-            apk = self._aggregate_key(agg_cache_key, multiset, domain)
+            self._charge_aggregate_key(agg_cache_key, signer_bits, domain)
             key = self._ms_cache_key(body, sig_value, apk)
             cached = verify_cache.GLOBAL.get(key)
             if cached is not None:
@@ -279,25 +257,21 @@ class NodeCrypto:
                 verify_cache.GLOBAL.put(key, verdict)
         return [bool(r) for r in results]
 
-    def ms_warm_batch(
-        self, entries: Sequence[Tuple[bytes, int, Counter, Tuple]]
-    ) -> int:
+    def ms_warm_batch(self, entries: Sequence[Tuple[bytes, int, int]]) -> int:
         """Warm the verification cache with one batched multisig pass.
 
-        A pure prefetch for round-batched verification: no counters are
-        charged (the per-message processing that later consumes the cached
-        outcomes still counts every logical operation), aggregate keys go
-        through :meth:`Directory.peek_aggregate_key` so the counted key
-        cache is untouched, and already-cached outcomes are skipped.
-        Returns the number of entries actually verified.
+        A pure prefetch for round-batched verification over (body, sig,
+        apk) triples: no counters are charged (the per-message processing
+        that later consumes the cached outcomes still counts every logical
+        operation), and already-cached outcomes are skipped.  Returns the
+        number of entries actually verified.
         """
         if not entries:
             return 0
         group = self.directory.group
         misses: List[Tuple[Tuple, Tuple[bytes, int, int]]] = []
         seen = set()
-        for body, sig_value, multiset, agg_cache_key in entries:
-            apk = self.directory.peek_aggregate_key(agg_cache_key, multiset)
+        for body, sig_value, apk in entries:
             key = self._ms_cache_key(body, sig_value, apk)
             if key in seen or verify_cache.GLOBAL.get(key) is not None:
                 continue

@@ -9,7 +9,6 @@ coordination* (paper S2.6: no consensus, no coordinator).
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.auditing import AuditingLayer, TaskRegistry
@@ -87,7 +86,7 @@ class ReboundNode(NodeProtocol):
             replay_state=registry.replay_state,
             verify_operator=crypto.verify_operator,
             verify_record_signature=(
-                self._verify_multisig_record
+                crypto.ms_verify_record
                 if config.variant == VARIANT_MULTI
                 else None
             ),
@@ -175,20 +174,6 @@ class ReboundNode(NodeProtocol):
         self._adopt_mode(self.forwarding.fault_pattern, round_no)
 
     # -- layer callbacks -----------------------------------------------------------
-
-    def _verify_multisig_record(
-        self, origin: int, body: bytes, signature: bytes
-    ) -> bool:
-        """Verify a record signature under the multisignature variant, where
-        records carry a partial-multisig value instead of a plain RSA
-        signature (matches ``ForwardingLayer._verify_record``)."""
-        try:
-            value = int.from_bytes(signature, "big")
-        except (TypeError, ValueError):
-            return False
-        return self.crypto.ms_verify_value(
-            body, value, Counter({origin: 1}), cache_key=("single", origin)
-        )
 
     def _submit_evidence(self, item: Any) -> None:
         self.forwarding.submit_evidence(item)

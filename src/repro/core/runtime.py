@@ -102,7 +102,12 @@ class ReboundSystem:
             self._modegen = generator
         self.mode_tree = mode_tree
         self.path_cache = PathCache(PathComputer(topology, workload, config.fconc))
-        self.coverage = CoverageRegistry(topology, config.d_max)
+        self.coverage = CoverageRegistry(
+            topology,
+            config.d_max,
+            {c: self.directory.ms_public(c).value for c in topology.controllers},
+            self.directory.group.q,
+        )
 
         self.network = (network_factory or RoundNetwork)(topology)
         self.nodes: Dict[int, ReboundNode] = {}

@@ -31,6 +31,8 @@ def _make_layer(topo, node_id, directory, variant="basic", d_max=4,
         fmax=1, fconc=1, variant=variant, d_max=d_max, rsa_bits=256,
         **config_kwargs,
     )
+    for n in topo.controllers:
+        directory.register(n)  # the coverage DP needs every controller's key
     crypto = directory.crypto_for(node_id)
     verifier = EvidenceVerifier(verify_signature=crypto.verify)
     received_evidence: List[Any] = []
@@ -43,7 +45,12 @@ def _make_layer(topo, node_id, directory, variant="basic", d_max=4,
         verifier=verifier,
         on_new_evidence=received_evidence.append,
         on_packet=on_packet or (lambda *a: delivered.append(a)),
-        coverage=CoverageRegistry(topo, d_max),
+        coverage=CoverageRegistry(
+            topo,
+            d_max,
+            {n: directory.ms_public(n).value for n in topo.controllers},
+            directory.group.q,
+        ),
     )
     layer.start(0)
     layer._test_evidence_events = received_evidence
@@ -121,6 +128,23 @@ class TestMessageValidation:
         layer.begin_round(2)
         layer.receive(2, 1, _msg(sender=1, round_no=1, records=[rec]))
         assert len(layer.evidence) == 1  # LFD against the forwarding link
+
+    @pytest.mark.parametrize("variant", ["basic", "multi"])
+    @pytest.mark.parametrize("origin", [999, -1])
+    def test_unregistered_origin_yields_lfd(self, ring, variant, origin):
+        """A record whose origin has no key fails verification under either
+        variant: one verification is counted, the forwarding link is
+        accused, and nothing raises."""
+        topo, directory = ring
+        layer = _make_layer(topo, 0, directory, variant=variant)
+        rec = HeartbeatRecord(origin=origin, round_no=1, delta_count=0,
+                              signature=b"\x00\x20" + b"\x99" * 32)
+        layer.begin_round(2)
+        layer.receive(2, 1, _msg(sender=1, round_no=1, records=[rec]))
+        assert {l.link for l in layer.evidence.items()} == {(0, 1)}
+        counters = layer.crypto.total_counters()
+        assert counters.rsa_verify + counters.ms_verify == 1
+        assert counters.ms_combine_key == 0
 
 
 class TestEquivocationDetection:

@@ -1,7 +1,5 @@
 """Unit tests for the system runtime and the identity/crypto directory."""
 
-from collections import Counter
-
 import pytest
 
 from repro.core import ReboundConfig, ReboundSystem
@@ -144,28 +142,44 @@ class TestDirectory:
         bob = directory.crypto_for(2)
         body = b"heartbeat-body"
         value = alice.ms_sign(body)
-        ok = bob.ms_verify_value(
-            body, value, Counter({1: 1}), cache_key=("t", 1)
-        )
+        apk = directory.ms_public(1).value
+        ok = bob.ms_verify_value(body, value, apk, 1 << 1, cache_key=("t", 1))
         assert ok
-        bad = bob.ms_verify_value(
-            body, value + 1, Counter({1: 1}), cache_key=("t", 1)
-        )
+        bad = bob.ms_verify_value(body, value + 1, apk, 1 << 1, cache_key=("t", 1))
         assert not bad
+        assert bob.ms_verify_record(1, body, value.to_bytes(16, "big"))
+        assert not bob.ms_verify_record(2, body, value.to_bytes(16, "big"))
 
-    def test_aggregate_key_cache_charges_once(self):
+    def test_aggregate_key_charged_once_per_node(self):
+        """ms_combine_key is charged once per distinct signer (the popcount
+        of the signer mask), the first time each node uses a key."""
         directory = Directory(rsa_bits=256, multisig_bits=128, seed=3)
         for node in range(4):
             directory.register(node)
-        crypto = directory.crypto_for(0)
-        multiset = Counter({1: 1, 2: 2, 3: 1})
-        before = crypto.counters[DOMAIN_FORWARDING].ms_combine_key
-        directory.aggregate_key_value(("k", 1), multiset, crypto.counters[DOMAIN_FORWARDING])
-        mid = crypto.counters[DOMAIN_FORWARDING].ms_combine_key
-        directory.aggregate_key_value(("k", 1), multiset, crypto.counters[DOMAIN_FORWARDING])
-        after = crypto.counters[DOMAIN_FORWARDING].ms_combine_key
-        assert mid - before == 3  # one combine per distinct signer
-        assert after == mid  # cache hit costs nothing
+        q = directory.group.q
+        # Multiset {1: 1, 2: 2, 3: 1}: three distinct signers.
+        apk = sum(
+            m * directory.ms_public(n).value for n, m in ((1, 1), (2, 2), (3, 1))
+        ) % q
+        signers = 1 << 1 | 1 << 2 | 1 << 3
+        alice, bob = directory.crypto_for(0), directory.crypto_for(1)
+
+        def combines(crypto):
+            return crypto.counters[DOMAIN_FORWARDING].ms_combine_key
+
+        alice.ms_verify_value(b"hb", 7, apk, signers, cache_key=("k", 1))
+        assert combines(alice) == 3
+        alice.ms_verify_value(b"hb", 8, apk, signers, cache_key=("k", 1))
+        alice.ms_verify_batch([(b"hb", 9, apk, signers, ("k", 1))])
+        assert combines(alice) == 3  # already paid for this key
+        alice.ms_verify_batch([(b"hb", 9, apk, signers, ("k", 2))])
+        assert combines(alice) == 6  # a new key is paid for again
+        # Another node pays for its own memo, whatever alice computed.
+        bob.ms_verify_batch([(b"hb", 7, apk, signers, ("k", 1))])
+        assert combines(bob) == 3
+        # Warming charges nothing.
+        alice.ms_warm_batch([(b"hb", 10, apk)])
+        assert combines(alice) == 6
 
     def test_operator_verify(self):
         directory = Directory(rsa_bits=256, seed=3)
@@ -192,9 +206,9 @@ class TestCoverageRegistry:
         builds = []
 
         class CountingCalculator(heartbeat.CoverageCalculator):
-            def __init__(self, adjacency, max_age):
+            def __init__(self, adjacency, max_age, keys, q):
                 builds.append(adjacency)
-                super().__init__(adjacency, max_age)
+                super().__init__(adjacency, max_age, keys, q)
 
         monkeypatch.setattr(heartbeat, "CoverageCalculator", CountingCalculator)
         topo = erdos_renyi_topology(20, seed=0)
@@ -229,3 +243,4 @@ class TestCoverageRegistry:
         restored = pickle.loads(pickle.dumps(registry))
         assert restored._calculators == {}
         assert restored.d_max == registry.d_max
+        assert (restored.keys, restored.q) == (registry.keys, registry.q)

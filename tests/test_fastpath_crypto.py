@@ -171,8 +171,9 @@ def test_cached_rsa_verify_equals_public_key_verify(body, case, signer, flip):
 
 
 def _multisig_variants(body, mults):
-    """case -> ((body, sig value, multiset, aggregate-key cache key),
-    verdict of the plain, uncached multisignature check)."""
+    """case -> ((body, sig value, aggregate key value, signer mask,
+    aggregate-key cache key), verdict of the plain, uncached multisignature
+    check).  The key value comes from ``aggregate_keys`` over the multiset."""
     group = _DIRECTORY.group
     multiset = Counter({node: m for node, m in enumerate(mults) if m})
     value = sum(
@@ -192,7 +193,8 @@ def _multisig_variants(body, mults):
         verdict = verify_multisig(group, signed, Multisignature(sig, apk.signers), apk)
         assert verdict == (case == "valid")
         key = ("test", tuple(sorted(signers.items())))
-        out[case] = ((signed, sig, signers, key), verdict)
+        mask = sum(1 << node for node in signers)
+        out[case] = ((signed, sig, apk.value, mask, key), verdict)
     return out
 
 
