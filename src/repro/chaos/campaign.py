@@ -114,7 +114,7 @@ class BehaviorSpec:
     #: flag, a durability cell fails on any detection).
     expect_tamper: bool = False
     #: scripted churn arc: ``seed -> [(round_no, fn(system, victim)), ...]``.
-    #: Arc cells run with stabilization + online tree refresh enabled.
+    #: Arc cells run with stabilization enabled.
     arc: Optional[Callable[[int], List[Tuple[int, Callable[..., Any]]]]] = None
     #: every transient corruption the arc injects must be detected by the
     #: auditor and resolved within the Req-S convergence bound.
@@ -243,8 +243,8 @@ BEHAVIORS: Dict[str, BehaviorSpec] = {
             lambda: LogTamperBehavior(mode="splice", down_rounds=3),
             1, True, durability=True, expect_tamper=True,
         ),
-        # Churn arcs (the ``churn`` preset): stabilization + online tree
-        # refresh enabled.  The corruption arcs spend one
+        # Churn arcs (the ``churn`` preset): stabilization enabled.  The
+        # corruption arcs spend one
         # budget unit on a crash that seeds the evidence store; the drift
         # arc deliberately overspends the budget.
         BehaviorSpec(
@@ -297,11 +297,6 @@ def _pick_link(topology: Topology, seed: int, avoid: Optional[int]) -> Tuple[int
     links = _controller_links(topology)
     eligible = [l for l in links if avoid not in l] or links
     return eligible[seed % len(eligible)]
-
-
-def _pick_node(topology: Topology, seed: int, avoid: Optional[int]) -> int:
-    controllers = [c for c in topology.controllers if c != avoid]
-    return controllers[seed % len(controllers)]
 
 
 def _halves(topology: Topology) -> Tuple[frozenset, frozenset]:
@@ -614,11 +609,7 @@ def run_cell(cell: CampaignCell) -> Dict[str, Any]:
     try:
         config_kwargs: Dict[str, Any] = {}
         if spec.arc is not None:
-            config_kwargs.update(
-                stabilize_enabled=True,
-                audit_interval=4,
-                tree_refresh_enabled=True,
-            )
+            config_kwargs.update(stabilize_enabled=True, audit_interval=4)
         if spec.durability:
             durability_dir = tempfile.mkdtemp(prefix="rebound-durable-")
             config_kwargs = {

@@ -104,13 +104,13 @@ class TaskRegistry:
     def _replay_full(
         self, task_id: int, state: bytes, inputs: Tuple[InputTuple, ...], round_no: int
     ) -> Optional[Tuple[bytes, bytes]]:
-        logic = self._logic.get(task_id)
+        logic = self.logic(task_id)
         if logic is None:
             return None
         try:
             pairs = sorted((entry[1], entry[3]) for entry in inputs)
-        except (TypeError, IndexError):
-            return None
+        except (TypeError, IndexError, KeyError):
+            return None  # a signed-but-garbage bundle: replay is impossible
         try:
             new_state, output = logic.compute(state, pairs, round_no)
         except Exception:
@@ -470,8 +470,7 @@ class AuditingLayer:
 
     def _run_audits(self, round_no: int) -> None:
         for (task_id, copy_idx), replica in sorted(self._replicas.items()):
-            logic = self.registry.logic(task_id)
-            if logic is None:
+            if self.registry.logic(task_id) is None:
                 continue
             wait = self._audit_waits.get((task_id, copy_idx), 2)
             while True:
@@ -482,7 +481,7 @@ class AuditingLayer:
                     break  # downstream authenticators may still be in flight
                 bundle_payload, bundle_sig = replica.bundles.pop(exec_round)
                 self._audit_one(
-                    task_id, copy_idx, replica, logic, exec_round,
+                    task_id, copy_idx, replica, exec_round,
                     bundle_payload, bundle_sig,
                 )
                 replica.next_audit_round = exec_round + 1
@@ -505,7 +504,6 @@ class AuditingLayer:
         task_id: int,
         copy_idx: int,
         replica: _ReplicaState,
-        logic: TaskLogic,
         exec_round: int,
         bundle_payload: bytes,
         bundle_sig: bytes,
@@ -520,7 +518,7 @@ class AuditingLayer:
             )
         try:
             self._audit_one_inner(
-                task_id, copy_idx, replica, logic, exec_round,
+                task_id, copy_idx, replica, exec_round,
                 bundle_payload, bundle_sig,
             )
         finally:
@@ -541,7 +539,6 @@ class AuditingLayer:
         task_id: int,
         copy_idx: int,
         replica: _ReplicaState,
-        logic: TaskLogic,
         exec_round: int,
         bundle_payload: bytes,
         bundle_sig: bytes,
@@ -577,14 +574,13 @@ class AuditingLayer:
                 self.poms_emitted += 1
                 self._emit_pom_event(primary, "state-chain", task_id)
                 self.submit_evidence(pom)
-        try:
-            pairs = sorted((e[1], e[3]) for e in inputs)
-            new_state, output = logic.compute(state, list(pairs), exec_round)
-        except Exception:
-            # A signed-but-garbage bundle: replay is impossible; any signed
-            # downstream authenticator then condemns the primary directly
-            # (verify_bad_computation treats undecodable bundles as proof).
-            new_state, output = replica.state, None
+        # A signed-but-garbage bundle cannot be replayed; any signed
+        # downstream authenticator then condemns the primary directly
+        # (verify_bad_computation treats undecodable bundles as proof).
+        replayed = self.registry._replay_full(task_id, state, inputs, exec_round)
+        new_state, output = (
+            replayed if replayed is not None else (replica.state, None)
+        )
         replica.state = new_state
         replica.last_bundle = (exec_round, bundle_payload, bundle_sig)
         self.audits_performed += 1

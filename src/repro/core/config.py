@@ -60,20 +60,14 @@ class ReboundConfig:
             pointer, quota ledger) into an audit beacon, cross-checks it
             against quorum evidence, and on divergence resyncs the node
             from a quorum reference plus the durable verified prefix
-            (when durability is on).  Off by default; with no corruption
-            the audit pass is observation-only, so transcripts are
-            byte-identical either way.
+            (when durability is on).  Off by default.  The audit pass is
+            observation-only -- transcripts byte-identical either way --
+            when nothing is corrupted and every flood reaches every correct
+            controller within ``d_max`` rounds of entering the system.
         audit_interval: rounds between state audits.  Together with
             ``d_max`` it fixes the self-stabilization convergence bound
             ``2 * audit_interval + d_max + 2`` asserted by the monitor's
             Req-S check (docs/PROTOCOL.md section 16).
-        tree_refresh_enabled: when the observed failure pattern drifts
-            beyond the precomputed mode tree (> fmax), regenerate the
-            affected subtree online via the parallel modegen engine
-            instead of sitting in the covering-ancestor holding mode
-            forever.  Off by default (holding mode is still safe -- this
-            flag only adds the refresh); byte-identical transcripts when
-            the pattern never leaves the tree.
     """
 
     fmax: int = 1
@@ -94,7 +88,6 @@ class ReboundConfig:
     snapshot_interval: int = 8
     stabilize_enabled: bool = False
     audit_interval: int = 4
-    tree_refresh_enabled: bool = False
 
     def __post_init__(self) -> None:
         if self.fmax < 0 or self.fconc < 0:

@@ -596,15 +596,6 @@ class EvidenceSet:
                 accused.add(item.accused)
         return frozenset(accused)
 
-    def declared_links(self) -> FrozenSet[Tuple[int, int]]:
-        """Links declared failed by at least one unabsolved LFD."""
-        blessings = self._best_blessings()
-        return frozenset(
-            item.link
-            for item in self._items.values()
-            if isinstance(item, LFD) and not self._is_absolved(item, blessings)
-        )
-
     def _pom_accusations(self, blessings) -> List[Tuple[int, int]]:
         """(accused, accusation_round) for each unabsolved commission PoM."""
         out = []

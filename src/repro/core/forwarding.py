@@ -8,26 +8,15 @@ Responsibilities (paper S3.1):
 4. select the local mode from the available evidence (done by the node that
    owns this layer; the layer reports evidence changes upward).
 
-Detection rules (implementing Fig. 4's demands in an explicitly round-based
-style):
-
-* **Rule A (liveness)** -- each live controller neighbor must deliver a
-  well-formed round message every round; a missing or malformed one yields
-  an LFD against the shared link.
-* **Rule B (coverage)** -- heartbeats must propagate at one hop per round:
-  by round r, neighbor j must have delivered heartbeats (individual or
-  aggregated) of every origin within distance r-1-r' of j in the
-  fault-adjusted graph, for every origin round r'.  A shortfall that the
-  sender's declared evidence does not excuse yields an LFD.  The check is
-  suspended for origin rounds within ``stabilization_slack`` of the last
-  evidence change, because propagation is legitimately disturbed while a
-  new fault's evidence floods (each new fault restarts the Rmax clock,
-  paper S2.5).
-* **Rule C (data paths)** -- once the mode has been stable long enough for
-  a path's pipeline to fill, each hop must receive the path's packet every
-  round; a miss yields an LFD against the upstream hop.
-* **Equivocation** -- two validly signed heartbeats (or data packets) for
-  the same slot with different content yield a PoM against the signer.
+Detection implements Fig. 4's demands in an explicitly round-based style.
+Every LFD names the rule that produced it (:data:`repro.obs.events.LFD_RULES`):
+at receipt, a malformed message or invalid flooded content (``header``,
+``content``) and a data packet with the wrong origin or signature at its
+sink (``packet-origin``, ``packet-signature``); at the end of each round,
+Rules A (liveness), B (heartbeat coverage) and C (data paths), decided by
+the pure functions :func:`rule_a`, :func:`rule_b` and :func:`rule_c` and
+applied in one place.  Two validly signed heartbeats (or data packets) for
+the same slot with different content yield an equivocation PoM.
 
 Variants: REBOUND-BASIC floods individually signed heartbeats with delta
 flooding + expiry + bus broadcast (S3.5).  REBOUND-MULTI additionally
@@ -40,9 +29,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping
+from typing import NamedTuple, Set, Tuple
 
-from repro.core.config import VARIANT_BASIC, VARIANT_MULTI, ReboundConfig
+from repro.core.config import VARIANT_MULTI, ReboundConfig
 from repro.core.evidence import (
     EquivocationPoM,
     EvidenceSet,
@@ -62,7 +52,7 @@ from repro.core.heartbeat import (
     HeartbeatStore,
 )
 from repro.core.identity import NodeCrypto
-from repro.core.paths import Path, PathSet
+from repro.core.paths import PATH_AUTH, PATH_XREP, Path, PathSet
 from repro.core.quotas import AdmissionQuotas, pom_lfd_slack
 from repro.crypto.hashing import hash_bytes
 from repro.net.message import encode, register_message
@@ -76,6 +66,7 @@ from repro.obs.events import (
     EV_LFD_ISSUED,
     EV_POM_CREATED,
     EV_QUOTA_DROP,
+    LFD_RULES,
 )
 from repro.sched.modegen import FailureScenario
 
@@ -183,6 +174,132 @@ class _AggregateState:
     broken: bool = False  # diverged from the DP; stop aggregating
 
 
+# -- the end-of-round omission rules: each reads one immutable observation of
+# a node's round and returns the peers it accuses; ForwardingLayer takes the
+# observations and applies the decisions (_detect_omissions).
+
+
+def _excludes(pattern: FailureScenario, node: int, peer: int) -> bool:
+    """Does ``pattern`` declare ``peer`` or the link ``node``-``peer`` faulty?"""
+    return peer in pattern.nodes or (min(node, peer), max(node, peer)) in pattern.links
+
+
+class RuleAObservation(NamedTuple):
+    round_no: int
+    joined_round: int
+    last_evidence_change: int
+    live: Tuple[int, ...]  # live controller neighbors
+    heard: FrozenSet[int]  # peers a round message arrived from this round
+
+
+def rule_a(obs: RuleAObservation) -> List[int]:
+    """Rule A (liveness): every live controller neighbor must deliver a
+    round message every round.
+
+    Suspended at join and for two rounds after an evidence change: a
+    just-re-admitted (blessed) neighbor needs one round before its first
+    message can arrive.  The suspension is bounded by the total amount of
+    valid evidence an adversary can mint."""
+    r = obs.round_no
+    if r <= obs.joined_round + 1 or r <= obs.last_evidence_change + 2:
+        return []
+    return [j for j in obs.live if j not in obs.heard]
+
+
+class RuleBObservation(NamedTuple):
+    node: int
+    round_no: int
+    joined_round: int
+    last_evidence_change: int
+    d_max: int
+    live: Tuple[int, ...]
+    heard: FrozenSet[int]
+    #: heard live neighbor -> origins it must relay by age d_max / origins
+    #: of round ``round_no - 1 - d_max`` it did relay (masks, bit i = node i)
+    expected: Mapping[int, int]
+    delivered: Mapping[int, int]
+    accused: FrozenSet[int]  # nodes condemned by an unabsolved PoM
+    #: neighbor -> (round raised, expected mask) of each open suspicion
+    pending: Mapping[int, Tuple[int, int]]
+    pattern: FailureScenario
+
+
+class RuleBDecision(NamedTuple):
+    lfds: List[int]
+    pending: Dict[int, Tuple[int, int]]
+    probe: bool  # a suspicion is open: keep individual records circulating
+
+
+def rule_b(obs: RuleBObservation) -> RuleBDecision:
+    """Rule B (coverage): by age d_max a neighbor must have relayed the
+    heartbeat of every origin in its expected support.
+
+    Checked once per origin round, at the expiry horizon (origin round
+    ``r - 1 - d_max``), and not for origin rounds before the join or
+    within the stabilization slack (d_max + 2) of the last evidence
+    change.  A shortfall opens a suspicion, not an LFD, unless a PoM
+    condemns a node in the expected support: that origin's equivocating
+    heartbeats poisoned the relay chain, so the relaying neighbor is not
+    blamed.  A suspicion is held for a grace of d_max + 2 rounds (while
+    record probing runs) so such a PoM can claim it; it is dropped once a
+    PoM explains it or the pattern excludes the neighbor or the link, and
+    otherwise matures into an LFD."""
+    r = obs.round_no
+    pending = dict(obs.pending)
+    if r <= obs.joined_round + 1:
+        return RuleBDecision([], pending, False)
+    accused = sum(1 << node for node in obs.accused)
+    slack = obs.d_max + 2
+    r_origin = r - 1 - obs.d_max
+    if r_origin >= max(obs.joined_round + 1, obs.last_evidence_change + slack):
+        for j in obs.live:
+            if j not in obs.heard:
+                continue
+            expected = obs.expected[j]
+            if expected & ~obs.delivered[j] and not expected & accused:
+                pending.setdefault(j, (r, expected))
+    probe = bool(pending)
+    lfds = []
+    for j, (raised, expected) in sorted(pending.items()):
+        if expected & accused or _excludes(obs.pattern, obs.node, j):
+            del pending[j]
+        elif r >= raised + slack:
+            del pending[j]
+            lfds.append(j)
+    return RuleBDecision(lfds, pending, probe)
+
+
+class RuleCObservation(NamedTuple):
+    node: int
+    round_no: int
+    joined_round: int
+    paths_stable_since: int  # round of the last mode switch
+    #: (upstream hop, packet key (path id, origin round)) expected this
+    #: round on each enforced path through the node, in path order
+    expected: Tuple[Tuple[int, Tuple[int, int]], ...]
+    seen: FrozenSet[Tuple[int, int]]  # the expected keys already received
+    pattern: FailureScenario
+
+
+def rule_c(obs: RuleCObservation) -> List[int]:
+    """Rule C (data paths): once a path's pipeline has filled, each hop
+    must receive the path's packet every round; a miss accuses the
+    upstream hop.  Settle window after a mode switch at round s: the source
+    may adopt the new mode a couple of rounds after this node (devices
+    learn modes from flooded evidence), so only packets originated at
+    round s + 4 or later are expected.  Suspended at join; an upstream the
+    pattern already excludes is not accused."""
+    if obs.round_no <= obs.joined_round + 1:
+        return []
+    return [
+        upstream
+        for upstream, key in obs.expected
+        if key[1] >= obs.paths_stable_since + 4
+        and key not in obs.seen
+        and not _excludes(obs.pattern, obs.node, upstream)
+    ]
+
+
 class ForwardingLayer:
     """One controller's forwarding layer.
 
@@ -246,18 +363,13 @@ class ForwardingLayer:
         # forever; a link already adopted into the fault pattern stops being
         # a live neighbor, so the cooldown never causes per-round re-minting.
         self._lfds_issued: Dict[Tuple[int, int], int] = {}
-        # Deferred Rule B suspicions: neighbor -> (round raised, expected
-        # support at raise time).  A coverage shortfall is held for
-        # ``rule_b_grace`` rounds before becoming an LFD; if a commission PoM
-        # against a node inside the expected support arrives meanwhile, the
-        # shortfall is charged to that proven-faulty origin instead of the
-        # relaying neighbor (the equivocation-storm accuracy fix).
-        self._pending_rule_b: Dict[int, Tuple[int, frozenset]] = {}
-        # While probing, _compose_heartbeats falls back to individual-record
+        # Open Rule B suspicions: neighbor -> (round raised, expected
+        # support mask at raise time); see rule_b.
+        self._pending_rule_b: Dict[int, Tuple[int, int]] = {}
+        # While probing, _flood falls back to individual-record
         # flooding even in MULTI's stable state: conflicting per-destination
         # heartbeats only surface as equivocation PoMs when records circulate.
         self._probe_until = -1
-        self.rule_b_grace = self.d_max + 2
         # An unabsolved commission PoM explains LFDs declared up to this many
         # rounds after its accusation round (storm geometry: conflict
         # propagation plus the Rule B horizon plus the deferral window).
@@ -271,13 +383,10 @@ class ForwardingLayer:
         self._relay_queue: List[DataPacket] = []
         self._local_outbox: List[DataPacket] = []
         self._seen_packets: Set[Tuple[int, int]] = set()
-        self._packets_this_round: Set[Tuple[int, int]] = set()
         self._new_evidence_outbox: List[Any] = []
-        self._fault_pattern = FailureScenario(nodes=frozenset(), links=frozenset())
-        self._coverage: Optional[CoverageCalculator] = None
         self._round = 0
         self._joined_round = 0
-        self.started = False
+        self._refresh_pattern()
 
     # -- wiring --------------------------------------------------------------
 
@@ -285,7 +394,6 @@ class ForwardingLayer:
         """Begin participating (heartbeats expected from the next round on)."""
         self._joined_round = round_no
         self._round = round_no
-        self.started = True
         self._refresh_pattern()
 
     def set_paths(self, paths: PathSet, stable_since: int) -> None:
@@ -295,10 +403,17 @@ class ForwardingLayer:
     # -- fault pattern / coverage ------------------------------------------------
 
     def _refresh_pattern(self) -> None:
-        self._fault_pattern = self.evidence.failure_pattern(
+        """Derive the fault pattern from the evidence, and from it the
+        coverage DP and the live controller neighbors."""
+        pattern = self._fault_pattern = self.evidence.failure_pattern(
             self.config.fmax, pom_lfd_slack=self.pom_lfd_slack
         )
-        self._coverage = self.coverage.for_pattern(self._fault_pattern)
+        self._coverage: CoverageCalculator = self.coverage.for_pattern(pattern)
+        self._live: Tuple[int, ...] = tuple(
+            x
+            for x in self.topology.neighbors(self.node_id)
+            if x in self._controllers and not _excludes(pattern, self.node_id, x)
+        )
 
     def _mark_delivered(self, sender: int, round_no: int, bits: int) -> None:
         """Record that ``sender`` relayed the round-``round_no`` heartbeats
@@ -312,13 +427,6 @@ class ForwardingLayer:
         if rec.origin in self._controllers:
             self._mark_delivered(sender, rec.round_no, 1 << rec.origin)
 
-    def _coverage_shortfall(self, j: int, r_origin: int) -> bool:
-        """Rule B subset test: did neighbor ``j`` fail to deliver some
-        origin it must have covered by age d_max?"""
-        assert self._coverage is not None
-        expected = self._coverage.support_bits(j, self.d_max)
-        return bool(expected & ~self._delivered[j].get(r_origin, 0))
-
     @property
     def fault_pattern(self) -> FailureScenario:
         return self._fault_pattern
@@ -327,59 +435,37 @@ class ForwardingLayer:
     def epoch_digest(self) -> bytes:
         return self.evidence.digest()
 
-    def _live_neighbors(self) -> List[int]:
-        pattern = self._fault_pattern
-        out = []
-        for x in self.topology.neighbors(self.node_id):
-            if self.topology.role(x) != "controller":
-                continue
-            if x in pattern.nodes:
-                continue
-            if (min(self.node_id, x), max(self.node_id, x)) in pattern.links:
-                continue
-            out.append(x)
-        return out
-
     # -- evidence ---------------------------------------------------------------
 
-    def issue_lfd(self, other: int) -> None:
-        """Declare the link to ``other`` failed (omission observed)."""
+    def issue_lfd(self, other: int, rule: str) -> None:
+        """Declare the link to ``other`` failed; ``rule`` (one of
+        :data:`~repro.obs.events.LFD_RULES`) names the violated demand."""
+        if rule not in LFD_RULES:
+            raise ValueError(f"unknown LFD rule {rule!r}")
         link = (min(self.node_id, other), max(self.node_id, other))
         last = self._lfds_issued.get(link)
         if last is not None and self._round < last + self.lfd_reissue_cooldown:
             return
         self._lfds_issued[link] = self._round
-        flight = _flight.active
-        if flight is not None:
-            flight.emit(
-                EV_LFD_ISSUED,
-                self.node_id,
-                {"link": list(link)},
-                round_no=self._round,
-            )
-        body = lfd_body(self.node_id, other, self._round)
-        lfd = LFD(
-            a=link[0],
-            b=link[1],
-            declared_round=self._round,
-            issuer=self.node_id,
-            signature=self.crypto.sign(body),
+        self._trace(EV_LFD_ISSUED, {"link": list(link), "rule": rule})
+        signature = self.crypto.sign(lfd_body(self.node_id, other, self._round))
+        self._admit_evidence(
+            [LFD(*link, declared_round=self._round, issuer=self.node_id,
+                 signature=signature)]
         )
-        self._admit_evidence([lfd], verified=True)
 
     def submit_evidence(self, item: Any) -> None:
         """Inject locally generated (already valid) evidence, e.g. a PoM
         from the auditing layer."""
-        self._admit_evidence([item], verified=True)
+        self._admit_evidence([item])
 
-    def _admit_evidence(self, items: List[Any], verified: bool) -> List[Any]:
+    def _admit_evidence(self, items: List[Any]) -> None:
+        """Add already verified ``items`` to the evidence set."""
         from repro.core.blessing import Blessing
 
         added = []
         for item in items:
             if item in self.evidence:
-                continue
-            if not verified and not self.verifier.verify(item):
                 continue
             if self.evidence.add(item):
                 added.append(item)
@@ -403,19 +489,12 @@ class ForwardingLayer:
             self.last_evidence_change = self._round
             self._new_evidence_outbox.extend(added)
             self._refresh_pattern()
-            flight = _flight.active
-            if flight is not None:
+            if _flight.active is not None:
                 for item in added:
-                    flight.emit(
-                        EV_EVIDENCE_APPLIED,
-                        self.node_id,
-                        _evidence_event_data(item),
-                        round_no=self._round,
-                    )
+                    self._trace(EV_EVIDENCE_APPLIED, _evidence_event_data(item))
                 pattern = self._fault_pattern
-                flight.emit(
+                self._trace(
                     EV_EPOCH_ADVANCE,
-                    self.node_id,
                     {
                         "digest": self.evidence.digest().hex()[:16],
                         "items": len(self.evidence),
@@ -424,17 +503,20 @@ class ForwardingLayer:
                             list(link) for link in sorted(pattern.links)
                         ],
                     },
-                    round_no=self._round,
                 )
             self.on_new_evidence(added)
-        return added
+
+    def _trace(self, kind: int, data: Dict[str, Any]) -> None:
+        """Flight-record one event at this node in the current round."""
+        flight = _flight.active
+        if flight is not None:
+            flight.emit(kind, self.node_id, data, round_no=self._round)
 
     # -- round lifecycle -----------------------------------------------------------
 
     def begin_round(self, round_no: int) -> None:
         self._round = round_no
         self._got_message_from = set()
-        self._packets_this_round = set()
         self.quotas.begin_round(round_no)
 
     def _charge_quota(self, sender: int, kind: str) -> bool:
@@ -445,21 +527,14 @@ class ForwardingLayer:
         per round is flight-recorded."""
         allowed, first_drop = self.quotas.charge(sender, kind)
         if not allowed and first_drop:
-            flight = _flight.active
-            if flight is not None:
-                flight.emit(
-                    EV_QUOTA_DROP,
-                    self.node_id,
-                    {"sender": sender, "kind": kind},
-                    round_no=self._round,
-                )
+            self._trace(EV_QUOTA_DROP, {"sender": sender, "kind": kind})
         return allowed
 
     def receive(self, round_no: int, sender: int, msg: Any) -> None:
         if not isinstance(msg, RoundMessage):
             return
         if msg.sender != sender or msg.round_no != round_no - 1:
-            self.issue_lfd(sender)
+            self.issue_lfd(sender, "header")
             return
         if sender in self._fault_pattern.nodes:
             return  # excluded node: its messages are ignored (Fig. 4, l.23)
@@ -475,19 +550,15 @@ class ForwardingLayer:
             bad |= not self._process_aggregates(sender, msg.aggregates)
         self._process_packets(sender, msg.packets)
         if bad:
-            self.issue_lfd(sender)
+            self.issue_lfd(sender, "content")
 
     def receive_batch(self, batch: List[Tuple[int, int, Any]]) -> None:
         """Process a round's buffered deliveries: one batched warm pass
         over every admissible aggregate signature, then the ordinary
-        per-message path in original order.
-
-        Warming only prefetches verification outcomes into the shared
-        cache (no counters, no state), so this is transcript- and
-        counter-identical to per-message processing -- the win is that all
-        residual multisig checks of the round amortize into a single
-        batched group equation instead of one small batch per message.
-        """
+        per-message path in original order.  Warming only prefetches
+        verification outcomes into the shared cache (no counters, no
+        state), so the round's residual multisig checks amortize into one
+        group equation without changing transcripts or counters."""
         self._warm_aggregate_verifications(batch)
         for round_no, sender, msg in batch:
             self.receive(round_no, sender, msg)
@@ -495,36 +566,21 @@ class ForwardingLayer:
     def _warm_aggregate_verifications(
         self, batch: List[Tuple[int, int, Any]]
     ) -> None:
-        if (
-            self.config.variant != VARIANT_MULTI
-            or self._coverage is None
-            or not self.config.protocol_enabled
-        ):
+        if self.config.variant != VARIANT_MULTI:
             return
-        digest = self.epoch_digest
         entries: List[Tuple[bytes, int, int]] = []
         for round_no, sender, msg in batch:
-            if not isinstance(msg, RoundMessage):
-                continue
-            if msg.sender != sender or msg.round_no != round_no - 1:
-                continue
-            if sender in self._fault_pattern.nodes:
-                continue
-            if not self._coverage.has_node(sender):
-                continue
-            for agg in msg.aggregates:
-                age = self._round - 1 - agg.round_no
-                if age < 0 or age > self.d_max:
-                    continue
-                if agg.epoch_digest != digest:
-                    continue
-                entries.append(
-                    (
-                        agg.body(),
-                        agg.sig_value,
-                        self._coverage.aggregate_key(sender, age),
-                    )
-                )
+            if (
+                isinstance(msg, RoundMessage)
+                and msg.sender == sender
+                and msg.round_no == round_no - 1
+                and sender not in self._fault_pattern.nodes
+            ):
+                for agg, age in self._admissible_aggregates(
+                    sender, msg.aggregates, probe=False
+                ):
+                    key = self._coverage.aggregate_key(sender, age)
+                    entries.append((agg.body(), agg.sig_value, key))
         if entries:
             self.crypto.ms_warm_batch(entries)
 
@@ -543,7 +599,7 @@ class ForwardingLayer:
             else:
                 ok = False  # a correct node never forwards invalid evidence
         if to_add:
-            self._admit_evidence(to_add, verified=True)
+            self._admit_evidence(to_add)
         return ok
 
     def _process_records(
@@ -569,21 +625,13 @@ class ForwardingLayer:
             self._mark_record_delivered(sender, rec)
             if status == "conflict" and conflict is not None:
                 pom = EquivocationPoM(
-                    accused=rec.origin,
-                    body_a=conflict.body(),
-                    sig_a=conflict.signature,
-                    body_b=rec.body(),
-                    sig_b=rec.signature,
+                    rec.origin, conflict.body(), conflict.signature,
+                    rec.body(), rec.signature,
                 )
-                flight = _flight.active
-                if flight is not None:
-                    flight.emit(
-                        EV_POM_CREATED,
-                        self.node_id,
-                        {"accused": rec.origin, "pom": "equivocation"},
-                        round_no=self._round,
-                    )
-                self._admit_evidence([pom], verified=True)
+                self._trace(
+                    EV_POM_CREATED, {"accused": rec.origin, "pom": "equivocation"}
+                )
+                self._admit_evidence([pom])
         return ok
 
     def _verify_record(self, sender: int, rec: HeartbeatRecord) -> bool:
@@ -593,13 +641,10 @@ class ForwardingLayer:
             ok = self.crypto.ms_verify_record(rec.origin, rec.body(), rec.signature)
         else:
             ok = self.crypto.verify(rec.origin, rec.body(), rec.signature)
-        flight = _flight.active
-        if flight is not None:
-            flight.emit(
+        if _flight.active is not None:  # the per-record path: no dict when off
+            self._trace(
                 EV_HEARTBEAT_VERIFY,
-                self.node_id,
                 {"origin": rec.origin, "hb_round": rec.round_no, "ok": ok},
-                round_no=self._round,
             )
         return ok
 
@@ -619,9 +664,7 @@ class ForwardingLayer:
         if channel[0] != "bus":
             return False
         bus = self.topology.buses[channel[1]]
-        members = sorted(
-            m for m in bus.members if self.topology.role(m) == "controller"
-        )
+        members = sorted(bus.members & self._controllers)
         k = self.config.fmax + 1
         if len(members) <= k:
             return False
@@ -631,36 +674,57 @@ class ForwardingLayer:
         checkers = {members[(seed + i) % len(members)] for i in range(k)}
         return self.node_id not in checkers
 
+    def _admissible_aggregates(
+        self,
+        sender: int,
+        aggregates: Tuple[AggregateHeartbeat, ...],
+        probe: bool,
+    ) -> List[Tuple[AggregateHeartbeat, int]]:
+        """(aggregate, age) for each of ``sender``'s aggregates the coverage
+        DP can check: inside the expiry window, under this node's fault
+        epoch, from a sender the DP covers.
+
+        An aggregate under another epoch is left to the fallback records.
+        With ``probe``, an unexplained divergence -- this node's evidence
+        has been stable well past the slack window, so no recent fault
+        accounts for it -- is a storm symptom: probe with individual
+        records so any equivocation surfaces as a PoM."""
+        digest = self.epoch_digest
+        covered = self._coverage.has_node(sender)
+        admissible = []
+        for agg in aggregates:
+            age = self._round - 1 - agg.round_no
+            if age < 0 or age > self.d_max:
+                continue
+            if agg.epoch_digest != digest:
+                if (
+                    probe
+                    and self.last_evidence_change
+                    < self._round - self.stabilization_slack
+                ):
+                    self._start_probe()
+                continue
+            if covered:
+                admissible.append((agg, age))
+        return admissible
+
     def _process_aggregates(
         self, sender: int, aggregates: Tuple[AggregateHeartbeat, ...]
     ) -> bool:
         if self.config.variant != VARIANT_MULTI:
             return len(aggregates) == 0
-        assert self._coverage is not None
         # Two passes: collect every admissible aggregate, batch-verify them
         # in one combined group equation (verdicts identical to per-item
         # checks -- see crypto.multisig), then fold in the ones that pass.
         # Admissibility only reads state the loop never mutates (epoch
         # digest, coverage DP), so the split is behavior-preserving.
-        admissible: List[Tuple[AggregateHeartbeat, int]] = []
-        for agg in aggregates:
-            age = self._round - 1 - agg.round_no
-            if age < 0 or age > self.d_max:
-                continue
-            if agg.epoch_digest != self.epoch_digest:
-                # Different fault epoch; fallback records cover this.  An
-                # unexplained divergence -- our own evidence has been stable
-                # well past the slack window, so no recent fault accounts
-                # for it -- is a storm symptom: probe with individual
-                # records so any equivocation surfaces as a PoM.
-                if self.last_evidence_change < self._round - self.stabilization_slack:
-                    self._start_probe()
-                continue
-            if not self._coverage.has_node(sender):
-                continue
-            if not self._charge_quota(sender, "aggregates"):
-                continue
-            admissible.append((agg, age))
+        admissible = [
+            (agg, age)
+            for agg, age in self._admissible_aggregates(
+                sender, aggregates, probe=True
+            )
+            if self._charge_quota(sender, "aggregates")
+        ]
         if not admissible:
             return True
         verdicts = self.crypto.ms_verify_batch(
@@ -708,7 +772,6 @@ class ForwardingLayer:
             if position is None or position == 0:
                 continue
             key = (packet.path_id, packet.origin_round)
-            self._packets_this_round.add(key)
             if key in self._seen_packets:
                 continue
             self._seen_packets.add(key)
@@ -721,24 +784,18 @@ class ForwardingLayer:
                     self._round - self.paths_stable_since < path.length + 4
                 )
                 if packet.origin != path.source:
-                    if not settling:
-                        self.issue_lfd(sender)
-                    continue
-                if not self.crypto.verify(
+                    rule = "packet-origin"
+                elif not self.crypto.verify(
                     packet.origin, packet.body(), packet.signature,
                     domain="auditing",
                 ):
-                    # The payload or signature was tampered with in transit.
-                    if not settling:
-                        self.issue_lfd(sender)
+                    rule = "packet-signature"  # tampered with in transit
+                else:
+                    self.on_packet(path, packet.origin_round, packet.payload,
+                                   packet.origin, packet.signature)
                     continue
-                self.on_packet(
-                    path,
-                    packet.origin_round,
-                    packet.payload,
-                    packet.origin,
-                    packet.signature,
-                )
+                if not settling:
+                    self.issue_lfd(sender, rule)
             else:
                 self._relay_queue.append(packet)
 
@@ -765,162 +822,107 @@ class ForwardingLayer:
             self._local_outbox.append(packet)
 
     def _detect_omissions(self) -> None:
-        """Rules A, B, C at the end of a round."""
-        r = self._round
-        if not self.config.protocol_enabled:
-            return
-        if r <= self._joined_round + 1:
-            return
-        live = self._live_neighbors()
-        # Rule A.  Suspended for two rounds after an evidence change: a
-        # just-re-admitted (blessed) neighbor needs one round before its
-        # first message can arrive.  The suspension is bounded by the
-        # total amount of valid evidence an adversary can mint.
-        if r > self.last_evidence_change + 2:
-            for j in live:
-                if j not in self._got_message_from:
-                    self.issue_lfd(j)
-        # Rule B: coverage freshness, enforced once per origin round at the
-        # expiry horizon (age == d_max), when propagation must have finished.
-        # A shortfall does not become an LFD immediately: it is held as a
-        # suspicion for ``rule_b_grace`` rounds (while record probing runs)
-        # so an equivocation PoM can claim it first -- a correct neighbor
-        # relaying a poisoned aggregation chain must not take the blame.
-        if self._coverage is not None:
-            stable_floor = self.last_evidence_change + self.stabilization_slack
-            r_origin = r - 1 - self.d_max
-            if r_origin >= max(self._joined_round + 1, stable_floor):
-                for j in live:
-                    if j not in self._got_message_from:
-                        continue
-                    if self._coverage_shortfall(j, r_origin):
-                        self._suspect_coverage(
-                            j, self._coverage.support(j, self.d_max)
-                        )
-        self._resolve_coverage_suspicions()
-        # Rule C: data-path omissions.  Only paths whose sources produce
-        # unconditionally every round are enforced: data paths (tasks
-        # execute every period even with empty inputs; sensors always read)
-        # and input-bundle paths (primaries always stream).  Auth and xrep
-        # packets are produced only in *reaction* to other paths' traffic,
-        # so their absence is attributable to the upstream omission that is
-        # already detected on the originating path.
-        from repro.core.paths import PATH_AUTH, PATH_XREP
+        """Rules A, B and C at the end of a round: the one place the
+        end-of-round LFDs are decided and issued.
 
+        Each rule decides on an observation taken after the previous
+        rule's LFDs are applied: a Rule A LFD moves
+        ``last_evidence_change`` (suspending Rule B's horizon this round),
+        and any LFD can extend the fault pattern or switch the mode.  Rules
+        A and B issue every LFD they decided (Rule B judged its suspicions
+        against the pattern as observed); Rule C re-checks each candidate,
+        since an earlier Rule C LFD may have excluded its upstream or
+        switched the mode, restarting the settle window."""
+        heard = frozenset(self._got_message_from)
+        observed_a = RuleAObservation(
+            self._round, self._joined_round, self.last_evidence_change,
+            self._live, heard,
+        )
+        for j in rule_a(observed_a):
+            self.issue_lfd(j, "rule-a")
+        decision = rule_b(self._observe_rule_b(heard))
+        self._pending_rule_b = decision.pending
+        if decision.probe:
+            self._start_probe()
+        for j in decision.lfds:
+            self.issue_lfd(j, "rule-b")
+        observed = self._observe_rule_c()
+        for j in rule_c(observed):
+            if self.paths_stable_since != observed.paths_stable_since:
+                break
+            if not _excludes(self._fault_pattern, self.node_id, j):
+                self.issue_lfd(j, "rule-c")
+
+    def _observe_rule_b(self, heard: FrozenSet[int]) -> RuleBObservation:
+        r_origin = self._round - 1 - self.d_max
+        expected = {
+            j: self._coverage.support_bits(j, self.d_max) for j in self._live if j in heard
+        }
+        return RuleBObservation(
+            node=self.node_id,
+            round_no=self._round,
+            joined_round=self._joined_round,
+            last_evidence_change=self.last_evidence_change,
+            d_max=self.d_max,
+            live=self._live,
+            heard=heard,
+            expected=expected,
+            delivered={
+                j: self._delivered.get(j, {}).get(r_origin, 0) for j in expected
+            },
+            accused=self.evidence.accused_nodes(),
+            pending=self._pending_rule_b,
+            pattern=self._fault_pattern,
+        )
+
+    def _observe_rule_c(self) -> RuleCObservation:
+        # Only paths whose sources produce unconditionally every round are
+        # enforced: data paths (tasks execute every period even with empty
+        # inputs; sensors always read) and input-bundle paths (primaries
+        # always stream).  Auth and xrep packets are produced only in
+        # *reaction* to other paths' traffic, so their absence is
+        # attributable to the upstream omission that is already detected on
+        # the originating path.
+        expected = []
         for path in self.paths.through(self.node_id):
-            if path.kind in (PATH_AUTH, PATH_XREP):
-                continue
-            position = path.position_of(self.node_id)
-            if position is None or position == 0:
-                continue
-            # Pipeline-fill grace after a mode change: the packet source may
-            # itself adopt the new mode a couple of rounds after us (devices
-            # learn modes from flooded evidence), so allow for both the
-            # path latency and the adoption skew before expecting traffic.
-            if r - self.paths_stable_since < position + 4:
-                continue
-            expected_key = (path.path_id, r - position)
-            if expected_key[1] < self.paths_stable_since + 3:
-                continue
-            if expected_key not in self._packets_this_round and expected_key not in self._seen_packets:
-                upstream = path.hops[position - 1]
-                if upstream in self._fault_pattern.nodes:
-                    continue
-                link = (min(self.node_id, upstream), max(self.node_id, upstream))
-                if link in self._fault_pattern.links:
-                    continue
-                self.issue_lfd(upstream)
+            position = path.hops.index(self.node_id)
+            if position and path.kind not in (PATH_AUTH, PATH_XREP):
+                key = (path.path_id, self._round - position)
+                expected.append((path.hops[position - 1], key))
+        return RuleCObservation(
+            node=self.node_id,
+            round_no=self._round,
+            joined_round=self._joined_round,
+            paths_stable_since=self.paths_stable_since,
+            expected=tuple(expected),
+            seen=frozenset(k for _, k in expected if k in self._seen_packets),
+            pattern=self._fault_pattern,
+        )
 
     def _start_probe(self) -> None:
-        """Fall back to individual-record flooding for a short window.
-
-        MULTI's steady state floods no individual records, so conflicting
-        per-destination heartbeats from an equivocator never meet at a
-        correct node and no PoM can be minted.  Each storm symptom (failed
-        aggregate verification, unexplained epoch divergence, a pending
-        Rule B suspicion) extends the probe, keeping records circulating
-        until the symptom clears or the suspicion resolves."""
+        """Fall back to individual-record flooding for a short window:
+        MULTI's steady state floods no records, so an equivocator's
+        conflicting heartbeats never meet and no PoM can be minted.  Each
+        storm symptom (failed aggregate verification, unexplained epoch
+        divergence, an open Rule B suspicion) extends the probe."""
         self._probe_until = max(self._probe_until, self._round + 2)
-
-    def _pom_explains(self, expected: frozenset) -> bool:
-        """True when a held commission PoM condemns a node inside the
-        expected support set: the proven-faulty origin's equivocating
-        heartbeats poisoned the relay chain, so the coverage shortfall is
-        charged to it rather than the relaying neighbor."""
-        return bool(self.evidence.accused_nodes() & expected)
-
-    def _suspect_coverage(self, j: int, expected: Set[int]) -> None:
-        if self._pom_explains(expected):
-            return
-        if j not in self._pending_rule_b:
-            self._pending_rule_b[j] = (self._round, frozenset(expected))
-
-    def _resolve_coverage_suspicions(self) -> None:
-        if not self._pending_rule_b:
-            return
-        self._start_probe()
-        pattern = self._fault_pattern
-        for j, (raised, expected) in sorted(self._pending_rule_b.items()):
-            link = (min(self.node_id, j), max(self.node_id, j))
-            if (
-                self._pom_explains(expected)
-                or j in pattern.nodes
-                or link in pattern.links
-            ):
-                # Explained by a PoM, or the link/node is already declared
-                # faulty through other evidence: no LFD of ours is needed.
-                del self._pending_rule_b[j]
-                continue
-            if self._round >= raised + self.rule_b_grace:
-                del self._pending_rule_b[j]
-                self.issue_lfd(j)
 
     def end_round(self) -> RoundOutput:
         """Finish the round; returns the transmission plan.
 
+        The unprotected baseline (``protocol_enabled=False``) detects no
+        omissions and sends an empty flood: only its data packets travel.
         The caller (the node protocol) is responsible for using bus
         broadcast where the config enables it.
         """
-        self._detect_omissions()
         r = self._round
-        if not self.config.protocol_enabled:
-            return self._end_round_unprotected(r)
-        # Fresh evidence => heartbeat delta binding (sigma_i(r, |dE|)).
-        delta = len(self._new_evidence_outbox)
-        body = heartbeat_body(r, delta)
-        if self.config.variant == VARIANT_MULTI:
-            sig_value = self.crypto.ms_sign(body)
-            own_sig = sig_value.to_bytes(self.crypto.directory.group.element_size, "big")
+        if self.config.protocol_enabled:
+            self._detect_omissions()
+            records, aggregates, evidence_out = self._flood(r)
         else:
-            own_sig = self.crypto.sign(body)
-        own_record = HeartbeatRecord(
-            origin=self.node_id, round_no=r, delta_count=delta, signature=own_sig
-        )
-        flight = _flight.active
-        if flight is not None:
-            flight.emit(
-                EV_HEARTBEAT_SEND, self.node_id, {"delta": delta}, round_no=r
-            )
-        self.store.add(own_record)
-        # Evidence halves: sigma_i(r, e) for each new item (S3.6's split).
-        if delta and self.config.variant == VARIANT_MULTI:
-            for item in self._new_evidence_outbox:
-                self.crypto.ms_sign(evidence_half_body(r, evidence_digest(item)))
+            records, aggregates, evidence_out = (), (), ()
 
-        # MULTI: seed own aggregate for this round.
-        if self.config.variant == VARIANT_MULTI:
-            self._aggregates[r] = _AggregateState(
-                value=int.from_bytes(own_sig, "big") if delta == 0 else 0,
-                support=1 << self.node_id if delta == 0 else 0,
-                grew=True,
-                broken=delta != 0,  # nonzero-delta bodies cannot join the aggregate
-            )
-
-        records, aggregates = self._compose_heartbeats(r, own_record)
-        evidence_out = tuple(self._new_evidence_outbox)
-        self._new_evidence_outbox = []
-
-        packets = list(self._relay_queue) + list(self._local_outbox)
+        packets = self._relay_queue + self._local_outbox
         self._relay_queue = []
         self._local_outbox = []
 
@@ -948,54 +950,46 @@ class ForwardingLayer:
             aggregates=aggregates,
             evidence=evidence_out,
             packets_by_next_hop=dict(packets_by_next_hop),
-            controller_neighbors=self._live_neighbors(),
+            controller_neighbors=list(self._live),
         )
 
-    def _end_round_unprotected(self, r: int) -> RoundOutput:
-        """Payload-only transmission plan for the unprotected baseline."""
-        packets = list(self._relay_queue) + list(self._local_outbox)
-        self._relay_queue = []
-        self._local_outbox = []
-        for stale in [k for k in self._seen_packets if k[1] < r - self.window]:
-            self._seen_packets.discard(stale)
-        packets_by_next_hop: Dict[int, List[DataPacket]] = defaultdict(list)
-        for p in packets:
-            path = self.paths.by_id.get(p.path_id)
-            if path is None:
-                continue
-            next_hop = path.next_hop(self.node_id)
-            if next_hop is not None:
-                packets_by_next_hop[next_hop].append(p)
-        return RoundOutput(
-            round_no=r,
-            records=(),
-            aggregates=(),
-            evidence=(),
-            packets_by_next_hop=dict(packets_by_next_hop),
-            controller_neighbors=self._live_neighbors(),
+    def _flood(self, r: int) -> Tuple[tuple, tuple, tuple]:
+        """Sign this round's heartbeat; returns the flood content: records,
+        aggregates and fresh evidence."""
+        evidence_out = tuple(self._new_evidence_outbox)
+        self._new_evidence_outbox = []
+        # Fresh evidence => heartbeat delta binding (sigma_i(r, |dE|)).
+        delta = len(evidence_out)
+        body = heartbeat_body(r, delta)
+        multi = self.config.variant == VARIANT_MULTI
+        if multi:
+            sig_value = self.crypto.ms_sign(body)
+            own_sig = sig_value.to_bytes(self.crypto.directory.group.element_size, "big")
+        else:
+            own_sig = self.crypto.sign(body)
+        own_record = HeartbeatRecord(
+            origin=self.node_id, round_no=r, delta_count=delta, signature=own_sig
         )
-
-    def _compose_heartbeats(
-        self, r: int, own_record: HeartbeatRecord
-    ) -> Tuple[Tuple[HeartbeatRecord, ...], Tuple[AggregateHeartbeat, ...]]:
-        if self.config.variant == VARIANT_BASIC:
-            return tuple(self.store.drain_new()), ()
-        # MULTI: aggregates for stable rounds, individual fallback otherwise.
-        assert self._coverage is not None
+        self._trace(EV_HEARTBEAT_SEND, {"delta": delta})
+        self.store.add(own_record)
+        new_records = self.store.drain_new()
+        if not multi:
+            return tuple(new_records), (), evidence_out
+        # Evidence halves: sigma_i(r, e) for each new item (S3.6's split).
+        for item in evidence_out:
+            self.crypto.ms_sign(evidence_half_body(r, evidence_digest(item)))
+        # Seed own aggregate for this round; nonzero-delta bodies cannot
+        # join the aggregate.
+        self._aggregates[r] = _AggregateState(
+            value=sig_value if delta == 0 else 0,
+            support=1 << self.node_id if delta == 0 else 0,
+            broken=delta != 0,
+        )
+        # Aggregates for stable rounds, individual fallback otherwise.
         stable_floor = self.last_evidence_change + 1
         aggregates: List[AggregateHeartbeat] = []
-        records: List[HeartbeatRecord] = []
-        unstable = (
-            self.last_evidence_change >= r - self.stabilization_slack
-            or r <= self._probe_until
-        )
-        new_records = self.store.drain_new()
         for r_origin, state in sorted(self._aggregates.items()):
-            if state.broken:
-                continue
-            if r_origin < stable_floor:
-                continue
-            if not state.grew:
+            if state.broken or r_origin < stable_floor or not state.grew:
                 continue
             state.grew = False
             aggregates.append(
@@ -1005,7 +999,12 @@ class ForwardingLayer:
                     epoch_digest=self.epoch_digest,
                 )
             )
-        if unstable or own_record.delta_count != 0:
+        records: List[HeartbeatRecord] = []
+        unstable = (
+            self.last_evidence_change >= r - self.stabilization_slack
+            or r <= self._probe_until
+        )
+        if unstable or delta != 0:
             # Fall back to BASIC-style individual flooding while evidence is
             # in flux (the bounded worst case of S3.6).
             records = list(new_records)
@@ -1014,7 +1013,7 @@ class ForwardingLayer:
         # In stable state individual records are not retransmitted: the
         # aggregates carry the coverage, so MULTI's steady-state bandwidth
         # and storage stay small (Fig. 5a/b).
-        return tuple(records), tuple(aggregates)
+        return tuple(records), tuple(aggregates), evidence_out
 
     # -- metrics ---------------------------------------------------------------------
 

@@ -190,6 +190,9 @@ class ReboundSystem:
         self.tree_refreshes: List[Dict] = []
         self._refreshed_targets: Set[FailureScenario] = set()
         self.auditors: Dict[int, "object"] = {}
+        #: evidence digest -> round a correct controller first held the
+        #: item: the auditors' flood-staleness clock (kept while they run).
+        self.evidence_first_held: Dict[bytes, int] = {}
         if config.stabilize_enabled:
             from repro.stabilize import StateAuditor
 
@@ -616,12 +619,14 @@ class ReboundSystem:
             behavior.on_round(next_round)
         self.network.run_round()
         if self.auditors:
+            for node_id in self.correct_controllers():
+                for digest in self.nodes[node_id].forwarding.evidence._items:
+                    self.evidence_first_held.setdefault(digest, self.round_no)
             for node_id in sorted(self.auditors):
                 if node_id in self.true_faulty_nodes:
                     continue
                 self.auditors[node_id].maybe_audit(self.round_no)
-        if self.config.tree_refresh_enabled:
-            self._maybe_refresh_tree()
+        self._maybe_refresh_tree()
         self._update_budget_signal()
         if self.monitor is not None:
             self.monitor.observe(self)

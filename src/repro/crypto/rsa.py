@@ -54,11 +54,6 @@ class RSAPublicKey:
     def bits(self) -> int:
         return self.n.bit_length()
 
-    @property
-    def signature_size(self) -> int:
-        """Size in bytes of a signature under this key."""
-        return (self.n.bit_length() + 7) // 8
-
     def verify(self, message: bytes, signature: "RSASignature") -> bool:
         """Verify an RSA-FDH signature over ``message``."""
         if not 0 < signature.value < self.n:

@@ -91,10 +91,6 @@ class ChainedEventLog:
         """Buffered records not yet on disk."""
         return len(self._buffer)
 
-    @property
-    def tail_tag(self) -> bytes:
-        return self._tail
-
     def flush(self) -> None:
         """Append buffered records, then atomically re-anchor the head."""
         if not self._buffer:

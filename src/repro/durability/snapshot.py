@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
-import os
 from typing import Any, Dict, Tuple
 
 from repro.durability.chain import TamperDetected
@@ -95,6 +94,3 @@ def read_snapshot(path: str, key: bytes) -> Tuple[int, Dict[str, Any], bytes]:
         raise TamperDetected("snapshot seal (HMAC) mismatch")
     return round_no, manifest, blob
 
-
-def snapshot_exists(path: str) -> bool:
-    return os.path.exists(path)

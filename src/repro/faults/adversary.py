@@ -407,7 +407,7 @@ class LFDStormBehavior(AdversaryBehavior):
             return
         victim = self._pending.pop(0)
         node = self.system.node(self.node_id)
-        node.forwarding.issue_lfd(victim)
+        node.forwarding.issue_lfd(victim, "forged")
 
 
 class DelayBehavior(AdversaryBehavior):

@@ -30,13 +30,13 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 #: when a change would make old consumers misread new traces (renaming a
 #: field, changing a field's meaning); adding new event kinds at the end is
 #: backward-compatible and does NOT bump the version.
-EVENT_SCHEMA_VERSION = 1
+EVENT_SCHEMA_VERSION = 2
 
 #: Versions this build can read.  ``validate_record`` rejects records with a
 #: missing or unknown version: a trace either declares a schema we speak or
 #: it is not trusted (telemetry shipped across process/machine boundaries
 #: must be self-describing).
-SUPPORTED_SCHEMA_VERSIONS = frozenset({1})
+SUPPORTED_SCHEMA_VERSIONS = frozenset({2})
 
 # -- event kinds (stable wire integers; never renumber) -------------------------
 
@@ -60,6 +60,24 @@ EV_AUDIT_BEACON = 17  #: the periodic state auditor digested a node's local stat
 EV_AUDIT_DIVERGENCE = 18  #: an audit beacon failed a local/quorum consistency check
 EV_AUDIT_RESYNC = 19  #: a diverged node resynced from quorum + durable verified prefix
 EV_TREE_REFRESH = 20  #: the mode tree grew a subtree online for an out-of-tree pattern
+
+#: The closed set of ``rule`` tags an ``lfd-issued`` event carries: the
+#: demand whose violation produced the declaration (docs/PROTOCOL.md §2).
+#: ``header``/``content``: a malformed round message or invalid flooded
+#: content, caught at receipt; ``packet-origin``/``packet-signature``: a
+#: data packet with the wrong origin or a bad signature at its sink;
+#: ``rule-a``/``rule-b``/``rule-c``: the end-of-round omission rules;
+#: ``forged``: minted by an adversary, never by the protocol.
+LFD_RULES = (
+    "header",
+    "content",
+    "packet-origin",
+    "packet-signature",
+    "rule-a",
+    "rule-b",
+    "rule-c",
+    "forged",
+)
 
 EVENT_NAMES: Dict[int, str] = {
     EV_HEARTBEAT_SEND: "heartbeat-send",
@@ -90,7 +108,7 @@ EVENT_FIELDS: Dict[int, Tuple[str, ...]] = {
     EV_HEARTBEAT_SEND: ("delta",),
     EV_HEARTBEAT_VERIFY: ("origin", "hb_round", "ok"),
     EV_HEARTBEAT_STORED: ("origin", "hb_round", "status"),
-    EV_LFD_ISSUED: ("link",),
+    EV_LFD_ISSUED: ("link", "rule"),
     EV_POM_CREATED: ("accused", "pom", "task"),
     EV_EVIDENCE_APPLIED: ("item", "accused", "link", "issuer", "blessed"),
     EV_EPOCH_ADVANCE: ("digest", "items", "pattern_nodes", "pattern_links"),
@@ -119,7 +137,7 @@ EVENT_REQUIRED_FIELDS: Dict[int, Tuple[str, ...]] = {
     EV_HEARTBEAT_SEND: ("delta",),
     EV_HEARTBEAT_VERIFY: ("origin", "ok"),
     EV_HEARTBEAT_STORED: ("origin", "status"),
-    EV_LFD_ISSUED: ("link",),
+    EV_LFD_ISSUED: ("link", "rule"),
     EV_POM_CREATED: ("accused", "pom"),
     EV_EVIDENCE_APPLIED: ("item",),
     EV_EPOCH_ADVANCE: ("digest",),
@@ -178,15 +196,6 @@ class TraceEvent:
             "data": self.data,
         }
 
-    def sort_key(self) -> Tuple[int, int, int]:
-        """The canonical global ordering key: ``(round, node, seq)``.
-
-        ``seq`` totally orders one node's events within one round; the
-        ``(round, node)`` prefix makes the merged multi-process stream
-        deterministic without any cross-process clock.
-        """
-        return (self.round_no, self.node, self.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TraceEvent({self.name}, node={self.node}, "
@@ -239,6 +248,8 @@ def validate_record(record: Dict[str, Any]) -> None:
         raise ValueError(
             f"{EVENT_NAMES[kind]} is missing required field(s) {sorted(missing)}"
         )
+    if kind == EV_LFD_ISSUED and data["rule"] not in LFD_RULES:
+        raise ValueError(f"lfd-issued carries unknown rule {data['rule']!r}")
 
 
 def validate_jsonl(path: str) -> int:

@@ -161,13 +161,10 @@ class MetricsTimeSeries:
                     if a.open_divergence() is not None
                 )
             )
-        refreshes = getattr(system, "tree_refreshes", None)
-        if refreshes is not None and config.tree_refresh_enabled:
-            values["stabilize.tree_refreshes"] = float(len(refreshes))
-            if refreshes:
-                values["stabilize.last_refresh_ms"] = (
-                    refreshes[-1]["elapsed_s"] * 1000.0
-                )
+        refreshes = system.tree_refreshes
+        values["stabilize.tree_refreshes"] = float(len(refreshes))
+        if refreshes:
+            values["stabilize.last_refresh_ms"] = refreshes[-1]["elapsed_s"] * 1000.0
         return values
 
     # -- access --------------------------------------------------------------
@@ -177,9 +174,6 @@ class MetricsTimeSeries:
 
     def rounds(self) -> List[int]:
         return [int(r) for r in self._rounds]
-
-    def series_names(self) -> List[str]:
-        return sorted(self._columns)
 
     def series(self, name: str) -> List[float]:
         return list(self._columns[name])

@@ -90,6 +90,3 @@ class VehicleModel:
         engine_cap = min(p.power_w / v, p.mass_kg * p.max_accel_ms2)
         return max(0.0, min(1.0, (drag + rolling) / engine_cap))
 
-    def speeds_mph(self):
-        """(time_s, speed_mph) samples for plotting/reporting (Fig. 10)."""
-        return [(t, v * MPH_PER_MS) for t, v in self.history]

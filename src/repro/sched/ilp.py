@@ -141,14 +141,6 @@ class ZeroOneILP:
                 resolved[self._index[name]] = float(coeff)
         self._constraints.append(_Constraint(resolved, sense, float(bound)))
 
-    @property
-    def num_variables(self) -> int:
-        return len(self._names)
-
-    @property
-    def num_constraints(self) -> int:
-        return len(self._constraints)
-
     # -- warm-start helpers ---------------------------------------------------
 
     def _check_feasible(self, x: List[int]) -> bool:

@@ -152,10 +152,6 @@ class ModeTree:
     def num_modes(self) -> int:
         return len(self.schedules)
 
-    @property
-    def num_edges(self) -> int:
-        return sum(len(c) for c in self.children.values())
-
     def schedule_for(self, scenario: FailureScenario) -> ModeSchedule:
         """Look up the schedule for a (normalized) scenario.
 

@@ -15,8 +15,11 @@ memo, mode pointer, quota ledger -- and checks it two ways:
 * **Quorum cross-check.**  Correct stores are not byte-identical in steady
   state (own issues flood out with a lag; bounded buckets keep rank
   extremes), so the reference is the *majority-held, flood-stale core*:
-  items a majority of the other correct controllers hold whose accusation
-  round is more than ``d_max`` rounds old.  A node missing any of those
+  accusations a majority of the other correct controllers hold and that a
+  correct controller first held more than ``d_max`` rounds ago.  The clock
+  starts when the item enters the system, not at the round it accuses: a
+  PoM minted after an auditing delay accuses a round long past while it is
+  still flooding.  A node missing any of those
   provably dropped a flood; it resyncs by merging exactly that core (the
   same trust step ``repair_and_bless`` already takes) plus, when
   durability is on, the items decoded from its own durable log's verified
@@ -28,9 +31,11 @@ entries, drop the poisoned digest memo, rebuild the quota ledger, force a
 fresh mode adoption -- and reports the resync to the monitor so the node
 is not condemned mid-convergence (the shared accusation-grace window).
 Convergence is *quorum consistency*: local invariants hold and the node's
-evidence covers everything the quorum reference knows.  The whole pass is
-observation-only when nothing is corrupted, so enabling stabilization
-leaves transcripts byte-identical.
+evidence covers everything the quorum reference knows.  The pass is
+observation-only when nothing is corrupted and every flood reaches every
+correct controller within ``d_max`` rounds of entering the system (no
+fault has stretched the flooding distance past ``d_max``); it then leaves
+transcripts byte-identical.
 """
 
 from __future__ import annotations
@@ -155,10 +160,10 @@ class StateAuditor:
     # -- quorum cross-check ------------------------------------------------------
 
     def _quorum_items(self, round_no: int) -> Dict[bytes, Any]:
-        """Evidence items held by a majority of the *other* correct
-        controllers whose accusation round is at least ``d_max`` rounds
-        old -- old enough that flooding must already have delivered them
-        to every correct node.
+        """Accusations held by a majority of the *other* correct
+        controllers and first held by a correct controller more than
+        ``d_max`` rounds ago -- old enough that flooding must already have
+        delivered them to every correct node.
 
         Correct stores are not byte-identical in steady state (each node
         keeps its own idiosyncratic issues, and bounded buckets keep rank
@@ -185,8 +190,9 @@ class StateAuditor:
             if count < need:
                 continue
             item = samples[digest]
-            accused_round = _accusation_round_of(item)
-            if accused_round is not None and accused_round + d_max < round_no:
+            # An item not yet on the clock entered this round.
+            entered = system.evidence_first_held.get(digest, round_no)
+            if _accusation_round_of(item) is not None and entered + d_max < round_no:
                 quorum[digest] = item
         return quorum
 

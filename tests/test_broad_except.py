@@ -20,8 +20,6 @@ ALLOWED = {
         "removes the temporary file and re-raises",
     ("repro/core/auditing.py", "_replay_full"):
         "pending: task logic errors read as a garbage bundle (refuse item)",
-    ("repro/core/auditing.py", "_audit_one_inner"):
-        "pending: task logic errors read as a garbage bundle (refuse item)",
 }
 
 

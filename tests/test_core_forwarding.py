@@ -17,6 +17,12 @@ from repro.core.forwarding import (
     ForwardingLayer,
     RoundMessage,
     RoundOutput,
+    RuleAObservation,
+    RuleBObservation,
+    RuleCObservation,
+    rule_a,
+    rule_b,
+    rule_c,
 )
 from repro.core.heartbeat import CoverageRegistry, HeartbeatRecord
 from repro.core.identity import Directory
@@ -257,8 +263,8 @@ class TestEvidenceFlow:
         topo, directory = ring
         layer = _make_layer(topo, 0, directory)
         layer.begin_round(1)
-        layer.issue_lfd(1)
-        layer.issue_lfd(1)
+        layer.issue_lfd(1, "rule-a")
+        layer.issue_lfd(1, "rule-a")
         lfds = [i for i in layer.evidence.items() if isinstance(i, LFD)]
         assert len(lfds) == 1
 
@@ -402,6 +408,20 @@ def _connected_graphs(draw):
     return nodes, sorted(edges)
 
 
+def _rule_b_suspects(layer, j, r_origin):
+    """Does Rule B, at the horizon of origin round ``r_origin`` and with
+    the coverage masks ``layer`` holds, open a suspicion against ``j``?"""
+    obs = RuleBObservation(
+        node=layer.node_id, round_no=r_origin + 1 + layer.d_max,
+        joined_round=0, last_evidence_change=-(10**9), d_max=layer.d_max,
+        live=(j,), heard=frozenset({j}),
+        expected={j: layer._coverage.support_bits(j, layer.d_max)},
+        delivered={j: layer._delivered[j].get(r_origin, 0)},
+        accused=frozenset(), pending={}, pattern=layer.fault_pattern,
+    )
+    return j in rule_b(obs).pending
+
+
 class TestCoverageMasks:
     """Rule B's int masks against the set algebra they replace."""
 
@@ -427,8 +447,8 @@ class TestCoverageMasks:
                                   signature=b"")
             layer._mark_record_delivered(j, rec)
         expected = calc.support(j, layer.d_max)
-        assert layer._coverage_shortfall(j, 7) == bool(expected - delivered)
-        assert layer._coverage_shortfall(j, 8) == bool(expected)
+        assert _rule_b_suspects(layer, j, 7) == bool(expected - delivered)
+        assert _rule_b_suspects(layer, j, 8) == bool(expected)
 
     @pytest.mark.parametrize("origin", [-1, 1 << 20])
     def test_unverified_bus_record_origin_stays_out_of_the_mask(self, origin):
@@ -476,7 +496,7 @@ class TestCoverageMasks:
             _own_record(ring_dir, origin, r) for origin in (0, 1, 2, 4)
         ]))
         assert x._coverage.support(1, x.d_max) == {0, 1, 2, 4}
-        assert not x._coverage_shortfall(1, r)
+        assert not _rule_b_suspects(x, 1, r)
 
         other = _topology([0, 1, 2, 4], [(0, 1), (1, 2), (4, 0)])
         y = _make_layer(other, 0, Directory(rsa_bits=256, seed=6))
@@ -484,8 +504,217 @@ class TestCoverageMasks:
         assert y._coverage.support(1, y.d_max) == x._coverage.support(1, x.d_max)
         assert y.coverage.for_pattern(y.fault_pattern) is y._coverage
         assert x.coverage.for_pattern(x.fault_pattern) is x._coverage
-        assert not x._coverage_shortfall(1, r)
-        assert y._coverage_shortfall(1, r)
+        assert not _rule_b_suspects(x, 1, r)
+        assert _rule_b_suspects(y, 1, r)
+
+
+def _empty_pattern(nodes=(), links=()):
+    from repro.sched.modegen import FailureScenario
+
+    return FailureScenario(nodes=frozenset(nodes), links=frozenset(links))
+
+
+class TestRuleAFunction:
+    """rule_a as a pure function: live (1, 3), only 1 heard."""
+
+    def _lfds(self, r, joined=0, last_change=-(10**9)):
+        return rule_a(RuleAObservation(r, joined, last_change, (1, 3), frozenset({1})))
+
+    def test_suspended_at_join(self):
+        assert self._lfds(6, joined=5) == []
+        assert self._lfds(7, joined=5) == [3]
+
+    def test_suspended_two_rounds_after_an_evidence_change(self):
+        assert self._lfds(11, last_change=10) == []
+        assert self._lfds(12, last_change=10) == []
+        assert self._lfds(13, last_change=10) == [3]
+
+
+class TestRuleBFunction:
+    """rule_b as a pure function at node 0, d_max 3 (slack and grace 5),
+    neighbor 1 expected to relay origins {0, 1, 2} (mask 0b111)."""
+
+    D_MAX = 3
+
+    def _obs(self, r, delivered=0b011, joined=0, last_change=-(10**9),
+             accused=(), pending=None, pattern=None):
+        return RuleBObservation(
+            node=0, round_no=r, joined_round=joined,
+            last_evidence_change=last_change, d_max=self.D_MAX,
+            live=(1,), heard=frozenset({1}),
+            expected={1: 0b111}, delivered={1: delivered},
+            accused=frozenset(accused), pending=pending or {},
+            pattern=pattern or _empty_pattern(),
+        )
+
+    def test_shortfall_opens_a_suspicion_not_an_lfd(self):
+        decision = rule_b(self._obs(20))
+        assert decision.lfds == []
+        assert decision.pending == {1: (20, 0b111)}
+        assert decision.probe
+        full = rule_b(self._obs(20, delivered=0b111))
+        assert full.pending == {} and not full.probe
+
+    def test_horizon_waits_out_the_stable_floor(self):
+        # Origin round r - 1 - d_max must reach last change + slack (15).
+        assert rule_b(self._obs(18, last_change=10)).pending == {}
+        assert 1 in rule_b(self._obs(19, last_change=10)).pending
+
+    def test_horizon_starts_after_the_join(self):
+        # Origin round r - 1 - d_max must reach joined + 1 (21).
+        assert rule_b(self._obs(24, joined=20)).pending == {}
+        assert 1 in rule_b(self._obs(25, joined=20)).pending
+
+    def test_pom_explained_shortfall_is_never_suspected(self):
+        assert rule_b(self._obs(20, accused={2})).pending == {}
+        # An accused node outside the expected support explains nothing.
+        assert 1 in rule_b(self._obs(20, accused={5})).pending
+
+    def test_pom_arriving_later_drops_the_suspicion(self):
+        decision = rule_b(self._obs(22, delivered=0b111, accused={2},
+                                    pending={1: (20, 0b111)}))
+        assert decision.lfds == [] and decision.pending == {}
+
+    def test_suspicion_matures_after_the_grace(self):
+        held = rule_b(self._obs(24, delivered=0b111, pending={1: (20, 0b111)}))
+        assert held.lfds == [] and held.pending == {1: (20, 0b111)}
+        assert held.probe
+        matured = rule_b(self._obs(25, delivered=0b111, pending={1: (20, 0b111)}))
+        assert matured.lfds == [1] and matured.pending == {}
+
+    @pytest.mark.parametrize("pattern", [
+        _empty_pattern(nodes={1}), _empty_pattern(links={(0, 1)}),
+    ])
+    def test_pattern_exclusion_drops_the_suspicion(self, pattern):
+        decision = rule_b(self._obs(25, delivered=0b111, pattern=pattern,
+                                    pending={1: (20, 0b111)}))
+        assert decision.lfds == [] and decision.pending == {}
+
+    def test_observation_is_not_mutated(self):
+        pending = {1: (20, 0b111)}
+        rule_b(self._obs(25, pending=pending))
+        assert pending == {1: (20, 0b111)}
+
+    def test_blessing_drops_a_suspicion_raised_before_it(self, ring):
+        from repro.core.blessing import Blessing
+
+        topo, directory = ring
+        layer = _make_layer(topo, 0, directory)
+        layer._pending_rule_b = {1: (3, 0b11), 3: (3, 0b1001)}
+        layer.submit_evidence(Blessing(node_id=1, as_of_round=3, epoch=1,
+                                       signature=b""))
+        layer.submit_evidence(Blessing(node_id=3, as_of_round=2, epoch=1,
+                                       signature=b""))
+        assert layer._pending_rule_b == {3: (3, 0b1001)}
+
+
+class TestRuleCFunction:
+    """rule_c as a pure function at node 0, mode switched at round 10;
+    upstream 1 owes packet (7, origin round)."""
+
+    def _lfds(self, origin_round, r=20, joined=0, seen=(), pattern=None):
+        return rule_c(RuleCObservation(
+            node=0, round_no=r, joined_round=joined, paths_stable_since=10,
+            expected=((1, (7, origin_round)),), seen=frozenset(seen),
+            pattern=pattern or _empty_pattern(),
+        ))
+
+    def test_settle_window_after_a_mode_switch(self):
+        assert self._lfds(13) == []
+        assert self._lfds(14) == [1]
+
+    def test_seen_packet_is_not_missing(self):
+        assert self._lfds(14, seen={(7, 14)}) == []
+
+    def test_suspended_at_join(self):
+        assert self._lfds(14, r=20, joined=19) == []
+
+    @pytest.mark.parametrize("pattern", [
+        _empty_pattern(nodes={1}), _empty_pattern(links={(0, 1)}),
+    ])
+    def test_excluded_upstream_is_not_accused(self, pattern):
+        assert self._lfds(14, pattern=pattern) == []
+
+
+class TestOmissionApply:
+    """ForwardingLayer applies the rules' decisions in one place."""
+
+    def _layer(self, ring, switch_mode):
+        topo, directory = ring
+        layer = _make_layer(topo, 0, directory)
+        paths = [
+            Path(path_id=pid, kind=PATH_DATA, hops=hops, flow_id=0, task_from=1,
+                 copy_from=0, task_to=2, copy_to=0)
+            for pid, hops in ((70, (1, 0)), (71, (3, 0)))
+        ]
+        layer.set_paths(PathSet(paths), stable_since=0)
+        if switch_mode:
+            # The node adopts a new mode on every evidence change.
+            layer.on_new_evidence = lambda items: layer.set_paths(
+                layer.paths, layer._round)
+        layer.begin_round(10)
+        layer._got_message_from.update({1, 3})
+        return layer
+
+    def _lfd_links(self, layer):
+        return sorted(i.link for i in layer.evidence.items() if isinstance(i, LFD))
+
+    def test_rule_b_observes_after_rule_a(self, ring):
+        """Neighbor 3 is silent and neighbor 1 relayed nothing: Rule A's LFD
+        moves the evidence epoch, so Rule B's horizon is suspended in the
+        same round and no suspicion opens against 1."""
+        topo, directory = ring
+        layer = _make_layer(topo, 0, directory)
+        layer.begin_round(10)
+        layer._got_message_from.add(1)
+        layer._detect_omissions()
+        assert self._lfd_links(layer) == [(0, 3)]
+        assert layer._pending_rule_b == {}
+
+    def test_rule_c_accuses_every_silent_upstream(self, ring):
+        layer = self._layer(ring, switch_mode=False)
+        layer._detect_omissions()
+        assert self._lfd_links(layer) == [(0, 1), (0, 3)]
+
+    def test_rule_c_stops_once_its_lfd_switches_the_mode(self, ring):
+        layer = self._layer(ring, switch_mode=True)
+        layer._detect_omissions()
+        assert self._lfd_links(layer) == [(0, 1)]
+
+    def test_rule_c_skips_an_upstream_its_earlier_lfd_excluded(self):
+        """Node 5 misses packets from upstreams 6 then 1, with link (1, 2)
+        already declared (fmax 1).  Its LFD on (5, 6) makes the budget
+        normalization blame node 1, so no LFD follows against 1."""
+        topo = _topology([1, 2, 5, 6], [(5, 6), (5, 1), (1, 2)])
+        directory = Directory(rsa_bits=256, seed=5)
+        layer = _make_layer(topo, 5, directory)
+        layer.submit_evidence(LFD(a=1, b=2, declared_round=0, issuer=1,
+                                  signature=directory.crypto_for(1).sign(
+                                      lfd_body(1, 2, 0))))
+        layer.set_paths(PathSet([
+            Path(path_id=pid, kind=PATH_DATA, hops=hops, flow_id=0, task_from=1,
+                 copy_from=0, task_to=2, copy_to=0)
+            for pid, hops in ((70, (6, 5)), (71, (1, 5)))
+        ]), stable_since=0)
+        layer.begin_round(10)
+        layer._got_message_from.update({1, 6})
+        layer._detect_omissions()
+        assert 1 in layer.fault_pattern.nodes
+        assert self._lfd_links(layer) == [(1, 2), (5, 6)]
+
+    def test_every_lfd_is_tagged_with_its_rule(self, ring):
+        from repro.obs.events import EV_LFD_ISSUED
+        from repro.obs.recorder import FlightRecorder
+
+        layer = self._layer(ring, switch_mode=False)
+        with FlightRecorder(capacity=64).recording() as recorder:
+            layer._detect_omissions()
+        assert [
+            (e.data["link"], e.data["rule"])
+            for e in recorder.events() if e.kind == EV_LFD_ISSUED
+        ] == [([0, 1], "rule-c"), ([0, 3], "rule-c")]
+        with pytest.raises(ValueError, match="unknown LFD rule"):
+            layer.issue_lfd(1, "rule-d")
 
 
 class TestUnprotectedMode:

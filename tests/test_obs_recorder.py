@@ -12,9 +12,11 @@ from repro.net.topology import grid_topology
 from repro.obs import recorder as flight
 from repro.obs.events import (
     EVENT_NAMES,
+    EVENT_SCHEMA_VERSION,
     EV_EPOCH_ADVANCE,
     EV_FAULT_INJECTED,
     EV_HEARTBEAT_SEND,
+    EV_LFD_ISSUED,
     EV_MODE_SELECTED,
     validate_jsonl,
     validate_record,
@@ -194,7 +196,8 @@ class TestExports:
 class TestSchemaVersioning:
     def _record(self, **overrides):
         record = {
-            "schema": 1, "kind": EV_HEARTBEAT_SEND, "name": "heartbeat-send",
+            "schema": EVENT_SCHEMA_VERSION, "kind": EV_HEARTBEAT_SEND,
+            "name": "heartbeat-send",
             "node": 0, "round": 1, "seq": 0, "data": {"delta": 0},
         }
         record.update(overrides)
@@ -213,6 +216,14 @@ class TestSchemaVersioning:
         with pytest.raises(ValueError, match="unsupported event schema"):
             validate_record(self._record(schema=99))
 
+    def test_lfd_without_a_rule_rejected(self):
+        lfd = {"kind": EV_LFD_ISSUED, "name": "lfd-issued"}
+        validate_record(self._record(**lfd, data={"link": [0, 1], "rule": "rule-a"}))
+        with pytest.raises(ValueError, match="missing required field.*rule"):
+            validate_record(self._record(**lfd, data={"link": [0, 1]}))
+        with pytest.raises(ValueError, match="unknown rule"):
+            validate_record(self._record(**lfd, data={"link": [0, 1], "rule": "?"}))
+
     def test_validate_jsonl_rejects_unversioned_file(self, tmp_path):
         path = tmp_path / "old.jsonl"
         record = self._record()
@@ -227,7 +238,7 @@ class TestSchemaVersioning:
         recorder.export_jsonl(str(path))
         with open(path) as fh:
             first = json.loads(fh.readline())
-        assert first["schema"] == 1
+        assert first["schema"] == EVENT_SCHEMA_VERSION == 2
 
 
 class TestMonitorIntegration:

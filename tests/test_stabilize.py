@@ -19,6 +19,7 @@ accusation-grace bookkeeping (``note_repair``/``note_resync``).
 import pytest
 
 from repro.analysis.metrics import transcript_entry
+from repro.core.evidence import evidence_digest
 from repro.chaos import BTRMonitor, CORRUPTIONS
 from repro.core import ReboundConfig, ReboundSystem
 from repro.faults.adversary import CrashBehavior, EquivocateBehavior
@@ -108,12 +109,7 @@ def test_stabilize_disabled_no_auditors():
 
 
 def _transcript(stabilize: bool) -> str:
-    system = _system(
-        seed=5,
-        stabilize=stabilize,
-        audit_interval=3,
-        tree_refresh_enabled=stabilize,
-    )
+    system = _system(seed=5, stabilize=stabilize, audit_interval=3)
     system.inject_now(4, CrashBehavior())
     entries = []
     for _ in range(8):
@@ -127,10 +123,47 @@ def _transcript(stabilize: bool) -> str:
 
 
 def test_transcript_identical_with_stabilization_enabled():
-    """With no corruption, the audit pass (and the refresh hook) is pure
-    observation: per-round transcripts are byte-identical on vs off, even
-    across two real Byzantine faults."""
+    """With no corruption, the audit pass is pure observation: per-round
+    transcripts are byte-identical on vs off, even across two real
+    Byzantine faults."""
     assert _transcript(True) == _transcript(False)
+
+
+def test_commission_pom_still_flooding_is_not_evidence_lag():
+    """A BadComputationPoM is minted after an auditing delay: here it
+    accuses round 9 but a correct controller first holds it at round 14.
+    At the round-16 audit it is still flooding, so a correct node that
+    lacks it has not dropped a flood -- no evidence-lag, no resync, no
+    operator blessing."""
+    from repro.core.blessing import Blessing
+    from repro.core.evidence import BadComputationPoM
+    from repro.faults.adversary import RandomOutputBehavior
+
+    seed, victim = 5, 8
+    workload = WorkloadGenerator(seed=seed, chain_length_range=(2, 3)).workload(
+        target_utilization=2.0
+    )
+    config = ReboundConfig(fmax=1, fconc=1, rsa_bits=256, stabilize_enabled=True)
+    system = ReboundSystem(
+        erdos_renyi_topology(10, seed=seed), workload, config, seed=seed
+    )
+    system.run(8)
+    system.inject_now(victim, RandomOutputBehavior(seed=seed))
+    system.run(24)
+    items = [
+        item
+        for node in system.correct_controllers()
+        for item in system.nodes[node].forwarding.evidence.items()
+    ]
+    poms = {item for item in items if isinstance(item, BadComputationPoM)}
+    assert poms and all(pom.accused == victim for pom in poms)
+    assert [a.divergences for a in system.auditors.values()] == [
+        [] for _ in system.auditors
+    ]
+    assert not any(isinstance(item, Blessing) for item in items)
+    # The premise: the PoM entered the system well after the round it accuses.
+    first = min(poms, key=lambda pom: pom.round_no)
+    assert system.evidence_first_held[evidence_digest(first)] - first.round_no > 2
 
 
 # -- durable verified-prefix replay ------------------------------------------
@@ -215,7 +248,7 @@ def test_resync_clears_pending_coverage_suspicions():
     system = _system()
     system.run(8)
     fwd = system.nodes[0].forwarding
-    fwd._pending_rule_b[3] = (system.round_no, frozenset())
+    fwd._pending_rule_b[3] = (system.round_no, 0)
     auditor = system.auditors[0]
     record = {
         "node": 0, "detected_round": system.round_no, "issues": ["x"],

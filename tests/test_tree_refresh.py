@@ -7,11 +7,9 @@ covering-ancestor holding mode -- the system never halts.  Pinned here:
 
 * the extended sub-lattice is **byte-identical** to from-scratch
   generation at the larger fmax (serial and parallel extension alike);
-* with the refresh enabled, an fmax+1 drift triggers exactly the needed
-  regeneration, every correct node keeps a schedule every round, and the
-  survivors converge on a mode excluding all the faulty nodes;
-* with the refresh disabled, the same drift leaves the system in the
-  holding mode -- degraded but alive, and no refresh is recorded.
+* an fmax+1 drift triggers exactly the needed regeneration, every
+  correct node keeps a schedule every round, and the survivors converge
+  on a mode excluding all the faulty nodes.
 """
 
 from repro.chaos import BTRMonitor
@@ -78,7 +76,7 @@ def test_extend_for_is_idempotent():
     assert (dict(tree.schedules), dict(tree.parents)) == before
 
 
-def _drift_system(refresh: bool, seed=13):
+def _drift_system(seed=13):
     topology = erdos_renyi_topology(8, seed=seed)
     workload = WorkloadGenerator(seed=seed, chain_length_range=(1, 2)).workload(
         target_utilization=1.5
@@ -89,14 +87,13 @@ def _drift_system(refresh: bool, seed=13):
         rsa_bits=256,
         stabilize_enabled=True,
         audit_interval=4,
-        tree_refresh_enabled=refresh,
     )
     return ReboundSystem(topology, workload, config, seed=seed)
 
 
 def _run_drift(system):
     """Crash fmax+1 controllers two rounds apart; every correct node must
-    hold a schedule after every round (no halt, with or without refresh)."""
+    hold a schedule after every round (no halt)."""
     # fmax+1 crashes are out of the deployment's fault budget, so only the
     # hard/structural/stabilization invariants are armed (as in the
     # campaign's drift cells) -- inference may legitimately overflow.
@@ -118,7 +115,7 @@ def _run_drift(system):
 
 
 def test_drift_beyond_fmax_refreshes_online():
-    system = _drift_system(refresh=True)
+    system = _drift_system()
     monitor, victims = _run_drift(system)
     assert system.tree_refreshes, "no online refresh despite > fmax drift"
     record = system.tree_refreshes[0]
@@ -140,21 +137,5 @@ def test_drift_beyond_fmax_refreshes_online():
     assert not any(
         len(scenario.nodes) > FMAX and set(scenario.nodes) <= victims
         for scenario in tree.ondemand
-    )
-    assert not monitor.violations
-
-
-def test_drift_without_refresh_degrades_to_holding_mode():
-    system = _drift_system(refresh=False)
-    monitor, victims = _run_drift(system)
-    assert system.tree_refreshes == []
-    # The holding path is the lookup fallback: a singleton on-demand jump
-    # against the best covering ancestor, *not* a generated subtree.  The
-    # system stays live, but the drift scenarios remain second-class
-    # (ondemand) tree entries until a refresh replaces them.
-    tree = system.nodes[system.correct_controllers()[0]].mode_tree
-    assert tree.ondemand, "no on-demand holding entries despite drift"
-    assert any(
-        set(scenario.nodes) <= victims for scenario in tree.ondemand
     )
     assert not monitor.violations
