@@ -4,8 +4,8 @@
 arc against one victim: fail-stop at the injection round, stay down for
 ``down_rounds``, then restart through
 :meth:`~repro.core.runtime.ReboundSystem.restart_from_durable` -- the
-node is rebuilt from its verified snapshot + chained log suffix and
-rejoins via the blessing flow, with the BTR monitor holding the system to
+node rejoins as a fresh node fed the evidence of its verified chained
+log, through the blessing flow, with the BTR monitor holding the system to
 the ``r_max = 2*d_max + 4`` recovery bound from the restart round.
 
 :class:`LogTamperBehavior` runs the same arc but corrupts the victim's
@@ -93,8 +93,13 @@ class LogTamperBehavior(CrashRestartBehavior):
 
     def before_restart(self) -> None:
         path = self._log_path()
-        with open(path) as fh:
-            lines = [line for line in fh.read().splitlines() if line.strip()]
+        try:
+            with open(path) as fh:
+                lines = [line for line in fh.read().splitlines() if line.strip()]
+        except FileNotFoundError:
+            # A crash before the first record leaves no log: an empty one,
+            # with nothing to tamper.
+            return
         if not lines:
             return
         if self.mode == "truncate":

@@ -44,16 +44,16 @@ class ReboundConfig:
         protocol_enabled: set False for the *unprotected* baseline of
             Fig. 8/10/11: no heartbeats, no omission detection, no
             auditing replicas -- just task execution and data routing.
-        durability_enabled: persist every node's protocol state to disk --
-            an append-only HMAC-chained event log plus periodic sealed
-            snapshots (:mod:`repro.durability`) -- enabling verified
+        durability_enabled: persist every node's protocol state to disk
+            as an append-only HMAC-chained event log
+            (:mod:`repro.durability`), enabling verified
             crash-restart-rejoin.  Off by default; the write path is
             observation-only, so transcripts are byte-identical either way.
         durability_dir: root directory for the per-node durable stores
             (``<dir>/node_<id>/``).  Required when durability is enabled.
-        snapshot_interval: rounds between consistent snapshots of the
-            evidence store, heartbeat/coverage stores, quota ledger, and
-            mode pointer.
+        snapshot_interval: rounds between ``persist-snapshot`` records:
+            the chained inventory of a consistent cut (evidence digest,
+            heartbeat-store size, quota ledger, mode pointer).
         stabilize_enabled: run a periodic :class:`~repro.stabilize.StateAuditor`
             on every node -- each ``audit_interval`` rounds the auditor
             digests local state (evidence root, epoch digest cache, mode

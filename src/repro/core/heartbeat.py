@@ -230,12 +230,6 @@ class CoverageRegistry:
             self._calculators[pattern] = calc
         return calc
 
-    def __reduce__(self):
-        # A cache is not node state: a pickled registry comes back empty,
-        # and a pickled node carries only its live calculator
-        # (ForwardingLayer._coverage).
-        return (CoverageRegistry, (self.topology, self.d_max, self.keys, self.q))
-
 
 class HeartbeatStore:
     """Windowed storage of individual heartbeats with equivocation checks.

@@ -407,8 +407,23 @@ class ReboundSystem:
             ).to_bytes(),
         )
 
-    def _fresh_node(self, node_id: int) -> ReboundNode:
-        return ReboundNode(
+    def _rejoin(
+        self, node_id: int, evidence: List, durable, replay: bool
+    ) -> ReboundNode:
+        """The one rejoin step of an operator repair and a durable restart
+        (paper S2.4, "faulty until repaired and blessed"): evict the
+        adversary, mint a fresh-epoch blessing, install a fresh node at
+        the current round, admit ``evidence`` and flood the blessing.
+
+        ``durable`` is the node's store (None without durability), kept
+        across the rejoin.  A ``replay`` (a restart) admits evidence read
+        from that store's own log, so the store is attached only after it,
+        and nothing is chained twice; a repair chains the evidence it
+        seeds, which from now on is the node's state.
+        """
+        self._evict_adversary(node_id)
+        blessing = self._mint_blessing(node_id)
+        node = ReboundNode(
             node_id=node_id,
             topology=self.topology,
             config=self.config,
@@ -419,13 +434,16 @@ class ReboundSystem:
             path_cache=self.path_cache,
             coverage=self.coverage,
         )
-
-    def _install_node(self, node_id: int, node: ReboundNode) -> None:
-        """Swap ``node`` in as the live controller and start it at the
-        current round (rejoin semantics)."""
         self.nodes[node_id] = node
         self.network.attach(node_id, node)
         node.start(round_no=self.round_no)
+        if not replay:
+            node.durable = durable
+        for item in evidence:
+            node.forwarding.submit_evidence(item)
+        node.durable = durable
+        self._flood_blessing(node_id, blessing)
+        return node
 
     def _flood_blessing(self, node_id: int, blessing) -> None:
         """Submit the blessing at the rejoining node and at a correct
@@ -441,27 +459,18 @@ class ReboundSystem:
         """Operator repair (paper S2.4): reprovision a compromised node and
         flood a signed blessing so every node re-admits it.
 
-        The node is rebuilt from scratch (fresh protocol state, evidence
-        seeded from a correct reference node -- the operator reinstalling
-        software and current state), the adversary is evicted, and a
-        :class:`~repro.core.blessing.Blessing` absolving all evidence up to
-        the current round is injected into the evidence flood.
+        The node rejoins as a fresh node seeded with a correct reference
+        node's evidence (the operator reinstalling software and current
+        state); a :class:`~repro.core.blessing.Blessing` absolving all
+        evidence up to the current round is injected into the flood.
         """
         if node_id not in self.topology.controllers:
             raise ValueError(f"{node_id} is not a controller")
-        self._evict_adversary(node_id)
-        blessing = self._mint_blessing(node_id)
-        # Reprovision: a fresh node with evidence copied from a correct
-        # reference (including the blessing, so it re-admits itself).
         reference = next(
             (n for n in self.correct_controllers() if n != node_id), None
         )
-        fresh = self._fresh_node(node_id)
-        self._install_node(node_id, fresh)
-        if reference is not None:
-            for item in self.nodes[reference].evidence.items():
-                fresh.forwarding.submit_evidence(item)
-        self._flood_blessing(node_id, blessing)
+        evidence = [] if reference is None else self.nodes[reference].evidence.items()
+        self._rejoin(node_id, evidence, self.nodes[node_id].durable, replay=False)
         if self.monitor is not None and hasattr(self.monitor, "note_repair"):
             # Until the blessing floods, peers legitimately still hold
             # unabsolved accusations from the repaired compromise.
@@ -482,15 +491,15 @@ class ReboundSystem:
         self._flood_blessing(node_id, blessing)
 
     def restart_from_durable(self, node_id: int):
-        """Crash-restart-rejoin (docs/PROTOCOL.md S14): rebuild a node from
-        its durable store and rejoin through the blessing flow.
+        """Crash-restart-rejoin (docs/PROTOCOL.md S14): verify the node's
+        durable log and rejoin a fresh node fed every evidence item of the
+        verified prefix -- the same rejoin as :meth:`repair_and_bless`.
 
-        The restore path verifies the snapshot seal and the log chain;
-        state is ``verified snapshot + replayed chained suffix``.  A
-        corrupted suffix is refused -- the node falls back to the verified
-        prefix (or a fresh node when the snapshot itself is broken) and the
-        detection is recorded in ``durability_tamper_detections``.  Returns
-        the :class:`~repro.durability.store.RestoreResult`.
+        A corrupted suffix is refused: the node rejoins from the verified
+        prefix and the detection is recorded in
+        ``durability_tamper_detections``.  Returns the
+        :class:`~repro.durability.store.RestoreResult`, whose ``node`` is
+        the installed node.
         """
         from repro.durability import NodeDurableStore
 
@@ -498,7 +507,6 @@ class ReboundSystem:
             raise RuntimeError("restart_from_durable requires durability_enabled")
         if node_id not in self.topology.controllers:
             raise ValueError(f"{node_id} is not a controller")
-        self._evict_adversary(node_id)
         store = NodeDurableStore(
             self.config.durability_dir,
             node_id,
@@ -515,23 +523,7 @@ class ReboundSystem:
                     "refused_records": result.refused_records,
                 }
             )
-        node = result.node if result.node is not None else self._fresh_node(node_id)
-        node.durable = store
-        # A snapshot pickles the registry empty; share the system's instead.
-        node.forwarding.coverage = self.coverage
-        # Force a full mode adoption at the rejoin round: the restored
-        # schedule may equal the one start() adopts, and _adopt_mode's
-        # no-change fast path would then skip re-syncing the path set and
-        # the auditing layer to the current round (leaving stale pre-crash
-        # expectations that would wrongly accuse live links).
-        node.current_schedule = None
-        blessing = self._mint_blessing(node_id)
-        self._install_node(node_id, node)
-        # Replay the verified chained suffix (evidence admitted after the
-        # snapshot cut) into the restored node.
-        for item in result.evidence:
-            node.forwarding.submit_evidence(item)
-        self._flood_blessing(node_id, blessing)
+        result.node = self._rejoin(node_id, result.evidence, store, replay=True)
         store.record_restore(self.round_no, result)
         rec = _flight.active
         if rec is not None:

@@ -36,7 +36,7 @@ class TamperDetected(Exception):
     """Chain verification failed: the durable state was modified on disk.
 
     ``index`` is the first record index that fails verification (None for
-    whole-file problems like a truncated log or a broken snapshot seal);
+    whole-file problems like a truncated log or a stranded head anchor);
     everything before ``index`` is the verified prefix and may be trusted.
     """
 

@@ -193,14 +193,9 @@ class ChainedEventLog:
         try:
             return self.verify(), None
         except TamperDetected as exc:
-            if exc.index is None:
-                # Whole-file failure (truncation/anchor): nothing past the
-                # snapshot can be trusted record-by-record here, but every
-                # record that individually chains from genesis still can.
-                prefix = self._prefix_ignoring_anchor()
-                return prefix, exc
-            prefix = self._prefix_ignoring_anchor(stop_at=exc.index)
-            return prefix, exc
+            # A whole-file failure (truncation/anchor, no index) still
+            # leaves every record that chains from genesis trustworthy.
+            return self._prefix_ignoring_anchor(stop_at=exc.index), exc
 
     def _prefix_ignoring_anchor(
         self, stop_at: Optional[int] = None

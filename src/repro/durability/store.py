@@ -1,38 +1,37 @@
-"""Per-node durable store: chained log + sealed snapshots + restore.
+"""Per-node durable store: the chained log, its snapshot records, restore.
 
 One :class:`NodeDurableStore` owns a directory ``<root>/node_<id>/``::
 
     events.log       the HMAC-chained JSONL event log
     events.log.head  the atomically-replaced head anchor {count, tag}
-    snapshot.bin     the latest sealed snapshot (temp-and-rename)
 
 The write path is observation-only: the store records what the protocol
 decided (evidence admissions, snapshot cuts) and never feeds a decision
-back, so transcripts are byte-identical with persistence on or off.
+back, so transcripts are byte-identical with persistence on or off.  A
+snapshot is one more chained record: every ``snapshot_interval`` rounds
+the node's consistent-cut inventory (evidence digest, heartbeat-store
+size, mode pointer, quota ledger) is appended as ``persist-snapshot``.
 
-The restore path (:meth:`load`) rebuilds ``snapshot + chained suffix``:
-the snapshot blob is seal-verified and unpickled, the log chain is
-re-verified from genesis, and every ``persist-evidence`` record past the
-snapshot's anchored log position is decoded back into an evidence item
-for replay.  Tampering (truncation, record bit-flips, chain splice) is
-surfaced as a :class:`~repro.durability.chain.TamperDetected` inside the
-result -- the corrupted suffix is *refused* (the on-disk log is rolled
-back to the verified prefix, stage53-style safe rollback) and the caller
-decides how loudly to react.
+The restore path (:meth:`load`) re-verifies the chain from genesis and
+decodes every ``persist-evidence`` record of the verified prefix back
+into its evidence item; the caller admits them into a fresh node.
+Tampering (truncation, record bit-flips, chain splice) is surfaced as a
+:class:`~repro.durability.chain.TamperDetected` inside the result -- the
+corrupted suffix is *refused* (the on-disk log is rolled back to the
+verified prefix, stage53-style safe rollback) and the caller decides how
+loudly to react.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.durability.chain import TamperDetected, derive_key
 from repro.durability.log import ChainedEventLog, head_path
-from repro.durability.snapshot import read_snapshot, write_snapshot
 from repro.net.message import decode, encode
 from repro.obs.events import (
     EV_PERSIST_EVIDENCE,
@@ -42,24 +41,21 @@ from repro.obs.events import (
 from repro.obs.ioutil import atomic_write_text, ensure_parent_dir
 
 LOG_NAME = "events.log"
-SNAPSHOT_NAME = "snapshot.bin"
 
 
 @dataclass
 class RestoreResult:
     """What :meth:`NodeDurableStore.load` recovered.
 
-    ``node`` is the unpickled snapshot node (None when no usable snapshot
-    exists -- the caller provisions a fresh node and replays everything);
-    ``evidence`` holds the decoded items of the verified chained suffix,
-    in append order.
+    ``evidence`` holds the decoded items of the verified log, in append
+    order; ``snapshot_round`` is the round of its last ``persist-snapshot``
+    record.  ``node`` is the node the restart installed (set by
+    :meth:`~repro.core.runtime.ReboundSystem.restart_from_durable`).
     """
 
     node: Any = None
     snapshot_round: Optional[int] = None
-    manifest: Optional[Dict[str, Any]] = None
     evidence: List[Any] = field(default_factory=list)
-    suffix_records: int = 0
     verified_records: int = 0
     tampered: bool = False
     tamper_reason: Optional[str] = None
@@ -87,9 +83,6 @@ class NodeDurableStore:
         self.dir = os.path.join(root_dir, f"node_{node_id:04d}")
         self.key = derive_key(seed, node_id)
         self.log = ChainedEventLog(os.path.join(self.dir, LOG_NAME), self.key)
-        self.snapshot_path = os.path.join(self.dir, SNAPSHOT_NAME)
-        #: log position (record count) covered by the latest snapshot.
-        self.snapshot_log_count = 0
         self.timings: Dict[str, float] = {
             "append_s": 0.0,
             "appends": 0,
@@ -97,7 +90,6 @@ class NodeDurableStore:
             "flushes": 0,
             "snapshot_s": 0.0,
             "snapshots": 0,
-            "snapshot_bytes": 0,
             "restore_s": 0.0,
             "restores": 0,
         }
@@ -123,7 +115,7 @@ class NodeDurableStore:
         self.timings["append_s"] += time.perf_counter() - t0
 
     def end_round(self, node: Any, round_no: int) -> None:
-        """Round-end hook: flush the log; cut a snapshot on the interval."""
+        """Round-end hook: flush the log; chain a snapshot on the interval."""
         self.flush()
         if round_no > 0 and round_no % self.snapshot_interval == 0:
             self.snapshot(node, round_no)
@@ -136,59 +128,28 @@ class NodeDurableStore:
         self.timings["flushes"] += 1
         self.timings["flush_s"] += time.perf_counter() - t0
 
-    def snapshot(self, node: Any, round_no: int) -> str:
-        """Seal a consistent cut of ``node``'s state; returns the root hash.
+    def snapshot(self, node: Any, round_no: int) -> None:
+        """Chain ``node``'s consistent-cut inventory as a ``persist-snapshot``
+        record (docs/PROTOCOL.md S14).
 
-        The log is flushed first so the snapshot's anchored log position
-        (``log_count``) cleanly splits "reflected in the snapshot" from
-        "replay from the chained suffix".
+        ``log_count`` is the number of records before this one, so it
+        splits the log into "reflected in the manifest" and "after the cut".
         """
         t0 = time.perf_counter()
-        self.flush()
-        blob = self._pickle_node(node)
-        manifest = self._manifest(node, round_no)
-        root = write_snapshot(
-            self.snapshot_path, self.key, round_no, manifest, blob
-        )
-        self.snapshot_log_count = manifest["log_count"]
         self.log.append(
-            EV_PERSIST_SNAPSHOT,
-            self.node_id,
-            round_no,
-            {
-                "root": root,
-                "log_count": manifest["log_count"],
-                "snapshot_round": round_no,
-            },
+            EV_PERSIST_SNAPSHOT, self.node_id, round_no, self._manifest(node)
         )
         self.flush()
         self.timings["snapshots"] += 1
-        self.timings["snapshot_bytes"] += len(blob)
         self.timings["snapshot_s"] += time.perf_counter() - t0
-        return root
 
-    @staticmethod
-    def _pickle_node(node: Any) -> bytes:
-        # Detach the network handle and this store itself; both are
-        # re-bound after restore.
-        network, durable = node.network, node.durable
-        node.network = None
-        node.durable = None
-        try:
-            return pickle.dumps(node, protocol=pickle.HIGHEST_PROTOCOL)
-        finally:
-            node.network = network
-            node.durable = durable
-
-    def _manifest(self, node: Any, round_no: int) -> Dict[str, Any]:
-        """The snapshot's human-auditable inventory: the consistent cut of
-        every store the restore path depends on (S14)."""
+    def _manifest(self, node: Any) -> Dict[str, Any]:
+        """The human-auditable inventory of every store the node's state
+        depends on, at the current log position."""
         fwd = node.forwarding
         scenario = node.current_scenario
         quotas = fwd.quotas
         return {
-            "node": self.node_id,
-            "round": round_no,
             "log_count": self.log.count,
             "evidence_digest": fwd.evidence.digest().hex(),
             "evidence_items": len(fwd.evidence),
@@ -206,34 +167,32 @@ class NodeDurableStore:
 
     # -- restore path ----------------------------------------------------------
 
-    def load(self) -> RestoreResult:
-        """Rebuild ``snapshot + chained suffix`` (see module docstring)."""
-        t0 = time.perf_counter()
-        result = RestoreResult()
-        log_floor = 0
-        blob: Optional[bytes] = None
-        if os.path.exists(self.snapshot_path):
-            try:
-                round_no, manifest, blob = read_snapshot(
-                    self.snapshot_path, self.key
-                )
-                result.snapshot_round = round_no
-                result.manifest = manifest
-                log_floor = int(manifest.get("log_count", 0))
-            except TamperDetected as exc:
-                result.tampered = True
-                result.tamper_reason = f"snapshot: {exc.reason}"
-                blob = None
+    def verified_evidence(
+        self,
+    ) -> Tuple[List[Any], List[Dict[str, Any]], Optional[TamperDetected]]:
+        """Flush, verify the chain, and decode the verified prefix.
+
+        Returns ``(evidence, records, error)``: every ``persist-evidence``
+        item of the verified prefix in append order, the prefix's records,
+        and the tamper failure (None when the whole chain verifies).
+        """
+        self.flush()
         records, error = self.log.verified_prefix()
-        result.verified_records = len(records)
+        evidence = [
+            decode(bytes.fromhex(record["data"]["enc"]))
+            for record in records
+            if record["kind"] == EV_PERSIST_EVIDENCE
+        ]
+        return evidence, records, error
+
+    def load(self) -> RestoreResult:
+        """Verify the log and decode its evidence (see module docstring)."""
+        t0 = time.perf_counter()
+        evidence, records, error = self.verified_evidence()
+        result = RestoreResult(evidence=evidence, verified_records=len(records))
         if error is not None:
             result.tampered = True
-            reason = f"log: {error.reason}"
-            result.tamper_reason = (
-                reason
-                if result.tamper_reason is None
-                else f"{result.tamper_reason}; {reason}"
-            )
+            result.tamper_reason = f"log: {error.reason}"
             result.refused_records = self._count_disk_records() - len(records)
             # Refuse the corrupted suffix: roll the on-disk log back to the
             # verified prefix so the continuation chains from known-good
@@ -241,42 +200,13 @@ class NodeDurableStore:
             self._rollback_to(records)
         else:
             self.log.resync()
-        if blob is not None and len(records) >= log_floor:
-            result.node = pickle.loads(blob)
-        elif blob is not None:
-            # The verified chain stops *before* the snapshot's anchored
-            # position: the snapshot claims history the log cannot prove.
-            # Refuse the snapshot too and replay the prefix from scratch.
-            result.tampered = True
-            reason = "log verified prefix ends before the snapshot anchor"
-            result.tamper_reason = (
-                reason
-                if result.tamper_reason is None
-                else f"{result.tamper_reason}; {reason}"
-            )
-            log_floor = 0
-        suffix = records[log_floor:] if result.node is not None else records
-        for record in suffix:
-            if record["kind"] != EV_PERSIST_EVIDENCE:
-                continue
-            result.suffix_records += 1
-            result.evidence.append(
-                decode(bytes.fromhex(record["data"]["enc"]))
-            )
+        result.snapshot_round = next(
+            (r["round"] for r in reversed(records) if r["kind"] == EV_PERSIST_SNAPSHOT),
+            None,
+        )
         self.timings["restores"] += 1
         self.timings["restore_s"] += time.perf_counter() - t0
         return result
-
-    def restore_exact(self) -> Any:
-        """Verify and unpickle the latest snapshot node, nothing else.
-
-        The determinism-property path: ``restore_exact()`` after
-        :meth:`snapshot` must yield a node whose transcript continuation
-        is byte-identical to the never-snapshotted original.
-        """
-        round_no, _manifest, blob = read_snapshot(self.snapshot_path, self.key)
-        del round_no
-        return pickle.loads(blob)
 
     def record_restore(self, round_no: int, result: RestoreResult) -> None:
         """Chain a ``persist-restore`` marker (the rejoin audit trail)."""

@@ -30,13 +30,13 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 #: when a change would make old consumers misread new traces (renaming a
 #: field, changing a field's meaning); adding new event kinds at the end is
 #: backward-compatible and does NOT bump the version.
-EVENT_SCHEMA_VERSION = 2
+EVENT_SCHEMA_VERSION = 3
 
 #: Versions this build can read.  ``validate_record`` rejects records with a
 #: missing or unknown version: a trace either declares a schema we speak or
 #: it is not trusted (telemetry shipped across process/machine boundaries
 #: must be self-describing).
-SUPPORTED_SCHEMA_VERSIONS = frozenset({2})
+SUPPORTED_SCHEMA_VERSIONS = frozenset({3})
 
 # -- event kinds (stable wire integers; never renumber) -------------------------
 
@@ -54,7 +54,7 @@ EV_CHAOS_IMPAIRMENT = 11  #: the chaos layer impaired one message
 EV_FAULT_INJECTED = 12  #: ground truth: an adversary/link fault activated
 EV_QUOTA_DROP = 13  #: admission control dropped over-quota traffic unverified
 EV_PERSIST_EVIDENCE = 14  #: one evidence item appended to a node's chained durable log
-EV_PERSIST_SNAPSHOT = 15  #: a consistent snapshot of a node's state was sealed
+EV_PERSIST_SNAPSHOT = 15  #: a node chained the inventory of a consistent cut of its state
 EV_PERSIST_RESTORE = 16  #: a node restored from its durable store (crash-restart-rejoin)
 EV_AUDIT_BEACON = 17  #: the periodic state auditor digested a node's local state
 EV_AUDIT_DIVERGENCE = 18  #: an audit beacon failed a local/quorum consistency check
@@ -119,7 +119,14 @@ EVENT_FIELDS: Dict[int, Tuple[str, ...]] = {
     EV_FAULT_INJECTED: ("target", "behavior", "link"),
     EV_QUOTA_DROP: ("sender", "kind"),
     EV_PERSIST_EVIDENCE: ("item", "enc"),
-    EV_PERSIST_SNAPSHOT: ("root", "log_count", "snapshot_round"),
+    EV_PERSIST_SNAPSHOT: (
+        "log_count",
+        "evidence_digest",
+        "evidence_items",
+        "heartbeat_records",
+        "mode_pointer",
+        "quotas",
+    ),
     EV_PERSIST_RESTORE: ("snapshot_round", "replayed", "tampered", "reason"),
     EV_AUDIT_BEACON: ("digest", "items", "ok", "issues"),
     EV_AUDIT_DIVERGENCE: ("issues", "digest"),
@@ -148,7 +155,7 @@ EVENT_REQUIRED_FIELDS: Dict[int, Tuple[str, ...]] = {
     EV_FAULT_INJECTED: (),
     EV_QUOTA_DROP: ("sender", "kind"),
     EV_PERSIST_EVIDENCE: ("enc",),
-    EV_PERSIST_SNAPSHOT: ("root",),
+    EV_PERSIST_SNAPSHOT: ("log_count", "evidence_digest"),
     EV_PERSIST_RESTORE: ("tampered",),
     EV_AUDIT_BEACON: ("ok",),
     EV_AUDIT_DIVERGENCE: ("issues",),

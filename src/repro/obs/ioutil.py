@@ -1,6 +1,6 @@
 """Crash-safe file output shared by exporters and the durability layer.
 
-Artifact writers (flight-recorder exports, BENCH reports, snapshot seals,
+Artifact writers (flight-recorder exports, BENCH reports, log rollbacks,
 chain-head anchors) must never leave a torn file behind: a reader that
 races a mid-write crash would see half a JSON document and misdiagnose the
 run.  The standard fix is write-to-temp + ``os.replace`` -- the rename is

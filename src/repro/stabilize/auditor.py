@@ -306,18 +306,10 @@ class StateAuditor:
         #    item it ever admitted, HMAC-chained on disk, so in-RAM loss
         #    is recovered from tamper-evident local history first.
         if node.durable is not None:
-            node.durable.flush()
-            records, _error = node.durable.log.verified_prefix()
-            from repro.net.message import decode
-            from repro.obs.events import EV_PERSIST_EVIDENCE
-
+            evidence, _records, _error = node.durable.verified_evidence()
             replayed = 0
-            for rec_ in records:
-                if rec_["kind"] != EV_PERSIST_EVIDENCE:
-                    continue
-                item = decode(bytes.fromhex(rec_["data"]["enc"]))
-                if fwd.evidence.add(item):
-                    replayed += 1
+            for item in evidence:
+                replayed += fwd.evidence.add(item)
             record["replayed"] += replayed
             _stab_stats["replayed_items"] += replayed
 

@@ -98,7 +98,7 @@ class TestTraceValidate:
     def test_validate_good_and_bad_files(self, tmp_path, capsys):
         good = tmp_path / "good.jsonl"
         good.write_text(
-            '{"schema": 2, "kind": 1, "node": 0, "round": 1, "seq": 0, '
+            '{"schema": 3, "kind": 1, "node": 0, "round": 1, "seq": 0, '
             '"data": {"delta": 0}}\n'
         )
         assert main(["trace", "--validate", str(good)]) == 0

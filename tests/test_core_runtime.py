@@ -194,10 +194,8 @@ class TestDirectory:
 class TestCoverageRegistry:
     def test_one_calculator_per_distinct_pattern(self, monkeypatch):
         """ER-20 MULTI through a crash and an LFD storm: nodes holding
-        equal fault patterns share one calculator, the registry builds
-        each pattern's DP once, and a pickled registry carries none."""
-        import pickle
-
+        equal fault patterns share one calculator, and the registry builds
+        each pattern's DP once."""
         from repro.core import heartbeat
         from repro.faults.adversary import LFDStormBehavior
         from repro.net.topology import erdos_renyi_topology
@@ -240,7 +238,3 @@ class TestCoverageRegistry:
         assert len(held) > 2
         assert held <= set(registry._calculators)
         assert len(builds) == len(registry._calculators)
-        restored = pickle.loads(pickle.dumps(registry))
-        assert restored._calculators == {}
-        assert restored.d_max == registry.d_max
-        assert (restored.keys, restored.q) == (registry.keys, registry.q)

@@ -1,13 +1,11 @@
 """Unit tests for the durability layer (docs/PROTOCOL.md S14).
 
 Covers the HMAC chain primitives, the anchored append-only log (every
-tamper mode: bit-flip, truncation, splice, cross-node key), sealed
-snapshots (root hash + HMAC seal checked before unpickling), and the
+tamper mode: bit-flip, truncation, splice, cross-node key), and the
 store's refuse-and-rollback restore path.
 """
 
 import json
-import pickle
 
 import pytest
 
@@ -19,8 +17,6 @@ from repro.durability import (
     TamperDetected,
     chain_tag,
     derive_key,
-    read_snapshot,
-    write_snapshot,
 )
 from repro.durability.chain import canonical_body
 from repro.durability.log import head_path
@@ -150,44 +146,6 @@ class TestChainedLog:
         assert _log(tmp_path).verify() == []
 
 
-class TestSealedSnapshot:
-    BLOB = pickle.dumps({"state": 42})
-
-    def test_roundtrip(self, tmp_path):
-        path = str(tmp_path / "snapshot.bin")
-        root = write_snapshot(path, KEY, 8, {"log_count": 3}, self.BLOB)
-        round_no, manifest, blob = read_snapshot(path, KEY)
-        assert (round_no, manifest, blob) == (8, {"log_count": 3}, self.BLOB)
-        assert len(bytes.fromhex(root)) == 32
-
-    def test_blob_tamper_fails_the_root_hash(self, tmp_path):
-        path = str(tmp_path / "snapshot.bin")
-        write_snapshot(path, KEY, 8, {}, self.BLOB)
-        with open(path, "rb") as fh:
-            raw = bytearray(fh.read())
-        raw[-1] ^= 0x01
-        with open(path, "wb") as fh:
-            fh.write(raw)
-        with pytest.raises(TamperDetected, match="root hash"):
-            read_snapshot(path, KEY)
-
-    def test_wrong_key_fails_the_seal(self, tmp_path):
-        path = str(tmp_path / "snapshot.bin")
-        write_snapshot(path, KEY, 8, {}, self.BLOB)
-        with pytest.raises(TamperDetected, match="seal"):
-            read_snapshot(path, derive_key(0, 2))
-
-    def test_truncated_file_is_tamper(self, tmp_path):
-        path = str(tmp_path / "snapshot.bin")
-        write_snapshot(path, KEY, 8, {}, self.BLOB)
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        with open(path, "wb") as fh:
-            fh.write(raw[:3])
-        with pytest.raises(TamperDetected, match="truncated"):
-            read_snapshot(path, KEY)
-
-
 def _items(n=3):
     return [
         LFD(a=1, b=2, declared_round=3 + i, issuer=1, signature=b"sig")
@@ -196,7 +154,7 @@ def _items(n=3):
 
 
 class TestStoreRestore:
-    """Store-level restore without a snapshot: pure chained-suffix replay."""
+    """Store-level restore: the verified chain decoded back to evidence."""
 
     def _store(self, tmp_path):
         return NodeDurableStore(str(tmp_path), 1, seed=0, snapshot_interval=8)
@@ -207,7 +165,7 @@ class TestStoreRestore:
         store.flush()
         result = self._store(tmp_path).load()
         assert not result.tampered
-        assert result.node is None  # no snapshot yet
+        assert result.snapshot_round is None  # no snapshot record yet
         assert len(result.evidence) == 3
         assert all(isinstance(item, LFD) for item in result.evidence)
         assert [item.declared_round for item in result.evidence] == [3, 4, 5]

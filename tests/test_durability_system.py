@@ -2,17 +2,17 @@
 recovery bound, tamper refusal on restore, transcript transparency.
 
 The paper's operator-repair story (S2.4) meets the durable store here:
-a crashed controller restarts from ``verified snapshot + chained
-suffix``, rejoins through the blessing flow, and the whole arc stays
-inside ``r_max = 2*d_max + 4`` of the restart round.  A corrupted log is
-*refused* -- the detection lands in
-``system.durability_tamper_detections`` and the node rejoins from the
-verified prefix instead of silently replaying forged records.
+a crashed controller restarts as a fresh node fed the evidence of its
+verified chained log, rejoins through the same blessing flow as an
+operator repair, and the whole arc stays inside ``r_max = 2*d_max + 4``
+of the restart round.  A corrupted log is *refused* -- the detection
+lands in ``system.durability_tamper_detections`` and the node rejoins
+from the verified prefix instead of silently replaying forged records.
 
-The Hypothesis property pins the determinism contract: a node swapped
-for its own sealed-snapshot restore (``restore_exact()``) continues the
-deployment byte-identically to one that never snapshotted, admission
-quota ledger included.
+The Hypothesis property pins what a restart rebuilds from: at any cut,
+the evidence decoded from a node's verified log has the live node's
+evidence digest, and its prefix up to the last ``persist-snapshot``
+record has the digest that record names.
 """
 
 import os
@@ -25,9 +25,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.analysis.metrics import transcript_entry
 from repro.chaos import BTRMonitor, CrashRestartBehavior, LogTamperBehavior
 from repro.core import ReboundConfig, ReboundSystem
-from repro.durability import ChainedEventLog, NodeDurableStore, derive_key
+from repro.core.evidence import EvidenceSet
+from repro.durability import ChainedEventLog, derive_key
 from repro.durability.store import LOG_NAME
-from repro.faults.adversary import CrashBehavior
+from repro.faults.adversary import CrashBehavior, EquivocateBehavior
+from repro.net.message import decode
+from repro.obs.events import EV_PERSIST_EVIDENCE, EV_PERSIST_SNAPSHOT
 from repro.net.topology import chemical_plant_topology, erdos_renyi_topology
 from repro.sched.task import chemical_plant_workload
 from repro.sched.workload import WorkloadGenerator
@@ -168,55 +171,152 @@ class TestTranscriptTransparency:
             )
             records = log.verify()  # raises on any chain damage
             if node_id != crashed:
-                # survivors all cut the round-8 snapshot; the victim died
+                # survivors all chained the round-8 snapshot record, and a
+                # snapshot writes nothing but that record; the victim died
                 # at round 6, so its (clean) chain may be empty.
-                assert records
+                assert [r["round"] for r in records
+                        if r["kind"] == EV_PERSIST_SNAPSHOT] == [8]
+                assert sorted(os.listdir(tmp_path / name)) == [
+                    LOG_NAME, LOG_NAME + ".head"]
 
 
-class TestExactRestoreProperty:
+def _evidence_set(items):
+    evidence = EvidenceSet()
+    for item in items:
+        evidence.add(item)
+    return evidence
+
+
+def _run_until_restart(system, behavior, limit=20):
+    for _ in range(limit):
+        if behavior.restart_round is not None:
+            return
+        system.run_round()
+    raise AssertionError("the victim never restarted")
+
+
+class TestOneRejoin:
+    def test_repair_keeps_the_store_and_a_restart_restores_its_digest(
+        self, tmp_path
+    ):
+        """A repair chains the evidence it seeds into the node's own store,
+        so a later crash-restart rebuilds the evidence the node held."""
+        system = _er6(str(tmp_path))
+        victim = system.topology.controllers[0]
+        try:
+            system.run(3)
+            system.inject_now(victim, CrashBehavior())  # down from round 4
+            system.run(7)
+            system.repair_and_bless(victim)
+            system.run(4)
+            assert system.nodes[victim].durable is not None
+            held = system.nodes[victim].evidence.digest()
+            behavior = CrashRestartBehavior(down_rounds=2)
+            system.inject_now(victim, behavior)
+            _run_until_restart(system, behavior)
+        finally:
+            system.close()
+        result = behavior.restore_result
+        assert not result.tampered
+        assert result.node is system.nodes[victim]
+        assert _evidence_set(result.evidence).digest() == held
+
+    def test_a_restart_chains_no_evidence_twice(self, tmp_path):
+        system = _er6(str(tmp_path))
+        controllers = system.topology.controllers
+        victim = controllers[-1]
+        a, b = next(
+            link for link in system.topology.p2p_links
+            if victim not in link and set(link) <= set(controllers)
+        )
+        try:
+            system.run(8)
+            system.cut_link_now(a, b)  # cut from round 9
+            system.run(3)
+            behavior = CrashRestartBehavior(down_rounds=2)
+            system.inject_now(victim, behavior)  # down from round 12
+            _run_until_restart(system, behavior)
+            system.run(3)
+        finally:
+            system.close()
+        records = ChainedEventLog(
+            os.path.join(tmp_path, f"node_{victim:04d}", LOG_NAME),
+            derive_key(7, victim),
+        ).verify()
+        encodings = [
+            r["data"]["enc"] for r in records if r["kind"] == EV_PERSIST_EVIDENCE
+        ]
+        assert behavior.restore_result.evidence
+        assert len(encodings) == len(set(encodings))
+
+    def test_tamper_without_a_log_file_tampers_nothing(self, tmp_path):
+        """A crash before the first record leaves no log: the tamper
+        behavior treats it as empty instead of raising."""
+        system = _er6(str(tmp_path))
+        victim = system.topology.controllers[0]
+        behavior = LogTamperBehavior("bitflip", down_rounds=2)
+        try:
+            system.inject_now(victim, behavior)  # down from round 1
+            _run_until_restart(system, behavior)
+        finally:
+            system.close()
+        assert not behavior.tampered
+        assert not behavior.restore_result.tampered
+        assert system.durability_tamper_detections == []
+
+
+class TestLogDigestProperty:
     @settings(
         derandomize=True,
-        max_examples=4,
+        max_examples=12,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(
         seed=st.integers(min_value=0, max_value=4),
-        cut=st.integers(min_value=5, max_value=9),
-        extra=st.integers(min_value=3, max_value=6),
+        cut=st.integers(min_value=5, max_value=16),
+        fault=st.sampled_from(["crash", "equivocate", "link"]),
     )
-    def test_restore_exact_is_transcript_transparent(self, seed, cut, extra):
-        """``restore(snapshot(node))`` continues byte-identically to the
-        never-snapshotted run."""
+    def test_verified_log_rebuilds_the_live_digest(self, seed, cut, fault):
+        """Every node's verified log decodes to its live evidence digest,
+        and the prefix before its last ``persist-snapshot`` record to the
+        digest that record names."""
         durability_dir = tempfile.mkdtemp(prefix="rebound-prop-durable-")
-        control = _er6(None, seed=seed)
-        durable = _er6(durability_dir, seed=seed, snapshot_interval=64)
+        system = _er6(durability_dir, seed=seed, snapshot_interval=4)
+        controllers = system.topology.controllers
+        victim = controllers[seed % len(controllers)]
         try:
-            for _ in range(cut):
-                control.run_round()
-                durable.run_round()
-                assert transcript_entry(control) == transcript_entry(durable)
-            victim = durable.topology.controllers[
-                seed % len(durable.topology.controllers)
-            ]
-            node = durable.nodes[victim]
-            store = node.durable
-            store.snapshot(node, durable.round_no)
-            restored = store.restore_exact()
-            restored.durable = store
-            durable.nodes[victim] = restored
-            durable.network.attach(victim, restored)
-            # The sealed snapshot also re-verifies from a cold store.
-            check = NodeDurableStore(
-                durability_dir, victim, seed=seed, snapshot_interval=64
-            ).load()
-            assert not check.tampered
-            assert check.node is not None
-            for _ in range(extra):
-                control.run_round()
-                durable.run_round()
-                assert transcript_entry(control) == transcript_entry(durable)
+            system.run(3)
+            if fault == "crash":
+                system.inject_now(victim, CrashBehavior())
+            elif fault == "equivocate":
+                system.inject_now(victim, EquivocateBehavior())
+            else:
+                neighbour = next(
+                    n for n in system.topology.neighbors(victim)
+                    if n in controllers
+                )
+                system.cut_link_now(victim, neighbour)
+            system.run(cut - 3)
+            for node_id, node in system.nodes.items():
+                evidence, records, error = node.durable.verified_evidence()
+                assert error is None
+                assert _evidence_set(evidence).digest() == node.evidence.digest()
+                snapshots = [
+                    r for r in records if r["kind"] == EV_PERSIST_SNAPSHOT
+                ]
+                if not snapshots:
+                    continue
+                last = snapshots[-1]["data"]
+                before_cut = [
+                    decode(bytes.fromhex(r["data"]["enc"]))
+                    for r in records[: last["log_count"]]
+                    if r["kind"] == EV_PERSIST_EVIDENCE
+                ]
+                assert (
+                    _evidence_set(before_cut).digest().hex()
+                    == last["evidence_digest"]
+                )
         finally:
-            control.close()
-            durable.close()
+            system.close()
             shutil.rmtree(durability_dir, ignore_errors=True)

@@ -238,7 +238,7 @@ class TestSchemaVersioning:
         recorder.export_jsonl(str(path))
         with open(path) as fh:
             first = json.loads(fh.readline())
-        assert first["schema"] == EVENT_SCHEMA_VERSION == 2
+        assert first["schema"] == EVENT_SCHEMA_VERSION == 3
 
 
 class TestMonitorIntegration:
