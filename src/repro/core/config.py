@@ -64,6 +64,15 @@ class ReboundConfig:
             observation-only -- transcripts byte-identical either way --
             when nothing is corrupted and every flood reaches every correct
             controller within ``d_max`` rounds of entering the system.
+            It stays opt-in until the quorum is limited to reachable
+            peers: forced on at 20a65c2, the golden cells were unchanged
+            and both steady ledger workloads cost about 1.0x, but
+            ``StateAuditor._quorum_items`` reads peers across a partition,
+            which fails two partition tests (a device-side extent check
+            and the emergency shut-off flow), and
+            ``durable_grid20_restart`` (seed 1, 6 s) read ``readmit_share``
+            0.13 -> 0.75, a transcript change that needs its own ledger
+            pair.
         audit_interval: rounds between state audits.  Together with
             ``d_max`` it fixes the self-stabilization convergence bound
             ``2 * audit_interval + d_max + 2`` asserted by the monitor's

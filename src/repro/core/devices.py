@@ -53,12 +53,7 @@ class _DeviceBase(NodeProtocol):
         self.crypto = crypto
         self.mode_tree = mode_tree
         self.path_cache = path_cache
-        self.verifier = EvidenceVerifier(
-            verify_signature=crypto.verify,
-            replay_task=registry.replay,
-            replay_state=registry.replay_state,
-            verify_operator=crypto.verify_operator,
-        )
+        self.verifier = EvidenceVerifier.for_node(crypto, registry, config.variant)
         self.evidence = EvidenceSet()
         self.schedule: Optional[ModeSchedule] = None
         self.paths: PathSet = PathSet([])

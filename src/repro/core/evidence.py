@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
+from repro.core.config import VARIANT_MULTI
 from repro.crypto.hashing import hash_bytes
 from repro.net.message import encode, register_message
 from repro.sched.modegen import FailureScenario, normalize_scenario
@@ -264,6 +265,23 @@ class EvidenceVerifier:
         self._replay_state = replay_state
         self._verify_operator = verify_operator
         self._verify_record_signature = verify_record_signature
+
+    @classmethod
+    def for_node(cls, crypto, registry, variant: str) -> "EvidenceVerifier":
+        """The verifier every node builds, controller or device (paper
+        S2.3, Req. 3): ``crypto`` is its :class:`~repro.core.identity.
+        NodeCrypto`, ``registry`` the system's
+        :class:`~repro.core.auditing.TaskRegistry`.  Under MULTI a record
+        may carry a partial-multisig signature, so the fallback is set."""
+        return cls(
+            verify_signature=crypto.verify,
+            replay_task=registry.replay,
+            replay_state=registry.replay_state,
+            verify_operator=crypto.verify_operator,
+            verify_record_signature=(
+                crypto.ms_verify_record if variant == VARIANT_MULTI else None
+            ),
+        )
 
     def _accused_signed(self, accused: int, body: bytes, signature: bytes) -> bool:
         """True if ``signature`` binds ``accused`` to ``body`` under either

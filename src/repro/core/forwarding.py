@@ -556,7 +556,7 @@ class ForwardingLayer:
         """Process a round's buffered deliveries: one batched warm pass
         over every admissible aggregate signature, then the ordinary
         per-message path in original order.  Warming only prefetches
-        verification outcomes into the shared cache (no counters, no
+        verdicts into the system's verdict memo (no counters, no protocol
         state), so the round's residual multisig checks amortize into one
         group equation without changing transcripts or counters."""
         self._warm_aggregate_verifications(batch)

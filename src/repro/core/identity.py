@@ -17,21 +17,21 @@ signer -- is charged per node, once per distinct key (each real node keeps
 its own memo and pays to build each entry exactly once); attribution is
 therefore independent of the order nodes are stepped in.
 
-Verification outcomes are likewise shared through the process-wide
-:mod:`repro.crypto.verify_cache` (same fidelity argument: an outcome is a
-pure function of public data).  The cache sits *below* the counters --
-every logical operation is still counted, only redundant arithmetic is
-skipped -- so cost metrics and transcripts do not depend on what the cache
+Verification verdicts are likewise shared through the system's verdict
+memo, a bounded LRU on its :class:`Directory` (same fidelity argument: a
+verdict is a pure function of public data).  Two systems never share a
+memo.  The memo sits *below* the counters -- every logical operation is
+still counted before the memo is consulted, only redundant arithmetic is
+skipped -- so cost metrics and transcripts do not depend on what the memo
 happens to hold.
 """
 
 from __future__ import annotations
 
-import time
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto import verify_cache
 from repro.crypto.cost_model import CryptoCounters
 from repro.crypto.hashing import derive_seed, hash_bytes
 from repro.crypto.multisig import (
@@ -45,9 +45,36 @@ from repro.crypto.rsa import RSAKeyPair, RSAPublicKey, RSASignature
 DOMAIN_FORWARDING = "forwarding"
 DOMAIN_AUDITING = "auditing"
 
+#: Verdicts a system's memo holds before it evicts the least recently used.
+VERDICT_MEMO_CAPACITY = 65536
+
+
+def _memo_body(body: bytes):
+    # Short bodies key the memo raw, so hits skip hashing; longer ones by
+    # their digest, in a tuple so that it never equals a raw body.
+    return body if len(body) <= 64 else (hash_bytes(body),)
+
+
+def _ms_key(body: bytes, sig_value: int, apk: int) -> Tuple:
+    return ("ms", apk, _memo_body(body), sig_value)
+
+
+def _rsa_check(public: RSAPublicKey, body: bytes, signature: bytes) -> bool:
+    try:
+        sig = RSASignature.from_bytes(signature)
+    except (ValueError, IndexError):
+        return False
+    return public.verify(body, sig)
+
+
+def _ms_check(group: MultisigGroup, body: bytes, sig_value: int, apk: int) -> bool:
+    h = group.hash_to_group(body)
+    return (sig_value * group.g) % group.q == (h * apk) % group.q
+
 
 class Directory:
-    """All nodes' public keys plus the shared multisignature group."""
+    """All nodes' public keys, the shared multisignature group, and the
+    system's verdict memo."""
 
     def __init__(self, rsa_bits: int = 512, multisig_bits: int = 256, seed: int = 0):
         self.rsa_bits = rsa_bits
@@ -58,6 +85,10 @@ class Directory:
         # The deployment's operator trust root (paper S2.4 blessing).
         self.operator = RSAKeyPair(bits=max(rsa_bits, 256),
                                    seed=derive_seed(seed, "operator"))
+        # Verdict memo: (scheme, public key, body, signature) -> verdict.
+        self.verdicts: "OrderedDict[Tuple, bool]" = OrderedDict()
+        self.verdict_hits = 0
+        self.verdict_misses = 0
 
     def register(self, node_id: int) -> None:
         if node_id in self._rsa_pairs:
@@ -78,6 +109,55 @@ class Directory:
     def crypto_for(self, node_id: int) -> "NodeCrypto":
         return NodeCrypto(node_id, self)
 
+    # -- verdict memo -----------------------------------------------------------
+
+    def _remember(self, key: Tuple, verdict: bool) -> None:
+        self.verdicts[key] = verdict
+        if len(self.verdicts) > VERDICT_MEMO_CAPACITY:
+            self.verdicts.popitem(last=False)
+
+    def verdict(self, key: Tuple, check: Callable[..., bool], *args) -> bool:
+        """The memo's verdict for ``key``; a miss runs ``check(*args)``."""
+        verdict = self.verdicts.get(key)
+        if verdict is None:
+            self.verdict_misses += 1
+            verdict = check(*args)
+            self._remember(key, verdict)
+        else:
+            self.verdicts.move_to_end(key)
+            self.verdict_hits += 1
+        return verdict
+
+    def ms_verdicts(self, entries: Sequence[Tuple]) -> List[bool]:
+        """The memo's verdicts for entries that start (body, sig, apk).
+        The misses are checked in one batched group equation, whose
+        verdicts equal the per-item check's; a key missed twice is checked
+        once."""
+        memo = self.verdicts
+        results: List[Optional[bool]] = []
+        misses: Dict[Tuple, List[int]] = {}
+        hits = 0
+        for index, entry in enumerate(entries):
+            key = _ms_key(entry[0], entry[1], entry[2])
+            verdict = memo.get(key)
+            if verdict is None:
+                misses.setdefault(key, []).append(index)
+            else:
+                memo.move_to_end(key)
+                hits += 1
+            results.append(verdict)
+        self.verdict_hits += hits
+        self.verdict_misses += len(results) - hits
+        if misses:
+            checked = verify_multisig_values_batch(
+                self.group, [entries[indices[0]][:3] for indices in misses.values()]
+            )
+            for (key, indices), verdict in zip(misses.items(), checked):
+                self._remember(key, verdict)
+                for index in indices:
+                    results[index] = verdict
+        return results
+
 
 @dataclass
 class NodeCrypto:
@@ -85,7 +165,7 @@ class NodeCrypto:
 
     Attributes:
         node_id: the owning node.
-        directory: the shared key directory.
+        directory: the system's key directory (and verdict memo).
         counters: per-domain operation counters.
     """
 
@@ -123,29 +203,10 @@ class NodeCrypto:
         self.counters[domain].rsa_sign += 1
         return self.directory._rsa_pairs[self.node_id].sign(body).to_bytes()
 
-    @staticmethod
-    def _rsa_cache_key(public: RSAPublicKey, body: bytes, signature: bytes) -> Tuple:
-        # Raw wire bytes key the cache so hits skip signature parsing and
-        # hashing entirely; bodies longer than a digest are hashed (the
-        # distinct tag keeps digest keys from colliding with short bodies).
-        if len(body) <= 64:
-            return ("rsa", public.n, public.e, body, signature)
-        return ("rsa-d", public.n, public.e, hash_bytes(body), signature)
-
     def _verify_rsa(self, public: RSAPublicKey, body: bytes, signature: bytes) -> bool:
-        key = self._rsa_cache_key(public, body, signature)
-        cached = verify_cache.GLOBAL.get(key)
-        if cached is not None:
-            return cached
-        t0 = time.perf_counter()
-        try:
-            sig = RSASignature.from_bytes(signature)
-        except (ValueError, IndexError):
-            outcome = False
-        else:
-            outcome = public.verify(body, sig)
-        verify_cache.GLOBAL.put(key, outcome, time.perf_counter() - t0)
-        return outcome
+        # Raw wire bytes key the memo, so hits skip signature parsing.
+        key = ("rsa", public.n, public.e, _memo_body(body), signature)
+        return self.directory.verdict(key, _rsa_check, public, body, signature)
 
     def verify(
         self, origin: int, body: bytes, signature: bytes, domain: str = DOMAIN_FORWARDING
@@ -157,17 +218,18 @@ class NodeCrypto:
             return False
         return self._verify_rsa(public, body, signature)
 
+    def verify_operator(
+        self, body: bytes, signature: bytes, domain: str = DOMAIN_FORWARDING
+    ) -> bool:
+        """Verify an operator-signed certificate (blessings)."""
+        self.counters[domain].rsa_verify += 1
+        return self._verify_rsa(self.directory.operator.public_key, body, signature)
+
     # -- multisignatures ------------------------------------------------------
 
     def ms_sign(self, body: bytes, domain: str = DOMAIN_FORWARDING) -> int:
         self.counters[domain].ms_sign += 1
         return self.directory._ms_pairs[self.node_id].sign(body).value
-
-    def _ms_cache_key(self, body: bytes, sig_value: int, apk: int) -> Tuple:
-        group = self.directory.group
-        if len(body) <= 64:
-            return ("ms", group.q, group.g, apk, body, sig_value)
-        return ("ms-d", group.q, group.g, apk, hash_bytes(body), sig_value)
 
     def ms_verify_value(
         self,
@@ -182,15 +244,10 @@ class NodeCrypto:
         ``apk`` of the signers in ``signer_bits`` (bit *i* = node *i*);
         ``cache_key`` names the key for ms_combine_key charging."""
         self.counters[domain].ms_verify += 1
-        group = self.directory.group
         self._charge_aggregate_key(cache_key, signer_bits, domain)
-
-        def compute() -> bool:
-            h = group.hash_to_group(body)
-            return (sig_value * group.g) % group.q == (h * apk) % group.q
-
-        return verify_cache.cached_check(
-            self._ms_cache_key(body, sig_value, apk), compute
+        directory = self.directory
+        return directory.verdict(
+            _ms_key(body, sig_value, apk), _ms_check, directory.group, body, sig_value, apk
         )
 
     def ms_verify_record(
@@ -227,70 +284,22 @@ class NodeCrypto:
         Counting semantics are identical to calling :meth:`ms_verify_value`
         once per entry (the batch is a simulator fast path, not a modeled
         protocol change): one ms_verify per entry, ms_combine_key once per
-        distinct aggregate key this node has not paid for yet.  Cache hits
-        are served per entry; only the residual misses pay arithmetic,
-        amortized in one batched group equation.
+        distinct aggregate key this node has not paid for yet.
         """
         if not entries:
             return []
-        group = self.directory.group
         bucket = self.counters[domain]
-        results: List[Optional[bool]] = [None] * len(entries)
-        misses: List[Tuple[int, Tuple[bytes, int, int], Tuple]] = []
-        for index, (body, sig_value, apk, signer_bits, agg_cache_key) in enumerate(
-            entries
-        ):
+        for _body, _sig, _apk, signer_bits, agg_cache_key in entries:
             bucket.ms_verify += 1
             self._charge_aggregate_key(agg_cache_key, signer_bits, domain)
-            key = self._ms_cache_key(body, sig_value, apk)
-            cached = verify_cache.GLOBAL.get(key)
-            if cached is not None:
-                results[index] = cached
-                continue
-            misses.append((index, (body, sig_value, apk), key))
-        if misses:
-            verdicts = verify_multisig_values_batch(
-                group, [triple for _i, triple, _k in misses]
-            )
-            for (index, _triple, key), verdict in zip(misses, verdicts):
-                results[index] = verdict
-                verify_cache.GLOBAL.put(key, verdict)
-        return [bool(r) for r in results]
+        return self.directory.ms_verdicts(entries)
 
-    def ms_warm_batch(self, entries: Sequence[Tuple[bytes, int, int]]) -> int:
-        """Warm the verification cache with one batched multisig pass.
-
-        A pure prefetch for round-batched verification over (body, sig,
-        apk) triples: no counters are charged (the per-message processing
-        that later consumes the cached outcomes still counts every logical
-        operation), and already-cached outcomes are skipped.  Returns the
-        number of entries actually verified.
-        """
-        if not entries:
-            return 0
-        group = self.directory.group
-        misses: List[Tuple[Tuple, Tuple[bytes, int, int]]] = []
-        seen = set()
-        for body, sig_value, apk in entries:
-            key = self._ms_cache_key(body, sig_value, apk)
-            if key in seen or verify_cache.GLOBAL.get(key) is not None:
-                continue
-            seen.add(key)
-            misses.append((key, (body, sig_value, apk)))
-        if misses:
-            verdicts = verify_multisig_values_batch(
-                group, [triple for _k, triple in misses]
-            )
-            for (key, _triple), verdict in zip(misses, verdicts):
-                verify_cache.GLOBAL.put(key, verdict)
-        return len(misses)
-
-    def verify_operator(
-        self, body: bytes, signature: bytes, domain: str = DOMAIN_FORWARDING
-    ) -> bool:
-        """Verify an operator-signed certificate (blessings)."""
-        self.counters[domain].rsa_verify += 1
-        return self._verify_rsa(self.directory.operator.public_key, body, signature)
+    def ms_warm_batch(self, entries: Sequence[Tuple[bytes, int, int]]) -> None:
+        """Warm the verdict memo with one batched multisig pass over (body,
+        sig, apk) triples.  A pure prefetch: no counters are charged (the
+        per-message processing that later consumes the verdicts still
+        counts every logical operation)."""
+        self.directory.ms_verdicts(entries)
 
     def ms_combine(self, a: int, b: int, domain: str = DOMAIN_FORWARDING) -> int:
         self.counters[domain].ms_combine_sig += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.auditing import AuditingLayer, TaskRegistry
-from repro.core.config import VARIANT_MULTI, ReboundConfig
+from repro.core.config import ReboundConfig
 from repro.core.evidence import EvidenceVerifier
 from repro.core.forwarding import ForwardingLayer, RoundOutput
 from repro.core.heartbeat import CoverageRegistry
@@ -80,17 +80,6 @@ class ReboundNode(NodeProtocol):
         #: bound by the runtime when ReboundConfig.durability_enabled.
         self.durable = None
 
-        verifier = EvidenceVerifier(
-            verify_signature=crypto.verify,
-            replay_task=registry.replay,
-            replay_state=registry.replay_state,
-            verify_operator=crypto.verify_operator,
-            verify_record_signature=(
-                crypto.ms_verify_record
-                if config.variant == VARIANT_MULTI
-                else None
-            ),
-        )
         from repro.core.quotas import pending_audit_cap
 
         self.auditing = AuditingLayer(
@@ -107,7 +96,7 @@ class ReboundNode(NodeProtocol):
             topology=topology,
             config=config,
             crypto=crypto,
-            verifier=verifier,
+            verifier=EvidenceVerifier.for_node(crypto, registry, config.variant),
             on_new_evidence=self._on_new_evidence,
             on_packet=self.auditing.on_packet,
             coverage=coverage,
@@ -116,14 +105,11 @@ class ReboundNode(NodeProtocol):
         self.current_schedule: Optional[ModeSchedule] = None
         self.mode_switches: List[Tuple[int, FailureScenario]] = []
         self._round = 0
-        # Round-batched verification (MULTI only): buffer the round's
-        # deliveries and flush them through ForwardingLayer.receive_batch
-        # at round end, so all multisig checks warm the cache in one
+        # Round-batched receive: the round's deliveries are buffered and
+        # flushed through ForwardingLayer.receive_batch at round end, so
+        # (under MULTI) all multisig checks warm the verdict memo in one
         # batched pass.  Safe because nothing observes forwarding state
         # between the receive phase and on_round_end.
-        self._defer_receive = (
-            config.protocol_enabled and config.variant == VARIANT_MULTI
-        )
         self._inbound: List[Tuple[int, int, Any]] = []
         # Optional per-layer traffic breakdown (Fig. 8a); off by default
         # because it re-encodes every outgoing message.
@@ -195,10 +181,7 @@ class ReboundNode(NodeProtocol):
         self.forwarding.begin_round(round_no)
 
     def on_receive(self, round_no: int, sender: int, payload: Any) -> None:
-        if self._defer_receive:
-            self._inbound.append((round_no, sender, payload))
-            return
-        self.forwarding.receive(round_no, sender, payload)
+        self._inbound.append((round_no, sender, payload))
 
     def on_round_end(self, round_no: int) -> None:
         if self._inbound:

@@ -138,7 +138,6 @@ class AdmissionQuotas:
         if used < self.cap_for(sender, kind):
             self._used[key] = used + 1
             self.total_charged += 1
-            _quota_stats["charged"] += 1
             return True, False
         first = key not in self._dropped
         self._dropped.add(key)
@@ -146,7 +145,6 @@ class AdmissionQuotas:
             self.suspects.add(sender)
             self._refresh_favored()
         self.total_dropped += 1
-        _quota_stats["dropped"] += 1
         return False, first
 
     # -- self-stabilization hooks (docs/PROTOCOL.md section 16) ------------------
@@ -190,18 +188,3 @@ class AdmissionQuotas:
         self._dropped = set()
         self._refresh_favored()
 
-
-_quota_stats: Dict[str, int] = {"charged": 0, "dropped": 0}
-
-
-def quota_stats() -> Dict[str, int]:
-    return dict(_quota_stats)
-
-
-def reset_quota_stats() -> None:
-    _quota_stats.update(charged=0, dropped=0)
-
-
-from repro.obs import registry as _telemetry
-
-_telemetry.register("quotas", quota_stats, reset_quota_stats)

@@ -2,7 +2,7 @@
 
 :class:`ReboundSystem` wires everything together -- key directory, mode
 tree, path cache, network, controller nodes, sensor/actuator devices --
-injects faults from a :class:`~repro.faults.scenarios.FaultScenario`, runs
+injects faults (:meth:`ReboundSystem.inject_now`, :meth:`cut_link_now`), runs
 rounds, and measures what the evaluation needs: per-link bandwidth, per-node
 storage and crypto operations, mode census, detection/recovery rounds, and
 actuator traces.
@@ -22,7 +22,6 @@ from repro.core.heartbeat import CoverageRegistry
 from repro.core.identity import Directory
 from repro.core.node import PathCache, ReboundNode
 from repro.core.paths import PathComputer
-from repro.faults.scenarios import FaultScenario
 from repro.net.network import RoundNetwork
 from repro.net.topology import Topology
 from repro.obs import recorder as _flight
@@ -175,7 +174,6 @@ class ReboundSystem:
         for node in self.nodes.values():
             node.start(round_no=0)
 
-        self.scenario = FaultScenario()
         self._active_behaviors: List = []
         self.true_faulty_nodes: Set[int] = set()
         self.true_failed_links: Set[Tuple[int, int]] = set()
@@ -236,9 +234,6 @@ class ReboundSystem:
         ]
 
     # -- fault injection ------------------------------------------------------------
-
-    def set_scenario(self, scenario: FaultScenario) -> None:
-        self.scenario = scenario
 
     def inject_now(self, node_id: int, behavior) -> None:
         """Immediately compromise a controller with ``behavior``."""
@@ -602,11 +597,6 @@ class ReboundSystem:
         rec = _flight.active
         if rec is not None:
             rec.begin_round(next_round)
-        for event in self.scenario.due(next_round):
-            if event.node is not None and event.behavior is not None:
-                self.inject_now(event.node, event.behavior)
-            elif event.link is not None:
-                self.cut_link_now(*event.link)
         for behavior in self._active_behaviors:
             behavior.on_round(next_round)
         self.network.run_round()

@@ -14,8 +14,10 @@ Everything here is implemented from scratch (no external crypto libraries):
 * :mod:`repro.crypto.cost_model` -- counts cryptographic operations and
   attributes the paper's measured per-operation timings so that simulated
   CPU costs match the evaluation's cost accounting.
-* :mod:`repro.crypto.verify_cache` -- process-wide bounded LRU cache of
-  verification outcomes (simulator fast path; see docs/PROTOCOL.md).
+
+Verification verdicts are memoized per system, on the key directory
+(:class:`repro.core.identity.Directory`), not here: this package keeps no
+process-wide verification state.
 """
 
 from repro.crypto.hashing import Authenticator, hash_bytes, hash_hex
@@ -29,7 +31,6 @@ from repro.crypto.multisig import (
 )
 from repro.crypto.rotation import KeyRotationManager, RotatingKey
 from repro.crypto.cost_model import CryptoCostModel, CryptoCounters
-from repro.crypto.verify_cache import VerificationCache
 
 __all__ = [
     "Authenticator",
@@ -47,5 +48,4 @@ __all__ = [
     "RotatingKey",
     "CryptoCostModel",
     "CryptoCounters",
-    "VerificationCache",
 ]

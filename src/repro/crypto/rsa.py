@@ -21,27 +21,14 @@ side channels etc.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.crypto.hashing import hash_to_int
 from repro.crypto.primes import generate_prime
 
 DEFAULT_KEY_BITS = 512
 _PUBLIC_EXPONENT = 65537
-
-# Fast-path instrumentation (surfaced via repro.analysis.metrics).
-_SIGN_STATS: Dict[str, float] = {"crt_signs": 0, "plain_signs": 0, "sign_time_s": 0.0}
-
-def sign_stats() -> Dict[str, float]:
-    """Counters for CRT vs plain signing (counts and total wall-clock)."""
-    return dict(_SIGN_STATS)
-
-
-def reset_sign_stats() -> None:
-    _SIGN_STATS.update(crt_signs=0, plain_signs=0, sign_time_s=0.0)
-
 
 @dataclass(frozen=True)
 class RSAPublicKey:
@@ -167,13 +154,10 @@ class RSAKeyPair:
     def sign(self, message: bytes) -> RSASignature:
         """Produce an RSA-FDH signature over ``message`` (CRT fast path)."""
         digest = hash_to_int(message, self._n)
-        t0 = time.perf_counter()
         m1 = pow(digest % self._p, self._d_p, self._p)
         m2 = pow(digest % self._q, self._d_q, self._q)
         h = ((m1 - m2) * self._q_inv) % self._p
         value = m2 + h * self._q
-        _SIGN_STATS["crt_signs"] += 1
-        _SIGN_STATS["sign_time_s"] += time.perf_counter() - t0
         return RSASignature(value=value, key_bits=self._bits)
 
     def sign_plain(self, message: bytes) -> RSASignature:
@@ -183,12 +167,5 @@ class RSAKeyPair:
         :meth:`sign` against.
         """
         digest = hash_to_int(message, self._n)
-        t0 = time.perf_counter()
         value = pow(digest, self._d, self._n)
-        _SIGN_STATS["plain_signs"] += 1
-        _SIGN_STATS["sign_time_s"] += time.perf_counter() - t0
         return RSASignature(value=value, key_bits=self._bits)
-
-from repro.obs import registry as _telemetry
-
-_telemetry.register("rsa_sign", sign_stats, reset_sign_stats)

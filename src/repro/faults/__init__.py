@@ -20,7 +20,6 @@ from repro.faults.adversary import (
     SelectiveOmissionBehavior,
     SilenceBehavior,
 )
-from repro.faults.scenarios import FaultEvent, FaultScenario
 
 __all__ = [
     "AdversaryBehavior",
@@ -33,6 +32,4 @@ __all__ = [
     "EquivocateBehavior",
     "LFDStormBehavior",
     "GarbageFloodBehavior",
-    "FaultEvent",
-    "FaultScenario",
 ]

@@ -103,6 +103,10 @@ def render_top(
             parts.append(f"evidence max {int(ev_max)}{cap}")
         if hb_max is not None:
             parts.append(f"hb store max {int(hb_max)}")
+        hits = latest.get("crypto.verdict_memo_hits", 0.0)
+        lookups = hits + latest.get("crypto.verdict_memo_misses", 0.0)
+        if lookups:
+            parts.append(f"verdict memo hits {hits / lookups:.0%}")
         parts.append(f"{len(latest)} gauges")
         lines.append("gauges: " + " | ".join(parts))
         beacons = latest.get("stabilize.audit_beacons")

@@ -1,8 +1,8 @@
 """The flight recorder: a bounded ring buffer of protocol events.
 
 One :class:`FlightRecorder` observes a whole process (all simulated nodes
-share it, exactly like the process-wide verification cache).  It is **off
-by default**: instrumented code guards every emit with::
+share it).  It is **off by default**: instrumented code guards every emit
+with::
 
     rec = _flight.active          # one module-attribute load
     if rec is not None:

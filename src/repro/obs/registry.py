@@ -5,9 +5,9 @@ Before this existed, ``analysis/metrics.py`` kept two hand-maintained,
 easy-to-desync import lists (one to collect stats, one to reset them).
 Now each component module registers itself *once, at import time*::
 
-    # bottom of repro/crypto/rsa.py
+    # bottom of repro/crypto/multisig.py
     from repro.obs import registry as _telemetry
-    _telemetry.register("rsa_sign", sign_stats, reset_sign_stats)
+    _telemetry.register("multisig_batch", batch_stats, reset_batch_stats)
 
 and consumers ask the registry.  The registry itself is dependency-free
 (stdlib only) so any module can import it without cycles; the canonical
@@ -37,12 +37,9 @@ _components: Dict[str, TelemetryComponent] = {}
 #: Modules whose import registers the stock fast-path components.  This is
 #: the *only* list: collection and reset both walk the registry.
 DEFAULT_COMPONENT_MODULES = (
-    "repro.crypto.rsa",          # rsa_sign
-    "repro.crypto.verify_cache",  # verify_cache
     "repro.crypto.multisig",     # multisig_batch
     "repro.net.message",         # codec_memo
     "repro.sched.ilp",           # ilp_solver
-    "repro.stabilize.auditor",   # stabilize
 )
 
 

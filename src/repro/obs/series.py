@@ -125,7 +125,16 @@ class MetricsTimeSeries:
             store_len = len(node.forwarding.store)
             if store_len > store_max:
                 store_max = store_len
+        directory = system.directory
         values = {
+            "crypto.verdict_memo_hits": float(directory.verdict_hits),
+            "crypto.verdict_memo_misses": float(directory.verdict_misses),
+            "quotas.charged": float(
+                sum(n.forwarding.quotas.total_charged for n in system.nodes.values())
+            ),
+            "quotas.dropped": float(
+                sum(n.forwarding.quotas.total_dropped for n in system.nodes.values())
+            ),
             "system.correct_controllers": float(len(correct)),
             "system.true_faulty_nodes": float(len(system.true_faulty_nodes)),
             "system.suspected_nodes": float(len(suspected)),

@@ -16,13 +16,9 @@ Req-S bound asserted by :class:`~repro.chaos.monitor.BTRMonitor`.
 from repro.stabilize.auditor import (
     StateAuditor,
     convergence_bound,
-    reset_stabilize_stats,
-    stabilize_stats,
 )
 
 __all__ = [
     "StateAuditor",
     "convergence_bound",
-    "reset_stabilize_stats",
-    "stabilize_stats",
 ]

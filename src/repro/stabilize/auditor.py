@@ -51,24 +51,6 @@ from repro.obs.events import (
     EV_AUDIT_RESYNC,
 )
 
-_stab_stats: Dict[str, int] = {
-    "beacons": 0,
-    "divergences": 0,
-    "resyncs": 0,
-    "repaired_items": 0,
-    "replayed_items": 0,
-}
-
-
-def stabilize_stats() -> Dict[str, int]:
-    return dict(_stab_stats)
-
-
-def reset_stabilize_stats() -> None:
-    for key in _stab_stats:
-        _stab_stats[key] = 0
-
-
 def convergence_bound(audit_interval: int, d_max: int) -> int:
     """Req-S: rounds from corruption to quorum-consistency (§16.3).
 
@@ -233,7 +215,6 @@ class StateAuditor:
 
     def audit(self, round_no: int) -> None:
         self.beacons += 1
-        _stab_stats["beacons"] += 1
         issues = self._all_issues(round_no)
         record = self.open_divergence()
         rec = _flight.active
@@ -250,7 +231,6 @@ class StateAuditor:
                     "replayed": 0,
                 }
                 self.divergences.append(record)
-                _stab_stats["divergences"] += 1
                 if rec is not None:
                     rec.emit(
                         EV_AUDIT_DIVERGENCE,
@@ -294,13 +274,11 @@ class StateAuditor:
         """Repair in place from quorum + the durable verified prefix."""
         node = self._node()
         fwd = node.forwarding
-        _stab_stats["resyncs"] += 1
 
         # 1. Structural repair of the evidence store: re-key flipped
         #    entries, drop the (possibly poisoned) digest memo.
         repaired = fwd.evidence.repair()
         record["repaired"] += repaired
-        _stab_stats["repaired_items"] += repaired
 
         # 2. Replay this node's own durable verified prefix (PR 8): every
         #    item it ever admitted, HMAC-chained on disk, so in-RAM loss
@@ -311,7 +289,6 @@ class StateAuditor:
             for item in evidence:
                 replayed += fwd.evidence.add(item)
             record["replayed"] += replayed
-            _stab_stats["replayed_items"] += replayed
 
         # 3. Merge the majority-held stale core (same trust step as
         #    repair_and_bless: quorum-verified items are re-admitted
@@ -360,7 +337,3 @@ class StateAuditor:
         if monitor is not None and hasattr(monitor, "note_resync"):
             monitor.note_resync(self.node_id, round_no)
 
-
-from repro.obs import registry as _telemetry
-
-_telemetry.register("stabilize", stabilize_stats, reset_stabilize_stats)

@@ -3,10 +3,18 @@
 import pytest
 
 from repro.core import ReboundConfig, ReboundSystem
-from repro.faults.adversary import CrashBehavior, RandomOutputBehavior
-from repro.net.topology import ROLE_ACTUATOR, ROLE_SENSOR, Topology
+from repro.faults.adversary import CrashBehavior, EquivocateBehavior, RandomOutputBehavior
+from repro.net.topology import ROLE_ACTUATOR, ROLE_SENSOR, Topology, chemical_plant_topology
 from repro.plant.fixedpoint import encode_micro
-from repro.sched.task import CRITICALITY_HIGH, CRITICALITY_MEDIUM, MS, Flow, Task, Workload
+from repro.sched.task import (
+    CRITICALITY_HIGH,
+    CRITICALITY_MEDIUM,
+    MS,
+    Flow,
+    Task,
+    Workload,
+    chemical_plant_workload,
+)
 
 
 def _chain_topology():
@@ -95,6 +103,31 @@ class TestActuatorDevice:
         # The actuator's own independent mode lookup matches the controllers'.
         assert actuator.schedule is not None
         assert actuator.schedule.primary_of(1) == system.target_schedule().primary_of(1)
+
+
+class TestDevicesRunTheControllersMode:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_equivocation_pom_reaches_every_device(self, seed):
+        """Under MULTI an equivocation PoM embeds partial-multisig record
+        signatures.  Devices verify it as controllers do, so every sensor and
+        actuator adopts the controllers' mode, and no correct controller is
+        ever blamed for the devices lagging behind."""
+        config = ReboundConfig(fmax=1, fconc=1, variant="multi", rsa_bits=256)
+        system = ReboundSystem(
+            chemical_plant_topology(), chemical_plant_workload(), config, seed=seed
+        )
+        system.run(10)
+        system.inject_now(3, EquivocateBehavior())
+        system.run(30)
+        correct = system.correct_controllers()
+        schedule = system.nodes[correct[0]].current_schedule
+        assert schedule.failed_nodes == frozenset({3})
+        for node_id in correct:
+            assert system.nodes[node_id].current_schedule == schedule
+        for device in (*system.sensors.values(), *system.actuators.values()):
+            assert device.schedule == schedule, device.node_id
+        for node_id in correct:
+            assert system.nodes[node_id].fault_pattern.nodes.isdisjoint(correct)
 
 
 class TestPartitionStabilization:

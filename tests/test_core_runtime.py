@@ -5,7 +5,6 @@ import pytest
 from repro.core import ReboundConfig, ReboundSystem
 from repro.core.identity import DOMAIN_AUDITING, DOMAIN_FORWARDING, Directory
 from repro.faults.adversary import CrashBehavior, SilenceBehavior
-from repro.faults.scenarios import FaultScenario
 from repro.net.topology import chemical_plant_topology, line_topology, ring_topology
 from repro.sched.task import Workload, chemical_plant_workload
 
@@ -33,36 +32,6 @@ class TestDmaxResolution:
         cfg = ReboundConfig(fmax=1, fconc=1, d_max=9, rsa_bits=256)
         ReboundSystem(ring_topology(5), Workload([]), cfg, seed=0)
         assert cfg.d_max == 9
-
-
-class TestScenarioDriven:
-    def test_fault_scenario_fires_at_round(self):
-        system = _plant()
-        victim = system.topology.node_by_name("N4")
-        scenario = FaultScenario().add_node_fault(8, victim, CrashBehavior())
-        system.set_scenario(scenario)
-        system.run(6)
-        assert victim not in system.true_faulty_nodes
-        system.run(4)
-        assert victim in system.true_faulty_nodes
-        assert scenario.faulty_nodes == [victim]
-
-    def test_link_fault_event(self):
-        system = _plant()
-        scenario = FaultScenario().add_link_fault(5, 0, 1)
-        system.set_scenario(scenario)
-        system.run(8)
-        assert (0, 1) in system.true_failed_links
-        assert scenario.failed_links == [(0, 1)]
-
-    def test_scenario_due(self):
-        scenario = (
-            FaultScenario()
-            .add_node_fault(3, 1, CrashBehavior())
-            .add_node_fault(7, 2, CrashBehavior())
-        )
-        assert len(scenario.due(3)) == 1
-        assert scenario.due(5) == []
 
 
 class TestRuntimeQueries:

@@ -1,9 +1,9 @@
 """Tests for the crypto/wire fast path (ISSUE 1).
 
 Covers: CRT/plain signature bit-identity, deterministic-keygen enforcement,
-signature wire-format validation, verification-cache transparency against
-the uncached primitives, cache bounds, codec-memo correctness, and batched
-multisignature verification.  (Whole-run transparency -- transcripts and
+signature wire-format validation, verdict-memo transparency against the
+unmemoized primitives, the memo's bound and its per-system scope,
+codec-memo correctness, and batched multisignature verification.  (Whole-run transparency -- transcripts and
 counters of faulty deployments -- is pinned by tests/test_golden_cells.py.)
 """
 
@@ -14,9 +14,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import ReboundConfig
 from repro.core.heartbeat import HeartbeatRecord
-from repro.core.identity import Directory
-from repro.crypto import verify_cache
+from repro.core.identity import VERDICT_MEMO_CAPACITY, Directory
+from repro.core.runtime import ReboundSystem
 from repro.crypto.multisig import (
     MultisigGroup,
     Multisignature,
@@ -26,8 +27,9 @@ from repro.crypto.multisig import (
 )
 from repro.crypto.rsa import RSAKeyPair, RSASignature
 from repro.net import message
-from repro.net.topology import grid_topology
+from repro.net.topology import chemical_plant_topology, grid_topology
 from repro.obs import registry
+from repro.sched.task import chemical_plant_workload
 
 
 # -- CRT signing ---------------------------------------------------------------
@@ -84,57 +86,85 @@ def test_non_byte_aligned_modulus_roundtrip():
     assert pair.public_key.verify(b"odd modulus", parsed)
 
 
-# -- verification cache --------------------------------------------------------
+# -- verdict memo --------------------------------------------------------------
 
 
 def test_verification_cache_is_capacity_bounded():
-    cache = verify_cache.VerificationCache(capacity=8)
-    for i in range(50):
-        assert cache.get(("k", i)) is None
-        cache.put(("k", i), i % 2 == 0)
-    assert len(cache) == 8
-    stats = cache.stats()
-    assert stats["evictions"] == 42
-    # Recent entries survive, including cached False outcomes.
-    assert cache.get(("k", 49)) is False
-    assert cache.get(("k", 48)) is True
-    assert cache.get(("k", 0)) is None
+    """The directory's verdict memo never holds more than its capacity and
+    evicts the least recently used verdict first."""
+    directory = Directory(rsa_bits=256, multisig_bits=128, seed=5)
+    extra = 40
+    for i in range(VERDICT_MEMO_CAPACITY + extra):
+        assert directory.verdict(("k", i), lambda i=i: i % 2 == 0) is (i % 2 == 0)
+        assert len(directory.verdicts) <= VERDICT_MEMO_CAPACITY
+    assert len(directory.verdicts) == VERDICT_MEMO_CAPACITY
+    assert directory.verdict_misses == VERDICT_MEMO_CAPACITY + extra
+    # Recent verdicts survive, cached False included; the oldest are gone.
+    last = VERDICT_MEMO_CAPACITY + extra - 1
+    assert directory.verdict(("k", last), lambda: True) is False
+    assert directory.verdict_hits == 1
+    assert directory.verdict(("k", 0), lambda: False) is False
+    assert directory.verdict_misses == VERDICT_MEMO_CAPACITY + extra + 1
 
 
-# A hit must be indistinguishable from a miss: the same verdict the uncached
-# primitive gives, and the same logical counters charged.  Every example
-# derives four inputs from one signed body -- valid, forged signature, wrong
-# key, wrong body -- clears the process-wide cache, caches the three it did
-# not draw (so a cache key that ignored the body, the key or the signature
-# would now answer for the fourth), then verifies the drawn one through a
-# fresh handle (which must miss) and through another (which must hit).
+def test_systems_built_from_one_seed_keep_separate_memos():
+    """Two systems from one seed hold the same keys, yet a verdict one of
+    them memoized is a miss in the other."""
+    def build():
+        config = ReboundConfig(fmax=1, fconc=1, variant="multi", rsa_bits=256)
+        return ReboundSystem(
+            chemical_plant_topology(), chemical_plant_workload(), config, seed=3
+        )
+
+    first, second = build(), build()
+    signer = first.topology.controllers[0]
+    assert first.directory.rsa_public(signer) == second.directory.rsa_public(signer)
+    signature = first.directory.crypto_for(signer).sign(b"memo scope")
+    for system in (first, second):
+        verifier = system.directory.crypto_for(signer + 1)
+        before = (system.directory.verdict_hits, system.directory.verdict_misses)
+        assert verifier.verify(signer, b"memo scope", signature)
+        assert verifier.verify(signer, b"memo scope", signature)
+        hits, misses = before
+        assert system.directory.verdict_misses == misses + 1
+        assert system.directory.verdict_hits == hits + 1
+
+
+# A hit must be indistinguishable from a miss: the same verdict the
+# unmemoized primitive gives, and the same logical counters charged.  Every
+# example derives four inputs from one signed body -- valid, forged
+# signature, wrong key, wrong body -- clears the directory's verdict memo,
+# memoizes the three it did not draw (so a memo key that ignored the body,
+# the key or the signature would now answer for the fourth), then verifies
+# the drawn one through a fresh handle (which must miss) and through
+# another (which must hit).
 
 _DIRECTORY = Directory(rsa_bits=256, multisig_bits=128, seed=77)
 for _node in range(4):
     _DIRECTORY.register(_node)
 
 _CASES = ("valid", "forged", "wrong_key", "wrong_body")
-# Bodies straddle the 64-byte bound above which cache keys hold a digest.
+# Bodies straddle the 64-byte bound above which memo keys hold a digest.
 _BODIES = st.binary(min_size=1, max_size=80)
 
 
 def _miss_then_hit(call, drawn, siblings):
     """``call(crypto, variant)`` on the ``drawn`` variants, cold then warm,
     with every sibling variant already cached; returns both results."""
-    verify_cache.GLOBAL.clear()
+    _DIRECTORY.verdicts.clear()
     call(_DIRECTORY.crypto_for(2), siblings)
-    verify_cache.GLOBAL.reset_stats()
+    _DIRECTORY.verdict_hits = _DIRECTORY.verdict_misses = 0
     cold, warm = _DIRECTORY.crypto_for(0), _DIRECTORY.crypto_for(1)
     first = call(cold, drawn)
-    assert verify_cache.GLOBAL.hits == 0 and verify_cache.GLOBAL.misses == len(drawn)
+    assert _DIRECTORY.verdict_hits == 0 and _DIRECTORY.verdict_misses == len(drawn)
     second = call(warm, drawn)
-    assert verify_cache.GLOBAL.hits == len(drawn) == verify_cache.GLOBAL.misses
+    assert _DIRECTORY.verdict_hits == len(drawn) == _DIRECTORY.verdict_misses
     assert cold.total_counters() == warm.total_counters()
     return first, second
 
 
 def _rsa_variants(body, signer, flip):
-    """case -> ((claimed origin, body, signature bytes), uncached verdict)."""
+    """case -> ((claimed origin, body, signature bytes), unmemoized verdict)."""
     wire = _DIRECTORY._rsa_pairs[signer].sign(body).to_bytes()
     index = flip % len(wire)  # corrupt one byte, possibly the length prefix
     forged = wire[:index] + bytes([wire[index] ^ (1 + flip % 255)]) + wire[index + 1:]
@@ -172,7 +202,7 @@ def test_cached_rsa_verify_equals_public_key_verify(body, case, signer, flip):
 
 def _multisig_variants(body, mults):
     """case -> ((body, sig value, aggregate key value, signer mask,
-    aggregate-key cache key), verdict of the plain, uncached multisignature
+    aggregate-key cache key), verdict of the plain, unmemoized multisignature
     check).  The key value comes from ``aggregate_keys`` over the multiset."""
     group = _DIRECTORY.group
     multiset = Counter({node: m for node, m in enumerate(mults) if m})
@@ -339,17 +369,8 @@ def test_batch_multisig_matches_individual_verdicts():
 def test_stats_snapshot_shape():
     registry.ensure_default_components()
     stats = registry.stats_snapshot()
-    assert set(stats) == {
-        "rsa_sign",
-        "verify_cache",
-        "multisig_batch",
-        "codec_memo",
-        "ilp_solver",
-        "quotas",
-        "stabilize",
-    }
-    assert "hit_rate" in stats["verify_cache"]
-    assert {"charged", "dropped"} <= set(stats["quotas"])
+    assert set(stats) == {"multisig_batch", "codec_memo", "ilp_solver"}
+    assert "hits" in stats["codec_memo"]
     assert "warm_starts" in stats["ilp_solver"]
 
 

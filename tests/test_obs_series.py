@@ -103,7 +103,12 @@ class TestSampling:
         assert latest["system.correct_controllers"] == 5.0
         assert latest["system.true_faulty_nodes"] == 1.0
         assert latest["btr.activations"] == 1.0
-        assert "rsa_sign.crt_signs" in latest
+        assert "codec_memo.hits" in latest
+        # Per-system state is sampled from the system, not the registry.
+        assert latest["crypto.verdict_memo_misses"] > 0
+        assert latest["quotas.charged"] == sum(
+            node.forwarding.quotas.total_charged for node in system.nodes.values()
+        )
         # The fault flipped the monitor out of idle at some point.
         phases = series.series("btr.phase")
         assert phases[0] == 0.0 and max(phases) > 0.0
