@@ -697,11 +697,7 @@ def run_cell(cell: CampaignCell) -> Dict[str, Any]:
             result["outcome"] = "fail"
             result["fail_reason"] = "tamper detected on a clean restart"
     if spec.arc is not None:
-        from repro.stabilize.auditor import convergence_bound
-
-        bound = convergence_bound(
-            system.config.audit_interval, system.config.d_max
-        )
+        bound = system.bounds.convergence_s
         divergences = [
             dict(record)
             for aud in system.auditors.values()

@@ -24,6 +24,9 @@
   schedule), and once recovered, correct nodes never diverge again without
   a new fault event.
 
+Every window the oracle applies comes from the system's
+:class:`~repro.core.bounds.Bounds`.
+
 Violations are typed :class:`InvariantViolation`\\ s carrying a minimized
 repro dict (topology seed, scenario, impairment plan, round) so a failing
 campaign cell can be replayed exactly.
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.core.bounds import Bounds
 from repro.obs import recorder as _flight
 
 #: trailing-window size embedded in violation repro dicts.  Bounded so a
@@ -98,10 +102,10 @@ class BTRMonitor:
     """Per-round checker of the BTR requirements (see module docstring).
 
     Args:
-        d_max: detection bound in rounds; defaults to the system's
-            resolved ``config.d_max``.
-        r_max: recovery bound in rounds after the last fault activation;
-            defaults to ``2 * d_max + 4``.
+        bounds: the windows to hold the system to; defaults to the
+            system's own :class:`~repro.core.bounds.Bounds`.  A test forcing
+            a violation replaces a window no other derives from (``r_max``)
+            or derives a whole set with ``Bounds.from_config``.
         in_budget: whether the environment (adversary + impairments) fits
             the deployment's fault budget.  Out-of-budget runs only arm
             the hard-accuracy and structural-lookup checks.
@@ -116,15 +120,13 @@ class BTRMonitor:
 
     def __init__(
         self,
-        d_max: Optional[int] = None,
-        r_max: Optional[int] = None,
+        bounds: Optional[Bounds] = None,
         in_budget: bool = True,
         require_detection: bool = True,
         record_only: bool = False,
         context: Optional[Dict[str, Any]] = None,
     ):
-        self.d_max = d_max
-        self.r_max = r_max
+        self.bounds = bounds
         self.in_budget = in_budget
         self.require_detection = require_detection
         self.record_only = record_only
@@ -140,8 +142,8 @@ class BTRMonitor:
         self._event_count = 0
         self._cycle_converged: Optional[int] = None
         #: node -> latest grace-opening round (durable restart or auditor
-        #: resync); Req. 3 inference checks excuse condemnations of these
-        #: nodes for ``d_max + 2`` rounds (see :meth:`note_grace`).
+        #: resync); Req. 3 checks excuse condemnations of these nodes for
+        #: ``bounds.grace`` rounds (see :meth:`note_grace`).
         self._graces: Dict[int, int] = {}
         #: node -> first round its mode/lookup went inconsistent (armed
         #: only while stabilization is on; see _check_structural_lookup).
@@ -232,7 +234,7 @@ class BTRMonitor:
         (:meth:`note_resync`).  In both, the node's pre-event evidence
         legitimately keeps condemning it until its fresh state floods (at
         most ``d_max`` rounds, plus the Rule-A suspension), so Req. 3
-        inference checks excuse it for ``d_max + 2`` rounds."""
+        checks excuse it for ``bounds.grace`` rounds."""
         self._graces[node_id] = round_no
 
     def note_resync(self, node_id: int, round_no: int) -> None:
@@ -244,11 +246,11 @@ class BTRMonitor:
         condemn a node mid-resync."""
         self.note_grace(node_id, round_no)
 
-    def _in_grace(self, system, d_max: int) -> Set[int]:
+    def _in_grace(self, system, grace: int) -> Set[int]:
         return {
             node
             for node, opened in self._graces.items()
-            if system.round_no <= opened + d_max + 2
+            if system.round_no <= opened + grace
         }
 
     def _env_faulted_nodes(self, system) -> Set[int]:
@@ -264,37 +266,33 @@ class BTRMonitor:
             - self._env_faulted_nodes(system)
         )
 
-    def _resolve_bounds(self, system) -> Tuple[int, int]:
-        d_max = self.d_max if self.d_max is not None else system.config.d_max
-        r_max = self.r_max if self.r_max is not None else 2 * d_max + 4
-        return d_max, r_max
-
     # -- the oracle ------------------------------------------------------------
 
     def observe(self, system) -> None:
         """Run every armed invariant check against the round that just
         executed.  Called by ``ReboundSystem.run_round``."""
+        bounds = self.bounds if self.bounds is not None else system.bounds
         self._refresh_activations(system)
         correct = self._correct_set(system)
-        self._check_hard_accuracy(system, correct)
-        self._check_structural_lookup(system, correct)
-        self._check_memory_bounds(system, correct)
-        self._check_stabilization(system, correct)
+        in_grace = self._in_grace(system, bounds.grace)
+        self._check_hard_accuracy(system, correct, in_grace)
+        self._check_structural_lookup(system, correct, bounds)
+        self._check_memory_bounds(system, correct, bounds)
+        self._check_stabilization(system, correct, bounds)
         if not self.in_budget:
             return
-        self._check_inference_accuracy(system, correct)
-        d_max, r_max = self._resolve_bounds(system)
+        self._check_inference_accuracy(system, correct, in_grace)
         if self.require_detection:
-            self._check_detection(system, correct, d_max)
-        self._check_recovery(system, correct, r_max)
+            self._check_detection(system, correct, bounds.d_max)
+        self._check_recovery(system, correct, bounds)
 
     # Req. 3, hard layer: PoMs never accuse a correct node.  A node the
     # operator just repaired gets the shared grace window: until its
     # blessing floods (at most d_max rounds), peers legitimately still
     # hold unabsolved PoMs from the compromise that was just repaired.
-    def _check_hard_accuracy(self, system, correct: Set[int]) -> None:
-        d_max, _ = self._resolve_bounds(system)
-        in_grace = self._in_grace(system, d_max)
+    def _check_hard_accuracy(
+        self, system, correct: Set[int], in_grace: Set[int]
+    ) -> None:
         for node_id in correct:
             accused = system.nodes[node_id].forwarding.evidence.accused_nodes()
             bad = accused & correct - in_grace
@@ -313,9 +311,9 @@ class BTRMonitor:
     # A just-restarted node gets a bounded grace window: until its blessing
     # floods (at most d_max rounds, plus the Rule-A suspension), peers
     # legitimately still condemn it from pre-restart evidence.
-    def _check_inference_accuracy(self, system, correct: Set[int]) -> None:
-        d_max, _ = self._resolve_bounds(system)
-        in_grace = self._in_grace(system, d_max)
+    def _check_inference_accuracy(
+        self, system, correct: Set[int], in_grace: Set[int]
+    ) -> None:
         for node_id in correct:
             pattern = system.nodes[node_id].fault_pattern
             bad = pattern.nodes & correct - in_grace
@@ -380,29 +378,21 @@ class BTRMonitor:
     # *inside* the r_max window (evidence still in flight) is legal; past
     # the deadline, never-converged is a recovery timeout and
     # converged-then-regressed (with no new fault event) is structural.
-    def _check_recovery(self, system, correct: Set[int], r_max: int) -> None:
+    def _check_recovery(self, system, correct: Set[int], bounds: Bounds) -> None:
         if not self._activations:
             return
         r = system.round_no
         last_event = max(self._activations.values())
-        deadline = last_event + r_max
+        deadline = last_event + bounds.r_max
         # A transient corruption is a fault event for recovery-cycle
         # purposes: the victim's mode pointer may legitimately diverge
         # until the audit tick repairs it, so its cycle runs on the Req-S
         # convergence bound rather than r_max.
-        corruptions = getattr(system, "transient_corruptions", ())
+        corruptions = system.transient_corruptions
         if corruptions:
-            from repro.stabilize.auditor import convergence_bound
-
             last_corrupt = max(c["round"] for c in corruptions)
             last_event = max(last_event, last_corrupt)
-            deadline = max(
-                deadline,
-                last_corrupt
-                + convergence_bound(
-                    system.config.audit_interval, system.config.d_max
-                ),
-            )
+            deadline = max(deadline, last_corrupt + bounds.convergence_s)
         if self._event_count != len(self._activations) + len(corruptions):
             # A new fault event opens a fresh convergence cycle.
             self._event_count = len(self._activations) + len(corruptions)
@@ -450,8 +440,8 @@ class BTRMonitor:
         self._emit(
             RecoveryTimeoutViolation(
                 f"not recovered by round {r} (last fault event at "
-                f"{last_event}, r_max={r_max}): " + "; ".join(detail),
-                self._repro(system, last_event=last_event, r_max=r_max,
+                f"{last_event}, r_max={bounds.r_max}): " + "; ".join(detail),
+                self._repro(system, last_event=last_event, r_max=bounds.r_max,
                             agreed=agreed, detected_all=detected_all,
                             placements_clean=placements_clean),
             ),
@@ -462,27 +452,14 @@ class BTRMonitor:
     # its cap, every round, whatever the environment does (in- and
     # out-of-budget alike: memory bounds, like hard accuracy, must survive
     # arbitrarily hostile environments).
-    def _check_memory_bounds(self, system, correct: Set[int]) -> None:
-        config = system.config
-        from repro.core.quotas import (
-            evidence_item_cap,
-            heartbeat_record_cap,
-        )
-
-        d_max = config.d_max
-        if d_max is None:
-            return
-        n = len(system.topology.controllers)
-        ev_cap = evidence_item_cap(n, d_max)
-        hb_cap = heartbeat_record_cap(n, d_max)
+    def _check_memory_bounds(self, system, correct: Set[int], bounds: Bounds) -> None:
+        store_cap = bounds.heartbeat_store_cap
         for node_id in correct:
             fwd = system.nodes[node_id].forwarding
-            checks = [("evidence", len(fwd.evidence), ev_cap)]
-            if config.expiry_optimization:
-                checks.append(("heartbeat-store", len(fwd.store), hb_cap))
-            checks.append(
-                ("rule-b-pending", len(fwd._pending_rule_b), n)
-            )
+            checks = [("evidence", len(fwd.evidence), bounds.evidence_cap)]
+            if system.config.expiry_optimization:
+                checks.append(("heartbeat-store", len(fwd.store), store_cap))
+            checks.append(("rule-b-pending", len(fwd._pending_rule_b), bounds.n))
             auditing = system.nodes[node_id].auditing
             for (task_id, copy_idx), rep in auditing._replicas.items():
                 for name, buf in (
@@ -512,14 +489,10 @@ class BTRMonitor:
     # what the auditor exists to fix, so the violation only fires if the
     # inconsistency outlives the Req-S convergence bound; with stabilization
     # off the bound is zero and the check keeps its original semantics.
-    def _check_structural_lookup(self, system, correct: Set[int]) -> None:
-        grace = 0
-        if system.config.stabilize_enabled:
-            from repro.stabilize.auditor import convergence_bound
-
-            grace = convergence_bound(
-                system.config.audit_interval, system.config.d_max
-            )
+    def _check_structural_lookup(
+        self, system, correct: Set[int], bounds: Bounds
+    ) -> None:
+        grace = bounds.convergence_s if system.config.stabilize_enabled else 0
         r = system.round_no
         for node_id in correct:
             node = system.nodes[node_id]
@@ -543,16 +516,12 @@ class BTRMonitor:
     # documented convergence bound.  Armed whenever auditors run (in- and
     # out-of-budget alike: self-stabilization, like hard accuracy, must
     # survive any environment).
-    def _check_stabilization(self, system, correct: Set[int]) -> None:
-        auditors = getattr(system, "auditors", None)
+    def _check_stabilization(self, system, correct: Set[int], bounds: Bounds) -> None:
+        auditors = system.auditors
         if not auditors:
             self._open_divergences = 0
             return
-        from repro.stabilize.auditor import convergence_bound
-
-        bound = convergence_bound(
-            system.config.audit_interval, system.config.d_max
-        )
+        bound = bounds.convergence_s
         r = system.round_no
         open_count = 0
         for node_id, auditor in sorted(auditors.items()):

@@ -6,7 +6,8 @@ arc against one victim: fail-stop at the injection round, stay down for
 :meth:`~repro.core.runtime.ReboundSystem.restart_from_durable` -- the
 node rejoins as a fresh node fed the evidence of its verified chained
 log, through the blessing flow, with the BTR monitor holding the system to
-the ``r_max = 2*d_max + 4`` recovery bound from the restart round.
+the ``Bounds.r_max`` recovery bound (:mod:`repro.core.bounds`) from the
+restart round.
 
 :class:`LogTamperBehavior` runs the same arc but corrupts the victim's
 on-disk event log while the node is down -- truncation, a record

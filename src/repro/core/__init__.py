@@ -4,6 +4,8 @@ This package implements the paper's primary contribution:
 
 * :mod:`repro.core.config` -- deployment parameters (fmax, fconc, round
   length, protocol variant, optimization toggles).
+* :mod:`repro.core.bounds` -- every protocol and oracle window, derived
+  from (d_max, audit_interval, controller count).
 * :mod:`repro.core.evidence` -- link-failure declarations (LFDs), proofs of
   misbehavior (PoMs), evidence sets, verification, and the derivation of
   failure patterns (KN, KL) from evidence (paper S3.2).

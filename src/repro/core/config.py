@@ -15,7 +15,7 @@ class ReboundConfig:
 
     Admission quotas and the bounded evidence/challenge stores
     (:mod:`repro.core.quotas`) are not parameters: every deployment runs
-    with them.
+    with them, at the caps :mod:`repro.core.bounds` derives.
 
     Attributes:
         fmax: total faults planned for (size of the mode tree).
@@ -75,8 +75,8 @@ class ReboundConfig:
             pair.
         audit_interval: rounds between state audits.  Together with
             ``d_max`` it fixes the self-stabilization convergence bound
-            ``2 * audit_interval + d_max + 2`` asserted by the monitor's
-            Req-S check (docs/PROTOCOL.md section 16).
+            ``Bounds.convergence_s`` (:mod:`repro.core.bounds`) asserted by
+            the monitor's Req-S check (docs/PROTOCOL.md section 16).
     """
 
     fmax: int = 1
@@ -119,11 +119,3 @@ class ReboundConfig:
     @property
     def round_length_ms(self) -> float:
         return self.round_length_us / 1000.0
-
-    def rounds_to_us(self, rounds: int) -> int:
-        return rounds * self.round_length_us
-
-    def recovery_bound_rounds(self, detection_rounds: int, stabilization_rounds: int,
-                              switch_rounds: int = 1) -> int:
-        """Rmax in rounds: Tdet + Tstab + Tswitch (paper S2.7)."""
-        return detection_rounds + stabilization_rounds + switch_rounds

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.auditing import TaskRegistry
+from repro.core.bounds import Bounds
 from repro.core.config import ReboundConfig
 from repro.core.evidence import EvidenceSet, EvidenceVerifier, data_body
 from repro.core.forwarding import DataPacket, RoundMessage
@@ -46,6 +47,7 @@ class _DeviceBase(NodeProtocol):
         registry: TaskRegistry,
         mode_tree: ModeTree,
         path_cache: PathCache,
+        bounds: Bounds,
     ):
         self.node_id = node_id
         self.topology = topology
@@ -53,6 +55,7 @@ class _DeviceBase(NodeProtocol):
         self.crypto = crypto
         self.mode_tree = mode_tree
         self.path_cache = path_cache
+        self.bounds = bounds
         self.verifier = EvidenceVerifier.for_node(crypto, registry, config.variant)
         self.evidence = EvidenceSet()
         self.schedule: Optional[ModeSchedule] = None
@@ -61,13 +64,12 @@ class _DeviceBase(NodeProtocol):
         self.adopt_mode()
 
     def adopt_mode(self) -> None:
-        from repro.core.quotas import pom_lfd_slack
-
         # Same explained-LFD window as the controllers' forwarding layers:
         # a device deriving a different pattern from the same evidence would
         # adopt a divergent mode.
-        slack = None if self.config.d_max is None else pom_lfd_slack(self.config.d_max)
-        pattern = self.evidence.failure_pattern(self.config.fmax, pom_lfd_slack=slack)
+        pattern = self.evidence.failure_pattern(
+            self.config.fmax, pom_lfd_slack=self.bounds.pom_lfd_slack
+        )
         schedule = self.mode_tree.schedule_for(pattern)
         if schedule != self.schedule:
             self.schedule = schedule

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping
 from typing import NamedTuple, Set, Tuple
 
+from repro.core.bounds import Bounds
 from repro.core.config import VARIANT_MULTI, ReboundConfig
 from repro.core.evidence import (
     EquivocationPoM,
@@ -53,7 +54,7 @@ from repro.core.heartbeat import (
 )
 from repro.core.identity import NodeCrypto
 from repro.core.paths import PATH_AUTH, PATH_XREP, Path, PathSet
-from repro.core.quotas import AdmissionQuotas, pom_lfd_slack
+from repro.core.quotas import AdmissionQuotas
 from repro.crypto.hashing import hash_bytes
 from repro.net.message import encode, register_message
 from repro.net.topology import Topology
@@ -175,8 +176,9 @@ class _AggregateState:
 
 
 # -- the end-of-round omission rules: each reads one immutable observation of
-# a node's round and returns the peers it accuses; ForwardingLayer takes the
-# observations and applies the decisions (_detect_omissions).
+# a node's round, windows included (taken from the system's Bounds), and
+# returns the peers it accuses; ForwardingLayer takes the observations and
+# applies the decisions (_detect_omissions).
 
 
 def _excludes(pattern: FailureScenario, node: int, peer: int) -> bool:
@@ -190,18 +192,23 @@ class RuleAObservation(NamedTuple):
     last_evidence_change: int
     live: Tuple[int, ...]  # live controller neighbors
     heard: FrozenSet[int]  # peers a round message arrived from this round
+    join_grace: int  # Bounds.join_grace
+    suspension: int  # Bounds.rule_a_suspension
 
 
 def rule_a(obs: RuleAObservation) -> List[int]:
     """Rule A (liveness): every live controller neighbor must deliver a
     round message every round.
 
-    Suspended at join and for two rounds after an evidence change: a
-    just-re-admitted (blessed) neighbor needs one round before its first
-    message can arrive.  The suspension is bounded by the total amount of
-    valid evidence an adversary can mint."""
+    Suspended for the join grace and for ``suspension`` rounds after an
+    evidence change: a just-re-admitted (blessed) neighbor needs one round
+    before its first message can arrive.  The suspension is bounded by the
+    total amount of valid evidence an adversary can mint."""
     r = obs.round_no
-    if r <= obs.joined_round + 1 or r <= obs.last_evidence_change + 2:
+    if (
+        r <= obs.joined_round + obs.join_grace
+        or r <= obs.last_evidence_change + obs.suspension
+    ):
         return []
     return [j for j in obs.live if j not in obs.heard]
 
@@ -211,11 +218,14 @@ class RuleBObservation(NamedTuple):
     round_no: int
     joined_round: int
     last_evidence_change: int
-    d_max: int
+    #: the origin round at the expiry horizon (age d_max) this round
+    origin_round: int
+    join_grace: int  # Bounds.join_grace
+    deferral: int  # Bounds.rule_b_deferral
     live: Tuple[int, ...]
     heard: FrozenSet[int]
     #: heard live neighbor -> origins it must relay by age d_max / origins
-    #: of round ``round_no - 1 - d_max`` it did relay (masks, bit i = node i)
+    #: of ``origin_round`` it did relay (masks, bit i = node i)
     expected: Mapping[int, int]
     delivered: Mapping[int, int]
     accused: FrozenSet[int]  # nodes condemned by an unabsolved PoM
@@ -234,24 +244,23 @@ def rule_b(obs: RuleBObservation) -> RuleBDecision:
     """Rule B (coverage): by age d_max a neighbor must have relayed the
     heartbeat of every origin in its expected support.
 
-    Checked once per origin round, at the expiry horizon (origin round
-    ``r - 1 - d_max``), and not for origin rounds before the join or
-    within the stabilization slack (d_max + 2) of the last evidence
-    change.  A shortfall opens a suspicion, not an LFD, unless a PoM
-    condemns a node in the expected support: that origin's equivocating
-    heartbeats poisoned the relay chain, so the relaying neighbor is not
-    blamed.  A suspicion is held for a grace of d_max + 2 rounds (while
-    record probing runs) so such a PoM can claim it; it is dropped once a
-    PoM explains it or the pattern excludes the neighbor or the link, and
-    otherwise matures into an LFD."""
+    Checked once per origin round, at the expiry horizon
+    (``origin_round``), and not during the join grace, for origin rounds
+    before it, or within the deferral of the last evidence change.  A
+    shortfall opens a suspicion, not an LFD, unless a PoM condemns a node
+    in the expected support: that origin's equivocating heartbeats
+    poisoned the relay chain, so the relaying neighbor is not blamed.  A
+    suspicion is held for the deferral (while record probing runs) so such
+    a PoM can claim it; it is dropped once a PoM explains it or the
+    pattern excludes the neighbor or the link, and otherwise matures into
+    an LFD."""
     r = obs.round_no
     pending = dict(obs.pending)
-    if r <= obs.joined_round + 1:
+    settled = obs.joined_round + obs.join_grace
+    if r <= settled:
         return RuleBDecision([], pending, False)
     accused = sum(1 << node for node in obs.accused)
-    slack = obs.d_max + 2
-    r_origin = r - 1 - obs.d_max
-    if r_origin >= max(obs.joined_round + 1, obs.last_evidence_change + slack):
+    if obs.origin_round >= max(settled, obs.last_evidence_change + obs.deferral):
         for j in obs.live:
             if j not in obs.heard:
                 continue
@@ -263,7 +272,7 @@ def rule_b(obs: RuleBObservation) -> RuleBDecision:
     for j, (raised, expected) in sorted(pending.items()):
         if expected & accused or _excludes(obs.pattern, obs.node, j):
             del pending[j]
-        elif r >= raised + slack:
+        elif r >= raised + obs.deferral:
             del pending[j]
             lfds.append(j)
     return RuleBDecision(lfds, pending, probe)
@@ -274,6 +283,8 @@ class RuleCObservation(NamedTuple):
     round_no: int
     joined_round: int
     paths_stable_since: int  # round of the last mode switch
+    join_grace: int  # Bounds.join_grace
+    settle: int  # Bounds.rule_c_settle
     #: (upstream hop, packet key (path id, origin round)) expected this
     #: round on each enforced path through the node, in path order
     expected: Tuple[Tuple[int, Tuple[int, int]], ...]
@@ -287,14 +298,15 @@ def rule_c(obs: RuleCObservation) -> List[int]:
     upstream hop.  Settle window after a mode switch at round s: the source
     may adopt the new mode a couple of rounds after this node (devices
     learn modes from flooded evidence), so only packets originated at
-    round s + 4 or later are expected.  Suspended at join; an upstream the
-    pattern already excludes is not accused."""
-    if obs.round_no <= obs.joined_round + 1:
+    round s + settle or later are expected.  Suspended for the join grace;
+    an upstream the pattern already excludes is not accused."""
+    if obs.round_no <= obs.joined_round + obs.join_grace:
         return []
+    first_expected = obs.paths_stable_since + obs.settle
     return [
         upstream
         for upstream, key in obs.expected
-        if key[1] >= obs.paths_stable_since + 4
+        if key[1] >= first_expected
         and key not in obs.seen
         and not _excludes(obs.pattern, obs.node, upstream)
     ]
@@ -315,6 +327,7 @@ class ForwardingLayer:
             already verified).
         coverage: the system's coverage registry (one DP per fault
             pattern, shared by the system's nodes).
+        bounds: the system's windows (expiry, Rules A--C, quotas).
     """
 
     def __init__(
@@ -327,6 +340,7 @@ class ForwardingLayer:
         on_new_evidence: Callable[[List[Any]], None],
         on_packet: Callable[[Path, int, bytes, int, bytes], None],
         coverage: CoverageRegistry,
+        bounds: Bounds,
     ):
         self.node_id = node_id
         self.topology = topology
@@ -336,18 +350,13 @@ class ForwardingLayer:
         self.on_new_evidence = on_new_evidence
         self.on_packet = on_packet
         self.coverage = coverage
-
-        if config.d_max is None:
-            raise ValueError("config.d_max must be resolved before layer creation")
-        self.d_max: int = config.d_max
-        self.window = self.d_max + 2
-        self.stabilization_slack = self.d_max + 2
+        self.bounds = bounds
 
         self.evidence = EvidenceSet()
         self.last_evidence_change = -(10**9)
         self._controllers = frozenset(topology.controllers)
         self.store = HeartbeatStore(
-            window=self.window, expiry=config.expiry_optimization
+            window=bounds.expiry_window, expiry=config.expiry_optimization
         )
         self.store.owner = node_id
         # MULTI aggregate state per origin round.
@@ -357,8 +366,8 @@ class ForwardingLayer:
         self._delivered: Dict[int, Dict[int, int]] = defaultdict(dict)
         self._got_message_from: Set[int] = set()
         # link -> round of the last LFD this layer issued for it.  Re-issue
-        # is allowed after ``lfd_reissue_cooldown`` rounds so a genuine link
-        # fault whose first declaration was explained away by a concurrent
+        # is allowed after the LFD re-issue cooldown so a genuine link fault
+        # whose first declaration was explained away by a concurrent
         # equivocation PoM (see EvidenceSet.failure_pattern) is not masked
         # forever; a link already adopted into the fault pattern stops being
         # a live neighbor, so the cooldown never causes per-round re-minting.
@@ -370,12 +379,7 @@ class ForwardingLayer:
         # flooding even in MULTI's stable state: conflicting per-destination
         # heartbeats only surface as equivocation PoMs when records circulate.
         self._probe_until = -1
-        # An unabsolved commission PoM explains LFDs declared up to this many
-        # rounds after its accusation round (storm geometry: conflict
-        # propagation plus the Rule B horizon plus the deferral window).
-        self.pom_lfd_slack = pom_lfd_slack(self.d_max)
-        self.lfd_reissue_cooldown = self.pom_lfd_slack + 1
-        self.quotas = AdmissionQuotas.from_topology(topology, self.d_max)
+        self.quotas = AdmissionQuotas(bounds)
 
         # Data-path state.
         self.paths: PathSet = PathSet([])
@@ -406,7 +410,7 @@ class ForwardingLayer:
         """Derive the fault pattern from the evidence, and from it the
         coverage DP and the live controller neighbors."""
         pattern = self._fault_pattern = self.evidence.failure_pattern(
-            self.config.fmax, pom_lfd_slack=self.pom_lfd_slack
+            self.config.fmax, pom_lfd_slack=self.bounds.pom_lfd_slack
         )
         self._coverage: CoverageCalculator = self.coverage.for_pattern(pattern)
         self._live: Tuple[int, ...] = tuple(
@@ -444,7 +448,7 @@ class ForwardingLayer:
             raise ValueError(f"unknown LFD rule {rule!r}")
         link = (min(self.node_id, other), max(self.node_id, other))
         last = self._lfds_issued.get(link)
-        if last is not None and self._round < last + self.lfd_reissue_cooldown:
+        if last is not None and self._round < last + self.bounds.lfd_reissue_cooldown:
             return
         self._lfds_issued[link] = self._round
         self._trace(EV_LFD_ISSUED, {"link": list(link), "rule": rule})
@@ -606,10 +610,10 @@ class ForwardingLayer:
         self, sender: int, records: Tuple[HeartbeatRecord, ...]
     ) -> bool:
         ok = True
+        expired_before = self._round - self.bounds.expiry_window
         for rec in records:
             if rec.round_no > self._round or (
-                self.config.expiry_optimization
-                and rec.round_no < self._round - self.window
+                self.config.expiry_optimization and rec.round_no < expired_before
             ):
                 continue  # expired or from the future; ignore (S3.5)
             existing = self.store.get(rec.origin, rec.round_no)
@@ -686,21 +690,22 @@ class ForwardingLayer:
 
         An aggregate under another epoch is left to the fallback records.
         With ``probe``, an unexplained divergence -- this node's evidence
-        has been stable well past the slack window, so no recent fault
+        has been stable past the MULTI fallback window, so no recent fault
         accounts for it -- is a storm symptom: probe with individual
         records so any equivocation surfaces as a PoM."""
         digest = self.epoch_digest
         covered = self._coverage.has_node(sender)
+        d_max = self.bounds.d_max
         admissible = []
         for agg in aggregates:
             age = self._round - 1 - agg.round_no
-            if age < 0 or age > self.d_max:
+            if age < 0 or age > d_max:
                 continue
             if agg.epoch_digest != digest:
                 if (
                     probe
                     and self.last_evidence_change
-                    < self._round - self.stabilization_slack
+                    < self._round - self.bounds.multi_fallback
                 ):
                     self._start_probe()
                 continue
@@ -781,7 +786,8 @@ class ForwardingLayer:
                 # of blaming the relay) preserves accuracy.  Detection of a
                 # genuinely bad source resumes once the pipeline refills.
                 settling = (
-                    self._round - self.paths_stable_since < path.length + 4
+                    self._round - self.paths_stable_since
+                    < path.length + self.bounds.rule_c_settle
                 )
                 if packet.origin != path.source:
                     rule = "packet-origin"
@@ -836,7 +842,8 @@ class ForwardingLayer:
         heard = frozenset(self._got_message_from)
         observed_a = RuleAObservation(
             self._round, self._joined_round, self.last_evidence_change,
-            self._live, heard,
+            self._live, heard, self.bounds.join_grace,
+            self.bounds.rule_a_suspension,
         )
         for j in rule_a(observed_a):
             self.issue_lfd(j, "rule-a")
@@ -854,16 +861,20 @@ class ForwardingLayer:
                 self.issue_lfd(j, "rule-c")
 
     def _observe_rule_b(self, heard: FrozenSet[int]) -> RuleBObservation:
-        r_origin = self._round - 1 - self.d_max
+        bounds = self.bounds
+        r_origin = self._round - bounds.rule_b_horizon
         expected = {
-            j: self._coverage.support_bits(j, self.d_max) for j in self._live if j in heard
+            j: self._coverage.support_bits(j, bounds.d_max)
+            for j in self._live if j in heard
         }
         return RuleBObservation(
             node=self.node_id,
             round_no=self._round,
             joined_round=self._joined_round,
             last_evidence_change=self.last_evidence_change,
-            d_max=self.d_max,
+            origin_round=r_origin,
+            join_grace=bounds.join_grace,
+            deferral=bounds.rule_b_deferral,
             live=self._live,
             heard=heard,
             expected=expected,
@@ -894,6 +905,8 @@ class ForwardingLayer:
             round_no=self._round,
             joined_round=self._joined_round,
             paths_stable_since=self.paths_stable_since,
+            join_grace=self.bounds.join_grace,
+            settle=self.bounds.rule_c_settle,
             expected=tuple(expected),
             seen=frozenset(k for _, k in expected if k in self._seen_packets),
             pattern=self._fault_pattern,
@@ -905,7 +918,7 @@ class ForwardingLayer:
         conflicting heartbeats never meet and no PoM can be minted.  Each
         storm symptom (failed aggregate verification, unexplained epoch
         divergence, an open Rule B suspicion) extends the probe."""
-        self._probe_until = max(self._probe_until, self._round + 2)
+        self._probe_until = max(self._probe_until, self._round + self.bounds.probe)
 
     def end_round(self) -> RoundOutput:
         """Finish the round; returns the transmission plan.
@@ -928,12 +941,13 @@ class ForwardingLayer:
 
         # Expiry.
         self.store.expire(r)
-        for stale in [k for k in self._aggregates if k < r - self.window]:
+        horizon = r - self.bounds.expiry_window
+        for stale in [k for k in self._aggregates if k < horizon]:
             del self._aggregates[stale]
         for per_neighbor in self._delivered.values():
-            for stale in [k for k in per_neighbor if k < r - self.window]:
+            for stale in [k for k in per_neighbor if k < horizon]:
                 del per_neighbor[stale]
-        for stale in [k for k in self._seen_packets if k[1] < r - self.window]:
+        for stale in [k for k in self._seen_packets if k[1] < horizon]:
             self._seen_packets.discard(stale)
 
         packets_by_next_hop: Dict[int, List[DataPacket]] = defaultdict(list)
@@ -1001,7 +1015,7 @@ class ForwardingLayer:
             )
         records: List[HeartbeatRecord] = []
         unstable = (
-            self.last_evidence_change >= r - self.stabilization_slack
+            self.last_evidence_change >= r - self.bounds.multi_fallback
             or r <= self._probe_until
         )
         if unstable or delta != 0:

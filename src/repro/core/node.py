@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.auditing import AuditingLayer, TaskRegistry
+from repro.core.bounds import Bounds
 from repro.core.config import ReboundConfig
 from repro.core.evidence import EvidenceVerifier
 from repro.core.forwarding import ForwardingLayer, RoundOutput
@@ -67,6 +68,7 @@ class ReboundNode(NodeProtocol):
         mode_tree: ModeTree,
         path_cache: PathCache,
         coverage: CoverageRegistry,
+        bounds: Bounds,
     ):
         self.node_id = node_id
         self.topology = topology
@@ -80,8 +82,6 @@ class ReboundNode(NodeProtocol):
         #: bound by the runtime when ReboundConfig.durability_enabled.
         self.durable = None
 
-        from repro.core.quotas import pending_audit_cap
-
         self.auditing = AuditingLayer(
             node_id=node_id,
             workload=workload,
@@ -89,7 +89,7 @@ class ReboundNode(NodeProtocol):
             crypto=crypto,
             submit_evidence=self._submit_evidence,
             send_on_path=self._send_on_path,
-            pending_cap=pending_audit_cap(config.d_max),
+            pending_cap=bounds.pending_audit_cap,
         )
         self.forwarding = ForwardingLayer(
             node_id=node_id,
@@ -100,6 +100,7 @@ class ReboundNode(NodeProtocol):
             on_new_evidence=self._on_new_evidence,
             on_packet=self.auditing.on_packet,
             coverage=coverage,
+            bounds=bounds,
         )
         self.current_scenario: FailureScenario = EMPTY_SCENARIO
         self.current_schedule: Optional[ModeSchedule] = None

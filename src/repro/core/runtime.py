@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.auditing import TaskRegistry
+from repro.core.bounds import Bounds
 from repro.core.config import ReboundConfig
 from repro.core.devices import ActuatorDevice, SensorDevice
 from repro.core.heartbeat import CoverageRegistry
@@ -77,6 +78,8 @@ class ReboundSystem:
         self.config = config
         if config.d_max is None:
             config.d_max = self._resolve_d_max()
+        #: Every protocol and oracle window of this deployment.
+        self.bounds = Bounds.from_config(config, len(topology.controllers))
         self.registry = registry or TaskRegistry()
         self.registry.register_default(workload)
 
@@ -103,7 +106,7 @@ class ReboundSystem:
         self.path_cache = PathCache(PathComputer(topology, workload, config.fconc))
         self.coverage = CoverageRegistry(
             topology,
-            config.d_max,
+            self.bounds.d_max,
             {c: self.directory.ms_public(c).value for c in topology.controllers},
             self.directory.group.q,
         )
@@ -126,6 +129,7 @@ class ReboundSystem:
                 mode_tree=mode_tree,
                 path_cache=self.path_cache,
                 coverage=self.coverage,
+                bounds=self.bounds,
             )
             self.nodes[node_id] = node
             self.network.attach(node_id, node)
@@ -138,6 +142,7 @@ class ReboundSystem:
                 self.registry,
                 mode_tree,
                 self.path_cache,
+                self.bounds,
                 read=sensor_reads.get(node_id, default_sensor_read(node_id)),
             )
             self.sensors[node_id] = sensor
@@ -151,6 +156,7 @@ class ReboundSystem:
                 self.registry,
                 mode_tree,
                 self.path_cache,
+                self.bounds,
                 apply=actuator_applies.get(node_id, lambda r, p, o: None),
             )
             self.actuators[node_id] = actuator
@@ -202,9 +208,8 @@ class ReboundSystem:
     def close(self) -> None:
         """Flush durable stores."""
         for node in self.nodes.values():
-            durable = getattr(node, "durable", None)
-            if durable is not None:
-                durable.flush()
+            if node.durable is not None:
+                node.durable.flush()
 
     def _resolve_d_max(self) -> int:
         controllers = set(self.topology.controllers)
@@ -428,6 +433,7 @@ class ReboundSystem:
             mode_tree=self.mode_tree,
             path_cache=self.path_cache,
             coverage=self.coverage,
+            bounds=self.bounds,
         )
         self.nodes[node_id] = node
         self.network.attach(node_id, node)

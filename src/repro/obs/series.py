@@ -141,22 +141,10 @@ class MetricsTimeSeries:
             "system.evidence_items_max": float(evidence_max),
             "system.heartbeat_store_max": float(store_max),
             "system.budget_exceeded": float(system.budget_exceeded),
+            "system.evidence_item_cap": float(system.bounds.evidence_cap),
+            "system.heartbeat_record_cap": float(system.bounds.heartbeat_store_cap),
         }
-        config = system.config
-        if config.d_max:
-            from repro.core.quotas import (
-                evidence_item_cap,
-                heartbeat_record_cap,
-            )
-
-            n = len(system.topology.controllers)
-            values["system.evidence_item_cap"] = float(
-                evidence_item_cap(n, config.d_max)
-            )
-            values["system.heartbeat_record_cap"] = float(
-                heartbeat_record_cap(n, config.d_max)
-            )
-        auditors = getattr(system, "auditors", None)
+        auditors = system.auditors
         if auditors:
             values["stabilize.audit_beacons"] = float(
                 sum(a.beacons for a in auditors.values())

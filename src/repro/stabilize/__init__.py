@@ -9,16 +9,11 @@ its protocol state into an audit beacon, checks it against invariants that
 hold *by construction* in any uncorrupted execution, cross-checks the
 evidence root against quorum, and on divergence resyncs the node from a
 quorum reference plus the durable verified prefix (PR 8) -- converging back
-to quorum-consistent state within :func:`convergence_bound` rounds, the
-Req-S bound asserted by :class:`~repro.chaos.monitor.BTRMonitor`.
+to quorum-consistent state within ``Bounds.convergence_s`` rounds
+(:mod:`repro.core.bounds`), the Req-S bound asserted by
+:class:`~repro.chaos.monitor.BTRMonitor`.
 """
 
-from repro.stabilize.auditor import (
-    StateAuditor,
-    convergence_bound,
-)
+from repro.stabilize.auditor import StateAuditor
 
-__all__ = [
-    "StateAuditor",
-    "convergence_bound",
-]
+__all__ = ["StateAuditor"]

@@ -7,8 +7,8 @@ memo, mode pointer, quota ledger -- and checks it two ways:
 * **Local invariants.**  Each audited field is either content-addressed
   (evidence items are keyed by canonical digest; the set digest is a hash
   of the keys), derivable (the mode pointer must equal the tree lookup for
-  the current fault pattern; quota caps are pure functions of the
-  topology), or bounded (ledger counters are non-negative, suspects are
+  the current fault pattern; quota caps are copies of the system's frozen
+  ``Bounds``), or bounded (ledger counters are non-negative, suspects are
   controllers).  Any single-field transient corruption therefore breaks at
   least one *locally checkable* invariant -- no network traffic needed to
   detect it.
@@ -50,19 +50,6 @@ from repro.obs.events import (
     EV_AUDIT_DIVERGENCE,
     EV_AUDIT_RESYNC,
 )
-
-def convergence_bound(audit_interval: int, d_max: int) -> int:
-    """Req-S: rounds from corruption to quorum-consistency (§16.3).
-
-    One full audit interval until the next tick sees the damage and
-    repairs the local invariants, ``d_max`` for any evidence the node
-    dropped while corrupted to age past the in-flight window (younger
-    items may legitimately still be flooding), one more interval for the
-    tick that merges that stale core, plus two rounds of slack for
-    secondary evidence triggered by the transient itself (e.g. LFDs
-    declared against a mode-scrambled node's paths)."""
-    return 2 * audit_interval + d_max + 2
-
 
 class StateAuditor:
     """Audits one controller's in-RAM protocol state each audit interval.
@@ -157,7 +144,7 @@ class StateAuditor:
         peers = [p for p in system.correct_controllers() if p != self.node_id]
         if not peers:
             return {}
-        d_max = system.config.d_max
+        d_max = system.bounds.d_max
         need = len(peers) // 2 + 1
         counts: Dict[bytes, int] = {}
         samples: Dict[bytes, Any] = {}

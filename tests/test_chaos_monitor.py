@@ -1,5 +1,7 @@
 """Unit tests for the BTR invariant monitor."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos import (
@@ -59,19 +61,21 @@ class TestViolations:
         """An activation that never surfaces in any correct pattern trips
         the Req. 1 deadline with a typed, replayable violation."""
         system = _build()
-        monitor = BTRMonitor(d_max=2, r_max=50)
+        monitor = BTRMonitor()
         system.attach_monitor(monitor)
         # Synthetic undetectable element: nothing ever blames node 999.
-        monitor._activations[("node", 999)] = system.round_no
+        activated = system.round_no
+        monitor._activations[("node", 999)] = activated
+        d_max = system.bounds.d_max
         with pytest.raises(DetectionTimeoutViolation) as err:
-            system.run(6)
+            system.run(d_max + 2)
         assert err.value.kind == "detection"
-        assert err.value.repro["round"] > 0
-        assert err.value.repro["d_max"] == 2
+        assert err.value.repro["round"] == activated + d_max + 1
+        assert err.value.repro["d_max"] == d_max
 
     def test_recovery_timeout_raises_typed_violation(self):
         system = _build()
-        system.attach_monitor(BTRMonitor(r_max=0))
+        system.attach_monitor(BTRMonitor(bounds=replace(system.bounds, r_max=0)))
         system.inject_now(system.topology.controllers[0], CrashBehavior())
         with pytest.raises(RecoveryTimeoutViolation) as err:
             system.run(6)
@@ -80,8 +84,8 @@ class TestViolations:
 
     def test_record_only_collects_instead_of_raising(self):
         system = _build()
-        monitor = BTRMonitor(d_max=0, r_max=0, record_only=True,
-                             context={"scenario": "unit-test"})
+        monitor = BTRMonitor(bounds=replace(system.bounds, r_max=0),
+                             record_only=True, context={"scenario": "unit-test"})
         system.attach_monitor(monitor)
         system.inject_now(system.topology.controllers[0], CrashBehavior())
         system.run(8)
@@ -96,11 +100,18 @@ class TestViolations:
         )
 
     def test_violations_deduplicate(self):
+        """A violation that persists round after round is recorded once:
+        an activation nothing ever reflects keeps recovery unmet past the
+        deadline on every one of the rounds run."""
         system = _build()
-        monitor = BTRMonitor(d_max=0, record_only=True)
+        monitor = BTRMonitor(bounds=replace(system.bounds, r_max=0),
+                             record_only=True)
         system.attach_monitor(monitor)
         system.inject_now(system.topology.controllers[0], CrashBehavior())
+        monitor._activations[("node", 999)] = system.round_no
         system.run(10)
+        assert monitor.recovery_round is None
+        assert [v.kind for v in monitor.violations].count("recovery") == 1
         keys = [
             (v.kind, str(v)) for v in monitor.violations
         ]

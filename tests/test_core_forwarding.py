@@ -10,6 +10,7 @@ from typing import Any, List
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.bounds import Bounds
 from repro.core.config import ReboundConfig
 from repro.core.evidence import EvidenceVerifier, LFD, lfd_body
 from repro.core.forwarding import (
@@ -57,6 +58,7 @@ def _make_layer(topo, node_id, directory, variant="basic", d_max=4,
             {n: directory.ms_public(n).value for n in topo.controllers},
             directory.group.q,
         ),
+        bounds=Bounds.from_config(config, len(topo.controllers)),
     )
     layer.start(0)
     layer._test_evidence_events = received_evidence
@@ -412,10 +414,12 @@ def _rule_b_suspects(layer, j, r_origin):
     """Does Rule B, at the horizon of origin round ``r_origin`` and with
     the coverage masks ``layer`` holds, open a suspicion against ``j``?"""
     obs = RuleBObservation(
-        node=layer.node_id, round_no=r_origin + 1 + layer.d_max,
-        joined_round=0, last_evidence_change=-(10**9), d_max=layer.d_max,
+        node=layer.node_id, round_no=r_origin + layer.bounds.rule_b_horizon,
+        joined_round=0, last_evidence_change=-(10**9), origin_round=r_origin,
+        join_grace=layer.bounds.join_grace,
+        deferral=layer.bounds.rule_b_deferral,
         live=(j,), heard=frozenset({j}),
-        expected={j: layer._coverage.support_bits(j, layer.d_max)},
+        expected={j: layer._coverage.support_bits(j, layer.bounds.d_max)},
         delivered={j: layer._delivered[j].get(r_origin, 0)},
         accused=frozenset(), pending={}, pattern=layer.fault_pattern,
     )
@@ -446,7 +450,7 @@ class TestCoverageMasks:
             rec = HeartbeatRecord(origin=origin, round_no=7, delta_count=0,
                                   signature=b"")
             layer._mark_record_delivered(j, rec)
-        expected = calc.support(j, layer.d_max)
+        expected = calc.support(j, layer.bounds.d_max)
         assert _rule_b_suspects(layer, j, 7) == bool(expected - delivered)
         assert _rule_b_suspects(layer, j, 8) == bool(expected)
 
@@ -495,13 +499,14 @@ class TestCoverageMasks:
         x.receive(r + 1, 1, _msg(sender=1, round_no=r, records=[
             _own_record(ring_dir, origin, r) for origin in (0, 1, 2, 4)
         ]))
-        assert x._coverage.support(1, x.d_max) == {0, 1, 2, 4}
+        assert x._coverage.support(1, x.bounds.d_max) == {0, 1, 2, 4}
         assert not _rule_b_suspects(x, 1, r)
 
         other = _topology([0, 1, 2, 4], [(0, 1), (1, 2), (4, 0)])
         y = _make_layer(other, 0, Directory(rsa_bits=256, seed=6))
         assert y._coverage is not x._coverage
-        assert y._coverage.support(1, y.d_max) == x._coverage.support(1, x.d_max)
+        d_max = x.bounds.d_max
+        assert y._coverage.support(1, d_max) == x._coverage.support(1, d_max)
         assert y.coverage.for_pattern(y.fault_pattern) is y._coverage
         assert x.coverage.for_pattern(x.fault_pattern) is x._coverage
         assert not _rule_b_suspects(x, 1, r)
@@ -514,11 +519,18 @@ def _empty_pattern(nodes=(), links=()):
     return FailureScenario(nodes=frozenset(nodes), links=frozenset(links))
 
 
+#: The windows of a d_max-3 deployment, as the rule observations carry them.
+_BOUNDS = Bounds.from_config(ReboundConfig(d_max=3), n=4)
+
+
 class TestRuleAFunction:
     """rule_a as a pure function: live (1, 3), only 1 heard."""
 
     def _lfds(self, r, joined=0, last_change=-(10**9)):
-        return rule_a(RuleAObservation(r, joined, last_change, (1, 3), frozenset({1})))
+        return rule_a(RuleAObservation(
+            r, joined, last_change, (1, 3), frozenset({1}),
+            _BOUNDS.join_grace, _BOUNDS.rule_a_suspension,
+        ))
 
     def test_suspended_at_join(self):
         assert self._lfds(6, joined=5) == []
@@ -534,13 +546,14 @@ class TestRuleBFunction:
     """rule_b as a pure function at node 0, d_max 3 (slack and grace 5),
     neighbor 1 expected to relay origins {0, 1, 2} (mask 0b111)."""
 
-    D_MAX = 3
+    D_MAX = _BOUNDS.d_max
 
     def _obs(self, r, delivered=0b011, joined=0, last_change=-(10**9),
              accused=(), pending=None, pattern=None):
         return RuleBObservation(
             node=0, round_no=r, joined_round=joined,
-            last_evidence_change=last_change, d_max=self.D_MAX,
+            last_evidence_change=last_change, origin_round=r - 1 - self.D_MAX,
+            join_grace=_BOUNDS.join_grace, deferral=_BOUNDS.rule_b_deferral,
             live=(1,), heard=frozenset({1}),
             expected={1: 0b111}, delivered={1: delivered},
             accused=frozenset(accused), pending=pending or {},
@@ -615,6 +628,7 @@ class TestRuleCFunction:
     def _lfds(self, origin_round, r=20, joined=0, seen=(), pattern=None):
         return rule_c(RuleCObservation(
             node=0, round_no=r, joined_round=joined, paths_stable_since=10,
+            join_grace=_BOUNDS.join_grace, settle=_BOUNDS.rule_c_settle,
             expected=((1, (7, origin_round)),), seen=frozenset(seen),
             pattern=pattern or _empty_pattern(),
         ))

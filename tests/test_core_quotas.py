@@ -1,6 +1,7 @@
 """Tests for the evidence-layer admission-control and memory-bound layer.
 
-Covers the quota cap formulas, the per-(sender, kind, round) accounting with
+Covers the quota caps :class:`~repro.core.bounds.Bounds` derives, the
+per-(sender, kind, round) accounting with
 its suspect-degradation / round-robin-favor policy, the EvidenceSet's bucket
 eviction (and its pattern equivalence), and the auditing layer's pending
 challenge caps.  That no quota fires without an adversary is pinned on the
@@ -8,52 +9,52 @@ golden cells (``tests/test_golden_cells.py``).
 """
 
 from repro.core import evidence
+from repro.core.bounds import Bounds
+from repro.core.config import ReboundConfig
 from repro.core.evidence import (
     EquivocationPoM,
     EvidenceSet,
     LFD,
     heartbeat_body,
 )
-from repro.core.quotas import (
-    AdmissionQuotas,
-    aggregate_quota,
-    evidence_item_cap,
-    heartbeat_record_cap,
-    pending_audit_cap,
-    pom_lfd_slack,
-    record_quota,
-)
+from repro.core.quotas import AdmissionQuotas
 from repro.net.topology import grid_topology
+
+
+def _bounds(n, d_max):
+    return Bounds.from_config(ReboundConfig(d_max=d_max), n)
 
 
 class TestCapFormulas:
     def test_caps_positive_and_monotone(self):
         for n in (1, 5, 20):
             for d_max in (2, 5, 10):
-                assert record_quota(n, d_max) >= 1
-                assert aggregate_quota(d_max) >= 1
-                assert evidence_item_cap(n, d_max) >= 1
-                assert heartbeat_record_cap(n, d_max) >= 1
-                assert pending_audit_cap(d_max) >= 1
-        assert record_quota(20, 5) > record_quota(5, 5)
-        assert record_quota(5, 10) > record_quota(5, 5)
-        assert evidence_item_cap(20, 5) > evidence_item_cap(5, 5)
+                b = _bounds(n, d_max)
+                assert b.record_quota >= 1
+                assert b.aggregate_quota >= 1
+                assert b.evidence_cap >= 1
+                assert b.heartbeat_store_cap >= 1
+                assert b.pending_audit_cap >= 1
+        assert _bounds(20, 5).record_quota > _bounds(5, 5).record_quota
+        assert _bounds(5, 10).record_quota > _bounds(5, 5).record_quota
+        assert _bounds(20, 5).evidence_cap > _bounds(5, 5).evidence_cap
 
     def test_pom_lfd_slack_formula(self):
         # Devices and controllers must derive identical patterns, so the
         # slack is a pure function of the shared d_max.
-        assert pom_lfd_slack(5) == 16
-        assert pom_lfd_slack(10) == 26
+        assert _bounds(5, 5).pom_lfd_slack == 16
+        assert _bounds(5, 10).pom_lfd_slack == 26
 
     def test_evidence_cap_is_quadratic_not_rate_dependent(self):
         # O(n^2) state bound, independent of adversary send rate.
-        n, d_max = 20, 10
-        assert evidence_item_cap(n, d_max) <= 2 * n * n + 8 * n + 16
+        n = 20
+        assert _bounds(n, 10).evidence_cap <= 2 * n * n + 8 * n + 16
+        assert _bounds(n, 10).evidence_cap == _bounds(n, 1).evidence_cap
 
 
 class TestAdmissionQuotas:
     def _quotas(self, n=6, d_max=4):
-        q = AdmissionQuotas(n=n, d_max=d_max)
+        q = AdmissionQuotas(_bounds(n, d_max))
         q.begin_round(1)
         return q
 
@@ -121,8 +122,21 @@ class TestAdmissionQuotas:
 
     def test_from_topology_uses_controller_count(self):
         topology = grid_topology(3, 3)
-        q = AdmissionQuotas.from_topology(topology, d_max=4)
-        assert q.n == len(topology.controllers)
+        n = len(topology.controllers)
+        q = AdmissionQuotas(_bounds(n, 4))
+        assert q.caps["records"] == n * (4 + 3)
+        assert q.caps["evidence"] == 2 * n * n + 8 * n + 16
+
+    def test_ledger_compares_the_mutable_caps_with_the_bounds(self):
+        """Corrupted caps are reported and rebuilt from the frozen
+        bounds, which the corruption cannot reach."""
+        q = self._quotas()
+        frozen = dict(q.caps)
+        q.caps["records"] = 1
+        assert q.ledger_issues(range(6)) == ["caps"]
+        q.reset_ledger(range(6))
+        assert q.caps == frozen
+        assert q.ledger_issues(range(6)) == []
 
     def test_telemetry_counters_advance(self):
         q = self._quotas()

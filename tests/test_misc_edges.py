@@ -133,5 +133,3 @@ class TestConfigValidation:
 
         cfg = ReboundConfig(round_length_us=40_000)
         assert cfg.round_length_ms == pytest.approx(40.0)
-        assert cfg.rounds_to_us(5) == 200_000
-        assert cfg.recovery_bound_rounds(2, 3) == 6

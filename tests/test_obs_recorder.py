@@ -1,6 +1,7 @@
 """Flight-recorder tests: zero-perturbation, ring bounds, exports."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -256,7 +257,9 @@ class TestMonitorIntegration:
             system = ReboundSystem(topology, workload, config, seed=0)
             # r_max=0: the recovery deadline expires immediately, forcing a
             # RecoveryTimeoutViolation as soon as a fault lands.
-            monitor = BTRMonitor(r_max=0, record_only=True)
+            monitor = BTRMonitor(
+                bounds=replace(system.bounds, r_max=0), record_only=True
+            )
             system.attach_monitor(monitor)
             system.run(3)
             system.inject_now(max(system.topology.controllers), CrashBehavior())
@@ -278,7 +281,9 @@ class TestMonitorIntegration:
         )
         config = ReboundConfig(fmax=1, fconc=1, variant="basic", rsa_bits=256)
         system = ReboundSystem(topology, workload, config, seed=0)
-        monitor = BTRMonitor(r_max=0, record_only=True)
+        monitor = BTRMonitor(
+            bounds=replace(system.bounds, r_max=0), record_only=True
+        )
         system.attach_monitor(monitor)
         system.run(3)
         system.inject_now(max(system.topology.controllers), CrashBehavior())

@@ -352,12 +352,11 @@ def test_transient_corruption_converges_within_audit_bound(
 ):
     """Req-S (PROTOCOL.md S16): a single-field transient corruption of a
     *correct* node's in-RAM state converges back to quorum consistency
-    within ``convergence_bound(audit_interval, d_max)`` rounds -- via the
+    within ``Bounds.convergence_s`` rounds -- via the
     auditor's resync or by natural overwrite, either way ending in a clean
     audit tick -- and no correct node (the victim included) is ever
     condemned by any correct node's fault pattern."""
     from repro.chaos.corruption import CORRUPTIONS
-    from repro.stabilize import convergence_bound
 
     topology = erdos_renyi_topology(n, seed=seed)
     workload = WorkloadGenerator(seed=seed, chain_length_range=(1, 2)).workload(
@@ -378,7 +377,7 @@ def test_transient_corruption_converges_within_audit_bound(
     kind = kinds[kind_idx % len(kinds)]
     system.corrupt_now(victim, CORRUPTIONS[kind](seed=seed))
     corrupt_round = system.round_no
-    bound = convergence_bound(config.audit_interval, config.d_max)
+    bound = system.bounds.convergence_s
     correct = set(system.correct_controllers())
     for _ in range(bound + 6):
         system.run_round()

@@ -4,7 +4,7 @@ The Req-S contract: a single-field in-RAM corruption of a *correct* node
 (evidence key bit flip, epoch-digest desync, mode-pointer scramble, quota
 ledger garbage) is detected by the periodic :class:`StateAuditor` and the
 node converges back to quorum consistency within
-``convergence_bound(audit_interval, d_max)`` rounds, without any correct
+``Bounds.convergence_s`` rounds, without any correct
 node -- the victim included -- ever being condemned.  These runs use a
 **raising** :class:`BTRMonitor`, so every Req. 1/2/3 invariant is armed
 throughout; a grace-window bug or resync-triggered accusation fails the
@@ -22,10 +22,11 @@ from repro.analysis.metrics import transcript_entry
 from repro.core.evidence import evidence_digest
 from repro.chaos import BTRMonitor, CORRUPTIONS
 from repro.core import ReboundConfig, ReboundSystem
+from repro.core.bounds import Bounds
 from repro.faults.adversary import CrashBehavior, EquivocateBehavior
 from repro.net.topology import erdos_renyi_topology
 from repro.sched.workload import WorkloadGenerator
-from repro.stabilize import StateAuditor, convergence_bound
+from repro.stabilize import StateAuditor
 
 
 def _system(seed=11, stabilize=True, audit_interval=4, **kwargs):
@@ -59,9 +60,7 @@ def test_corruption_converges_within_bound(kind):
     system.corrupt_now(0, CORRUPTIONS[kind](seed=7))
     assert system.transient_corruptions[-1]["kind"] == kind
     corrupt_round = system.round_no
-    bound = convergence_bound(
-        system.config.audit_interval, system.config.d_max
-    )
+    bound = system.bounds.convergence_s
     auditor = system.auditors[0]
     system.run(bound + 12)
     assert auditor.divergences, f"{kind}: corruption never detected"
@@ -91,8 +90,10 @@ def test_corruption_breaks_a_local_invariant(kind):
 
 
 def test_convergence_bound_formula():
-    assert convergence_bound(4, 4) == 2 * 4 + 4 + 2
-    assert convergence_bound(1, 2) == 2 * 1 + 2 + 2
+    for audit_interval, d_max in ((4, 4), (1, 2)):
+        config = ReboundConfig(d_max=d_max, audit_interval=audit_interval)
+        bound = Bounds.from_config(config, n=6).convergence_s
+        assert bound == 2 * audit_interval + d_max + 2
 
 
 def test_stabilize_disabled_no_auditors():
@@ -198,10 +199,7 @@ def test_resync_replays_durable_verified_prefix(tmp_path):
     assert len(system.nodes[0].forwarding.evidence) > 0
     system.corrupt_now(0, _WildPointerLoss())
     assert system.transient_corruptions[-1]["dropped"] > 0
-    system.run(
-        convergence_bound(system.config.audit_interval, system.config.d_max)
-        + 8
-    )
+    system.run(system.bounds.convergence_s + 8)
     auditor = system.auditors[0]
     assert auditor.divergences
     last = auditor.divergences[-1]
@@ -228,8 +226,9 @@ def test_note_repair_registers_fresh_activation_and_grace():
     assert 3 not in monitor._known_faulty
     assert monitor._graces[3] == 10
     # The shared window covers d_max + 2 rounds, then expires.
-    assert monitor._in_grace(_FakeSystem(10 + 4 + 2), d_max=4) == {3}
-    assert monitor._in_grace(_FakeSystem(10 + 4 + 3), d_max=4) == set()
+    grace = Bounds.from_config(ReboundConfig(d_max=4), n=6).grace
+    assert monitor._in_grace(_FakeSystem(10 + 4 + 2), grace) == {3}
+    assert monitor._in_grace(_FakeSystem(10 + 4 + 3), grace) == set()
 
 
 def test_note_resync_opens_grace_without_activation():
@@ -238,7 +237,7 @@ def test_note_resync_opens_grace_without_activation():
     monitor.note_resync(2, 7)
     # Not a fault event: no Req. 2 window reopens.
     assert monitor._activations == before
-    assert monitor._in_grace(_FakeSystem(7 + 1), d_max=4) == {2}
+    assert monitor._in_grace(_FakeSystem(7 + 1), grace=4 + 2) == {2}
 
 
 def test_resync_clears_pending_coverage_suspicions():
