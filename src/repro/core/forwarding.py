@@ -52,7 +52,7 @@ from repro.core.heartbeat import (
     HeartbeatRecord,
     HeartbeatStore,
 )
-from repro.core.identity import NodeCrypto
+from repro.core.identity import AggregateColumn, NodeCrypto
 from repro.core.paths import PATH_AUTH, PATH_XREP, Path, PathSet
 from repro.core.quotas import AdmissionQuotas
 from repro.crypto.hashing import hash_bytes
@@ -523,16 +523,17 @@ class ForwardingLayer:
         self._got_message_from = set()
         self.quotas.begin_round(round_no)
 
-    def _charge_quota(self, sender: int, kind: str) -> bool:
-        """Admission control: one unit of round-``kind`` verification budget
-        for ``sender``.  Anything beyond what a correct node could
-        legitimately originate in one round is dropped *before* signature
-        verification (the flood defense); the first drop per (sender, kind)
-        per round is flight-recorded."""
-        allowed, first_drop = self.quotas.charge(sender, kind)
-        if not allowed and first_drop:
+    def _charge_quota(self, sender: int, kind: str, count: int = 1) -> int:
+        """Admission control: ``count`` units of round-``kind``
+        verification budget for ``sender``; returns how many (a prefix) are
+        admitted.  Anything beyond what a correct node could legitimately
+        originate in one round is dropped *before* signature verification
+        (the flood defense); the first drop per (sender, kind) per round is
+        flight-recorded."""
+        admitted, first_drop = self.quotas.charge(sender, kind, count)
+        if first_drop:
             self._trace(EV_QUOTA_DROP, {"sender": sender, "kind": kind})
-        return allowed
+        return admitted
 
     def receive(self, round_no: int, sender: int, msg: Any) -> None:
         if not isinstance(msg, RoundMessage):
@@ -557,36 +558,13 @@ class ForwardingLayer:
             self.issue_lfd(sender, "content")
 
     def receive_batch(self, batch: List[Tuple[int, int, Any]]) -> None:
-        """Process a round's buffered deliveries: one batched warm pass
-        over every admissible aggregate signature, then the ordinary
-        per-message path in original order.  Warming only prefetches
-        verdicts into the system's verdict memo (no counters, no protocol
-        state), so the round's residual multisig checks amortize into one
-        group equation without changing transcripts or counters."""
-        self._warm_aggregate_verifications(batch)
+        """Process a round's buffered deliveries in arrival order.  Under
+        MULTI, each message's aggregates are judged from the round's shared
+        aggregate column (see :meth:`_aggregate_column`): the first
+        recipient of a sender message builds it with one batched group
+        equation, and every other recipient under the same epoch reads it."""
         for round_no, sender, msg in batch:
             self.receive(round_no, sender, msg)
-
-    def _warm_aggregate_verifications(
-        self, batch: List[Tuple[int, int, Any]]
-    ) -> None:
-        if self.config.variant != VARIANT_MULTI:
-            return
-        entries: List[Tuple[bytes, int, int]] = []
-        for round_no, sender, msg in batch:
-            if (
-                isinstance(msg, RoundMessage)
-                and msg.sender == sender
-                and msg.round_no == round_no - 1
-                and sender not in self._fault_pattern.nodes
-            ):
-                for agg, age in self._admissible_aggregates(
-                    sender, msg.aggregates, probe=False
-                ):
-                    key = self._coverage.aggregate_key(sender, age)
-                    entries.append((agg.body(), agg.sig_value, key))
-        if entries:
-            self.crypto.ms_warm_batch(entries)
 
     # -- receive helpers ---------------------------------------------------------
 
@@ -678,73 +656,77 @@ class ForwardingLayer:
         checkers = {members[(seed + i) % len(members)] for i in range(k)}
         return self.node_id not in checkers
 
-    def _admissible_aggregates(
+    def _aggregate_column(
+        self, sender: int, aggregates: Tuple[AggregateHeartbeat, ...], digest: bytes
+    ) -> AggregateColumn:
+        """``sender``'s aggregates as judged under this node's epoch digest
+        and coverage DP this round.  That is a pure function of public data
+        (PAPER S3.6: the key is precomputed from the mode), so the system's
+        Directory builds one column per (digest, DP, sender, aggregates
+        tuple) per round, and every recipient of the same tuple object --
+        ``RoundOutput.message_for`` hands all of them one -- reads it."""
+        coverage = self._coverage
+        return self.crypto.directory.aggregate_column(
+            self._round, (digest, coverage, sender, id(aggregates)), aggregates,
+            lambda: self._build_column(sender, aggregates, digest, coverage),
+        )
+
+    def _build_column(
         self,
         sender: int,
         aggregates: Tuple[AggregateHeartbeat, ...],
-        probe: bool,
-    ) -> List[Tuple[AggregateHeartbeat, int]]:
-        """(aggregate, age) for each of ``sender``'s aggregates the coverage
-        DP can check: inside the expiry window, under this node's fault
-        epoch, from a sender the DP covers.
-
-        An aggregate under another epoch is left to the fallback records.
-        With ``probe``, an unexplained divergence -- this node's evidence
-        has been stable past the MULTI fallback window, so no recent fault
-        accounts for it -- is a storm symptom: probe with individual
-        records so any equivocation surfaces as a PoM."""
-        digest = self.epoch_digest
-        covered = self._coverage.has_node(sender)
+        digest: bytes,
+        coverage: CoverageCalculator,
+    ) -> AggregateColumn:
+        # The DP checks an aggregate inside the expiry window, under this
+        # epoch, from a sender it covers; one under another epoch is left
+        # to the fallback records.
+        covered = coverage.has_node(sender)
         d_max = self.bounds.d_max
-        admissible = []
+        checked, mismatch = [], False
         for agg in aggregates:
             age = self._round - 1 - agg.round_no
             if age < 0 or age > d_max:
                 continue
             if agg.epoch_digest != digest:
-                if (
-                    probe
-                    and self.last_evidence_change
-                    < self._round - self.bounds.multi_fallback
-                ):
-                    self._start_probe()
-                continue
-            if covered:
-                admissible.append((agg, age))
-        return admissible
+                mismatch = True
+            elif covered:
+                checked.append((agg, age, coverage.aggregate_key(sender, age)))
+        verdicts = self.crypto.ms_warm_batch(
+            [(agg.body(), agg.sig_value, key) for agg, _age, key in checked]
+        )
+        return AggregateColumn(
+            tuple(
+                (agg.round_no, agg.sig_value, age, key,
+                 coverage.support_bits(sender, age), ok)
+                for (agg, age, key), ok in zip(checked, verdicts)
+            ),
+            mismatch,
+        )
 
     def _process_aggregates(
         self, sender: int, aggregates: Tuple[AggregateHeartbeat, ...]
     ) -> bool:
         if self.config.variant != VARIANT_MULTI:
             return len(aggregates) == 0
-        # Two passes: collect every admissible aggregate, batch-verify them
-        # in one combined group equation (verdicts identical to per-item
-        # checks -- see crypto.multisig), then fold in the ones that pass.
-        # Admissibility only reads state the loop never mutates (epoch
-        # digest, coverage DP), so the split is behavior-preserving.
-        admissible = [
-            (agg, age)
-            for agg, age in self._admissible_aggregates(
-                sender, aggregates, probe=True
-            )
-            if self._charge_quota(sender, "aggregates")
-        ]
-        if not admissible:
+        digest = self.epoch_digest
+        column = self._aggregate_column(sender, aggregates, digest)
+        if (
+            column.mismatch
+            and self.last_evidence_change < self._round - self.bounds.multi_fallback
+        ):
+            # An unexplained divergence -- this node's evidence has been
+            # stable past the MULTI fallback window, so no recent fault
+            # accounts for it -- is a storm symptom: probe with individual
+            # records so any equivocation surfaces as a PoM.
+            self._start_probe()
+        rows = column.rows
+        if not rows:
             return True
-        verdicts = self.crypto.ms_verify_batch(
-            [
-                (
-                    agg.body(),
-                    agg.sig_value,
-                    self._coverage.aggregate_key(sender, age),
-                    self._coverage.support_bits(sender, age),
-                    (self.epoch_digest, sender, age),
-                )
-                for agg, age in admissible
-            ]
-        )
-        for (agg, age), ok in zip(admissible, verdicts):
+        rows = rows[: self._charge_quota(sender, "aggregates", len(rows))]
+        self.crypto.ms_verify_batch(digest, sender, rows)
+        delivered = self._delivered[sender]  # as _mark_delivered, hoisted
+        for r_origin, sig_value, _age, _key, support, ok in rows:
             if not ok:
                 # The sender's propagation was disturbed (or it lies); do not
                 # combine, and let Rule B attribute any resulting shortfall.
@@ -753,16 +735,15 @@ class ForwardingLayer:
                 # can expose the conflicting signatures.
                 self._start_probe()
                 continue
-            support = self._coverage.support_bits(sender, age)
-            self._mark_delivered(sender, agg.round_no, support)
-            state = self._aggregates.get(agg.round_no)
+            delivered[r_origin] = delivered.get(r_origin, 0) | support
+            state = self._aggregates.get(r_origin)
             if state is None or state.broken:
                 continue
             # Combine every verified aggregate: the DP key recurrence adds
             # every transmitting neighbor's aggregate, even when the
             # support set does not grow (multiplicities still change).
             new_support = state.support | support
-            state.value = self.crypto.ms_combine(state.value, agg.sig_value)
+            state.value = self.crypto.ms_combine(state.value, sig_value)
             if new_support != state.support:
                 state.support = new_support
                 state.grew = True

@@ -17,20 +17,23 @@ signer -- is charged per node, once per distinct key (each real node keeps
 its own memo and pays to build each entry exactly once); attribution is
 therefore independent of the order nodes are stepped in.
 
-Verification verdicts are likewise shared through the system's verdict
+Record and RSA verdicts are likewise shared through the system's verdict
 memo, a bounded LRU on its :class:`Directory` (same fidelity argument: a
-verdict is a pure function of public data).  Two systems never share a
-memo.  The memo sits *below* the counters -- every logical operation is
-still counted before the memo is consulted, only redundant arithmetic is
-skipped -- so cost metrics and transcripts do not depend on what the memo
-happens to hold.
+verdict is a pure function of public data).  MULTI aggregates bypass it:
+every neighbour of a sender receives the same aggregates and judges them
+under the same epoch's keys, so the Directory keeps one *aggregate column*
+per sender message and epoch for the round, built by one batched group
+equation and read by every recipient.  Two systems never share a memo or a
+column.  Both sit *below* the counters -- every logical operation is still
+counted per node, only redundant arithmetic is skipped -- so cost metrics
+and transcripts do not depend on what the memo happens to hold.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.crypto.cost_model import CryptoCounters
 from repro.crypto.hashing import derive_seed, hash_bytes
@@ -59,6 +62,18 @@ def _ms_key(body: bytes, sig_value: int, apk: int) -> Tuple:
     return ("ms", apk, _memo_body(body), sig_value)
 
 
+class AggregateColumn(NamedTuple):
+    """One sender message's aggregates as judged under one fault epoch.
+
+    ``rows`` holds (origin round, sig value, age, aggregate key, support
+    mask, verdict) for every aggregate inside the expiry window that the
+    epoch's coverage DP can check, in message order; ``mismatch`` is set
+    when an aggregate inside the window carried another epoch digest."""
+
+    rows: Tuple[Tuple[int, int, int, int, int, bool], ...]
+    mismatch: bool
+
+
 def _rsa_check(public: RSAPublicKey, body: bytes, signature: bytes) -> bool:
     try:
         sig = RSASignature.from_bytes(signature)
@@ -73,8 +88,8 @@ def _ms_check(group: MultisigGroup, body: bytes, sig_value: int, apk: int) -> bo
 
 
 class Directory:
-    """All nodes' public keys, the shared multisignature group, and the
-    system's verdict memo."""
+    """All nodes' public keys, the shared multisignature group, the
+    system's verdict memo and the round's aggregate columns."""
 
     def __init__(self, rsa_bits: int = 512, multisig_bits: int = 256, seed: int = 0):
         self.rsa_bits = rsa_bits
@@ -89,6 +104,10 @@ class Directory:
         self.verdicts: "OrderedDict[Tuple, bool]" = OrderedDict()
         self.verdict_hits = 0
         self.verdict_misses = 0
+        # This round's aggregate columns: key -> (aggregates tuple, column).
+        # The tuple is held so that its id, part of the key, stays unique.
+        self._columns: Dict[Tuple, Tuple[Any, AggregateColumn]] = {}
+        self._columns_round: Any = None
 
     def register(self, node_id: int) -> None:
         if node_id in self._rsa_pairs:
@@ -128,35 +147,20 @@ class Directory:
             self.verdict_hits += 1
         return verdict
 
-    def ms_verdicts(self, entries: Sequence[Tuple]) -> List[bool]:
-        """The memo's verdicts for entries that start (body, sig, apk).
-        The misses are checked in one batched group equation, whose
-        verdicts equal the per-item check's; a key missed twice is checked
-        once."""
-        memo = self.verdicts
-        results: List[Optional[bool]] = []
-        misses: Dict[Tuple, List[int]] = {}
-        hits = 0
-        for index, entry in enumerate(entries):
-            key = _ms_key(entry[0], entry[1], entry[2])
-            verdict = memo.get(key)
-            if verdict is None:
-                misses.setdefault(key, []).append(index)
-            else:
-                memo.move_to_end(key)
-                hits += 1
-            results.append(verdict)
-        self.verdict_hits += hits
-        self.verdict_misses += len(results) - hits
-        if misses:
-            checked = verify_multisig_values_batch(
-                self.group, [entries[indices[0]][:3] for indices in misses.values()]
-            )
-            for (key, indices), verdict in zip(misses.items(), checked):
-                self._remember(key, verdict)
-                for index in indices:
-                    results[index] = verdict
-        return results
+    def aggregate_column(
+        self, round_no: int, key: Tuple, aggregates: Tuple,
+        build: Callable[[], AggregateColumn],
+    ) -> AggregateColumn:
+        """Round ``round_no``'s column for ``key`` -- which names the
+        ``aggregates`` tuple by identity -- built by its first reader.
+        Columns live for one round."""
+        if round_no != self._columns_round:
+            self._columns = {}
+            self._columns_round = round_no
+        entry = self._columns.get(key)
+        if entry is None:
+            entry = self._columns[key] = (aggregates, build())
+        return entry[1]
 
 
 @dataclass
@@ -275,31 +279,29 @@ class NodeCrypto:
 
     def ms_verify_batch(
         self,
-        entries: Sequence[Tuple[bytes, int, int, int, Tuple]],
+        epoch: bytes,
+        sender: int,
+        rows: Sequence[Tuple[int, int, int, int, int, bool]],
         domain: str = DOMAIN_FORWARDING,
-    ) -> List[bool]:
-        """Batch :meth:`ms_verify_value` over (body, sig, apk, signer_bits,
-        cache_key).
+    ) -> None:
+        """Charge this node for verifying ``rows`` of ``sender``'s aggregate
+        column under ``epoch`` (:class:`AggregateColumn`; the verdicts were
+        computed once, by :meth:`ms_warm_batch`).
 
         Counting semantics are identical to calling :meth:`ms_verify_value`
-        once per entry (the batch is a simulator fast path, not a modeled
-        protocol change): one ms_verify per entry, ms_combine_key once per
-        distinct aggregate key this node has not paid for yet.
+        once per row: one ms_verify per row, ms_combine_key once per
+        aggregate key (epoch, sender, age) this node has not paid for yet.
         """
-        if not entries:
-            return []
-        bucket = self.counters[domain]
-        for _body, _sig, _apk, signer_bits, agg_cache_key in entries:
-            bucket.ms_verify += 1
-            self._charge_aggregate_key(agg_cache_key, signer_bits, domain)
-        return self.directory.ms_verdicts(entries)
+        self.counters[domain].ms_verify += len(rows)
+        for row in rows:
+            self._charge_aggregate_key((epoch, sender, row[2]), row[4], domain)
 
-    def ms_warm_batch(self, entries: Sequence[Tuple[bytes, int, int]]) -> None:
-        """Warm the verdict memo with one batched multisig pass over (body,
-        sig, apk) triples.  A pure prefetch: no counters are charged (the
-        per-message processing that later consumes the verdicts still
-        counts every logical operation)."""
-        self.directory.ms_verdicts(entries)
+    def ms_warm_batch(self, entries: Sequence[Tuple[bytes, int, int]]) -> List[bool]:
+        """Verdicts for (body, sig, apk) triples, from one batched group
+        equation whose verdicts equal the per-item check's.  Charges no
+        counters and bypasses the verdict memo: it builds an aggregate
+        column, and each recipient pays through :meth:`ms_verify_batch`."""
+        return verify_multisig_values_batch(self.directory.group, entries)
 
     def ms_combine(self, a: int, b: int, domain: str = DOMAIN_FORWARDING) -> int:
         self.counters[domain].ms_combine_sig += 1

@@ -107,10 +107,9 @@ class ReboundNode(NodeProtocol):
         self.mode_switches: List[Tuple[int, FailureScenario]] = []
         self._round = 0
         # Round-batched receive: the round's deliveries are buffered and
-        # flushed through ForwardingLayer.receive_batch at round end, so
-        # (under MULTI) all multisig checks warm the verdict memo in one
-        # batched pass.  Safe because nothing observes forwarding state
-        # between the receive phase and on_round_end.
+        # flushed through ForwardingLayer.receive_batch at round end, after
+        # every node has sent.  Safe because nothing observes forwarding
+        # state between the receive phase and on_round_end.
         self._inbound: List[Tuple[int, int, Any]] = []
         # Optional per-layer traffic breakdown (Fig. 8a); off by default
         # because it re-encodes every outgoing message.

@@ -79,22 +79,27 @@ class AdmissionQuotas:
             return max(1, cap // _SUSPECT_DIVISOR)
         return cap
 
-    def charge(self, sender: int, kind: str) -> Tuple[bool, bool]:
-        """Charge one verification for (sender, kind); returns
-        (allowed, first_drop_this_round)."""
+    def charge(self, sender: int, kind: str, count: int = 1) -> Tuple[int, bool]:
+        """Charge ``count`` verifications for (sender, kind); returns (how
+        many are admitted -- always a prefix of the ``count`` --,
+        first_drop_this_round).  Equal to ``count`` unit charges: once a
+        unit is dropped the sender is over its cap, and becoming a suspect
+        only lowers it."""
         key = (sender, kind)
         used = self._used.get(key, 0)
-        if used < self.cap_for(sender, kind):
-            self._used[key] = used + 1
-            self.total_charged += 1
-            return True, False
+        admitted = min(count, max(0, self.cap_for(sender, kind) - used))
+        if admitted:
+            self._used[key] = used + admitted
+            self.total_charged += admitted
+        if admitted == count:
+            return admitted, False
         first = key not in self._dropped
         self._dropped.add(key)
         if sender not in self.suspects:
             self.suspects.add(sender)
             self._refresh_favored()
-        self.total_dropped += 1
-        return False, first
+        self.total_dropped += count - admitted
+        return admitted, first
 
     # -- self-stabilization hooks (docs/PROTOCOL.md section 16) ------------------
 

@@ -212,17 +212,9 @@ class ReboundSystem:
                 node.durable.flush()
 
     def _resolve_d_max(self) -> int:
-        controllers = set(self.topology.controllers)
-        graph = self.topology.graph().subgraph(controllers)
-        if len(controllers) <= 1:
+        if len(self.topology.controllers) <= 1:
             return 1
-        import networkx as nx
-
-        if not nx.is_connected(graph):
-            diameter = len(controllers)
-        else:
-            diameter = nx.diameter(graph)
-        return diameter + self.config.fmax + 1
+        return self.topology.controller_diameter() + self.config.fmax + 1
 
     # -- access ------------------------------------------------------------------
 

@@ -196,6 +196,29 @@ class Topology:
     def diameter(self) -> int:
         return nx.diameter(self.graph())
 
+    def controller_diameter(self) -> int:
+        """Diameter of the graph induced on the controllers, by a BFS from
+        each, or the controller count when that graph is disconnected."""
+        graph = self.graph()
+        controllers = set(self.controllers)
+        adjacency = {c: [x for x in graph[c] if x in controllers] for c in controllers}
+        diameter = 0
+        for source in adjacency:
+            seen, frontier, depth = {source}, [source], -1
+            while frontier:
+                depth += 1
+                reached = []
+                for x in frontier:
+                    for y in adjacency[x]:
+                        if y not in seen:
+                            seen.add(y)
+                            reached.append(y)
+                frontier = reached
+            if len(seen) < len(adjacency):
+                return len(adjacency)
+            diameter = max(diameter, depth)
+        return diameter
+
     def shortest_path_length(self, a: int, b: int) -> int:
         return nx.shortest_path_length(self.graph(), a, b)
 

@@ -106,7 +106,8 @@ def render_top(
         hits = latest.get("crypto.verdict_memo_hits", 0.0)
         lookups = hits + latest.get("crypto.verdict_memo_misses", 0.0)
         if lookups:
-            parts.append(f"verdict memo hits {hits / lookups:.0%}")
+            # Records and RSA only: aggregates never enter the memo.
+            parts.append(f"record/RSA verdict memo hits {hits / lookups:.0%}")
         parts.append(f"{len(latest)} gauges")
         lines.append("gauges: " + " | ".join(parts))
         beacons = latest.get("stabilize.audit_beacons")

@@ -126,6 +126,8 @@ class MetricsTimeSeries:
             if store_len > store_max:
                 store_max = store_len
         directory = system.directory
+        # The verdict memo holds record and RSA verdicts only: MULTI
+        # aggregates are judged in the Directory's per-round columns.
         values = {
             "crypto.verdict_memo_hits": float(directory.verdict_hits),
             "crypto.verdict_memo_misses": float(directory.verdict_misses),

@@ -9,7 +9,10 @@ fast path switched off); the production paths must reproduce it bit for
 bit.  See ``tests/golden/README.md`` for when and how to regenerate it.
 
     PYTHONPATH=src python -m tests.golden_cells CELL      # print one cell
-    PYTHONPATH=src python -m tests.golden_cells --write   # rewrite the file
+    PYTHONPATH=src python -m tests.golden_cells --write   # rewrite the files
+
+``--write`` also rewrites ``tests/golden/node_counters.json``: every node's
+per-domain counters on the MULTI cells.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from repro.net.topology import erdos_renyi_topology, grid_topology
 from repro.sched.workload import WorkloadGenerator
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "identity_cells.json")
+NODE_COUNTERS_PATH = os.path.join(
+    os.path.dirname(__file__), "golden", "node_counters.json"
+)
 ROUNDS = 24
 INJECT_ROUND = 8
 
@@ -74,18 +80,43 @@ def run_cell(
     }
 
 
-def load_golden() -> Dict[str, Any]:
-    with open(GOLDEN_PATH) as fh:
+CELLS_WITH_NODE_COUNTERS = [cell for cell in CELLS if cell.endswith("/multi")]
+
+
+def node_counters(system: ReboundSystem) -> Dict[str, Dict[str, Dict[str, int]]]:
+    """node id -> domain -> that node's logical crypto counters."""
+    return {
+        str(node_id): {
+            domain: bucket.as_dict() for domain, bucket in node.crypto.counters.items()
+        }
+        for node_id, node in sorted(system.nodes.items())
+    }
+
+
+def load_golden(path: str = GOLDEN_PATH) -> Dict[str, Any]:
+    with open(path) as fh:
         return json.load(fh)
+
+
+def _write(path: str, cells: Dict[str, Any]) -> None:
+    golden = load_golden(path) if os.path.exists(path) else {}
+    golden["cells"] = cells
+    with open(path, "w") as fh:
+        json.dump(golden, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def main(argv) -> int:
     if argv == ["--write"]:
-        golden = load_golden()
-        golden["cells"] = {cell: run_cell(cell) for cell in CELLS}
-        with open(GOLDEN_PATH, "w") as fh:
-            json.dump(golden, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        fingerprints, per_node = {}, {}
+        for cell in CELLS:
+            fingerprints[cell] = run_cell(
+                cell, inspect=lambda system, cell=cell: per_node.update(
+                    {cell: node_counters(system)}
+                ),
+            )
+        _write(GOLDEN_PATH, fingerprints)
+        _write(NODE_COUNTERS_PATH, {c: per_node[c] for c in CELLS_WITH_NODE_COUNTERS})
         return 0
     if len(argv) == 1 and argv[0] in CELLS:
         print(json.dumps(run_cell(argv[0]), sort_keys=True))

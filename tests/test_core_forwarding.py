@@ -25,7 +25,7 @@ from repro.core.forwarding import (
     rule_b,
     rule_c,
 )
-from repro.core.heartbeat import CoverageRegistry, HeartbeatRecord
+from repro.core.heartbeat import AggregateHeartbeat, CoverageRegistry, HeartbeatRecord
 from repro.core.identity import Directory
 from repro.core.paths import PATH_DATA, Path, PathSet
 from repro.crypto.hashing import hash_bytes
@@ -33,7 +33,7 @@ from repro.net.topology import line_topology, ring_topology
 
 
 def _make_layer(topo, node_id, directory, variant="basic", d_max=4,
-                on_packet=None, **config_kwargs):
+                on_packet=None, coverage=None, **config_kwargs):
     config = ReboundConfig(
         fmax=1, fconc=1, variant=variant, d_max=d_max, rsa_bits=256,
         **config_kwargs,
@@ -52,7 +52,7 @@ def _make_layer(topo, node_id, directory, variant="basic", d_max=4,
         verifier=verifier,
         on_new_evidence=received_evidence.append,
         on_packet=on_packet or (lambda *a: delivered.append(a)),
-        coverage=CoverageRegistry(
+        coverage=coverage or CoverageRegistry(
             topo,
             d_max,
             {n: directory.ms_public(n).value for n in topo.controllers},
@@ -511,6 +511,178 @@ class TestCoverageMasks:
         assert x.coverage.for_pattern(x.fault_pattern) is x._coverage
         assert not _rule_b_suspects(x, 1, r)
         assert _rule_b_suspects(y, 1, r)
+
+
+def _column_layers(receivers):
+    """MULTI layers for ``receivers`` of sender 1, sharing one directory and
+    one coverage registry (as a system's nodes do)."""
+    topo = _topology([0, 1, 2, 3], [(0, 1), (1, 2), (1, 3), (2, 3)])
+    directory = Directory(rsa_bits=256, seed=5)
+    for n in topo.nodes:
+        directory.register(n)
+    coverage = CoverageRegistry(
+        topo, 4, {n: directory.ms_public(n).value for n in topo.controllers},
+        directory.group.q,
+    )
+    return directory, [
+        _make_layer(topo, n, directory, variant="multi", coverage=coverage)
+        for n in receivers
+    ]
+
+
+def _fresh_aggregate(directory, sender, origin_round, digest, offset=0):
+    """``sender``'s aggregate at age 0: its own heartbeat signature alone
+    (``offset`` breaks it)."""
+    from repro.core.evidence import heartbeat_body
+
+    value = directory.crypto_for(sender).ms_sign(heartbeat_body(origin_round, 0))
+    return AggregateHeartbeat(origin_round, value + offset, digest)
+
+
+def _deliver(layers, r, msg):
+    for layer in layers:
+        layer.begin_round(r)
+        layer.receive(r, msg.sender, msg)
+
+
+class TestAggregateColumns:
+    """Every recipient of one sender message reads one shared column per
+    epoch and round, and still applies its own epoch, probe rule, quota
+    and counters."""
+
+    def test_each_recipient_judges_under_its_own_digest(self):
+        directory, (a, b) = _column_layers((0, 2))
+        b.issue_lfd(3, "rule-a")  # b's evidence, and so its digest, differ
+        assert a.epoch_digest != b.epoch_digest
+        fallback = b.bounds.multi_fallback
+
+        def send(r):
+            aggregate = _fresh_aggregate(directory, 1, r - 1, a.epoch_digest)
+            _deliver((a, b), r, _msg(sender=1, round_no=r - 1, aggregates=[aggregate]))
+
+        # Within b's fallback window the mismatch is explained: no probe.
+        r = b.last_evidence_change + fallback
+        send(r)
+        assert a._delivered[1][r - 1] == 1 << 1
+        assert r - 1 not in b._delivered[1]
+        assert {key[0] for key in directory._columns} == {
+            a.epoch_digest, b.epoch_digest
+        }
+        assert a._probe_until < r and b._probe_until < r
+        # One round past it, the same mismatch is a storm symptom.
+        send(r + 1)
+        assert b._probe_until == r + 1 + b.bounds.probe
+        assert a._probe_until < r + 1
+
+    def test_a_column_is_never_served_in_a_later_round(self):
+        directory, (a,) = _column_layers((0,))
+        aggregates = (_fresh_aggregate(directory, 1, 4, a.epoch_digest),)
+        a.begin_round(5)
+        first = a._aggregate_column(1, aggregates, a.epoch_digest)
+        assert a._aggregate_column(1, aggregates, a.epoch_digest) is first
+        assert [row[2] for row in first.rows] == [0] and first.rows[0][5]
+        # The same tuple object a round later: one round older, and the
+        # lone signature no longer covers the age-1 support.
+        a.begin_round(6)
+        later = a._aggregate_column(1, aggregates, a.epoch_digest)
+        assert later is not first
+        assert [row[2] for row in later.rows] == [1] and not later.rows[0][5]
+
+    def test_capped_sender_admits_the_unit_charge_prefix(self):
+        from repro.core.quotas import AdmissionQuotas
+        from repro.obs.events import EV_QUOTA_DROP
+
+        directory, (a,) = _column_layers((0,))
+        a.quotas.caps["aggregates"] = 2
+        r = 6
+        aggregates = [  # ages 0..3, the oldest first; only age 0 verifies
+            _fresh_aggregate(directory, 1, origin, a.epoch_digest)
+            for origin in (2, 3, 4, 5)
+        ]
+        traced = []
+        a._trace = lambda kind, data: traced.append(kind)
+        a.begin_round(r)
+        reference = AdmissionQuotas(a.bounds)
+        reference.caps = dict(a.quotas.caps)
+        reference.begin_round(r)
+        units = [reference.charge(1, "aggregates")[0] for _ in aggregates]
+        assert units == [True, True, False, False]
+        a.receive(r, 1, _msg(sender=1, round_no=r - 1, aggregates=aggregates))
+        counters = a.crypto.counters["forwarding"]
+        assert counters.ms_verify == 2  # the admitted prefix only
+        assert (a.quotas.total_charged, a.quotas.total_dropped) == (2, 2)
+        assert a.quotas.suspects == reference.suspects == {1}
+        assert traced.count(EV_QUOTA_DROP) == 1
+        # The admitted rows are origins 2 and 3 (ages 3 and 2): both fail.
+        assert a._delivered[1] == {} and a._probe_until == r + a.bounds.probe
+
+    def test_tampered_destination_gets_its_own_column(self):
+        import dataclasses
+
+        from repro.core.runtime import ReboundSystem
+        from repro.faults.adversary import AdversaryBehavior
+        from repro.net.topology import grid_topology
+        from repro.sched.task import Workload
+
+        class RewriteOneDestination(AdversaryBehavior):
+            def tamper(self, round_no, sender, destination, payload):
+                if destination != 1 or not isinstance(payload, RoundMessage):
+                    return payload
+                return dataclasses.replace(payload, aggregates=tuple(
+                    dataclasses.replace(agg, sig_value=agg.sig_value + 1)
+                    for agg in payload.aggregates
+                ))
+
+        system = ReboundSystem(
+            grid_topology(3, 3), Workload([]),
+            ReboundConfig(fmax=1, fconc=1, variant="multi", rsa_bits=256), seed=0,
+        )
+        system.run(system.config.d_max + 3)
+        system.inject_now(4, RewriteOneDestination())
+        system.run(2)  # tampered in one round, judged in the next
+        r = system.round_no
+        columns = [
+            column for key, (_aggs, column) in system.directory._columns.items()
+            if key[2] == 4
+        ]
+        assert len(columns) == 2
+        assert sorted(all(row[5] for row in c.rows) for c in columns) == [False, True]
+        victim = system.nodes[1].forwarding
+        assert victim._probe_until == r + victim.bounds.probe
+        assert r - 1 not in victim._delivered[4]
+        for neighbour in (3, 5, 7):
+            layer = system.nodes[neighbour].forwarding
+            assert layer._probe_until < r
+            assert layer._delivered[4][r - 1] == 1 << 4
+
+    def test_one_group_equation_per_sender_message_not_per_recipient(self):
+        """Operation counts, not times: on a fault-free ER-40 MULTI run each
+        round builds one column per sender, checks each with one batched
+        group equation, and leaves no aggregate verdict in the entry memo."""
+        from repro.core.runtime import ReboundSystem
+        from repro.crypto import multisig
+        from repro.net.topology import erdos_renyi_topology
+        from repro.sched.task import Workload
+
+        topology = erdos_renyi_topology(40, seed=0)
+        system = ReboundSystem(
+            topology, Workload([]),
+            ReboundConfig(fmax=1, fconc=1, variant="multi", rsa_bits=256), seed=0,
+        )
+        system.run(system.config.d_max + 3)
+        deliveries = sum(len(topology.neighbors(n)) for n in topology.controllers)
+        for _ in range(3):
+            multisig.reset_batch_stats()
+            system.run_round()
+            columns = list(system.directory._columns.items())
+            assert len({key[2] for key, _ in columns}) == len(columns) == 40
+            batched = [c for _key, (_a, c) in columns if len(c.rows) >= 2]
+            assert all(row[5] for _key, (_a, c) in columns for row in c.rows)
+            stats = multisig.batch_stats()
+            assert stats["batches"] == len(batched)
+            assert stats["batched_items"] == sum(len(c.rows) for c in batched)
+            assert stats["batched_items"] < deliveries
+        assert not [key for key in system.directory.verdicts if key[0] == "ms"]
 
 
 def _empty_pattern(nodes=(), links=()):

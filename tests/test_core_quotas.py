@@ -8,6 +8,10 @@ challenge caps.  That no quota fires without an adversary is pinned on the
 golden cells (``tests/test_golden_cells.py``).
 """
 
+import copy
+
+from hypothesis import given, settings, strategies as st
+
 from repro.core import evidence
 from repro.core.bounds import Bounds
 from repro.core.config import ReboundConfig
@@ -142,6 +146,49 @@ class TestAdmissionQuotas:
         q = self._quotas()
         q.charge(1, "records")
         assert (q.total_charged, q.total_dropped) == (1, 0)
+
+
+_KINDS = ("records", "aggregates", "evidence")
+
+
+def _ledger(q):
+    return (dict(q._used), set(q._dropped), set(q.suspects), q._favored,
+            q.total_charged, q.total_dropped)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cap=st.integers(1, 9),
+    suspects=st.sets(st.integers(0, 5), max_size=3),
+    round_no=st.integers(1, 7),
+    before=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(_KINDS),
+                              st.integers(0, 12)), max_size=6),
+    sender=st.integers(0, 5),
+    kind=st.sampled_from(_KINDS),
+    count=st.integers(0, 20),
+)
+def test_one_counted_charge_equals_that_many_unit_charges(
+    cap, suspects, round_no, before, sender, kind, count
+):
+    """From any ledger state, ``charge(..., count=k)`` admits the prefix k
+    unit charges admit and leaves the same ledger, and reports a first
+    drop exactly when one of the unit charges does (so at most one
+    EV_QUOTA_DROP per (sender, kind) and round)."""
+    q = AdmissionQuotas(_bounds(6, 4))
+    q.caps = dict.fromkeys(_KINDS, cap)
+    q.suspects = set(suspects)
+    q.begin_round(round_no)
+    for s, k, n in before:
+        for _ in range(n):
+            q.charge(s, k)
+    units, counted = q, copy.deepcopy(q)
+    unit_results = [units.charge(sender, kind) for _ in range(count)]
+    admitted, first = counted.charge(sender, kind, count)
+    assert [bool(ok) for ok, _first in unit_results] == (
+        [True] * admitted + [False] * (count - admitted)
+    )
+    assert [f for _ok, f in unit_results].count(True) == int(first)
+    assert _ledger(counted) == _ledger(units)
 
 
 class TestBoundedEvidenceSet:

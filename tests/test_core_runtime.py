@@ -136,18 +136,21 @@ class TestDirectory:
         def combines(crypto):
             return crypto.counters[DOMAIN_FORWARDING].ms_combine_key
 
-        alice.ms_verify_value(b"hb", 7, apk, signers, cache_key=("k", 1))
+        # An aggregate column's rows name their key (epoch, sender, age).
+        key = (b"epoch", 5, 1)
+        row = (0, 9, 1, apk, signers, True)  # origin round, sig, age, ...
+        alice.ms_verify_value(b"hb", 7, apk, signers, cache_key=key)
         assert combines(alice) == 3
-        alice.ms_verify_value(b"hb", 8, apk, signers, cache_key=("k", 1))
-        alice.ms_verify_batch([(b"hb", 9, apk, signers, ("k", 1))])
+        alice.ms_verify_value(b"hb", 8, apk, signers, cache_key=key)
+        alice.ms_verify_batch(b"epoch", 5, [row])
         assert combines(alice) == 3  # already paid for this key
-        alice.ms_verify_batch([(b"hb", 9, apk, signers, ("k", 2))])
-        assert combines(alice) == 6  # a new key is paid for again
+        alice.ms_verify_batch(b"epoch", 5, [row[:2] + (2,) + row[3:]])
+        assert combines(alice) == 6  # a new key (another age) is paid again
         # Another node pays for its own memo, whatever alice computed.
-        bob.ms_verify_batch([(b"hb", 7, apk, signers, ("k", 1))])
+        bob.ms_verify_batch(b"epoch", 5, [row])
         assert combines(bob) == 3
-        # Warming charges nothing.
-        alice.ms_warm_batch([(b"hb", 10, apk)])
+        # Building a column charges nothing.
+        assert alice.ms_warm_batch([(b"hb", 10, apk)]) == [False]
         assert combines(alice) == 6
 
     def test_operator_verify(self):

@@ -18,6 +18,7 @@ from repro.core.config import ReboundConfig
 from repro.core.heartbeat import HeartbeatRecord
 from repro.core.identity import VERDICT_MEMO_CAPACITY, Directory
 from repro.core.runtime import ReboundSystem
+from repro.crypto.cost_model import CryptoCounters
 from repro.crypto.multisig import (
     MultisigGroup,
     Multisignature,
@@ -249,23 +250,32 @@ def test_cached_ms_verify_value_equals_plain_multisig_check(body, case, mults):
     cases=st.lists(st.tuples(_BODIES, st.sampled_from(_CASES), _MULTS),
                    min_size=1, max_size=6, unique_by=lambda c: c[0])
 )
-def test_cached_ms_verify_batch_equals_plain_multisig_check(cases):
-    entries, expected, siblings = [], [], []
+def test_ms_warm_batch_equals_plain_multisig_check(cases):
+    """The column builder's verdicts are the plain check's, and it touches
+    neither the verdict memo nor a counter; the per-recipient charge over
+    the column's rows charges what one ms_verify_value per row charges."""
+    entries, expected = [], []
     for body, case, mults in cases:
-        variants = _multisig_variants(body, mults)
-        entry, verdict = variants.pop(case)
+        entry, verdict = _multisig_variants(body, mults)[case]
         entries.append(entry)
         expected.append(verdict)
-        siblings.extend(e for e, _verdict in variants.values())
-    first, second = _miss_then_hit(
-        lambda crypto, batch: crypto.ms_verify_batch(batch), entries, siblings
-    )
-    assert first == expected and second == expected
-    # ...and charges what one ms_verify_value per entry charges.
+    builder = _DIRECTORY.crypto_for(0)
+    memo = (dict(_DIRECTORY.verdicts), _DIRECTORY.verdict_hits, _DIRECTORY.verdict_misses)
+    assert builder.ms_warm_batch([entry[:3] for entry in entries]) == expected
+    assert builder.total_counters() == CryptoCounters()
+    assert (dict(_DIRECTORY.verdicts), _DIRECTORY.verdict_hits,
+            _DIRECTORY.verdict_misses) == memo
+    # An aggregate key is named (epoch, sender, age): give each distinct
+    # key of the drawn entries its own age.
+    ages = {}
+    rows = [
+        (0, sig, ages.setdefault(key, len(ages)), apk, mask, verdict)
+        for (_body, sig, apk, mask, key), verdict in zip(entries, expected)
+    ]
     batch, single = _DIRECTORY.crypto_for(2), _DIRECTORY.crypto_for(3)
-    batch.ms_verify_batch(entries)
-    for entry in entries:
-        single.ms_verify_value(*entry)
+    batch.ms_verify_batch(b"epoch", 1, rows)
+    for body, sig, apk, mask, key in entries:
+        single.ms_verify_value(body, sig, apk, mask, (b"epoch", 1, ages[key]))
     assert batch.total_counters() == single.total_counters()
 
 

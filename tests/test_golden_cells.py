@@ -7,7 +7,14 @@ import sys
 
 import pytest
 
-from tests.golden_cells import CELLS, load_golden, run_cell
+from tests.golden_cells import (
+    CELLS,
+    CELLS_WITH_NODE_COUNTERS,
+    NODE_COUNTERS_PATH,
+    load_golden,
+    node_counters,
+    run_cell,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -16,9 +23,22 @@ def test_golden_file_covers_every_cell():
     assert sorted(load_golden()["cells"]) == sorted(CELLS)
 
 
+def test_node_counter_file_covers_every_multi_cell():
+    assert sorted(load_golden(NODE_COUNTERS_PATH)["cells"]) == sorted(
+        CELLS_WITH_NODE_COUNTERS
+    )
+
+
 @pytest.mark.parametrize("cell", CELLS)
 def test_cell_reproduces_golden_fingerprint(cell):
-    assert run_cell(cell) == load_golden()["cells"][cell]
+    """...and on MULTI cells every node's counters, per domain: the totals
+    alone would not see a cost moved from one node to another."""
+    per_node = []
+    assert run_cell(cell, inspect=lambda s: per_node.append(node_counters(s))) == (
+        load_golden()["cells"][cell]
+    )
+    if cell in CELLS_WITH_NODE_COUNTERS:
+        assert per_node == [load_golden(NODE_COUNTERS_PATH)["cells"][cell]]
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import math
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net.topology import (
     ROLE_ACTUATOR,
@@ -182,3 +183,51 @@ class TestDegreeHelpers:
         topo.add_link(0, 3)
         assert topo.max_degree_node() == 0
         assert topo.degree(0) == 3
+
+
+def _nx_controller_diameter(topology):
+    """The networkx reference: the controller-induced subgraph's diameter,
+    or the controller count when that subgraph is disconnected."""
+    graph = topology.graph().subgraph(topology.controllers)
+    if not nx.is_connected(graph):
+        return len(topology.controllers)
+    return nx.diameter(graph)
+
+
+@st.composite
+def _mixed_topologies(draw):
+    """Two to ten nodes, at least two of them controllers, the rest
+    controllers or devices; random links and up to two buses, so the
+    controllers may be connected only through a device or not at all."""
+    n = draw(st.integers(2, 10))
+    roles = [ROLE_CONTROLLER, ROLE_CONTROLLER] + draw(st.lists(
+        st.sampled_from([ROLE_CONTROLLER, ROLE_SENSOR, ROLE_ACTUATOR]),
+        min_size=n - 2, max_size=n - 2,
+    ))
+    topology = Topology()
+    for node, role in enumerate(draw(st.permutations(roles))):
+        topology.add_node(node, role=role)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for a, b in draw(st.lists(pairs, max_size=3 * n)):
+        if a != b:
+            topology.add_link(a, b)
+    for members in draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2, max_size=4),
+                                 max_size=2)):
+        topology.add_bus(members)
+    return topology
+
+
+class TestControllerDiameter:
+    @settings(max_examples=200, deadline=None)
+    @given(topology=_mixed_topologies())
+    def test_bfs_equals_networkx(self, topology):
+        assert topology.controller_diameter() == _nx_controller_diameter(topology)
+
+    @pytest.mark.parametrize("build", [
+        chemical_plant_topology, volvo_xc90_topology,
+        lambda: erdos_renyi_topology(30, seed=1), lambda: line_topology(5),
+        lambda: ring_topology(7),
+    ])
+    def test_named_topologies(self, build):
+        topology = build()
+        assert topology.controller_diameter() == _nx_controller_diameter(topology)
