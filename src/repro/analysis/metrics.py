@@ -4,9 +4,9 @@ Collects exactly the quantities the paper's evaluation reports: per-link
 bandwidth (Fig. 5a, 6, 8a), per-node storage (Fig. 5b, 8c), and per-node
 cryptographic operation counts split by layer (Fig. 5c, 8b).
 
-The process-wide fast-path counters (batched multisig, codec memo, ILP
-solver) are read through :mod:`repro.obs.registry`; a system's verdict
-memo counts its own hits and misses on ``system.directory``.
+The process-wide fast-path counters (codec memo, ILP solver) are read
+through :mod:`repro.obs.registry`; a system's verdict memo counts its own
+hits and misses on ``system.directory``.
 """
 
 from __future__ import annotations

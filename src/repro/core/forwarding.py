@@ -957,11 +957,7 @@ class ForwardingLayer:
         delta = len(evidence_out)
         body = heartbeat_body(r, delta)
         multi = self.config.variant == VARIANT_MULTI
-        if multi:
-            sig_value = self.crypto.ms_sign(body)
-            own_sig = sig_value.to_bytes(self.crypto.directory.group.element_size, "big")
-        else:
-            own_sig = self.crypto.sign(body)
+        own_sig, sig_value = self.crypto.sign_record(body, multi)
         own_record = HeartbeatRecord(
             origin=self.node_id, round_no=r, delta_count=delta, signature=own_sig
         )

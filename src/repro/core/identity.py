@@ -22,27 +22,23 @@ memo, a bounded LRU on its :class:`Directory` (same fidelity argument: a
 verdict is a pure function of public data).  MULTI aggregates bypass it:
 every neighbour of a sender receives the same aggregates and judges them
 under the same epoch's keys, so the Directory keeps one *aggregate column*
-per sender message and epoch for the round, built by one batched group
-equation and read by every recipient.  Two systems never share a memo or a
-column.  Both sit *below* the counters -- every logical operation is still
-counted per node, only redundant arithmetic is skipped -- so cost metrics
-and transcripts do not depend on what the memo happens to hold.
+per sender message and epoch for the round, built by one group check per
+row -- each distinct body hashed to the group once per round -- and read
+by every recipient.  Two systems never share a memo or a column.  Both sit
+*below* the counters -- every logical operation is still counted per node,
+only redundant arithmetic is skipped -- so cost metrics and transcripts do
+not depend on what the memo happens to hold.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.crypto.cost_model import CryptoCounters
 from repro.crypto.hashing import derive_seed, hash_bytes
-from repro.crypto.multisig import (
-    MultisigGroup,
-    MultisigKeyPair,
-    MultisigPublicKey,
-    verify_multisig_values_batch,
-)
+from repro.crypto.multisig import MultisigGroup, MultisigKeyPair
 from repro.crypto.rsa import RSAKeyPair, RSAPublicKey, RSASignature
 
 DOMAIN_FORWARDING = "forwarding"
@@ -82,11 +78,6 @@ def _rsa_check(public: RSAPublicKey, body: bytes, signature: bytes) -> bool:
     return public.verify(body, sig)
 
 
-def _ms_check(group: MultisigGroup, body: bytes, sig_value: int, apk: int) -> bool:
-    h = group.hash_to_group(body)
-    return (sig_value * group.g) % group.q == (h * apk) % group.q
-
-
 class Directory:
     """All nodes' public keys, the shared multisignature group, the
     system's verdict memo and the round's aggregate columns."""
@@ -108,6 +99,8 @@ class Directory:
         # The tuple is held so that its id, part of the key, stays unique.
         self._columns: Dict[Tuple, Tuple[Any, AggregateColumn]] = {}
         self._columns_round: Any = None
+        # H(body) for the bodies this round's columns check.
+        self._body_hashes: Dict[bytes, int] = {}
 
     def register(self, node_id: int) -> None:
         if node_id in self._rsa_pairs:
@@ -116,13 +109,13 @@ class Directory:
             bits=self.rsa_bits, seed=derive_seed(self._seed, "rsa", node_id)
         )
         self._ms_pairs[node_id] = MultisigKeyPair(
-            self.group, seed=derive_seed(self._seed, "ms", node_id), node_id=node_id
+            self.group, seed=derive_seed(self._seed, "ms", node_id)
         )
 
     def rsa_public(self, node_id: int) -> RSAPublicKey:
         return self._rsa_pairs[node_id].public_key
 
-    def ms_public(self, node_id: int) -> MultisigPublicKey:
+    def ms_public(self, node_id: int) -> int:
         return self._ms_pairs[node_id].public_key
 
     def crypto_for(self, node_id: int) -> "NodeCrypto":
@@ -156,11 +149,19 @@ class Directory:
         Columns live for one round."""
         if round_no != self._columns_round:
             self._columns = {}
+            self._body_hashes = {}
             self._columns_round = round_no
         entry = self._columns.get(key)
         if entry is None:
             entry = self._columns[key] = (aggregates, build())
         return entry[1]
+
+    def body_hash(self, body: bytes) -> int:
+        """``H(body)`` in the group, computed once per column round."""
+        h = self._body_hashes.get(body)
+        if h is None:
+            h = self._body_hashes[body] = self.group.hash_to_group(body)
+        return h
 
 
 @dataclass
@@ -233,7 +234,18 @@ class NodeCrypto:
 
     def ms_sign(self, body: bytes, domain: str = DOMAIN_FORWARDING) -> int:
         self.counters[domain].ms_sign += 1
-        return self.directory._ms_pairs[self.node_id].sign(body).value
+        return self.directory._ms_pairs[self.node_id].sign(body)
+
+    def sign_record(self, body: bytes, multi: bool) -> Tuple[bytes, Optional[int]]:
+        """Sign heartbeat ``body`` for a record: its wire signature, and
+        under MULTI (``multi``) the partial-multisig value the wire bytes
+        carry -- what :meth:`ms_verify_record` parses, and what the
+        signer's own aggregate seeds from.  Counts one ms_sign (MULTI) or
+        one rsa_sign (BASIC, whose value is None)."""
+        if not multi:
+            return self.sign(body), None
+        value = self.ms_sign(body)
+        return value.to_bytes(self.directory.group.element_size, "big"), value
 
     def ms_verify_value(
         self,
@@ -249,9 +261,8 @@ class NodeCrypto:
         ``cache_key`` names the key for ms_combine_key charging."""
         self.counters[domain].ms_verify += 1
         self._charge_aggregate_key(cache_key, signer_bits, domain)
-        directory = self.directory
-        return directory.verdict(
-            _ms_key(body, sig_value, apk), _ms_check, directory.group, body, sig_value, apk
+        return self.directory.verdict(
+            _ms_key(body, sig_value, apk), self.directory.group.verify, body, sig_value, apk
         )
 
     def ms_verify_record(
@@ -274,7 +285,7 @@ class NodeCrypto:
             self.counters[domain].ms_verify += 1
             return False
         return self.ms_verify_value(
-            body, value, pair.public_key.value, 1 << origin, ("single", origin), domain
+            body, value, pair.public_key, 1 << origin, ("single", origin), domain
         )
 
     def ms_verify_batch(
@@ -297,11 +308,16 @@ class NodeCrypto:
             self._charge_aggregate_key((epoch, sender, row[2]), row[4], domain)
 
     def ms_warm_batch(self, entries: Sequence[Tuple[bytes, int, int]]) -> List[bool]:
-        """Verdicts for (body, sig, apk) triples, from one batched group
-        equation whose verdicts equal the per-item check's.  Charges no
-        counters and bypasses the verdict memo: it builds an aggregate
-        column, and each recipient pays through :meth:`ms_verify_batch`."""
-        return verify_multisig_values_batch(self.directory.group, entries)
+        """Verdicts for (body, sig, apk) triples, one group check per row,
+        each body hashed once per round (:meth:`Directory.body_hash`).
+        Charges no counters and bypasses the verdict memo: it builds an
+        aggregate column, and each recipient pays through
+        :meth:`ms_verify_batch`.  The name outlives the batched equation it
+        once ran because the ledger's span table (``ledger/spans.py``)
+        times column builds under it."""
+        directory = self.directory
+        verify, body_hash = directory.group.verify, directory.body_hash
+        return [verify(body, sig, apk, body_hash(body)) for body, sig, apk in entries]
 
     def ms_combine(self, a: int, b: int, domain: str = DOMAIN_FORWARDING) -> int:
         self.counters[domain].ms_combine_sig += 1

@@ -107,7 +107,7 @@ class ReboundSystem:
         self.coverage = CoverageRegistry(
             topology,
             self.bounds.d_max,
-            {c: self.directory.ms_public(c).value for c in topology.controllers},
+            {c: self.directory.ms_public(c) for c in topology.controllers},
             self.directory.group.q,
         )
 

@@ -2,13 +2,17 @@
 
 Everything here is implemented from scratch (no external crypto libraries):
 
+* :mod:`repro.crypto.hashing` -- injective SHA-256 digests, stable seeds and
+  the full-domain hash both signature schemes use.
 * :mod:`repro.crypto.primes` -- Miller-Rabin primality testing and prime
-  generation, used by the RSA implementation.
+  generation, used by RSA and the multisignature group.
 * :mod:`repro.crypto.rsa` -- textbook RSA-FDH signatures over SHA-256
   (the paper's prototype uses 512-bit RSA with key rotation, see paper S4).
 * :mod:`repro.crypto.multisig` -- a BLS-style multisignature with the exact
-  aggregation algebra of Boldyreva's scheme, instantiated in an insecure
-  "toy" group (see DESIGN.md S4 for the substitution rationale).
+  aggregation algebra of Boldyreva's scheme, instantiated as integers mod q
+  in an insecure "toy" group (see DESIGN.md S4 for the substitution
+  rationale); :meth:`~repro.crypto.multisig.MultisigGroup.verify` is its one
+  check.
 * :mod:`repro.crypto.rotation` -- periodic weak-key rotation signed by a
   strong permanent key (paper S4, "Key rotation").
 * :mod:`repro.crypto.cost_model` -- counts cryptographic operations and
@@ -17,33 +21,22 @@ Everything here is implemented from scratch (no external crypto libraries):
 
 Verification verdicts are memoized per system, on the key directory
 (:class:`repro.core.identity.Directory`), not here: this package keeps no
-process-wide verification state.
+process-wide state (``tests/test_crypto_state.py`` guards that).
 """
 
-from repro.crypto.hashing import Authenticator, hash_bytes, hash_hex
+from repro.crypto.hashing import hash_bytes
 from repro.crypto.rsa import RSAKeyPair, RSAPublicKey, RSASignature
-from repro.crypto.multisig import (
-    MultisigGroup,
-    MultisigKeyPair,
-    MultisigPublicKey,
-    Multisignature,
-    verify_multisig_values_batch,
-)
+from repro.crypto.multisig import MultisigGroup, MultisigKeyPair
 from repro.crypto.rotation import KeyRotationManager, RotatingKey
 from repro.crypto.cost_model import CryptoCostModel, CryptoCounters
 
 __all__ = [
-    "Authenticator",
     "hash_bytes",
-    "hash_hex",
     "RSAKeyPair",
     "RSAPublicKey",
     "RSASignature",
     "MultisigGroup",
     "MultisigKeyPair",
-    "MultisigPublicKey",
-    "Multisignature",
-    "verify_multisig_values_batch",
     "KeyRotationManager",
     "RotatingKey",
     "CryptoCostModel",

@@ -18,7 +18,8 @@ Two calibrated profiles are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from types import MappingProxyType
+from typing import Dict, Mapping
 
 
 @dataclass
@@ -72,26 +73,26 @@ class CryptoCounters:
 
 
 # Per-operation costs in seconds.
-_PROFILES: Dict[str, Dict[str, float]] = {
+_PROFILES: Mapping[str, Mapping[str, float]] = MappingProxyType({
     # Paper S4 "Parameters" (simulation platform).
-    "x86": {
+    "x86": MappingProxyType({
         "rsa_sign": 1.17e-3,
         "rsa_verify": 1.18e-3,
         "ms_sign": 1.17e-3,
         "ms_verify": 1.18e-3,
         "ms_combine_sig": 3.34e-6,
         "ms_combine_key": 3.28e-6,
-    },
+    }),
     # Paper S4.1 (Raspberry Pi 4 testbed, RSA-512).
-    "rpi4": {
+    "rpi4": MappingProxyType({
         "rsa_sign": 750e-6,
         "rsa_verify": 49e-6,
         "ms_sign": 750e-6,
         "ms_verify": 750e-6,
         "ms_combine_sig": 10e-6,
         "ms_combine_key": 10e-6,
-    },
-}
+    }),
+})
 
 
 @dataclass(frozen=True)
@@ -99,13 +100,12 @@ class CryptoCostModel:
     """Attributes wall-clock cost to counted operations.
 
     Attributes:
-        profile: one of ``"x86"`` or ``"rpi4"`` (see module docstring), or a
-            custom name previously registered via :meth:`register_profile`.
+        profile: one of ``"x86"`` or ``"rpi4"`` (see module docstring).
     """
 
     profile: str = "x86"
 
-    def costs(self) -> Dict[str, float]:
+    def costs(self) -> Mapping[str, float]:
         try:
             return _PROFILES[self.profile]
         except KeyError:
@@ -122,12 +122,3 @@ class CryptoCostModel:
             + counters.ms_combine_sig * costs["ms_combine_sig"]
             + counters.ms_combine_key * costs["ms_combine_key"]
         )
-
-    @staticmethod
-    def register_profile(name: str, costs: Dict[str, float]) -> None:
-        """Register a custom cost profile (e.g. for a different CPU)."""
-        required = set(_PROFILES["x86"])
-        missing = required - set(costs)
-        if missing:
-            raise ValueError(f"profile missing cost entries: {sorted(missing)}")
-        _PROFILES[name] = dict(costs)

@@ -1,16 +1,13 @@
-"""Hashing helpers and authenticators.
+"""Hashing helpers: injective digests, stable seeds and full-domain hashes.
 
-REBOUND's auditing layer (paper S3.8) structures messages so that the
-signature covers a small, detachable *authenticator* containing a hash of
-the message; the authenticator can travel in place of the full message
-whenever the contents are not needed (e.g. on the beta->rho paths that carry
-a downstream task's view of tau's output back to tau's replicas).
+The detachable authenticator of paper S3.8 is not a type here: it is the
+signed :func:`repro.core.evidence.data_body` of a
+:class:`repro.core.forwarding.DataPacket`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 
 def hash_bytes(*parts: bytes) -> bytes:
@@ -24,11 +21,6 @@ def hash_bytes(*parts: bytes) -> bytes:
         h.update(len(part).to_bytes(8, "big"))
         h.update(part)
     return h.digest()
-
-
-def hash_hex(*parts: bytes) -> str:
-    """Hex form of :func:`hash_bytes`, convenient for logging and dict keys."""
-    return hash_bytes(*parts).hex()
 
 
 def derive_seed(*parts: object) -> int:
@@ -58,56 +50,3 @@ def hash_to_int(data: bytes, modulus: int) -> int:
         counter += 1
     value = int.from_bytes(buf[:nbytes], "big") % modulus
     return value if value != 0 else 1
-
-
-@dataclass(frozen=True)
-class Authenticator:
-    """A signed, detachable digest of a message (paper S3.8).
-
-    Attributes:
-        sender: identifier of the node that produced the message.
-        round: round number in which the message was produced.
-        path_id: identifier of the path the message travelled on.
-        digest: SHA-256 digest of the message payload.
-        signature: the sender's signature over (sender, round, path_id,
-            digest); stored as opaque bytes so the authenticator is agnostic
-            to the signature scheme in use.
-    """
-
-    sender: int
-    round: int
-    path_id: int
-    digest: bytes
-    signature: bytes = b""
-
-    def signed_portion(self) -> bytes:
-        """The byte string that the signature must cover."""
-        return hash_bytes(
-            self.sender.to_bytes(8, "big", signed=False),
-            self.round.to_bytes(8, "big", signed=False),
-            self.path_id.to_bytes(8, "big", signed=False),
-            self.digest,
-        )
-
-    def with_signature(self, signature: bytes) -> "Authenticator":
-        """Return a copy of this authenticator carrying ``signature``."""
-        return Authenticator(
-            sender=self.sender,
-            round=self.round,
-            path_id=self.path_id,
-            digest=self.digest,
-            signature=signature,
-        )
-
-    def matches_payload(self, payload: bytes) -> bool:
-        """True if this authenticator's digest matches ``payload``."""
-        return self.digest == hash_bytes(payload)
-
-
-def make_authenticator(
-    sender: int, round_no: int, path_id: int, payload: bytes
-) -> Authenticator:
-    """Build an (unsigned) authenticator for ``payload``."""
-    return Authenticator(
-        sender=sender, round=round_no, path_id=path_id, digest=hash_bytes(payload)
-    )

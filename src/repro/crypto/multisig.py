@@ -1,4 +1,4 @@
-"""BLS-style multisignatures with Boldyreva's aggregation algebra.
+"""BLS-style multisignatures as the integer algebra REBOUND-MULTI runs.
 
 The paper (S3.6, S4) uses the multisignature scheme of Boldyreva, built on a
 Gap-Diffie-Hellman group with pairings (via the PBC library): signatures from
@@ -12,7 +12,7 @@ group Z_q for a large prime q, where
 
     pk_i  = x_i * g           (mod q)
     sig_i = x_i * H(m)        (mod q)
-    verify(sig, pk, m):   sig * g == H(m) * pk   (mod q)
+    verify(sig, apk, m):  sig * g == H(m) * apk   (mod q)
 
 Because everything is linear, sums of signatures verify against sums of
 public keys -- exactly the aggregation behaviour of BLS -- while discrete
@@ -21,6 +21,11 @@ That substitution is deliberate and documented in DESIGN.md S4: every
 experiment in the paper measures message sizes, operation counts, and
 latencies (via the cost model), none of which depend on hardness.
 
+Keys and signatures are plain ints: a relay aggregates by adding signatures
+mod q (:meth:`repro.core.identity.NodeCrypto.ms_combine`), and the aggregate
+key comes from the coverage DP (:mod:`repro.core.heartbeat`).
+:meth:`MultisigGroup.verify` is the one place the group equation is written.
+
 Sizes are matched to the paper's parameters: a 256-bit group yields 32-byte
 signatures and 32-byte public keys.
 """
@@ -28,27 +33,12 @@ signatures and 32-byte public keys.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Optional
 
-from repro.crypto.hashing import hash_bytes, hash_to_int
+from repro.crypto.hashing import hash_to_int
 from repro.crypto.primes import generate_prime
 
 DEFAULT_GROUP_BITS = 256
-
-# Fast-path instrumentation (surfaced via repro.analysis.metrics).
-_BATCH_STATS: Dict[str, int] = {
-    "batches": 0, "batched_items": 0, "fallback_items": 0,
-}
-
-
-def batch_stats() -> Dict[str, int]:
-    """Counters for batched aggregate verification."""
-    return dict(_BATCH_STATS)
-
-
-def reset_batch_stats() -> None:
-    _BATCH_STATS.update(batches=0, batched_items=0, fallback_items=0)
 
 
 class MultisigGroup:
@@ -72,226 +62,28 @@ class MultisigGroup:
     def hash_to_group(self, message: bytes) -> int:
         return hash_to_int(message, self.q)
 
+    def verify(
+        self, body: bytes, sig_value: int, apk: int, h: Optional[int] = None
+    ) -> bool:
+        """Whether ``sig_value`` signs ``body`` under the (possibly
+        aggregate) key ``apk``: ``sig * g == H(body) * apk (mod q)``.  A
+        caller that already holds ``H(body)`` passes it as ``h``."""
+        if h is None:
+            h = self.hash_to_group(body)
+        return (sig_value * self.g) % self.q == (h * apk) % self.q
+
     def keypair(self, seed: Optional[int] = None) -> "MultisigKeyPair":
         return MultisigKeyPair(self, seed=seed)
 
 
-@dataclass(frozen=True)
-class MultisigPublicKey:
-    """A (possibly aggregate) public key, with its signer multiset.
-
-    ``signers`` is a sorted tuple of (node_id, multiplicity) pairs; the paper
-    notes that a signer appearing more than once in an aggregate is harmless,
-    and the algebra here preserves that.
-    """
-
-    value: int
-    signers: Tuple[Tuple[int, int], ...]
-
-    def combine(self, other: "MultisigPublicKey", group: MultisigGroup) -> "MultisigPublicKey":
-        """Aggregate two public keys (constant-time group operation)."""
-        counts: Dict[int, int] = dict(self.signers)
-        for node, mult in other.signers:
-            counts[node] = counts.get(node, 0) + mult
-        return MultisigPublicKey(
-            value=(self.value + other.value) % group.q,
-            signers=tuple(sorted(counts.items())),
-        )
-
-
-@dataclass(frozen=True)
-class Multisignature:
-    """A (possibly aggregate) signature over a single message."""
-
-    value: int
-    signers: Tuple[Tuple[int, int], ...]
-
-    def combine(self, other: "Multisignature", group: MultisigGroup) -> "Multisignature":
-        """Aggregate two signatures over the same message."""
-        counts: Dict[int, int] = dict(self.signers)
-        for node, mult in other.signers:
-            counts[node] = counts.get(node, 0) + mult
-        return Multisignature(
-            value=(self.value + other.value) % group.q,
-            signers=tuple(sorted(counts.items())),
-        )
-
-    def size_bytes(self, group: MultisigGroup) -> int:
-        return group.element_size
-
-    def to_bytes(self, group: MultisigGroup) -> bytes:
-        return self.value.to_bytes(group.element_size, "big")
-
-
 class MultisigKeyPair:
-    """One node's multisignature keypair."""
+    """One node's multisignature keypair; ``public_key`` is its int value."""
 
-    def __init__(self, group: MultisigGroup, seed: Optional[int] = None, node_id: int = 0):
+    def __init__(self, group: MultisigGroup, seed: Optional[int] = None):
         rng = random.Random(seed)
         self.group = group
-        self.node_id = node_id
         self._x = rng.randrange(1, group.q)
-        self.public_key = MultisigPublicKey(
-            value=(self._x * group.g) % group.q, signers=((node_id, 1),)
-        )
+        self.public_key = (self._x * group.g) % group.q
 
-    def sign(self, message: bytes) -> Multisignature:
-        h = self.group.hash_to_group(message)
-        return Multisignature(
-            value=(self._x * h) % self.group.q, signers=((self.node_id, 1),)
-        )
-
-
-def verify_multisig(
-    group: MultisigGroup,
-    message: bytes,
-    signature: Multisignature,
-    aggregate_key: MultisigPublicKey,
-) -> bool:
-    """Verify a (possibly aggregate) signature against an aggregate key.
-
-    The signer multisets of the signature and the key must agree, and the
-    group equation ``sig * g == H(m) * apk`` must hold.
-    """
-    if signature.signers != aggregate_key.signers:
-        return False
-    h = group.hash_to_group(message)
-    return (signature.value * group.g) % group.q == (h * aggregate_key.value) % group.q
-
-
-def verify_multisig_values_batch(
-    group: MultisigGroup,
-    entries: Sequence[Tuple[bytes, int, int]],
-) -> List[bool]:
-    """Batch-verify raw (message, sig_value, aggregate_key_value) triples.
-
-    Uses the standard small-exponent batching trick: with deterministic
-    per-item coefficients c_i (derived from the item content, so the
-    adversary cannot choose signatures after seeing them),
-
-        (sum c_i * sig_i) * g  ==  sum c_i * H(m_i) * apk_i   (mod q)
-
-    holds when every individual equation holds; when the combined check
-    fails, each item is re-checked individually so the returned verdicts
-    are *identical* to per-item verification.  (In this linear toy group
-    the combined equation is exactly the c_i-weighted sum of the per-item
-    equations, so a batch pass with a bad item would require the adversary
-    to hit a random 64-bit relation.)  Verdicts therefore never differ
-    from the unbatched path on honest *or* adversarial inputs, which is
-    what keeps simulation transcripts byte-identical.
-    """
-    if not entries:
-        return []
-    if len(entries) == 1:
-        message, sig_value, apk_value = entries[0]
-        h = group.hash_to_group(message)
-        return [(sig_value * group.g) % group.q == (h * apk_value) % group.q]
-    q, g = group.q, group.g
-    hashes = [group.hash_to_group(message) for message, _sig, _apk in entries]
-    coefficients = [
-        1 + int.from_bytes(
-            hash_bytes(
-                index.to_bytes(4, "big"),
-                message,
-                sig_value.to_bytes((sig_value.bit_length() + 7) // 8 or 1, "big"),
-                apk_value.to_bytes((apk_value.bit_length() + 7) // 8 or 1, "big"),
-            )[:8],
-            "big",
-        )
-        for index, (message, sig_value, apk_value) in enumerate(entries)
-    ]
-    lhs = sum(
-        c * sig_value for c, (_m, sig_value, _a) in zip(coefficients, entries)
-    ) % q
-    rhs = sum(
-        c * h * apk_value
-        for c, h, (_m, _s, apk_value) in zip(coefficients, hashes, entries)
-    ) % q
-    _BATCH_STATS["batches"] += 1
-    _BATCH_STATS["batched_items"] += len(entries)
-    if (lhs * g) % q == rhs:
-        return [True] * len(entries)
-    # Combined check failed: at least one item is bad; attribute precisely.
-    _BATCH_STATS["fallback_items"] += len(entries)
-    return [
-        (sig_value * g) % q == (h * apk_value) % q
-        for h, (_m, sig_value, apk_value) in zip(hashes, entries)
-    ]
-
-
-def aggregate_signatures(
-    group: MultisigGroup, signatures: Iterable[Multisignature]
-) -> Multisignature:
-    """Fold an iterable of same-message signatures into one."""
-    sigs = list(signatures)
-    if not sigs:
-        raise ValueError("cannot aggregate an empty set of signatures")
-    acc = sigs[0]
-    for sig in sigs[1:]:
-        acc = acc.combine(sig, group)
-    return acc
-
-
-def aggregate_keys(
-    group: MultisigGroup, keys: Iterable[MultisigPublicKey]
-) -> MultisigPublicKey:
-    """Fold an iterable of public keys into an aggregate key."""
-    key_list = list(keys)
-    if not key_list:
-        raise ValueError("cannot aggregate an empty set of keys")
-    acc = key_list[0]
-    for key in key_list[1:]:
-        acc = acc.combine(key, group)
-    return acc
-
-
-class AggregateKeyTree:
-    """Binary tree over node public keys for O(log N) aggregate-key updates.
-
-    The paper (S3.6) notes that when a node must be added to or removed from
-    a precomputed aggregate public key, the aggregate can be updated in
-    O(log N) steps using a binary tree.  This structure maintains, for a
-    fixed universe of nodes, the sum of the public keys of an arbitrary
-    *subset*, supporting membership toggles in O(log N) group operations.
-    """
-
-    def __init__(self, group: MultisigGroup, keys: Dict[int, MultisigPublicKey]):
-        self.group = group
-        self._node_ids = sorted(keys)
-        self._index = {node: i for i, node in enumerate(self._node_ids)}
-        self._keys = keys
-        size = 1
-        while size < max(1, len(self._node_ids)):
-            size *= 2
-        self._size = size
-        self._tree = [0] * (2 * size)  # sums of included keys
-        self._included = [False] * size
-        self.operations = 0  # group operations performed, for cost accounting
-
-    def set_included(self, node_id: int, included: bool) -> None:
-        """Include or exclude ``node_id`` from the aggregate (O(log N))."""
-        idx = self._index[node_id]
-        if self._included[idx] == included:
-            return
-        self._included[idx] = included
-        value = self._keys[node_id].value if included else 0
-        pos = self._size + idx
-        self._tree[pos] = value
-        pos //= 2
-        while pos >= 1:
-            self._tree[pos] = (self._tree[2 * pos] + self._tree[2 * pos + 1]) % self.group.q
-            self.operations += 1
-            pos //= 2
-
-    def aggregate(self) -> MultisigPublicKey:
-        """The aggregate public key of all currently included nodes."""
-        signers = tuple(
-            (node, 1)
-            for node in self._node_ids
-            if self._included[self._index[node]]
-        )
-        return MultisigPublicKey(value=self._tree[1] % self.group.q, signers=signers)
-
-from repro.obs import registry as _telemetry
-
-_telemetry.register("multisig_batch", batch_stats, reset_batch_stats)
+    def sign(self, message: bytes) -> int:
+        return (self._x * self.group.hash_to_group(message)) % self.group.q

@@ -1,4 +1,4 @@
-"""Prime generation for the RSA substrate.
+"""Prime generation for the RSA substrate and the multisignature group.
 
 Deterministic given a seed, so that simulations are reproducible.  Uses
 Miller-Rabin with enough rounds for the key sizes we use (<= 2048 bits); for
@@ -10,11 +10,11 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-_SMALL_PRIMES = [
+_SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
     151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229,
-]
+)
 
 
 def is_probable_prime(n: int, rng: Optional[random.Random] = None, rounds: int = 24) -> bool:
@@ -63,16 +63,3 @@ def generate_prime(bits: int, rng: random.Random) -> int:
         if is_probable_prime(candidate, rng):
             return candidate
 
-
-def generate_safe_prime(bits: int, rng: random.Random) -> int:
-    """Generate a safe prime p = 2q + 1 (both p and q prime).
-
-    Used by the multisignature toy group, where we want a subgroup of large
-    prime order q.  For the small parameter sizes the simulator uses this is
-    fast enough.
-    """
-    while True:
-        q = generate_prime(bits - 1, rng)
-        p = 2 * q + 1
-        if is_probable_prime(p, rng):
-            return p

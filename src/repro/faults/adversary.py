@@ -6,8 +6,10 @@ import random
 from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.core.auditing import TaskRegistry
+from repro.core.config import VARIANT_MULTI
+from repro.core.evidence import heartbeat_body
 from repro.core.forwarding import RoundMessage
-from repro.core.heartbeat import HeartbeatRecord
+from repro.core.heartbeat import AggregateHeartbeat, HeartbeatRecord
 from repro.crypto.hashing import derive_seed
 
 
@@ -148,7 +150,36 @@ class RandomOutputBehavior(AdversaryBehavior):
         )
 
 
-class EquivocateBehavior(AdversaryBehavior):
+class _RecordResigner(AdversaryBehavior):
+    """Base of the equivocators: re-signs the node's own heartbeat records."""
+
+    def activate(self, system, node_id: int) -> None:
+        super().activate(system, node_id)
+        self._crypto = system.node(node_id).crypto
+        self._multi = system.config.variant == VARIANT_MULTI
+
+    def _resign(self, records, delta_for) -> Tuple[tuple, bool]:
+        """``records`` with each of this node's own re-signed at the delta
+        count ``delta_for(rec)``, and whether there was one."""
+        out, changed = [], False
+        for rec in records:
+            if rec.origin == self.node_id:
+                delta = delta_for(rec)
+                signature, _value = self._crypto.sign_record(
+                    heartbeat_body(rec.round_no, delta), self._multi
+                )
+                rec = HeartbeatRecord(
+                    origin=rec.origin,
+                    round_no=rec.round_no,
+                    delta_count=delta,
+                    signature=signature,
+                )
+                changed = True
+            out.append(rec)
+        return tuple(out), changed
+
+
+class EquivocateBehavior(_RecordResigner):
     """Heartbeat equivocation: different delta counts to different neighbors.
 
     The compromised node re-signs its own heartbeat with a
@@ -156,47 +187,16 @@ class EquivocateBehavior(AdversaryBehavior):
     (or any node receiving both relayed copies) obtain a PoM.
     """
 
-    def activate(self, system, node_id: int) -> None:
-        super().activate(system, node_id)
-        self._crypto = system.node(node_id).crypto
-        self._variant = system.config.variant
-
     def tamper(self, round_no, sender, destination, payload):
         if not isinstance(payload, RoundMessage):
             return payload
-        from repro.core.evidence import heartbeat_body
-
-        records = []
-        changed = False
-        for rec in payload.records:
-            if rec.origin == self.node_id:
-                delta = destination % 3  # destination-dependent content
-                body = heartbeat_body(rec.round_no, delta)
-                if self._variant == "multi":
-                    value = self._crypto.ms_sign(body)
-                    sig = value.to_bytes(
-                        self._crypto.directory.group.element_size, "big"
-                    )
-                else:
-                    sig = self._crypto.sign(body)
-                records.append(
-                    HeartbeatRecord(
-                        origin=rec.origin,
-                        round_no=rec.round_no,
-                        delta_count=delta,
-                        signature=sig,
-                    )
-                )
-                changed = True
-            else:
-                records.append(rec)
+        # Destination-dependent content.
+        records, changed = self._resign(payload.records, lambda rec: destination % 3)
         aggregates = payload.aggregates
-        if self._variant == "multi" and aggregates:
+        if self._multi and aggregates:
             # Per-destination aggregate perturbation: receivers' coverage
             # verification fails, deliveries stall, and Rule B attributes
             # the shortfall to this node's links.
-            from repro.core.heartbeat import AggregateHeartbeat
-
             aggregates = tuple(
                 AggregateHeartbeat(
                     round_no=agg.round_no,
@@ -211,7 +211,7 @@ class EquivocateBehavior(AdversaryBehavior):
         return RoundMessage(
             sender=payload.sender,
             round_no=payload.round_no,
-            records=tuple(records),
+            records=records,
             aggregates=aggregates,
             evidence=payload.evidence,
             packets=payload.packets,
@@ -253,12 +253,7 @@ class EvidenceFloodBehavior(AdversaryBehavior):
     def _batch(self, round_no: int) -> Tuple[Any, ...]:
         if round_no == self._memo_round:
             return self._memo
-        from repro.core.evidence import (
-            LFD,
-            EquivocationPoM,
-            heartbeat_body,
-            lfd_body,
-        )
+        from repro.core.evidence import LFD, EquivocationPoM, lfd_body
 
         items: List[Any] = []
         neighbors = self._neighbors or [self.node_id + 1]
@@ -310,7 +305,7 @@ class EvidenceFloodBehavior(AdversaryBehavior):
         )
 
 
-class EpochSplitEquivocateBehavior(AdversaryBehavior):
+class EpochSplitEquivocateBehavior(_RecordResigner):
     """Equivocation across *epoch digests*: split the neighborhood in two
     and feed each half a different heartbeat history.
 
@@ -324,43 +319,14 @@ class EpochSplitEquivocateBehavior(AdversaryBehavior):
     node, and charge the shortfall to it alone.
     """
 
-    def activate(self, system, node_id: int) -> None:
-        super().activate(system, node_id)
-        self._crypto = system.node(node_id).crypto
-        self._variant = system.config.variant
-
     def tamper(self, round_no, sender, destination, payload):
         if not isinstance(payload, RoundMessage):
             return payload
         if destination % 2 == 0:
             return payload
-        from repro.core.evidence import heartbeat_body
-        from repro.core.heartbeat import AggregateHeartbeat
-
-        records = []
-        changed = False
-        for rec in payload.records:
-            if rec.origin == self.node_id:
-                delta = rec.delta_count + 1
-                body = heartbeat_body(rec.round_no, delta)
-                if self._variant == "multi":
-                    value = self._crypto.ms_sign(body)
-                    sig = value.to_bytes(
-                        self._crypto.directory.group.element_size, "big"
-                    )
-                else:
-                    sig = self._crypto.sign(body)
-                records.append(
-                    HeartbeatRecord(
-                        origin=rec.origin,
-                        round_no=rec.round_no,
-                        delta_count=delta,
-                        signature=sig,
-                    )
-                )
-                changed = True
-            else:
-                records.append(rec)
+        records, changed = self._resign(
+            payload.records, lambda rec: rec.delta_count + 1
+        )
         aggregates = payload.aggregates
         if aggregates:
             # Relabel the epoch so the odd half of the neighborhood sees a
@@ -379,7 +345,7 @@ class EpochSplitEquivocateBehavior(AdversaryBehavior):
         return RoundMessage(
             sender=payload.sender,
             round_no=payload.round_no,
-            records=tuple(records),
+            records=records,
             aggregates=aggregates,
             evidence=payload.evidence,
             packets=payload.packets,

@@ -5,9 +5,9 @@ Before this existed, ``analysis/metrics.py`` kept two hand-maintained,
 easy-to-desync import lists (one to collect stats, one to reset them).
 Now each component module registers itself *once, at import time*::
 
-    # bottom of repro/crypto/multisig.py
+    # bottom of repro/net/message.py
     from repro.obs import registry as _telemetry
-    _telemetry.register("multisig_batch", batch_stats, reset_batch_stats)
+    _telemetry.register("codec_memo", codec_memo_stats, reset_codec_memo_stats)
 
 and consumers ask the registry.  The registry itself is dependency-free
 (stdlib only) so any module can import it without cycles; the canonical
@@ -37,7 +37,6 @@ _components: Dict[str, TelemetryComponent] = {}
 #: Modules whose import registers the stock fast-path components.  This is
 #: the *only* list: collection and reset both walk the registry.
 DEFAULT_COMPONENT_MODULES = (
-    "repro.crypto.multisig",     # multisig_batch
     "repro.net.message",         # codec_memo
     "repro.sched.ilp",           # ilp_solver
 )

@@ -55,7 +55,7 @@ def _make_layer(topo, node_id, directory, variant="basic", d_max=4,
         coverage=coverage or CoverageRegistry(
             topo,
             d_max,
-            {n: directory.ms_public(n).value for n in topo.controllers},
+            {n: directory.ms_public(n) for n in topo.controllers},
             directory.group.q,
         ),
         bounds=Bounds.from_config(config, len(topo.controllers)),
@@ -521,7 +521,7 @@ def _column_layers(receivers):
     for n in topo.nodes:
         directory.register(n)
     coverage = CoverageRegistry(
-        topo, 4, {n: directory.ms_public(n).value for n in topo.controllers},
+        topo, 4, {n: directory.ms_public(n) for n in topo.controllers},
         directory.group.q,
     )
     return directory, [
@@ -655,12 +655,9 @@ class TestAggregateColumns:
             assert layer._probe_until < r
             assert layer._delivered[4][r - 1] == 1 << 4
 
-    def test_one_group_equation_per_sender_message_not_per_recipient(self):
-        """Operation counts, not times: on a fault-free ER-40 MULTI run each
-        round builds one column per sender, checks each with one batched
-        group equation, and leaves no aggregate verdict in the entry memo."""
+    @staticmethod
+    def _er40_multi():
         from repro.core.runtime import ReboundSystem
-        from repro.crypto import multisig
         from repro.net.topology import erdos_renyi_topology
         from repro.sched.task import Workload
 
@@ -670,19 +667,56 @@ class TestAggregateColumns:
             ReboundConfig(fmax=1, fconc=1, variant="multi", rsa_bits=256), seed=0,
         )
         system.run(system.config.d_max + 3)
+        return topology, system
+
+    def test_one_group_equation_per_sender_message_not_per_recipient(self):
+        """Operation counts, not times: on a fault-free ER-40 MULTI run each
+        round builds one column per sender, checks each of its rows once --
+        fewer checks than deliveries -- and leaves no aggregate verdict in
+        the entry memo."""
+        topology, system = self._er40_multi()
         deliveries = sum(len(topology.neighbors(n)) for n in topology.controllers)
         for _ in range(3):
-            multisig.reset_batch_stats()
             system.run_round()
-            columns = list(system.directory._columns.items())
-            assert len({key[2] for key, _ in columns}) == len(columns) == 40
-            batched = [c for _key, (_a, c) in columns if len(c.rows) >= 2]
-            assert all(row[5] for _key, (_a, c) in columns for row in c.rows)
-            stats = multisig.batch_stats()
-            assert stats["batches"] == len(batched)
-            assert stats["batched_items"] == sum(len(c.rows) for c in batched)
-            assert stats["batched_items"] < deliveries
+            columns = [column for _aggs, column in system.directory._columns.values()]
+            assert len({key[2] for key in system.directory._columns}) == len(columns) == 40
+            assert all(row[5] for c in columns for row in c.rows)
+            assert 0 < sum(len(c.rows) for c in columns) < deliveries
         assert not [key for key in system.directory.verdicts if key[0] == "ms"]
+
+    def test_column_builds_hash_each_body_once_per_round(self, monkeypatch):
+        """On the same run the column builds hash each distinct body to the
+        group at most once per round, however many columns check it, and
+        keep no body hash past its round."""
+        from repro.core.identity import NodeCrypto
+
+        _topology, system = self._er40_multi()
+        group = system.directory.group
+        hash_to_group, warm_batch = group.hash_to_group, NodeCrypto.ms_warm_batch
+        hashed: List[bytes] = []
+        building = [False]
+
+        def counting_hash(body):
+            if building[0]:
+                hashed.append(body)
+            return hash_to_group(body)
+
+        def building_warm_batch(crypto, entries):
+            building[0] = True
+            try:
+                return warm_batch(crypto, entries)
+            finally:
+                building[0] = False
+
+        monkeypatch.setattr(group, "hash_to_group", counting_hash)
+        monkeypatch.setattr(NodeCrypto, "ms_warm_batch", building_warm_batch)
+        for _ in range(3):
+            hashed.clear()
+            system.run_round()
+            rows = sum(len(c.rows) for _aggs, c in system.directory._columns.values())
+            assert hashed and len(hashed) == len(set(hashed)) < rows
+            # The dict holds this round's bodies only.
+            assert set(hashed) == set(system.directory._body_hashes)
 
 
 def _empty_pattern(nodes=(), links=()):

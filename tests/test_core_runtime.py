@@ -78,7 +78,7 @@ class TestDirectory:
         directory.register(1)
         directory.register(2)
         assert directory.rsa_public(1) != directory.rsa_public(2)
-        assert directory.ms_public(1).value != directory.ms_public(2).value
+        assert directory.ms_public(1) != directory.ms_public(2)
 
     def test_counters_split_by_domain(self):
         directory = Directory(rsa_bits=256, seed=3)
@@ -111,7 +111,7 @@ class TestDirectory:
         bob = directory.crypto_for(2)
         body = b"heartbeat-body"
         value = alice.ms_sign(body)
-        apk = directory.ms_public(1).value
+        apk = directory.ms_public(1)
         ok = bob.ms_verify_value(body, value, apk, 1 << 1, cache_key=("t", 1))
         assert ok
         bad = bob.ms_verify_value(body, value + 1, apk, 1 << 1, cache_key=("t", 1))
@@ -128,7 +128,7 @@ class TestDirectory:
         q = directory.group.q
         # Multiset {1: 1, 2: 2, 3: 1}: three distinct signers.
         apk = sum(
-            m * directory.ms_public(n).value for n, m in ((1, 1), (2, 2), (3, 1))
+            m * directory.ms_public(n) for n, m in ((1, 1), (2, 2), (3, 1))
         ) % q
         signers = 1 << 1 | 1 << 2 | 1 << 3
         alice, bob = directory.crypto_for(0), directory.crypto_for(1)

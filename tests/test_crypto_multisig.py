@@ -1,176 +1,109 @@
-"""Unit + property tests for the multisignature scheme (paper S3.6)."""
+"""Properties of the multisignature integer algebra (paper S3.6).
 
-import pytest
+Keys and signatures are ints mod q; an aggregate is a sum, and
+``MultisigGroup.verify`` is the one check.  The reference equation
+``sig * g == H(m) * apk (mod q)`` is written out inline where a test needs
+it, independently of the code under test.
+"""
+
+import random
+
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.multisig import (
-    AggregateKeyTree,
-    MultisigGroup,
-    aggregate_keys,
-    aggregate_signatures,
-    verify_multisig,
-)
+from repro.crypto.multisig import MultisigGroup, MultisigKeyPair
+
+GROUP = MultisigGroup(bits=128, seed=3)
+PAIRS = [MultisigKeyPair(GROUP, seed=i * 31 + 7) for i in range(8)]
+
+#: A signer multiset, as a list of keypair indices (repeats allowed).
+MULTISETS = st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=12)
+BODIES = st.binary(min_size=0, max_size=64)
 
 
-@pytest.fixture(scope="module")
-def group():
-    return MultisigGroup(bits=128, seed=3)
+def _aggregate(signers, body):
+    """(sum of the signers' signatures on ``body``, sum of their keys)."""
+    q = GROUP.q
+    sig = sum(PAIRS[i].sign(body) for i in signers) % q
+    apk = sum(PAIRS[i].public_key for i in signers) % q
+    return sig, apk
 
 
-@pytest.fixture(scope="module")
-def keypairs(group):
-    return {i: group.keypair(seed=i * 31 + 7) for i in range(8)}
-
-
-def _set_node_ids(keypairs):
-    # MultisigKeyPair takes node_id at construction; rebuild with ids.
-    return keypairs
+def _paper_equation(body, sig, apk):
+    return (sig * GROUP.g) % GROUP.q == (GROUP.hash_to_group(body) * apk) % GROUP.q
 
 
 class TestSingleSignature:
-    def test_sign_verify(self, group):
-        kp = group.keypair(seed=1)
-        sig = kp.sign(b"msg")
-        assert verify_multisig(group, b"msg", sig, kp.public_key)
+    def test_sign_verify(self):
+        kp = GROUP.keypair(seed=1)
+        assert GROUP.verify(b"msg", kp.sign(b"msg"), kp.public_key)
 
-    def test_wrong_message_rejected(self, group):
-        kp = group.keypair(seed=1)
-        sig = kp.sign(b"msg")
-        assert not verify_multisig(group, b"other", sig, kp.public_key)
+    def test_wrong_message_rejected(self):
+        kp = GROUP.keypair(seed=1)
+        assert not GROUP.verify(b"other", kp.sign(b"msg"), kp.public_key)
 
-    def test_wrong_key_rejected(self, group):
-        kp1 = group.keypair(seed=1)
-        kp2 = group.keypair(seed=2)
-        sig = kp1.sign(b"msg")
-        assert not verify_multisig(group, b"msg", sig, kp2.public_key)
+    def test_wrong_key_rejected(self):
+        kp1, kp2 = GROUP.keypair(seed=1), GROUP.keypair(seed=2)
+        assert not GROUP.verify(b"msg", kp1.sign(b"msg"), kp2.public_key)
 
     def test_element_size_matches_group_bits(self):
         g = MultisigGroup(bits=256, seed=0)
         assert g.element_size == 32
 
+    def test_given_hash_equals_computed_hash(self):
+        kp = GROUP.keypair(seed=4)
+        sig, h = kp.sign(b"m"), GROUP.hash_to_group(b"m")
+        assert GROUP.verify(b"m", sig, kp.public_key, h)
+        assert not GROUP.verify(b"m", sig, kp.public_key, h + 1)
+
 
 class TestAggregation:
-    def test_two_signer_aggregate(self, group):
-        a = MultisigGroup.keypair(group, seed=10)
-        b = MultisigGroup.keypair(group, seed=11)
-        a.node_id, b.node_id = 0, 1  # labels only affect the signer multiset
-        msg = b"heartbeat"
-        # Rebuild keypairs with proper node ids for clean signer sets.
-        from repro.crypto.multisig import MultisigKeyPair
+    def test_two_signer_aggregate(self):
+        sig, apk = _aggregate([0, 1], b"heartbeat")
+        assert GROUP.verify(b"heartbeat", sig, apk)
 
-        a = MultisigKeyPair(group, seed=10, node_id=0)
-        b = MultisigKeyPair(group, seed=11, node_id=1)
-        agg_sig = aggregate_signatures(group, [a.sign(msg), b.sign(msg)])
-        agg_key = aggregate_keys(group, [a.public_key, b.public_key])
-        assert verify_multisig(group, msg, agg_sig, agg_key)
-
-    def test_duplicate_signer_harmless(self, group):
+    def test_duplicate_signer_harmless(self):
         """Paper S3.6: including j's signature twice is harmless."""
-        from repro.crypto.multisig import MultisigKeyPair
+        sig, apk = _aggregate([5, 5, 6], b"evidence")
+        assert GROUP.verify(b"evidence", sig, apk)
 
-        j = MultisigKeyPair(group, seed=20, node_id=5)
-        k = MultisigKeyPair(group, seed=21, node_id=6)
-        msg = b"evidence"
-        sig = aggregate_signatures(group, [j.sign(msg), j.sign(msg), k.sign(msg)])
-        key = aggregate_keys(group, [j.public_key, j.public_key, k.public_key])
-        assert verify_multisig(group, msg, sig, key)
+    def test_signer_set_mismatch_rejected(self):
+        """An aggregate does not verify under a key that omits a signer."""
+        sig, _apk = _aggregate([0, 1], b"m")
+        assert not GROUP.verify(b"m", sig, PAIRS[0].public_key)
 
-    def test_signer_set_mismatch_rejected(self, group):
-        from repro.crypto.multisig import MultisigKeyPair
+    def test_empty_aggregation_rejected(self):
+        """The empty aggregate is the sum 0; no signer's key accepts it."""
+        assert not any(GROUP.verify(b"m", 0, pair.public_key) for pair in PAIRS)
 
-        a = MultisigKeyPair(group, seed=30, node_id=0)
-        b = MultisigKeyPair(group, seed=31, node_id=1)
-        msg = b"m"
-        sig = aggregate_signatures(group, [a.sign(msg), b.sign(msg)])
-        # Aggregate key claims only one signer.
-        assert not verify_multisig(group, msg, sig, a.public_key)
-
-    def test_empty_aggregation_rejected(self, group):
-        with pytest.raises(ValueError):
-            aggregate_signatures(group, [])
-        with pytest.raises(ValueError):
-            aggregate_keys(group, [])
+    @settings(max_examples=60, deadline=None)
+    @given(signers=MULTISETS, body=BODIES)
+    def test_any_signer_multiset_verifies(self, signers, body):
+        """sum m_i * sig_i verifies under sum m_i * pk_i, as the paper's
+        equation says it must."""
+        sig, apk = _aggregate(signers, body)
+        assert GROUP.verify(body, sig, apk)
+        assert _paper_equation(body, sig, apk)
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        subset=st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=8),
-        msg=st.binary(min_size=0, max_size=64),
-    )
-    def test_any_signer_multiset_verifies(self, subset, msg):
-        """Property: any multiset of signers aggregates consistently."""
-        from repro.crypto.multisig import MultisigKeyPair
+    @given(signers=MULTISETS, body=BODIES, seed=st.integers(0, 2**32))
+    def test_aggregation_order_independent(self, signers, body, seed):
+        """Folding the signatures pairwise mod q, in any order, as a relay
+        combines them, gives the same verifying aggregate."""
+        shuffled = list(signers)
+        random.Random(seed).shuffle(shuffled)
+        acc = 0
+        for i in shuffled:
+            acc = (acc + PAIRS[i].sign(body)) % GROUP.q
+        sig, apk = _aggregate(signers, body)
+        assert acc == sig
+        assert GROUP.verify(body, acc, apk)
 
-        group = MultisigGroup(bits=128, seed=3)
-        kps = {i: MultisigKeyPair(group, seed=i * 31 + 7, node_id=i) for i in range(8)}
-        sig = aggregate_signatures(group, [kps[i].sign(msg) for i in subset])
-        key = aggregate_keys(group, [kps[i].public_key for i in subset])
-        assert verify_multisig(group, msg, sig, key)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        subset=st.sets(st.integers(min_value=0, max_value=7), min_size=2, max_size=8),
-        msg=st.binary(min_size=1, max_size=32),
-    )
-    def test_aggregation_order_independent(self, subset, msg):
-        from repro.crypto.multisig import MultisigKeyPair
-
-        group = MultisigGroup(bits=128, seed=3)
-        kps = {i: MultisigKeyPair(group, seed=i * 31 + 7, node_id=i) for i in range(8)}
-        ordered = sorted(subset)
-        reverse = list(reversed(ordered))
-        s1 = aggregate_signatures(group, [kps[i].sign(msg) for i in ordered])
-        s2 = aggregate_signatures(group, [kps[i].sign(msg) for i in reverse])
-        assert s1 == s2
-
-
-class TestAggregateKeyTree:
-    def _keys(self, group, n):
-        from repro.crypto.multisig import MultisigKeyPair
-
-        return {i: MultisigKeyPair(group, seed=100 + i, node_id=i) for i in range(n)}
-
-    def test_matches_direct_aggregation(self, group):
-        kps = self._keys(group, 6)
-        tree = AggregateKeyTree(group, {i: kp.public_key for i, kp in kps.items()})
-        for i in (0, 2, 5):
-            tree.set_included(i, True)
-        direct = aggregate_keys(group, [kps[i].public_key for i in (0, 2, 5)])
-        assert tree.aggregate().value == direct.value
-        assert tree.aggregate().signers == direct.signers
-
-    def test_toggle_out_and_back(self, group):
-        kps = self._keys(group, 5)
-        tree = AggregateKeyTree(group, {i: kp.public_key for i, kp in kps.items()})
-        for i in range(5):
-            tree.set_included(i, True)
-        before = tree.aggregate().value
-        tree.set_included(3, False)
-        tree.set_included(3, True)
-        assert tree.aggregate().value == before
-
-    def test_update_cost_logarithmic(self, group):
-        kps = self._keys(group, 16)
-        tree = AggregateKeyTree(group, {i: kp.public_key for i, kp in kps.items()})
-        tree.operations = 0
-        tree.set_included(7, True)
-        # 16 leaves -> tree depth 5; one update touches <= depth internal nodes.
-        assert tree.operations <= 6
-
-    def test_noop_toggle_costs_nothing(self, group):
-        kps = self._keys(group, 4)
-        tree = AggregateKeyTree(group, {i: kp.public_key for i, kp in kps.items()})
-        tree.operations = 0
-        tree.set_included(0, False)  # already excluded
-        assert tree.operations == 0
-
-    def test_signature_verifies_under_tree_aggregate(self, group):
-        from repro.crypto.multisig import MultisigKeyPair
-
-        kps = {i: MultisigKeyPair(group, seed=200 + i, node_id=i) for i in range(4)}
-        tree = AggregateKeyTree(group, {i: kp.public_key for i, kp in kps.items()})
-        included = [0, 1, 3]
-        for i in included:
-            tree.set_included(i, True)
-        msg = b"round-42"
-        sig = aggregate_signatures(group, [kps[i].sign(msg) for i in included])
-        assert verify_multisig(group, msg, sig, tree.aggregate())
+    @settings(max_examples=60, deadline=None)
+    @given(signers=MULTISETS, body=BODIES, extra=st.integers(0, 7))
+    def test_wrong_body_key_or_signature_fails(self, signers, body, extra):
+        sig, apk = _aggregate(signers, body)
+        wider = (apk + PAIRS[extra].public_key) % GROUP.q
+        assert not GROUP.verify(body + b"!", sig, apk)
+        assert not GROUP.verify(body, sig, wider)
+        assert not GROUP.verify(body, (sig + 1) % GROUP.q, apk)
+        assert not _paper_equation(body, (sig + 1) % GROUP.q, apk)

@@ -1,9 +1,12 @@
-"""Tests for key rotation (paper S4) and authenticators / cost model."""
+"""Tests for key rotation (paper S4), the detachable authenticator (S3.8),
+hashing and the cost model."""
 
 import pytest
 
+from repro.core.evidence import data_body
+from repro.core.forwarding import DataPacket
 from repro.crypto.cost_model import CryptoCostModel, CryptoCounters
-from repro.crypto.hashing import Authenticator, hash_bytes, make_authenticator
+from repro.crypto.hashing import hash_bytes
 from repro.crypto.rotation import KeyRotationManager
 
 
@@ -63,26 +66,31 @@ class TestKeyRotation:
         assert alice.epoch == e0 + 1
 
 
+def _packet(path_id=7, origin_round=5, payload=b"payload", signature=b""):
+    return DataPacket(path_id=path_id, origin_round=origin_round,
+                      payload=payload, origin=1, signature=signature)
+
+
 class TestAuthenticator:
+    """The protocol's authenticator is a data packet's signed ``data_body``:
+    (path, round, payload digest), detachable from the payload."""
+
     def test_matches_payload(self):
-        auth = make_authenticator(1, 5, 7, b"payload")
-        assert auth.matches_payload(b"payload")
-        assert not auth.matches_payload(b"other")
+        body = _packet().body()
+        assert body == data_body(7, 5, hash_bytes(b"payload"))
+        assert body != data_body(7, 5, hash_bytes(b"other"))
 
     def test_signed_portion_sensitive_to_fields(self):
-        a = make_authenticator(1, 5, 7, b"p")
-        b = make_authenticator(2, 5, 7, b"p")
-        c = make_authenticator(1, 6, 7, b"p")
-        d = make_authenticator(1, 5, 8, b"p")
-        portions = {x.signed_portion() for x in (a, b, c, d)}
-        assert len(portions) == 4
+        bodies = {
+            _packet().body(), _packet(path_id=8).body(),
+            _packet(origin_round=6).body(), _packet(payload=b"p").body(),
+        }
+        assert len(bodies) == 4
 
     def test_with_signature_preserves_fields(self):
-        a = make_authenticator(1, 5, 7, b"p")
-        signed = a.with_signature(b"sig")
+        signed = _packet(signature=b"sig")
         assert signed.signature == b"sig"
-        assert signed.digest == a.digest
-        assert signed.signed_portion() == a.signed_portion()
+        assert signed.body() == _packet().body()
 
     def test_hash_bytes_injective_framing(self):
         assert hash_bytes(b"ab", b"c") != hash_bytes(b"a", b"bc")
@@ -104,24 +112,10 @@ class TestCostModel:
         with pytest.raises(ValueError):
             CryptoCostModel(profile="nope").costs()
 
-    def test_register_profile(self):
-        CryptoCostModel.register_profile(
-            "test-cpu",
-            {
-                "rsa_sign": 1.0,
-                "rsa_verify": 1.0,
-                "ms_sign": 1.0,
-                "ms_verify": 1.0,
-                "ms_combine_sig": 1.0,
-                "ms_combine_key": 1.0,
-            },
-        )
-        model = CryptoCostModel(profile="test-cpu")
-        assert model.cpu_seconds(CryptoCounters(rsa_sign=2)) == pytest.approx(2.0)
-
-    def test_register_profile_missing_entries(self):
-        with pytest.raises(ValueError):
-            CryptoCostModel.register_profile("bad", {"rsa_sign": 1.0})
+    def test_profiles_are_read_only(self):
+        """The calibrated profiles are constants, not process-wide state."""
+        with pytest.raises(TypeError):
+            CryptoCostModel(profile="x86").costs()["rsa_sign"] = 1.0
 
     def test_merge_and_diff(self):
         a = CryptoCounters(rsa_sign=1, ms_verify=2)

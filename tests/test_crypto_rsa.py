@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.crypto.hashing import hash_to_int
-from repro.crypto.primes import generate_prime, generate_safe_prime, is_probable_prime
+from repro.crypto.primes import generate_prime, is_probable_prime
 from repro.crypto.rsa import RSAKeyPair, RSAPublicKey, RSASignature
 
 
@@ -33,12 +33,6 @@ class TestPrimes:
     def test_generated_prime_too_small_rejected(self):
         with pytest.raises(ValueError):
             generate_prime(4, random.Random(0))
-
-    def test_safe_prime_structure(self):
-        rng = random.Random(7)
-        p = generate_safe_prime(48, rng)
-        assert is_probable_prime(p)
-        assert is_probable_prime((p - 1) // 2)
 
 
 class TestHashToInt:

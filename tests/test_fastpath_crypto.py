@@ -3,12 +3,12 @@
 Covers: CRT/plain signature bit-identity, deterministic-keygen enforcement,
 signature wire-format validation, verdict-memo transparency against the
 unmemoized primitives, the memo's bound and its per-system scope,
-codec-memo correctness, and batched multisignature verification.  (Whole-run transparency -- transcripts and
-counters of faulty deployments -- is pinned by tests/test_golden_cells.py.)
+codec-memo correctness, and the aggregate column's per-row multisignature
+checks.  (Whole-run transparency -- transcripts and counters of faulty
+deployments -- is pinned by tests/test_golden_cells.py.)
 """
 
 import copy
-import random
 from collections import Counter
 
 import pytest
@@ -19,13 +19,6 @@ from repro.core.heartbeat import HeartbeatRecord
 from repro.core.identity import VERDICT_MEMO_CAPACITY, Directory
 from repro.core.runtime import ReboundSystem
 from repro.crypto.cost_model import CryptoCounters
-from repro.crypto.multisig import (
-    MultisigGroup,
-    Multisignature,
-    aggregate_keys,
-    verify_multisig,
-    verify_multisig_values_batch,
-)
 from repro.crypto.rsa import RSAKeyPair, RSASignature
 from repro.net import message
 from repro.net.topology import chemical_plant_topology, grid_topology
@@ -203,29 +196,29 @@ def test_cached_rsa_verify_equals_public_key_verify(body, case, signer, flip):
 
 def _multisig_variants(body, mults):
     """case -> ((body, sig value, aggregate key value, signer mask,
-    aggregate-key cache key), verdict of the plain, unmemoized multisignature
-    check).  The key value comes from ``aggregate_keys`` over the multiset."""
+    aggregate-key cache key), verdict of the paper's equation
+    ``sig * g == H(m) * apk (mod q)`` written out here).  The key value is
+    the multiset's sum of public keys."""
     group = _DIRECTORY.group
+    q = group.q
     multiset = Counter({node: m for node, m in enumerate(mults) if m})
     value = sum(
-        m * _DIRECTORY._ms_pairs[node].sign(body).value for node, m in multiset.items()
-    ) % group.q
+        m * _DIRECTORY._ms_pairs[node].sign(body) for node, m in multiset.items()
+    ) % q
     variants = {
         "valid": (body, value, multiset),
-        "forged": (body, (value + 1) % group.q, multiset),
+        "forged": (body, (value + 1) % q, multiset),
         "wrong_key": (body, value, multiset + Counter({3: 1})),
         "wrong_body": (body + b"!", value, multiset),
     }
     out = {}
     for case, (signed, sig, signers) in variants.items():
-        apk = aggregate_keys(
-            group, [_DIRECTORY.ms_public(node) for node in sorted(signers.elements())]
-        )
-        verdict = verify_multisig(group, signed, Multisignature(sig, apk.signers), apk)
+        apk = sum(m * _DIRECTORY.ms_public(node) for node, m in signers.items()) % q
+        verdict = (sig * group.g) % q == (group.hash_to_group(signed) * apk) % q
         assert verdict == (case == "valid")
         key = ("test", tuple(sorted(signers.items())))
         mask = sum(1 << node for node in signers)
-        out[case] = ((signed, sig, apk.value, mask, key), verdict)
+        out[case] = ((signed, sig, apk, mask, key), verdict)
     return out
 
 
@@ -347,39 +340,13 @@ def test_codec_memo_is_bounded():
         message.configure_codec_memo(capacity=4096)
 
 
-# -- batched multisignature verification ---------------------------------------
-
-
-def test_batch_multisig_matches_individual_verdicts():
-    group = MultisigGroup(bits=128, seed=4)
-    rng = random.Random(4)
-    pairs = [group.keypair(seed=i) for i in range(6)]
-    for trial in range(30):
-        entries = []
-        expected = []
-        for i, pair in enumerate(pairs):
-            body = b"hb-%d-%d" % (trial, i)
-            sig = pair.sign(body).value
-            apk = pair.public_key.value
-            if rng.random() < 0.4:  # tamper
-                sig = (sig + 1 + rng.randrange(group.q - 1)) % group.q
-            h = group.hash_to_group(body)
-            expected.append((sig * group.g) % group.q == (h * apk) % group.q)
-            entries.append((body, sig, apk))
-        assert verify_multisig_values_batch(group, entries) == expected
-    # Single-entry short circuit.
-    body = b"solo"
-    sig = pairs[0].sign(body).value
-    assert verify_multisig_values_batch(
-        group, [(body, sig, pairs[0].public_key.value)]
-    ) == [True]
-    assert verify_multisig_values_batch(group, []) == []
+# -- telemetry -----------------------------------------------------------------
 
 
 def test_stats_snapshot_shape():
     registry.ensure_default_components()
     stats = registry.stats_snapshot()
-    assert set(stats) == {"multisig_batch", "codec_memo", "ilp_solver"}
+    assert set(stats) == {"codec_memo", "ilp_solver"}
     assert "hits" in stats["codec_memo"]
     assert "warm_starts" in stats["ilp_solver"]
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crypto.cost_model import CryptoCostModel, CryptoCounters
-from repro.crypto.multisig import MultisigGroup
+from repro.core.identity import Directory
 from repro.sched.ilp import ILPStatus, ZeroOneILP
 
 
@@ -40,13 +40,30 @@ class TestILPTimeLimit:
 
 class TestMultisigSerialization:
     def test_signature_bytes_roundtrip_size(self):
-        group = MultisigGroup(bits=128, seed=1)
-        kp = group.keypair(seed=2)
-        sig = kp.sign(b"m")
-        raw = sig.to_bytes(group)
-        assert len(raw) == group.element_size
-        assert sig.size_bytes(group) == group.element_size
-        assert int.from_bytes(raw, "big") == sig.value
+        """A MULTI record signature is one group element on the wire, and
+        ms_verify_record reads back what sign_record wrote."""
+        directory = Directory(rsa_bits=256, multisig_bits=128, seed=1)
+        for node in (0, 1):
+            directory.register(node)
+        signer, checker = directory.crypto_for(0), directory.crypto_for(1)
+        raw, value = signer.sign_record(b"m", multi=True)
+        assert len(raw) == directory.group.element_size
+        assert int.from_bytes(raw, "big") == value
+        assert checker.ms_verify_record(0, b"m", raw)
+        assert not checker.ms_verify_record(1, b"m", raw)
+        assert not checker.ms_verify_record(0, b"other", raw)
+        counts = signer.total_counters()
+        assert (counts.ms_sign, counts.rsa_sign) == (1, 0)
+
+    def test_basic_record_signature_is_rsa(self):
+        directory = Directory(rsa_bits=256, multisig_bits=128, seed=1)
+        directory.register(0)
+        signer = directory.crypto_for(0)
+        raw, value = signer.sign_record(b"m", multi=False)
+        assert value is None
+        assert signer.verify(0, b"m", raw)
+        counts = signer.total_counters()
+        assert (counts.ms_sign, counts.rsa_sign) == (0, 1)
 
 
 class TestCostModelProfiles:

@@ -7,7 +7,6 @@ from repro.obs import registry
 #: every process-wide component the system ships, exactly: per-system
 #: state (the verdict memo, quotas, auditors) is not registered here.
 EXPECTED_COMPONENTS = {
-    "multisig_batch",
     "codec_memo",
     "ilp_solver",
 }
