@@ -379,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--preset", choices=["smoke", "equivocation-gap"], default="smoke",
         help="smoke = seeded crash on a 4x5 grid; equivocation-gap = the "
-        "(closed) equivocation storm, gated: exits non-zero if the "
-        "decomposition or monitor cross-check regresses",
+        "(closed) equivocation storm; both exit non-zero unless the "
+        "trace-rebuilt decomposition equals the monitor's live one",
     )
     trace.add_argument("--rounds", type=int, default=None,
                        help="override the preset's round count")

@@ -31,7 +31,6 @@ from repro.plant.vehicle import MPH_PER_MS, VehicleModel
 from repro.sched.task import (
     CRITICALITY_HIGH,
     CRITICALITY_VERY_HIGH,
-    MS,
     Flow,
     Task,
     Workload,

@@ -1,24 +1,23 @@
 """Trace driver: run a seeded fault scenario under the flight recorder.
 
 ``python -m repro trace --preset smoke`` runs a small deployment with the
-:class:`~repro.obs.recorder.FlightRecorder` installed, reconstructs the
-recovery timeline from the recorded events alone, cross-checks it against
-the live :class:`~repro.chaos.monitor.BTRMonitor`, and exports both a JSONL
-event log and a Chrome-trace / Perfetto file (protocol instants on tid 0,
-mode spans on tid 1, recovery-phase spans on tid 2).
+:class:`~repro.obs.recorder.FlightRecorder` installed and a
+:class:`~repro.chaos.monitor.BTRMonitor` attached, rebuilds the recovery
+decomposition from the recorded events alone, and exits non-zero unless it
+equals the decomposition the monitor stepped live and the monitor recorded
+no violation.  It exports a JSONL event log and a Chrome-trace / Perfetto
+file (protocol instants on tid 0, mode spans on tid 1, recovery-phase
+spans on tid 2).
 
 Presets:
 
 * ``smoke`` -- a 4x5 grid deployment (BASIC, fmax=1, seeded crash at
-  round 10): the CI-sized end-to-end check that trace-derived detection and
-  convergence match the runtime's own ``detected()`` / ``converged()``.
+  round 10): the CI-sized end-to-end check.
 * ``equivocation-gap`` -- the formerly open equivocation storm
-  (Erdos-Renyi n=6, REBOUND-MULTI, fmax=2, heartbeat equivocation).  Now
-  that epoch-aware Rule B attribution closes the gap, this preset is a
-  pass/fail gate like ``smoke``: it exits non-zero unless the
-  trace-derived decomposition is consistent and the monitor cross-check is
-  clean.  The exported ``divergence_report`` still shows which evidence
-  digests the correct nodes ended on, for regression diagnosis.
+  (Erdos-Renyi n=6, REBOUND-MULTI, fmax=2, heartbeat equivocation), gated
+  the same way now that epoch-aware Rule B attribution closes the gap.
+  The exported ``divergence_report`` still shows which evidence digests the
+  correct nodes ended on, for regression diagnosis.
 """
 
 from __future__ import annotations
@@ -33,12 +32,7 @@ from repro.core.runtime import ReboundSystem
 from repro.faults.adversary import CrashBehavior, EquivocateBehavior
 from repro.net.topology import Topology, erdos_renyi_topology, grid_topology
 from repro.obs.recorder import FlightRecorder
-from repro.obs.timeline import (
-    crosscheck,
-    divergence_report,
-    phase_spans,
-    reconstruct,
-)
+from repro.obs.timeline import divergence_report, phase_spans, reconstruct
 from repro.sched.workload import WorkloadGenerator
 
 
@@ -132,8 +126,6 @@ def run_trace(
 
     recorder = FlightRecorder()
     recorder.install()
-    observed_detection: Optional[int] = None
-    observed_convergence: Optional[int] = None
     try:
         system = ReboundSystem(topology, workload, config, seed=seed)
         monitor = BTRMonitor(
@@ -145,19 +137,11 @@ def run_trace(
             if r == spec.fault_round:
                 system.inject_now(victim, spec.behavior_factory())
             system.run_round()
-            # The runtime's own verdicts, sampled per round: the ground
-            # truth the trace-derived decomposition must reproduce.
-            if r >= spec.fault_round:
-                if observed_detection is None and system.detected():
-                    observed_detection = r
-                if observed_convergence is None and system.converged():
-                    observed_convergence = r
     finally:
         recorder.uninstall()
 
     events = recorder.events()
     decomposition = reconstruct(events)
-    check = crosscheck(decomposition, monitor)
     divergence = divergence_report(events)
 
     if jsonl_path:
@@ -167,20 +151,7 @@ def run_trace(
             chrome_path, phase_spans=phase_spans(decomposition)
         )
 
-    observed_recovery = (
-        None
-        if observed_convergence is None
-        else observed_convergence - spec.fault_round
-    )
-    max_total = decomposition.max_node_total()
-    decomposition_consistent = (
-        observed_recovery is not None
-        and max_total is not None
-        and abs(max_total - observed_recovery) <= 1
-        and decomposition.convergence_round == observed_convergence
-        and decomposition.detection_round == observed_detection
-    )
-
+    traced = decomposition.as_dict()
     return {
         "preset": spec.name,
         "variant": spec.variant,
@@ -190,13 +161,9 @@ def run_trace(
         "victim": victim,
         "events_recorded": len(recorder),
         "events_dropped": recorder.dropped,
-        "observed_detection_round": observed_detection,
-        "observed_convergence_round": observed_convergence,
-        "observed_recovery_rounds": observed_recovery,
-        "decomposition": decomposition.as_dict(),
-        "max_node_total_rounds": max_total,
-        "decomposition_consistent": decomposition_consistent,
-        "crosscheck": check,
+        "decomposition": traced,
+        "live_matches_trace": traced == monitor.decomposition.as_dict(),
+        "violations": [v.as_dict() for v in monitor.violations],
         "divergence": divergence,
         "diagnosis_only": spec.diagnosis_only,
         "jsonl_path": jsonl_path or None,
@@ -224,11 +191,6 @@ def main(
         f"({result['events_dropped']} dropped), fault at round "
         f"{result['fault_round']} on node {result['victim']}"
     )
-    print(
-        f"  observed:  detection r{result['observed_detection_round']}, "
-        f"convergence r{result['observed_convergence_round']} "
-        f"({result['observed_recovery_rounds']} recovery rounds)"
-    )
     d = result["decomposition"]
     print(
         f"  trace:     detection r{d['detection_round']}, "
@@ -243,7 +205,8 @@ def main(
                 f"evidence {nr['evidence_rounds']} + "
                 f"switch {nr['switch_rounds']} = {nr['total_rounds']} rounds"
             )
-    print(f"  monitor agrees on detection: {result['crosscheck']['detection_agrees']}")
+    print(f"  live decomposition equals trace: {result['live_matches_trace']}")
+    print(f"  monitor violations: {len(result['violations'])}")
     if result["divergence"]["divergent"]:
         groups = result["divergence"]["digest_groups"]
         print(f"  evidence DIVERGED into {len(groups)} digest groups:")
@@ -255,21 +218,17 @@ def main(
         print(f"  wrote {result['chrome_path']}")
     print("TRACE " + json.dumps(
         {
-            k: result[k]
-            for k in (
-                "preset", "events_recorded", "observed_detection_round",
-                "observed_convergence_round", "decomposition_consistent",
-            )
+            "preset": result["preset"],
+            "events_recorded": result["events_recorded"],
+            "detection_round": d["detection_round"],
+            "convergence_round": d["convergence_round"],
+            "live_matches_trace": result["live_matches_trace"],
         },
         sort_keys=True,
     ))
     if result["diagnosis_only"]:
         return 0
-    ok = (
-        result["decomposition_consistent"]
-        and result["crosscheck"]["detection_agrees"]
-        and not result["crosscheck"]["violations"]
-    )
+    ok = result["live_matches_trace"] and not result["violations"]
     return 0 if ok else 1
 
 

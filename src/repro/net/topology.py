@@ -21,7 +21,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import networkx as nx
 

@@ -4,7 +4,7 @@ Renders, once per round, the operator view of the paper's three BTR
 requirements: campaign/round progress, per-node health, the suspected-set
 and evidence gauges from the :class:`~repro.obs.series.MetricsTimeSeries`,
 and -- once a fault lands -- the detection -> evidence -> switch
-decomposition reconstructed from the flight-recorder stream.
+decomposition the BTR monitor steps live.
 
 On a TTY each frame repaints in place (ANSI home + clear-to-end); on a
 pipe (CI, logs) frames print sequentially, and ``--once`` renders exactly
@@ -130,12 +130,10 @@ def render_top(
     if rec is not None:
         lines.append(f"recorder: {rec.emitted} events ({rec.dropped} dropped)")
     lines.append("nodes: " + _health_strip(system))
-    # The decomposition appears once the stream contains a recovery
-    # episode -- the detection -> evidence -> switch view of Reqs 1/2.
-    if rec is not None and rec.emitted:
-        from repro.obs.timeline import reconstruct
-
-        decomposition = reconstruct(rec.events())
+    # The decomposition appears once a recovery episode is under way --
+    # the detection -> evidence -> switch view of Reqs 1/2.
+    decomposition = getattr(monitor, "decomposition", None)
+    if decomposition is not None:
         rows = [
             (node, spans)
             for node, spans in sorted(decomposition.per_node.items())

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs import registry as _registry
 

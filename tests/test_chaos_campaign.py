@@ -111,6 +111,29 @@ class TestCells:
         assert result["outcome"] == "pass"
         assert result["violations"] == []
 
+    def test_lfd_storm_recovers_once_no_mode_hosts_the_victim(self, monkeypatch):
+        """Req. 2 holds only once no correct node's mode places a task on
+        the attacker: an agreed mode that still hosts the LFD-storming
+        node is not a recovery."""
+        clear_rounds = []
+        run_round = ReboundSystem.run_round
+
+        def run_round_and_look(system):
+            run_round(system)
+            hosts = {
+                host
+                for n in system.correct_controllers()
+                for host in system.nodes[n].current_schedule.placements.values()
+            }
+            if system.true_faulty_nodes and not hosts & system.true_faulty_nodes:
+                clear_rounds.append(system.round_no)
+
+        monkeypatch.setattr(ReboundSystem, "run_round", run_round_and_look)
+        result = run_cell(CampaignCell("er6", "lfd-storm", "none", 0))
+        assert result["outcome"] == "pass"
+        assert clear_rounds
+        assert result["recovery_round"] == clear_rounds[0]
+
     def test_tamper_detection_fails_a_clean_restart(self, monkeypatch):
         """A tamper detection on a restart whose log nobody touched is a
         false alarm, and the cell fails on it."""

@@ -29,7 +29,7 @@ from repro.core.heartbeat import AggregateHeartbeat, CoverageRegistry, Heartbeat
 from repro.core.identity import Directory
 from repro.core.paths import PATH_DATA, Path, PathSet
 from repro.crypto.hashing import hash_bytes
-from repro.net.topology import line_topology, ring_topology
+from repro.net.topology import ring_topology
 
 
 def _make_layer(topo, node_id, directory, variant="basic", d_max=4,

@@ -1,7 +1,5 @@
 """Unit tests for the system runtime and the identity/crypto directory."""
 
-import pytest
-
 from repro.core import ReboundConfig, ReboundSystem
 from repro.core.identity import DOMAIN_AUDITING, DOMAIN_FORWARDING, Directory
 from repro.faults.adversary import CrashBehavior, SilenceBehavior
