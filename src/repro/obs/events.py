@@ -61,6 +61,11 @@ EV_AUDIT_DIVERGENCE = 18  #: an audit beacon failed a local/quorum consistency c
 EV_AUDIT_RESYNC = 19  #: a diverged node resynced from quorum + durable verified prefix
 EV_TREE_REFRESH = 20  #: the mode tree grew a subtree online for an out-of-tree pattern
 
+#: The ``behavior`` prefix of an ``EV_FAULT_INJECTED`` recording a transient
+#: state corruption of a correct node (``ReboundSystem.corrupt_now``): the
+#: node stays correct, so a trace reader must not count it as a fault.
+CORRUPTION_BEHAVIOR = "corruption:"
+
 #: The closed set of ``rule`` tags an ``lfd-issued`` event carries: the
 #: demand whose violation produced the declaration (docs/PROTOCOL.md §2).
 #: ``header``/``content``: a malformed round message or invalid flooded
