@@ -3,10 +3,9 @@
 Runs the ``bench_modegen`` sweep (the same driver behind
 ``python -m repro bench-modegen``) under pytest-benchmark and asserts the
 engine's contract: the parallel tree is identical to the serial tree.
-Small-scale by default; ``REPRO_FULL=1`` runs the full ILP cells.
+Runs the quick sweep; ``python -m repro bench-modegen`` runs the full ILP
+cells.
 """
-
-from conftest import scale
 
 
 def test_modegen_parallel_identity(benchmark):
@@ -15,7 +14,7 @@ def test_modegen_parallel_identity(benchmark):
     result = benchmark.pedantic(
         lambda: run_modegen_bench(
             workers=2,
-            quick=scale(True, False),
+            quick=True,
             output_path=None,
         ),
         rounds=1,
@@ -37,7 +36,7 @@ def test_parallel_workers_sweep(benchmark):
     from repro.sched.modegen import ModeTreeGenerator
     from repro.sched.workload import WorkloadGenerator
 
-    n, fmax = scale((10, 2), (14, 2))
+    n, fmax = 10, 2
     topology = erdos_renyi_topology(n, seed=2)
     workload = WorkloadGenerator(seed=2, chain_length_range=(1, 2)).workload(
         target_utilization=2.0

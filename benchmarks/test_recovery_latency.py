@@ -12,9 +12,8 @@ chemical-plant numbers land on the paper's ~200 ms.
 
 import pytest
 
-from conftest import scale
 from repro.core import ReboundConfig, ReboundSystem
-from repro.experiments.common import print_table
+from repro.experiments.report import md_table
 from repro.faults.adversary import (
     CrashBehavior,
     EquivocateBehavior,
@@ -26,7 +25,7 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.timeline import reconstruct
 from repro.sched.workload import WorkloadGenerator
 
-SIZES = scale((8, 14), (8, 14, 24))
+SIZES = (8, 14)
 BEHAVIORS = [
     ("crash", CrashBehavior),
     ("silence", SilenceBehavior),
@@ -77,7 +76,8 @@ def test_recovery_latency(benchmark, rows):
     benchmark.pedantic(
         _measure, args=(8, "crash", CrashBehavior), rounds=1, iterations=1
     )
-    print_table(rows, "Recovery latency by behaviour and system size")
+    print("Recovery latency by behaviour and system size")
+    print(md_table(rows))
     for row in rows:
         assert row["recovered"], f"{row} never recovered"
         # The bound: detection within a small constant for direct omissions,

@@ -2,14 +2,9 @@
 
 Usage::
 
-    python -m repro fig5 [--sizes 4,10,20] [--rounds 25]
-    python -m repro fig6 [--n 45] [--fault-round 50]
-    python -m repro fig7 [--sizes 15,30] [--fmax 1,2] [--workers 4]
-    python -m repro fig8 [--rounds 60]
-    python -m repro fig9
-    python -m repro fig10 [--duration 3.0]
-    python -m repro fig11
+    python -m repro fig5 [--scale tiny|small|full]     # likewise fig6 ... fig11
     python -m repro table1
+    python -m repro ablations [--scale tiny|small|full]
     python -m repro report --out results.md [--scale full]
     python -m repro bench-modegen [--workers 2] [--quick] [--out BENCH_modegen.json]
     python -m repro bench-scale [--smoke] [--out BENCH_scale.json]
@@ -18,8 +13,10 @@ Usage::
     python -m repro trace --validate TRACE_smoke.jsonl
     python -m repro top [--preset smoke] [--rounds 30] [--once]
 
-Each command prints the regenerated rows and the paper's qualitative shape
-checks.  The same drivers back the pytest benchmarks.
+Each figure command prints its report section -- the regenerated rows and
+the paper's qualitative shape checks -- with the parameters
+``repro.experiments.report.FIGURES`` gives at that scale, and exits 1 if a
+check fails.
 """
 
 from __future__ import annotations
@@ -29,101 +26,32 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.experiments import (
-    fig5_overhead,
-    fig6_modechange,
-    fig7_scheduling,
-    fig8_casestudy,
-    fig9_pbft,
-    fig10_xc90,
-    fig11_testbed,
-    timescales,
-)
-from repro.experiments.common import print_table
+from repro.experiments.report import FIGURES, SCALES, generate_report
 
 
 def _int_list(text: str) -> List[int]:
     return [int(x) for x in text.split(",") if x]
 
 
-def _print_checks(checks) -> int:
-    print("\nshape checks:")
-    failed = 0
-    for name, ok in checks.items():
-        print(f"  [{'ok' if ok else 'FAIL'}] {name}")
-        failed += 0 if ok else 1
-    return failed
-
-
-def cmd_table1(_args) -> int:
-    print_table(timescales.TABLE_1, "Table 1: timescales for recovery")
-    return 0
-
-
-def cmd_fig5(args) -> int:
-    rows = fig5_overhead.run(sizes=tuple(args.sizes), rounds=args.rounds)
-    print_table(rows, "Figure 5: protocol overhead vs system size")
-    return _print_checks(fig5_overhead.check_shape(rows))
-
-
-def cmd_fig6(args) -> int:
-    rows = fig6_modechange.run(
-        n=args.n, fault_round=args.fault_round,
-        total_rounds=args.fault_round + 30,
-    )
-    window = [
-        r for r in rows
-        if args.fault_round - 4 <= r["round"] <= args.fault_round + 12
-    ]
-    print_table(window, "Figure 6: rounds around the fault")
-    summary = fig6_modechange.summarize(rows, fault_round=args.fault_round)
-    print(f"\nsummary: {summary}")
-    return 0 if summary["converged_round"] is not None else 1
-
-
-def cmd_fig7(args) -> int:
-    rows = fig7_scheduling.run(
-        sizes=tuple(args.sizes),
-        fmax_values=tuple(args.fmax),
-        workers=args.workers,
-    )
-    print_table(rows, "Figure 7: scheduling trees")
-    return _print_checks(fig7_scheduling.check_shape(rows))
-
-
-def cmd_fig8(args) -> int:
-    rows = fig8_casestudy.run(rounds=args.rounds)
-    print_table(rows, "Figure 8: case-study runtime costs")
-    return _print_checks(fig8_casestudy.check_shape(rows))
-
-
-def cmd_fig9(_args) -> int:
-    rows = fig9_pbft.run()
-    print_table(rows, "Figure 9: supported workload vs PBFT")
-    return _print_checks(fig9_pbft.check_shape(rows))
-
-
-def cmd_fig10(args) -> int:
-    results = fig10_xc90.run_all(duration_s=args.duration)
-    for name, r in results.items():
-        print(
-            f"{name}: peak {r['peak_mph']:.2f} mph, "
-            f"final {r['final_mph']:.2f} mph, "
-            f"excursion {r['excursion_mph']:.3f} mph, "
-            f"recovery {r['recovery_ms']} ms"
-        )
-    return _print_checks(fig10_xc90.check_shape(results))
+def cmd_figure(args) -> int:
+    text, checks = FIGURES[args.command].section(args.scale)
+    print(text)
+    return 0 if all(checks.values()) else 1
 
 
 def cmd_report(args) -> int:
-    from repro.experiments.report import generate_report
-
-    text = generate_report(scale=args.scale)
+    text, checks = generate_report(scale=args.scale)
     with open(args.out, "w") as fh:
         fh.write(text)
     print(f"wrote {args.out} ({len(text)} bytes)")
-    failed = text.count("FAILED")
-    print(f"{failed} shape check(s) failed" if failed else "all shape checks passed")
+    failed = [
+        f"{name}.{check}"
+        for name, section in checks.items()
+        for check, ok in section.items()
+        if not ok
+    ]
+    print(f"failed shape checks: {', '.join(failed)}" if failed
+          else "all shape checks passed")
     return 1 if failed else 0
 
 
@@ -226,13 +154,6 @@ def cmd_top(args) -> int:
     )
 
 
-def cmd_fig11(_args) -> int:
-    results = fig11_testbed.run_all()
-    for name, r in results.items():
-        print(f"{name}: active={r['active_flows']} dropped={r['dropped_flows']}")
-    return _print_checks(fig11_testbed.check_shape(results))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -240,45 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("table1", help="recovery-timescale survey").set_defaults(
-        func=cmd_table1
-    )
-
-    p5 = sub.add_parser("fig5", help="protocol overhead vs n")
-    p5.add_argument("--sizes", type=_int_list, default=[4, 10, 20, 35, 50])
-    p5.add_argument("--rounds", type=int, default=25)
-    p5.set_defaults(func=cmd_fig5)
-
-    p6 = sub.add_parser("fig6", help="mode-change dynamics")
-    p6.add_argument("--n", type=int, default=45)
-    p6.add_argument("--fault-round", type=int, default=50)
-    p6.set_defaults(func=cmd_fig6)
-
-    p7 = sub.add_parser("fig7", help="scheduling trees")
-    p7.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="fan mode-tree layers across N worker processes "
-        "(identical output; serial by default)",
-    )
-    p7.add_argument("--sizes", type=_int_list, default=[15, 30, 60])
-    p7.add_argument("--fmax", type=_int_list, default=[1, 2])
-    p7.set_defaults(func=cmd_fig7)
-
-    p8 = sub.add_parser("fig8", help="case-study runtime costs")
-    p8.add_argument("--rounds", type=int, default=60)
-    p8.set_defaults(func=cmd_fig8)
-
-    sub.add_parser("fig9", help="comparison to PBFT").set_defaults(func=cmd_fig9)
-
-    p10 = sub.add_parser("fig10", help="XC90 cruise-control attack")
-    p10.add_argument("--duration", type=float, default=3.0)
-    p10.set_defaults(func=cmd_fig10)
-
-    sub.add_parser("fig11", help="testbed attack scenarios").set_defaults(
-        func=cmd_fig11
-    )
+    for name, figure in FIGURES.items():
+        fig = sub.add_parser(name, help=figure.title)
+        fig.add_argument("--scale", choices=SCALES, default="small")
+        fig.set_defaults(func=cmd_figure)
 
     benchm = sub.add_parser(
         "bench-modegen",
@@ -400,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="run everything, write a markdown report")
     rep.add_argument("--out", default="results.md")
-    rep.add_argument("--scale", choices=["small", "full"], default="small")
+    rep.add_argument("--scale", choices=SCALES, default="small")
     rep.set_defaults(func=cmd_report)
     return parser
 

@@ -1,8 +1,10 @@
 """Experiment drivers: one module per figure of the paper's evaluation.
 
-Each driver is a pure function taking parameters and returning row dicts /
-series, so the same code backs the benchmarks (``benchmarks/``), the
-examples (``examples/``), and EXPERIMENTS.md.
+Each module's entry point is a pure function of its parameters returning
+row dicts / series.  :data:`repro.experiments.report.FIGURES` is their one
+parameter table (scales ``tiny``, ``small``, ``full``) and shape-check
+registry; the ``figN`` CLI commands, ``python -m repro report`` and
+``tests/test_experiments.py`` all run the experiments through it.
 
 | Paper artifact | Module |
 |---|---|
@@ -14,4 +16,5 @@ examples (``examples/``), and EXPERIMENTS.md.
 | Fig. 9 (comparison to PBFT)        | :mod:`repro.experiments.fig9_pbft` |
 | Fig. 10 (XC90 cruise-control)      | :mod:`repro.experiments.fig10_xc90` |
 | Fig. 11 (testbed attack scenarios) | :mod:`repro.experiments.fig11_testbed` |
+| S3.5 / S3.9 ablations              | :mod:`repro.experiments.ablations` |
 """

@@ -1,4 +1,4 @@
-"""Shared experiment plumbing: system builders, closed loops, printing."""
+"""Shared experiment plumbing: benchmark provenance and the Fig. 1 closed loop."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import platform
 import subprocess
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 import numpy
 
@@ -58,30 +58,6 @@ from repro.plant.chemical import (
 )
 from repro.plant.fixedpoint import MICRO, encode_micro, to_micro
 from repro.sched.task import chemical_plant_workload
-
-
-def print_table(rows: Sequence[Dict], title: str = "") -> None:
-    """Render row dicts as an aligned text table (benchmark output)."""
-    if title:
-        print(f"\n== {title} ==")
-    if not rows:
-        print("(no rows)")
-        return
-    columns = list(rows[0].keys())
-    widths = {
-        c: max(len(str(c)), *(len(_fmt(r.get(c))) for r in rows)) for c in columns
-    }
-    header = "  ".join(str(c).ljust(widths[c]) for c in columns)
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        print("  ".join(_fmt(row.get(c)).ljust(widths[c]) for c in columns))
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.3f}"
-    return str(value)
 
 
 def chemical_plant_registry() -> TaskRegistry:

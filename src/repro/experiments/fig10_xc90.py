@@ -82,7 +82,7 @@ class XC90Scenario:
     name: str
     protected: bool
     attack_at_s: Optional[float]
-    duration_s: float = 3.0
+    duration_s: float
     seed: int = 1
 
     def run(self) -> Dict:
@@ -183,21 +183,26 @@ class XC90Scenario:
         }
 
 
-def run_all(duration_s: float = 3.0, seed: int = 1) -> Dict[str, Dict]:
-    """All four panels of Fig. 10."""
-    scenarios = {
-        "normal": XC90Scenario("normal", protected=True, attack_at_s=None,
-                               duration_s=duration_s, seed=seed),
-        "attack_unprotected": XC90Scenario(
-            "attack_unprotected", protected=False, attack_at_s=0.3,
-            duration_s=duration_s, seed=seed,
-        ),
-        "attack_rebound": XC90Scenario(
-            "attack_rebound", protected=True, attack_at_s=0.3,
-            duration_s=duration_s, seed=seed,
-        ),
+def run_all(duration_s: float, seed: int = 1) -> Dict[str, Dict]:
+    """Panels (a)-(c) of Fig. 10; (d) is a detail of (c)."""
+    panels = {  # name: (protected, attack_at_s)
+        "normal": (True, None),
+        "attack_unprotected": (False, 0.3),
+        "attack_rebound": (True, 0.3),
     }
-    return {name: scenario.run() for name, scenario in scenarios.items()}
+    return {
+        name: XC90Scenario(name, protected, attack_at_s, duration_s, seed).run()
+        for name, (protected, attack_at_s) in panels.items()
+    }
+
+
+def table(results: Dict[str, Dict]) -> List[Dict]:
+    """One report row per panel, without the speed series."""
+    columns = ("peak_mph", "final_mph", "excursion_mph", "recovery_ms")
+    return [
+        {"scenario": name, **{c: r[c] for c in columns}}
+        for name, r in results.items()
+    ]
 
 
 def check_shape(results: Dict[str, Dict]) -> Dict[str, bool]:
@@ -211,6 +216,8 @@ def check_shape(results: Dict[str, Dict]) -> Dict[str, bool]:
         # reaches ~100 mph in 3 s; our drag model is slightly more
         # conservative but the runaway is unambiguous).
         "unprotected_runs_away": unprotected["excursion_mph"] > 7.0,
+        "unprotected_excursion_10x_protected": unprotected["excursion_mph"]
+        > 10 * protected["excursion_mph"],
         # (c) with REBOUND the speed barely moves.
         "rebound_excursion_small": protected["excursion_mph"] < 2.0,
         "rebound_recovers_setpoint": abs(protected["final_mph"] - TARGET_MPH) < 2.0,

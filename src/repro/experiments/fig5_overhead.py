@@ -24,22 +24,11 @@ from repro.core.runtime import ReboundSystem
 from repro.net.topology import erdos_renyi_topology
 from repro.sched.task import Workload
 
-DEFAULT_SIZES = (4, 10, 20, 35, 50)
-DEFAULT_ROUNDS = 30
 
-
-def run_one(
-    n: int,
-    variant: str,
-    rounds: int = DEFAULT_ROUNDS,
-    seed: int = 0,
-    rsa_bits: int = 512,
-) -> Dict:
+def run_one(n: int, variant: str, rounds: int, seed: int, rsa_bits: int) -> Dict:
     """One (size, variant) cell of Fig. 5; returns a row dict."""
     topology = erdos_renyi_topology(n, seed=seed)
-    config = ReboundConfig(
-        fmax=1, fconc=1, variant=variant, rsa_bits=rsa_bits
-    )
+    config = ReboundConfig(fmax=1, fconc=1, variant=variant, rsa_bits=rsa_bits)
     system = ReboundSystem(topology, Workload([]), config, seed=seed)
     collector = MetricsCollector(system)
     collector.run_and_sample(rounds)
@@ -56,42 +45,18 @@ def run_one(
 
 
 def run(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    rounds: int = DEFAULT_ROUNDS,
-    seeds: Sequence[int] = (0,),
-    rsa_bits: int = 512,
+    sizes: Sequence[int], rounds: int, seeds: Sequence[int], rsa_bits: int
 ) -> List[Dict]:
     """The full Fig. 5 sweep: every size x variant, averaged over seeds."""
     rows: List[Dict] = []
     for n in sizes:
         for variant in ("basic", "multi"):
-            cells = [
-                run_one(n, variant, rounds=rounds, seed=seed, rsa_bits=rsa_bits)
-                for seed in seeds
-            ]
-            k = len(cells)
-            rows.append(
-                {
-                    "n": n,
-                    "variant": variant,
-                    "bandwidth_kb_per_link_round": sum(
-                        c["bandwidth_kb_per_link_round"] for c in cells
-                    )
-                    / k,
-                    "storage_kb_per_node": sum(
-                        c["storage_kb_per_node"] for c in cells
-                    )
-                    / k,
-                    "sign_ops_per_node_round": sum(
-                        c["sign_ops_per_node_round"] for c in cells
-                    )
-                    / k,
-                    "verify_ops_per_node_round": sum(
-                        c["verify_ops_per_node_round"] for c in cells
-                    )
-                    / k,
-                }
-            )
+            cells = [run_one(n, variant, rounds, seed, rsa_bits) for seed in seeds]
+            rows.append({
+                key: value if key in ("n", "variant")
+                else sum(c[key] for c in cells) / len(cells)
+                for key, value in cells[0].items()
+            })
     return rows
 
 

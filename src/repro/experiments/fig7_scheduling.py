@@ -26,17 +26,11 @@ from repro.net.topology import erdos_renyi_topology
 from repro.sched.modegen import ModeTreeGenerator
 from repro.sched.workload import WorkloadGenerator
 
-DEFAULT_SIZES = (20, 50, 100, 200)
-DEFAULT_FMAX = (1, 2, 3)
 EXACT_LIMIT = 600  # generate exactly when the tree has at most this many modes
 
 
 def run_cell(
-    n: int,
-    fmax: int,
-    seed: int = 0,
-    samples_per_layer: int = 6,
-    workers: int = 1,
+    n: int, fmax: int, seed: int, samples_per_layer: int, workers: int
 ) -> Dict:
     """One (n, fmax) cell: exact when small, estimated otherwise.
 
@@ -51,47 +45,35 @@ def run_cell(
     generator = ModeTreeGenerator(
         topology, workload, fmax=fmax, fconc=1, workers=workers
     )
-    total_modes = sum(generator.layer_counts())
-    if total_modes <= EXACT_LIMIT:
+    if sum(generator.layer_counts()) <= EXACT_LIMIT:
         start = time.perf_counter()
         tree = generator.generate()
-        elapsed = time.perf_counter() - start
-        return {
-            "n": n,
-            "fmax": fmax,
-            "modes": tree.num_modes,
-            "size_bytes": tree.serialized_size(),
-            "generation_s": elapsed,
-            "method": "exact",
-            "workers": workers,
-        }
-    stats = generator.estimate(samples_per_layer=samples_per_layer, seed=seed)
+        seconds, method = time.perf_counter() - start, "exact"
+        modes, size = tree.num_modes, tree.serialized_size()
+    else:
+        stats = generator.estimate(samples_per_layer=samples_per_layer, seed=seed)
+        modes, size = stats.estimated_total_modes, stats.estimated_size_bytes
+        seconds, method = stats.estimated_total_time_s, "estimated"
     return {
         "n": n,
         "fmax": fmax,
-        "modes": stats.estimated_total_modes,
-        "size_bytes": stats.estimated_size_bytes,
-        "generation_s": stats.estimated_total_time_s,
-        "method": "estimated",
+        "modes": modes,
+        "size_bytes": size,
+        "generation_s": seconds,
+        "method": method,
         "workers": workers,
     }
 
 
 def run(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    fmax_values: Sequence[int] = DEFAULT_FMAX,
+    sizes: Sequence[int],
+    fmax_values: Sequence[int],
+    samples_per_layer: int,
+    workers: int,
     seed: int = 0,
-    samples_per_layer: int = 6,
-    workers: int = 1,
 ) -> List[Dict]:
     return [
-        run_cell(
-            n,
-            fmax,
-            seed=seed,
-            samples_per_layer=samples_per_layer,
-            workers=workers,
-        )
+        run_cell(n, fmax, seed, samples_per_layer, workers)
         for n in sizes
         for fmax in fmax_values
     ]

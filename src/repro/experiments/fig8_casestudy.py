@@ -26,10 +26,6 @@ from repro.core.runtime import ReboundSystem
 from repro.net.topology import erdos_renyi_topology
 from repro.sched.workload import WorkloadGenerator
 
-DEFAULT_N = 26
-DEFAULT_FLOWS = 4
-DEFAULT_ROUNDS = 60
-
 
 def _build_workload(seed: int, flows: int):
     generator = WorkloadGenerator(seed=seed, chain_length_range=(2, 3))
@@ -45,12 +41,7 @@ def _build_workload(seed: int, flows: int):
 
 
 def run_one(
-    fconc: Optional[int],
-    n: int = DEFAULT_N,
-    flows: int = DEFAULT_FLOWS,
-    rounds: int = DEFAULT_ROUNDS,
-    seed: int = 0,
-    rsa_bits: int = 512,
+    fconc: Optional[int], n: int, flows: int, rounds: int, seed: int, rsa_bits: int
 ) -> Dict:
     """One bar group of Fig. 8.  ``fconc=None`` is the unprotected system."""
     topology = erdos_renyi_topology(n, seed=seed)
@@ -104,17 +95,14 @@ def run_one(
 
 
 def run(
-    fconc_values: Sequence[Optional[int]] = (None, 1, 2, 3),
-    n: int = DEFAULT_N,
-    flows: int = DEFAULT_FLOWS,
-    rounds: int = DEFAULT_ROUNDS,
+    fconc_values: Sequence[Optional[int]],
+    n: int,
+    flows: int,
+    rounds: int,
+    rsa_bits: int,
     seed: int = 0,
-    rsa_bits: int = 512,
 ) -> List[Dict]:
-    return [
-        run_one(fconc, n=n, flows=flows, rounds=rounds, seed=seed, rsa_bits=rsa_bits)
-        for fconc in fconc_values
-    ]
+    return [run_one(f, n, flows, rounds, seed, rsa_bits) for f in fconc_values]
 
 
 def check_shape(rows: Sequence[Dict]) -> Dict[str, bool]:
@@ -122,7 +110,11 @@ def check_shape(rows: Sequence[Dict]) -> Dict[str, bool]:
     unprot = by_config.get("unprot")
     f1 = by_config.get("fconc=1")
     f3 = by_config.get("fconc=3")
-    checks: Dict[str, bool] = {}
+    payloads = [r["payload_kb_per_node_round"] for r in rows]
+    checks: Dict[str, bool] = {
+        # The application's own traffic does not depend on the defense.
+        "payload_constant_across_configs": max(payloads) <= 1.05 * min(payloads),
+    }
     if unprot and f1:
         checks["unprotected_has_no_protocol_traffic"] = (
             unprot["rebound_kb_per_node_round"] == 0.0

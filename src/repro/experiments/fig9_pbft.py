@@ -16,15 +16,11 @@ from typing import Dict, List, Sequence
 from repro.bft.replication import pbft_model, rebound_model, useful_utilization
 from repro.sched.workload import WorkloadGenerator
 
-DEFAULT_F_VALUES = (1, 2, 3)
-DEFAULT_NODE_COUNTS = (25, 50, 75)
-DEFAULT_WORKLOADS = 15
-
 
 def run(
-    f_values: Sequence[int] = DEFAULT_F_VALUES,
-    node_counts: Sequence[int] = DEFAULT_NODE_COUNTS,
-    workloads_per_cell: int = DEFAULT_WORKLOADS,
+    f_values: Sequence[int],
+    node_counts: Sequence[int],
+    workloads_per_cell: int,
     seed: int = 0,
 ) -> List[Dict]:
     """One row per f: median useful utilization under each defense,

@@ -1,21 +1,24 @@
-"""One-shot reproduction report: run every experiment, write markdown.
+"""One-shot reproduction report, and the one table of figure parameters.
 
-``python -m repro report [--out results.md] [--scale small|full]`` runs all
-seven figure drivers with the chosen scale and writes a self-contained
-markdown report with every regenerated table and the pass/fail status of
-each of the paper's qualitative claims -- the artifact a reviewer would
-attach to a reproduction study.
+:data:`FIGURES` holds, for Table 1, every evaluation figure and the S3.5 /
+S3.9 ablations: the title, the entry point that runs it, its parameters at
+each scale (``tiny`` for the unit tests, ``small`` for the committed
+``results.md``, ``full`` for paper-scale sweeps), the projection to report
+rows, and the paper's qualitative claims as booleans.  The ``figN`` CLI
+commands, ``python -m repro report [--scale tiny|small|full]`` and
+``tests/test_experiments.py`` all read their parameters from it.
 """
 
 from __future__ import annotations
 
 import datetime
-import io
 import platform
 import time
-from typing import Dict, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.experiments import (
+    ablations,
     fig5_overhead,
     fig6_modechange,
     fig7_scheduling,
@@ -26,28 +29,128 @@ from repro.experiments import (
     timescales,
 )
 
-SMALL = {
-    "fig5": {"sizes": (4, 10, 20, 35), "rounds": 20},
-    "fig6": {"n": 30, "fault_round": 35, "total_rounds": 60},
-    "fig7": {"sizes": (15, 30), "fmax_values": (1, 2)},
-    "fig8": {"fconc_values": (None, 1, 2, 3), "n": 18, "rounds": 40},
-    "fig9": {"f_values": (1, 2, 3), "node_counts": (25,), "workloads_per_cell": 8},
-    "fig10": {"duration_s": 1.5},
-    "fig11": {"post_rounds": 25},
-}
-FULL = {
-    "fig5": {"sizes": (4, 10, 20, 35, 50, 75, 100), "rounds": 50},
-    "fig6": {"n": 45, "fault_round": 50, "total_rounds": 100},
-    "fig7": {"sizes": (20, 50, 100, 200), "fmax_values": (1, 2, 3)},
-    "fig8": {"fconc_values": (None, 1, 2, 3), "n": 26, "rounds": 100},
-    "fig9": {"f_values": (1, 2, 3), "node_counts": (25, 50, 75),
+SCALES = ("tiny", "small", "full")
+Checks = Dict[str, bool]
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One report section."""
+
+    title: str
+    run: Callable[..., Any]
+    params: Dict[str, Dict[str, Any]]
+    """Keyword arguments of ``run`` at each of :data:`SCALES`."""
+    table: Callable[[Any], Sequence[Dict]] = lambda result: result
+    check_shape: Callable[[Any], Checks] = lambda result: {}
+
+    def section(self, scale: str) -> Tuple[str, Checks]:
+        """Run at ``scale``; return the markdown section and its checks."""
+        result = self.run(**self.params[scale])
+        checks = self.check_shape(result)
+        text = f"## {self.title}\n\n" + md_table(self.table(result))
+        if checks:
+            text += "\n" + md_checks(checks)
+        return text, checks
+
+
+def _scales(tiny: Dict, small: Dict, full: Dict) -> Dict[str, Dict]:
+    return {"tiny": tiny, "small": small, "full": full}
+
+
+FIGURES: Dict[str, Figure] = {
+    "table1": Figure(
+        "Table 1 — recovery timescales (reference data)",
+        lambda: timescales.TABLE_1,
+        _scales({}, {}, {}),
+    ),
+    "fig5": Figure(
+        "Figure 5 — protocol overhead vs system size",
+        fig5_overhead.run,
+        _scales(
+            {"sizes": (4, 12, 24), "rounds": 15, "seeds": (0,), "rsa_bits": 256},
+            {"sizes": (4, 10, 20, 35), "rounds": 20, "seeds": (0,),
+             "rsa_bits": 512},
+            {"sizes": (4, 10, 20, 35, 50, 75, 100), "rounds": 50, "seeds": (0,),
+             "rsa_bits": 512},
+        ),
+        check_shape=fig5_overhead.check_shape,
+    ),
+    "fig6": Figure(
+        "Figure 6 — mode-change dynamics",
+        fig6_modechange.run,
+        _scales(
+            {"n": 20, "fault_round": 30, "total_rounds": 50, "rsa_bits": 256},
+            {"n": 30, "fault_round": 35, "total_rounds": 60, "rsa_bits": 512},
+            {"n": 45, "fault_round": 50, "total_rounds": 100, "rsa_bits": 512},
+        ),
+        table=fig6_modechange.table,
+        check_shape=fig6_modechange.check_shape,
+    ),
+    "fig7": Figure(
+        "Figure 7 — scheduling trees",
+        fig7_scheduling.run,
+        _scales(
+            {"sizes": (10, 35), "fmax_values": (1, 2), "samples_per_layer": 3,
+             "workers": 1},
+            {"sizes": (15, 30), "fmax_values": (1, 2), "samples_per_layer": 6,
+             "workers": 1},
+            {"sizes": (20, 50, 100, 200), "fmax_values": (1, 2, 3),
+             "samples_per_layer": 6, "workers": 1},
+        ),
+        check_shape=fig7_scheduling.check_shape,
+    ),
+    "fig8": Figure(
+        "Figure 8 — case-study runtime costs",
+        fig8_casestudy.run,
+        _scales(
+            {"fconc_values": (None, 1, 3), "n": 15, "flows": 4, "rounds": 15,
+             "rsa_bits": 256},
+            {"fconc_values": (None, 1, 2, 3), "n": 18, "flows": 4, "rounds": 40,
+             "rsa_bits": 512},
+            {"fconc_values": (None, 1, 2, 3), "n": 26, "flows": 4, "rounds": 100,
+             "rsa_bits": 512},
+        ),
+        check_shape=fig8_casestudy.check_shape,
+    ),
+    "fig9": Figure(
+        "Figure 9 — comparison to PBFT",
+        fig9_pbft.run,
+        _scales(
+            # tiny is small: a smaller cell passed where the report failed.
+            {"f_values": (1, 2, 3), "node_counts": (25,), "workloads_per_cell": 8},
+            {"f_values": (1, 2, 3), "node_counts": (25,), "workloads_per_cell": 8},
+            {"f_values": (1, 2, 3), "node_counts": (25, 50, 75),
              "workloads_per_cell": 25},
-    "fig10": {"duration_s": 3.0},
-    "fig11": {"post_rounds": 40},
+        ),
+        check_shape=fig9_pbft.check_shape,
+    ),
+    "fig10": Figure(
+        "Figure 10 — XC90 cruise-control attack",
+        fig10_xc90.run_all,
+        # Below 1.5 s the unprotected car has not yet passed +7 mph.
+        _scales({"duration_s": 1.5}, {"duration_s": 1.5}, {"duration_s": 3.0}),
+        table=fig10_xc90.table,
+        check_shape=fig10_xc90.check_shape,
+    ),
+    "fig11": Figure(
+        "Figure 11 — testbed attack scenarios",
+        fig11_testbed.run_all,
+        _scales({"post_rounds": 25}, {"post_rounds": 25}, {"post_rounds": 40}),
+        table=fig11_testbed.table,
+        check_shape=fig11_testbed.check_shape,
+    ),
+    "ablations": Figure(
+        "Ablations — the §3.5 refinements and §3.9 placement",
+        ablations.run,
+        _scales({"rounds": (10, 20)}, {"rounds": (12, 25)}, {"rounds": (30, 60)}),
+        table=ablations.table,
+        check_shape=ablations.check_shape,
+    ),
 }
 
 
-def _md_table(rows: Sequence[Dict]) -> str:
+def md_table(rows: Sequence[Dict]) -> str:
     if not rows:
         return "(no rows)\n"
     columns = list(rows[0].keys())
@@ -62,83 +165,26 @@ def _md_table(rows: Sequence[Dict]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _md_checks(checks: Dict[str, bool]) -> str:
+def md_checks(checks: Checks) -> str:
     lines = [
         f"- {'✔' if ok else '✘ FAILED'} `{name}`" for name, ok in checks.items()
     ]
     return "\n".join(lines) + "\n"
 
 
-def generate_report(scale: str = "small") -> str:
-    """Run everything and return the markdown report text."""
-    params = FULL if scale == "full" else SMALL
-    out = io.StringIO()
+def generate_report(scale: str = "small") -> Tuple[str, Dict[str, Checks]]:
+    """Run every :data:`FIGURES` entry; return the markdown report and each
+    section's checks."""
     started = time.time()
-    out.write("# REBOUND reproduction report\n\n")
-    out.write(
+    parts: List[str] = [
+        "# REBOUND reproduction report\n\n"
         f"Generated {datetime.datetime.now().isoformat(timespec='seconds')} "
         f"on Python {platform.python_version()} ({platform.machine()}), "
-        f"scale = {scale}.\n\n"
-    )
-
-    out.write("## Table 1 — recovery timescales (reference data)\n\n")
-    out.write(_md_table(timescales.TABLE_1))
-
-    out.write("\n## Figure 5 — protocol overhead vs system size\n\n")
-    rows5 = fig5_overhead.run(**params["fig5"])
-    out.write(_md_table(rows5))
-    out.write("\n" + _md_checks(fig5_overhead.check_shape(rows5)))
-
-    out.write("\n## Figure 6 — mode-change dynamics\n\n")
-    rows6 = fig6_modechange.run(**params["fig6"])
-    fault_round = params["fig6"]["fault_round"]
-    window = [
-        r for r in rows6 if fault_round - 3 <= r["round"] <= fault_round + 10
+        f"scale = {scale}.\n"
     ]
-    out.write(_md_table(window))
-    summary = fig6_modechange.summarize(rows6, fault_round=fault_round)
-    out.write(f"\nSummary: {summary}\n")
-
-    out.write("\n## Figure 7 — scheduling trees\n\n")
-    rows7 = fig7_scheduling.run(**params["fig7"])
-    out.write(_md_table(rows7))
-    out.write("\n" + _md_checks(fig7_scheduling.check_shape(rows7)))
-
-    out.write("\n## Figure 8 — case-study runtime costs\n\n")
-    rows8 = fig8_casestudy.run(**params["fig8"])
-    out.write(_md_table(rows8))
-    out.write("\n" + _md_checks(fig8_casestudy.check_shape(rows8)))
-
-    out.write("\n## Figure 9 — comparison to PBFT\n\n")
-    rows9 = fig9_pbft.run(**params["fig9"])
-    out.write(_md_table(rows9))
-    out.write("\n" + _md_checks(fig9_pbft.check_shape(rows9)))
-
-    out.write("\n## Figure 10 — XC90 cruise-control attack\n\n")
-    results10 = fig10_xc90.run_all(**params["fig10"])
-    out.write(_md_table([
-        {
-            "scenario": name,
-            "peak_mph": r["peak_mph"],
-            "final_mph": r["final_mph"],
-            "excursion_mph": r["excursion_mph"],
-            "recovery_ms": r["recovery_ms"],
-        }
-        for name, r in results10.items()
-    ]))
-    out.write("\n" + _md_checks(fig10_xc90.check_shape(results10)))
-
-    out.write("\n## Figure 11 — testbed attack scenarios\n\n")
-    results11 = fig11_testbed.run_all(**params["fig11"])
-    out.write(_md_table([
-        {
-            "scenario": name,
-            "active": ", ".join(r["active_flows"]),
-            "dropped": ", ".join(r["dropped_flows"]) or "-",
-        }
-        for name, r in results11.items()
-    ]))
-    out.write("\n" + _md_checks(fig11_testbed.check_shape(results11)))
-
-    out.write(f"\n---\nTotal generation time: {time.time() - started:.1f} s\n")
-    return out.getvalue()
+    checks: Dict[str, Checks] = {}
+    for name, figure in FIGURES.items():
+        text, checks[name] = figure.section(scale)
+        parts.append(text)
+    parts.append(f"---\nTotal generation time: {time.time() - started:.1f} s\n")
+    return "\n".join(parts), checks

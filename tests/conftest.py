@@ -2,11 +2,20 @@
 
 import pytest
 
-from repro.experiments import fig10_xc90
+from repro.experiments.report import FIGURES
 
 
 @pytest.fixture(scope="session")
-def fig10_results():
-    """Fig. 10's three scenarios at a 1.2 s horizon, run once for the
-    figure's tests and the cruise-control example (read-only)."""
-    return fig10_xc90.run_all(duration_s=1.2)
+def figure_result():
+    """``figure_result(name)``: the result of ``report.FIGURES[name]`` at
+    the ``tiny`` scale, computed once per test run (read-only)."""
+    cache = {}
+    figures = dict(FIGURES)  # the real entries, whatever a test patches later
+
+    def result(name):
+        if name not in cache:
+            figure = figures[name]
+            cache[name] = figure.run(**figure.params["tiny"])
+        return cache[name]
+
+    return result

@@ -1,5 +1,7 @@
 """Smoke tests for the command-line interface."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -28,26 +30,53 @@ class TestParser:
             main([])
 
 
+@pytest.fixture
+def tiny_runs(monkeypatch, figure_result):
+    """Serve each figure's tiny-scale run from the cache the figure tests
+    share."""
+    from repro.experiments.report import FIGURES
+
+    for name, figure in list(FIGURES.items()):
+        def run(_name=name, _figure=figure, **kwargs):
+            assert kwargs == _figure.params["tiny"]
+            return figure_result(_name)
+
+        monkeypatch.setitem(FIGURES, name, replace(figure, run=run))
+
+
 class TestCommands:
     def test_table1(self, capsys):
         assert main(["table1"]) == 0
         out = capsys.readouterr().out
         assert "DC/DC converters" in out
 
-    def test_fig5_small(self, capsys):
-        code = main(["fig5", "--sizes", "4,8", "--rounds", "8"])
+    def test_fig5_small(self, capsys, tiny_runs):
+        assert main(["fig5", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out
         assert "Figure 5" in out
         assert "basic" in out and "multi" in out
-        # At this tiny scale some shape checks may not separate, but the
-        # command must run end to end and print its table.
-        assert code >= 0
+        assert "✘" not in out
 
-    def test_fig7_small(self, capsys):
-        code = main(["fig7", "--sizes", "8,12", "--fmax", "1"])
+    def test_fig7_small(self, capsys, tiny_runs):
+        assert main(["fig7", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out
         assert "Figure 7" in out
-        assert code == 0
+        assert "`mode_counts_match_formula`" in out
+
+    def test_figures_take_only_a_scale(self):
+        parser = build_parser()
+        assert parser.parse_args(["fig9"]).scale == "small"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["fig5", "--sizes", "4,8"])
+
+    @pytest.mark.parametrize("ok,code", [(True, 0), (False, 1)])
+    def test_report_exit_code_follows_checks(self, monkeypatch, tmp_path, ok, code):
+        from repro import cli
+
+        checks = {"fig5": {"a": True}, "fig9": {"b": ok}}
+        monkeypatch.setattr(cli, "generate_report", lambda scale: ("#\n", checks))
+        assert main(["report", "--out", str(tmp_path / "r.md")]) == code
+
 
 class TestTraceCommand:
     def test_trace_subcommand_registered(self):

@@ -41,15 +41,15 @@ def test_example_runs(script, expected):
     assert expected in output
 
 
-def test_cruise_control_example_runs(monkeypatch, capsys, fig10_results):
+def test_cruise_control_example_runs(monkeypatch, capsys, figure_result):
     # The example simulates 3 s x 3 scenarios; run its main() in-process
-    # on the 1.2 s results the Fig. 10 tests share.
+    # on the tiny-scale results the Fig. 10 tests share.
     spec = importlib.util.spec_from_file_location(
         "cruise_control_attack", EXAMPLES / "cruise_control_attack.py"
     )
     example = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(example)
-    monkeypatch.setattr(example, "run_all", lambda duration_s: fig10_results)
+    monkeypatch.setattr(example, "run_all", lambda duration_s: figure_result("fig10"))
     example.main()
     output = capsys.readouterr().out
     assert "unnoticeable to the driver" in output or "excursion" in output

@@ -1,24 +1,69 @@
-"""Smoke + shape tests for every experiment driver (small parameters).
+"""Every report section at the ``tiny`` scale of ``report.FIGURES``.
 
-The full-scale sweeps live in ``benchmarks/``; these tests verify that each
-driver runs, produces the expected row structure, and that the paper's
-qualitative claims hold at reduced scale.
+Each section has one test class (a :class:`FigureTest`); its inherited
+``test_shape`` asserts that the checks the report prints read ✔, apart
+from :data:`KNOWN_RED`.  The other tests pin row structure, and feed each
+check rows that contradict its claim: a check that cannot read ✘ shows
+nothing.
 """
+
+import copy
+import inspect
 
 import pytest
 
-from repro.experiments import (
-    fig5_overhead,
-    fig6_modechange,
-    fig7_scheduling,
-    fig8_casestudy,
-    fig9_pbft,
-    fig11_testbed,
-    timescales,
-)
+from repro.experiments import timescales
+from repro.experiments.report import FIGURES, SCALES
+
+# Checks that read ✘ on the working code.  The ROADMAP item "The headline
+# report is red" owns each entry; the change that turns one ✔ deletes it.
+KNOWN_RED = {"fig9": {"ratio_grows_with_f"}}
 
 
-class TestTimescales:
+def _checks(name, result):
+    return FIGURES[name].check_shape(result)
+
+
+class FigureTest:
+    """Base of one class per ``FIGURES`` entry (collected via subclasses)."""
+
+    name = ""
+
+    @pytest.fixture
+    def result(self, figure_result):
+        return figure_result(self.name)
+
+    def test_shape(self, result):
+        failed = {k for k, ok in _checks(self.name, result).items() if not ok}
+        assert failed == KNOWN_RED.get(self.name, set())
+
+    def assert_flips(self, result, check, mutate):
+        """``check`` reads ✔ on ``result`` and ✘ once ``mutate`` edits a
+        copy of it."""
+        assert _checks(self.name, result)[check]
+        broken = copy.deepcopy(result)
+        mutate(broken)
+        assert not _checks(self.name, broken)[check]
+
+
+def test_every_figure_has_a_test_class():
+    assert {cls.name for cls in FigureTest.__subclasses__()} == set(FIGURES)
+
+
+@pytest.mark.parametrize("name", list(FIGURES))
+def test_scales_name_every_entry_point_parameter(name):
+    """No figure falls back to a default: every scale names the same
+    parameters, and they are all of the entry point's but ``seed``."""
+    figure = FIGURES[name]
+    assert tuple(figure.params) == SCALES
+    names = [set(figure.params[scale]) for scale in SCALES]
+    wanted = set(inspect.signature(figure.run).parameters) - {"seed"}
+    assert all(n == wanted for n in names)
+
+
+class TestTimescales(FigureTest):
+    name = "table1"
+
     def test_table_matches_paper(self):
         assert len(timescales.TABLE_1) == 8
         windows = [row["window_us"] for row in timescales.TABLE_1]
@@ -33,128 +78,126 @@ class TestTimescales:
         assert "Autonomous vehicle steering" in timescales.feasible_applications(50_000)
 
 
-class TestFig5:
-    @pytest.fixture(scope="class")
-    def rows(self):
-        return fig5_overhead.run(sizes=(4, 12, 24), rounds=15, rsa_bits=256)
+class TestFig5(FigureTest):
+    name = "fig5"
 
-    def test_rows_structure(self, rows):
-        assert len(rows) == 6  # 3 sizes x 2 variants
-        assert {r["variant"] for r in rows} == {"basic", "multi"}
-
-    def test_shape(self, rows):
-        checks = fig5_overhead.check_shape(rows)
-        failed = [k for k, ok in checks.items() if not ok]
-        assert not failed, f"shape checks failed: {failed}"
+    def test_rows_structure(self, result):
+        sizes = FIGURES["fig5"].params["tiny"]["sizes"]
+        assert len(result) == 2 * len(sizes)
+        assert {r["variant"] for r in result} == {"basic", "multi"}
 
 
-class TestFig6:
-    @pytest.fixture(scope="class")
-    def rows(self):
-        return fig6_modechange.run(n=20, fault_round=30, total_rounds=50, rsa_bits=256)
+class TestFig6(FigureTest):
+    name = "fig6"
 
-    def test_initially_all_in_root_mode(self, rows):
-        assert rows[10]["frac_initial"] == 1.0
+    def test_initially_all_in_root_mode(self, result):
+        self.assert_flips(result, "all_start_in_root_mode",
+                          lambda r: r["rows"][10].update(frac_initial=0.9))
 
-    def test_converges_after_fault(self, rows):
-        summary = fig6_modechange.summarize(rows, fault_round=30)
-        assert summary["converged_round"] is not None
-        assert summary["rounds_to_converge"] <= 15
+    def test_converges_after_fault(self, result):
+        def never(r):
+            for row in r["rows"]:
+                row["frac_final"] = min(row["frac_final"], 0.5)
 
-    def test_bandwidth_spikes(self, rows):
-        summary = fig6_modechange.summarize(rows, fault_round=30)
-        assert summary["bandwidth_spike_factor"] > 1.5
+        self.assert_flips(result, "converges_within_r_max", never)
+        self.assert_flips(result, "converges_within_r_max", lambda r: r.update(r_max=0))
 
+    def test_bandwidth_spikes(self, result):
+        def flat(r):
+            for row in r["rows"]:
+                row["bandwidth_kb_per_link"] = 1.0
 
-class TestFig7:
-    @pytest.fixture(scope="class")
-    def rows(self):
-        return fig7_scheduling.run(sizes=(10, 25), fmax_values=(1, 2),
-                                   samples_per_layer=3)
-
-    def test_shape(self, rows):
-        checks = fig7_scheduling.check_shape(rows)
-        failed = [k for k, ok in checks.items() if not ok]
-        assert not failed, f"shape checks failed: {failed}"
-
-    def test_small_cells_exact(self, rows):
-        small = next(r for r in rows if r["n"] == 10 and r["fmax"] == 1)
-        assert small["method"] == "exact"
-        assert small["modes"] == 11
+        self.assert_flips(result, "bandwidth_spikes", flat)
 
 
-class TestFig8:
-    @pytest.fixture(scope="class")
-    def rows(self):
-        return fig8_casestudy.run(
-            fconc_values=(None, 1, 3), n=15, rounds=20, rsa_bits=256
-        )
-
-    def test_shape(self, rows):
-        checks = fig8_casestudy.check_shape(rows)
-        failed = [k for k, ok in checks.items() if not ok]
-        assert not failed, f"shape checks failed: {failed}"
-
-    def test_payload_constant_across_configs(self, rows):
-        payloads = [r["payload_kb_per_node_round"] for r in rows]
-        assert max(payloads) < 2 * min(payloads) + 0.01
+class TestFig7(FigureTest):
+    name = "fig7"
 
 
-class TestFig9:
-    @pytest.fixture(scope="class")
-    def rows(self):
-        return fig9_pbft.run(
-            f_values=(1, 2), node_counts=(25,), workloads_per_cell=5
-        )
+class TestFig8(FigureTest):
+    name = "fig8"
 
-    def test_shape(self, rows):
-        checks = fig9_pbft.check_shape(rows)
-        failed = [k for k, ok in checks.items() if not ok]
-        assert not failed, f"shape checks failed: {failed}"
+    def test_payload_constant_across_configs(self, result):
+        def doubled(rows):
+            rows[-1]["payload_kb_per_node_round"] *= 2
 
-    def test_normalization(self, rows):
-        assert all(r["pbft_normalized"] == 1.0 for r in rows)
+        self.assert_flips(result, "payload_constant_across_configs", doubled)
 
 
-class TestFig10:
-    @pytest.fixture
-    def results(self, fig10_results):
-        return fig10_results
+class TestFig9(FigureTest):
+    name = "fig9"
 
-    def test_protected_scenario(self, results):
-        protected = results["attack_rebound"]
-        assert protected["excursion_mph"] < 2.0
-        assert protected["recovery_ms"] is not None
-        assert protected["recovery_ms"] <= 100.0
-
-    def test_unprotected_worse_than_protected(self, results):
-        assert (
-            results["attack_unprotected"]["excursion_mph"]
-            > 10 * results["attack_rebound"]["excursion_mph"]
-        )
-
-    def test_series_sampled_every_round(self, results):
-        series = results["normal"]["series"]
-        assert len(series) == int(1.2 * 100)  # 10 ms rounds
+    def test_normalization(self, result):
+        assert all(r["pbft_normalized"] == 1.0 for r in result)
 
 
-class TestFig11:
-    @pytest.fixture(scope="class")
-    def results(self):
-        return fig11_testbed.run_all(post_rounds=25)
+class TestFig10(FigureTest):
+    name = "fig10"
 
-    def test_shape(self, results):
-        checks = fig11_testbed.check_shape(results)
-        failed = [k for k, ok in checks.items() if not ok]
-        assert not failed, f"shape checks failed: {failed}"
+    def test_protected_scenario(self, result):
+        self.assert_flips(result, "rebound_excursion_small",
+                          lambda r: r["attack_rebound"].update(excursion_mph=3.0))
+        self.assert_flips(result, "recovery_within_100ms",
+                          lambda r: r["attack_rebound"].update(recovery_ms=None))
 
-    def test_recovery_about_five_rounds(self, results):
+    def test_unprotected_worse_than_protected(self, result):
+        def close(r):
+            protected = r["attack_rebound"]["excursion_mph"]
+            r["attack_unprotected"]["excursion_mph"] = 5 * protected
+
+        self.assert_flips(result, "unprotected_excursion_10x_protected", close)
+
+    def test_series_sampled_every_round(self, result):
+        duration_s = FIGURES["fig10"].params["tiny"]["duration_s"]
+        assert len(result["normal"]["series"]) == int(duration_s * 100)  # 10 ms
+
+
+class TestFig11(FigureTest):
+    name = "fig11"
+
+    def test_recovery_about_five_rounds(self, result):
         """Paper S5.8: end-to-end recovery ~5 rounds (200 ms at 40 ms)."""
-        run = results["c_n3_rebound"]
-        recoveries = [
-            t["recovery_rounds_after_fault"]
-            for t in run["traces"].values()
-            if t["recovery_rounds_after_fault"] is not None and t["disrupted_rounds"]
-        ]
-        assert recoveries
-        assert all(2 <= r <= 8 for r in recoveries)
+        check = "c_n3_rebound_recovers_in_2_to_8_rounds"
+
+        def slow(r):
+            for trace in r["c_n3_rebound"]["traces"].values():
+                if trace["recovery_rounds_after_fault"] is not None:
+                    trace["recovery_rounds_after_fault"] = 12
+
+        def undisturbed(r):
+            for trace in r["c_n3_rebound"]["traces"].values():
+                trace["disrupted_rounds"] = []
+
+        self.assert_flips(result, check, slow)
+        self.assert_flips(result, check, undisturbed)
+
+
+class TestAblations(FigureTest):
+    name = "ablations"
+
+    def with_as_without(self, result, ablation, check):
+        """``check`` fails once the choice saves nothing."""
+        self.assert_flips(result, check, lambda r: r[ablation].update(
+            {"with": copy.deepcopy(r[ablation]["without"])}))
+
+    def test_expiry_bounds_storage(self, result):
+        check = "sec3_5_expiry_bounds_storage"
+        self.with_as_without(result, "expiry", check)
+        # Storage without expiry that stops growing.
+        self.assert_flips(result, check, lambda r: r["expiry"]["without"].append(
+            r["expiry"]["without"][0]))
+
+    def test_bus_broadcast_halves_bytes(self, result):
+        self.with_as_without(
+            result, "bus_broadcast", "sec3_5_bus_broadcast_halves_bytes")
+
+    def test_spot_checking_cuts_verifications(self, result):
+        self.with_as_without(
+            result, "spot_checking", "sec3_5_spot_checking_cuts_verifications")
+
+    def test_ilp_migrates_no_more_than_greedy(self, result):
+        check = "sec3_9_ilp_migrates_no_more_than_greedy"
+        self.assert_flips(result, check, lambda r: r["ilp_vs_greedy"].update(
+            {"with": [g + 1 for g in r["ilp_vs_greedy"]["without"]]}))
+        self.assert_flips(result, check, lambda r: r.update(
+            ilp_vs_greedy={"with": [], "without": []}))
