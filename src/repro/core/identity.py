@@ -3,7 +3,9 @@
 Every node owns an RSA working keypair (ordinary signatures: evidence, data
 packets, BASIC heartbeats) and a multisignature keypair (MULTI heartbeats).
 The :class:`Directory` holds all public keys -- the paper assumes every node
-knows every other node's public key (S3) -- and :class:`NodeCrypto` is a
+knows every other node's public key (S3), and minting an RSA keypair on first
+use keeps that true, since a key is a pure function of seed and node id --
+and :class:`NodeCrypto` is a
 per-node handle that performs operations while incrementing the node's
 :class:`~repro.crypto.cost_model.CryptoCounters`, split into a *forwarding*
 bucket and an *auditing* bucket to reproduce Fig. 8b's breakdown.
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.crypto.cost_model import CryptoCounters
@@ -80,17 +83,15 @@ def _rsa_check(public: RSAPublicKey, body: bytes, signature: bytes) -> bool:
 
 class Directory:
     """All nodes' public keys, the shared multisignature group, the
-    system's verdict memo and the round's aggregate columns."""
+    system's verdict memo and the round's aggregate columns.  RSA keypairs,
+    the operator's too, are minted on first use, equal to eagerly minted ones."""
 
     def __init__(self, rsa_bits: int = 512, multisig_bits: int = 256, seed: int = 0):
         self.rsa_bits = rsa_bits
         self.group = MultisigGroup(bits=multisig_bits, seed=seed)
-        self._rsa_pairs: Dict[int, RSAKeyPair] = {}
+        self._rsa_pairs: Dict[int, Optional[RSAKeyPair]] = {}
         self._ms_pairs: Dict[int, MultisigKeyPair] = {}
         self._seed = seed
-        # The deployment's operator trust root (paper S2.4 blessing).
-        self.operator = RSAKeyPair(bits=max(rsa_bits, 256),
-                                   seed=derive_seed(seed, "operator"))
         # Verdict memo: (scheme, public key, body, signature) -> verdict.
         self.verdicts: "OrderedDict[Tuple, bool]" = OrderedDict()
         self.verdict_hits = 0
@@ -102,18 +103,26 @@ class Directory:
         # H(body) for the bodies this round's columns check.
         self._body_hashes: Dict[bytes, int] = {}
 
+    @cached_property
+    def operator(self) -> RSAKeyPair:
+        """The deployment's operator trust root (paper S2.4 blessing)."""
+        return RSAKeyPair(max(self.rsa_bits, 256), derive_seed(self._seed, "operator"))
+
     def register(self, node_id: int) -> None:
         if node_id in self._rsa_pairs:
             return
-        self._rsa_pairs[node_id] = RSAKeyPair(
-            bits=self.rsa_bits, seed=derive_seed(self._seed, "rsa", node_id)
-        )
+        self._rsa_pairs[node_id] = None  # minted by rsa_pair on first use
         self._ms_pairs[node_id] = MultisigKeyPair(
             self.group, seed=derive_seed(self._seed, "ms", node_id)
         )
 
-    def rsa_public(self, node_id: int) -> RSAPublicKey:
-        return self._rsa_pairs[node_id].public_key
+    def rsa_pair(self, node_id: int) -> RSAKeyPair:
+        """A member's RSA keypair, minted on first use; KeyError for others."""
+        pair = self._rsa_pairs[node_id]
+        if pair is None:
+            pair = self._rsa_pairs[node_id] = RSAKeyPair(
+                self.rsa_bits, derive_seed(self._seed, "rsa", node_id))
+        return pair
 
     def ms_public(self, node_id: int) -> int:
         return self._ms_pairs[node_id].public_key
@@ -206,7 +215,7 @@ class NodeCrypto:
 
     def sign(self, body: bytes, domain: str = DOMAIN_FORWARDING) -> bytes:
         self.counters[domain].rsa_sign += 1
-        return self.directory._rsa_pairs[self.node_id].sign(body).to_bytes()
+        return self.directory.rsa_pair(self.node_id).sign(body).to_bytes()
 
     def _verify_rsa(self, public: RSAPublicKey, body: bytes, signature: bytes) -> bool:
         # Raw wire bytes key the memo, so hits skip signature parsing.
@@ -218,7 +227,7 @@ class NodeCrypto:
     ) -> bool:
         self.counters[domain].rsa_verify += 1
         try:
-            public = self.directory.rsa_public(origin)
+            public = self.directory.rsa_pair(origin).public_key
         except KeyError:
             return False
         return self._verify_rsa(public, body, signature)

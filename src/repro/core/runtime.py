@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.auditing import TaskRegistry
 from repro.core.bounds import Bounds
-from repro.core.config import ReboundConfig
+from repro.core.config import VARIANT_BASIC, ReboundConfig
 from repro.core.devices import ActuatorDevice, SensorDevice
 from repro.core.heartbeat import CoverageRegistry
 from repro.core.identity import Directory
@@ -32,7 +32,7 @@ from repro.obs.events import (
     EV_TREE_REFRESH,
 )
 from repro.obs.timeline import covers, modes_agree, placements_clear
-from repro.sched.modegen import FailureScenario, ModeTree, ModeTreeGenerator
+from repro.sched.modegen import EMPTY_SCENARIO, FailureScenario, ModeTree, ModeTreeGenerator
 from repro.sched.task import Workload
 
 
@@ -180,6 +180,12 @@ class ReboundSystem:
 
         for node in self.nodes.values():
             node.start(round_no=0)
+        # Mint the RSA keys the first round signs with now, not in a timed round.
+        root = self.path_cache.paths_for(mode_tree.schedule_for(EMPTY_SCENARIO))
+        basic = config.variant == VARIANT_BASIC
+        for node_id in {*self.sensors, *self.actuators, *(self.nodes if basic else ()),
+                        *(path.source for path in root.all())}:
+            self.directory.rsa_pair(node_id)
 
         self._active_behaviors: List = []
         self.true_faulty_nodes: Set[int] = set()

@@ -112,7 +112,7 @@ class XC90Scenario:
             car.set_throttle(decode_micro(payload) / MICRO)
 
         config = ReboundConfig(
-            fmax=1 if self.protected else 1,
+            fmax=1,
             fconc=1 if self.protected else 0,
             round_length_us=ROUND_US,
             variant="multi",

@@ -21,6 +21,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import networkx as nx
@@ -193,31 +195,33 @@ class Topology:
         g = self.graph()
         return g.number_of_nodes() > 0 and nx.is_connected(g)
 
+    def _reach_diameter(self, members: List[int]) -> Optional[int]:
+        """Diameter of the graph induced on ``members`` (None: empty or
+        disconnected): the steps until every member's reach mask is full."""
+        graph = self.graph()
+        index = {node: i for i, node in enumerate(members)}
+        near = [[index[y] for y in graph[x] if y in index] for x in members]
+        full, reach, steps = (1 << len(index)) - 1, [1 << i for i in range(len(index))], 0
+        while any(mask != full for mask in reach):
+            wider = [reduce(or_, map(reach.__getitem__, js), mask)
+                     for mask, js in zip(reach, near)]
+            if wider == reach:
+                return None
+            reach, steps = wider, steps + 1
+        return steps if index else None
+
     def diameter(self) -> int:
-        return nx.diameter(self.graph())
+        """Diameter of the connectivity graph; ValueError when disconnected."""
+        diameter = self._reach_diameter(self.nodes)
+        if diameter is None:
+            raise ValueError("the topology is not connected")
+        return diameter
 
     def controller_diameter(self) -> int:
-        """Diameter of the graph induced on the controllers, by a BFS from
-        each, or the controller count when that graph is disconnected."""
-        graph = self.graph()
-        controllers = set(self.controllers)
-        adjacency = {c: [x for x in graph[c] if x in controllers] for c in controllers}
-        diameter = 0
-        for source in adjacency:
-            seen, frontier, depth = {source}, [source], -1
-            while frontier:
-                depth += 1
-                reached = []
-                for x in frontier:
-                    for y in adjacency[x]:
-                        if y not in seen:
-                            seen.add(y)
-                            reached.append(y)
-                frontier = reached
-            if len(seen) < len(adjacency):
-                return len(adjacency)
-            diameter = max(diameter, depth)
-        return diameter
+        """Diameter of the graph induced on the controllers, or the
+        controller count when that graph is disconnected."""
+        diameter = self._reach_diameter(self.controllers)
+        return len(self.controllers) if diameter is None else diameter
 
     def shortest_path_length(self, a: int, b: int) -> int:
         return nx.shortest_path_length(self.graph(), a, b)

@@ -1,10 +1,24 @@
 """Unit tests for the system runtime and the identity/crypto directory."""
 
-from repro.core import ReboundConfig, ReboundSystem
+import functools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import ReboundConfig, ReboundSystem, identity
 from repro.core.identity import DOMAIN_AUDITING, DOMAIN_FORWARDING, Directory
+from repro.crypto.hashing import derive_seed
+from repro.crypto.rsa import RSAKeyPair
 from repro.faults.adversary import CrashBehavior, SilenceBehavior
-from repro.net.topology import chemical_plant_topology, line_topology, ring_topology
+from repro.net.topology import (
+    chemical_plant_topology,
+    erdos_renyi_topology,
+    line_topology,
+    ring_topology,
+)
+from repro.sched.modegen import EMPTY_SCENARIO
 from repro.sched.task import Workload, chemical_plant_workload
+from repro.sched.workload import WorkloadGenerator
 
 
 def _plant(**cfg_kwargs):
@@ -67,15 +81,15 @@ class TestDirectory:
     def test_register_idempotent(self):
         directory = Directory(rsa_bits=256, seed=3)
         directory.register(1)
-        key_a = directory.rsa_public(1)
+        key_a = directory.rsa_pair(1).public_key
         directory.register(1)
-        assert directory.rsa_public(1) == key_a
+        assert directory.rsa_pair(1).public_key == key_a
 
     def test_distinct_nodes_distinct_keys(self):
         directory = Directory(rsa_bits=256, seed=3)
         directory.register(1)
         directory.register(2)
-        assert directory.rsa_public(1) != directory.rsa_public(2)
+        assert directory.rsa_pair(1).public_key != directory.rsa_pair(2).public_key
         assert directory.ms_public(1) != directory.ms_public(2)
 
     def test_counters_split_by_domain(self):
@@ -208,3 +222,75 @@ class TestCoverageRegistry:
         assert len(held) > 2
         assert held <= set(registry._calculators)
         assert len(builds) == len(registry._calculators)
+
+
+# -- keys on first use -----------------------------------------------------------
+
+_SEED, _BITS, _NODES = 11, 256, 6
+
+
+@functools.lru_cache(maxsize=None)
+def _eager_pair(node: int) -> RSAKeyPair:
+    return RSAKeyPair(bits=_BITS, seed=derive_seed(_SEED, "rsa", node))
+
+
+@pytest.fixture
+def minted(monkeypatch):
+    """The seeds of the RSA keypairs minted while the test runs, in order."""
+    log = []
+
+    class CountingKeyPair(RSAKeyPair):
+        def __init__(self, bits, seed):
+            log.append(seed)
+            super().__init__(bits=bits, seed=seed)
+
+    monkeypatch.setattr(identity, "RSAKeyPair", CountingKeyPair)
+    return log
+
+
+class TestKeysOnFirstUse:
+    @settings(max_examples=10, deadline=None)
+    @given(order=st.permutations(range(_NODES)))
+    def test_accessor_equals_eager_keygen_in_any_order(self, order):
+        directory = Directory(rsa_bits=_BITS, multisig_bits=128, seed=_SEED)
+        for node in range(_NODES):
+            directory.register(node)
+        for node in order:
+            pair, eager = directory.rsa_pair(node), _eager_pair(node)
+            assert pair.public_key == eager.public_key
+            assert pair.sign(b"same key").value == eager.sign(b"same key").value
+            assert directory.rsa_pair(node) is pair
+
+    def test_unregistered_origin_verifies_false_and_mints_nothing(self, minted):
+        directory = Directory(rsa_bits=_BITS, multisig_bits=128, seed=_SEED)
+        directory.register(0)
+        crypto = directory.crypto_for(0)
+        assert crypto.verify(5, b"body", b"\x00\x20" + b"\x01" * 32) is False
+        assert crypto.total_counters().rsa_verify == 1
+        assert minted == []
+        with pytest.raises(KeyError):
+            directory.rsa_pair(5)
+        assert minted == []
+
+    @staticmethod
+    def _er30(variant):
+        workload = WorkloadGenerator(seed=4, chain_length_range=(1, 3)).workload(
+            target_utilization=1.5
+        )
+        config = ReboundConfig(fmax=1, fconc=1, variant=variant, rsa_bits=_BITS)
+        return ReboundSystem(erdos_renyi_topology(30, seed=4), workload, config, seed=4)
+
+    def test_multi_mints_one_key_per_root_mode_path_source(self, minted):
+        system = self._er30("multi")
+        root = system.mode_tree.schedule_for(EMPTY_SCENARIO)
+        sources = {p.source for p in system.path_cache.paths_for(root).all()}
+        assert 0 < len(sources) < 30
+        assert sorted(minted) == sorted(
+            derive_seed(4, "rsa", node) for node in sources
+        )
+        system.run(8)  # fault-free rounds sign with keys minted at set-up
+        assert len(minted) == len(sources)
+
+    def test_basic_mints_every_key_at_set_up(self, minted):
+        self._er30("basic")
+        assert len(minted) == 30

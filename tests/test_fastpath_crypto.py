@@ -112,7 +112,8 @@ def test_systems_built_from_one_seed_keep_separate_memos():
 
     first, second = build(), build()
     signer = first.topology.controllers[0]
-    assert first.directory.rsa_public(signer) == second.directory.rsa_public(signer)
+    assert (first.directory.rsa_pair(signer).public_key
+            == second.directory.rsa_pair(signer).public_key)
     signature = first.directory.crypto_for(signer).sign(b"memo scope")
     for system in (first, second):
         verifier = system.directory.crypto_for(signer + 1)
@@ -159,7 +160,7 @@ def _miss_then_hit(call, drawn, siblings):
 
 def _rsa_variants(body, signer, flip):
     """case -> ((claimed origin, body, signature bytes), unmemoized verdict)."""
-    wire = _DIRECTORY._rsa_pairs[signer].sign(body).to_bytes()
+    wire = _DIRECTORY.rsa_pair(signer).sign(body).to_bytes()
     index = flip % len(wire)  # corrupt one byte, possibly the length prefix
     forged = wire[:index] + bytes([wire[index] ^ (1 + flip % 255)]) + wire[index + 1:]
     variants = {
@@ -171,7 +172,7 @@ def _rsa_variants(body, signer, flip):
     out = {}
     for case, (claimed, signed, sig) in variants.items():
         try:
-            verdict = _DIRECTORY.rsa_public(claimed).verify(
+            verdict = _DIRECTORY.rsa_pair(claimed).public_key.verify(
                 signed, RSASignature.from_bytes(sig)
             )
         except ValueError:

@@ -231,3 +231,21 @@ class TestControllerDiameter:
     def test_named_topologies(self, build):
         topology = build()
         assert topology.controller_diameter() == _nx_controller_diameter(topology)
+
+
+class TestDiameter:
+    @settings(max_examples=200, deadline=None)
+    @given(topology=_mixed_topologies())
+    def test_reach_diameter_equals_networkx(self, topology):
+        graph = topology.graph()
+        if nx.is_connected(graph):
+            assert topology.diameter() == nx.diameter(graph)
+        else:
+            with pytest.raises(ValueError):
+                topology.diameter()
+
+    def test_disconnected_raises(self):
+        topology = line_topology(3)
+        topology.add_node(3)
+        with pytest.raises(ValueError, match="not connected"):
+            topology.diameter()
