@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping
-from typing import NamedTuple, Set, Tuple
+from typing import NamedTuple, Sequence, Set, Tuple
 
 from repro.core.bounds import Bounds
 from repro.core.config import VARIANT_MULTI, ReboundConfig
@@ -52,7 +52,7 @@ from repro.core.heartbeat import (
     HeartbeatRecord,
     HeartbeatStore,
 )
-from repro.core.identity import AggregateColumn, NodeCrypto
+from repro.core.identity import AggregateColumn, NodeCrypto, RecordColumn
 from repro.core.paths import PATH_AUTH, PATH_XREP, Path, PathSet
 from repro.core.quotas import AdmissionQuotas
 from repro.crypto.hashing import hash_bytes
@@ -179,6 +179,18 @@ class _AggregateState:
 # a node's round, windows included (taken from the system's Bounds), and
 # returns the peers it accuses; ForwardingLayer takes the observations and
 # applies the decisions (_detect_omissions).
+
+
+def _origin_masks(records: Sequence[HeartbeatRecord], controllers: FrozenSet[int],
+                  skip: FrozenSet[int] = frozenset()) -> Dict[int, int]:
+    """origin round -> mask of the controller origins of ``records`` but
+    those whose id is in ``skip``.  Only controllers ever sit in an expected
+    support; this also keeps an unverified (spot-check-skipped) id out."""
+    masks: Dict[int, int] = {}
+    for rec in records:
+        if rec.origin in controllers and id(rec) not in skip:
+            masks[rec.round_no] = masks.get(rec.round_no, 0) | 1 << rec.origin
+    return masks
 
 
 def _excludes(pattern: FailureScenario, node: int, peer: int) -> bool:
@@ -380,6 +392,11 @@ class ForwardingLayer:
         # heartbeats only surface as equivocation PoMs when records circulate.
         self._probe_until = -1
         self.quotas = AdmissionQuotas(bounds)
+        # Bus spot-checking (S3.5) applies only to senders sharing a bus with
+        # this node; the topology is fixed, so they are found once.
+        self._bus_peers = frozenset(
+            m for bus in topology.buses_of(node_id) for m in bus.members
+        ) if config.bus_broadcast and config.signature_spot_checking else frozenset()
 
         # Data-path state.
         self.paths: PathSet = PathSet([])
@@ -418,18 +435,6 @@ class ForwardingLayer:
             for x in self.topology.neighbors(self.node_id)
             if x in self._controllers and not _excludes(pattern, self.node_id, x)
         )
-
-    def _mark_delivered(self, sender: int, round_no: int, bits: int) -> None:
-        """Record that ``sender`` relayed the round-``round_no`` heartbeats
-        of every origin in the mask ``bits``."""
-        bucket = self._delivered[sender]
-        bucket[round_no] = bucket.get(round_no, 0) | bits
-
-    def _mark_record_delivered(self, sender: int, rec: HeartbeatRecord) -> None:
-        # Only controllers ever sit in an expected support; the guard also
-        # keeps a spot-check-skipped (unverified) origin id out of the mask.
-        if rec.origin in self._controllers:
-            self._mark_delivered(sender, rec.round_no, 1 << rec.origin)
 
     @property
     def fault_pattern(self) -> FailureScenario:
@@ -558,11 +563,12 @@ class ForwardingLayer:
             self.issue_lfd(sender, "content")
 
     def receive_batch(self, batch: List[Tuple[int, int, Any]]) -> None:
-        """Process a round's buffered deliveries in arrival order.  Under
-        MULTI, each message's aggregates are judged from the round's shared
-        aggregate column (see :meth:`_aggregate_column`): the first
-        recipient of a sender message builds it with one batched group
-        equation, and every other recipient under the same epoch reads it."""
+        """Process a round's buffered deliveries in arrival order.  Each
+        message's records, and under MULTI its aggregates, are read from
+        the round's shared columns (:meth:`_record_column`,
+        :meth:`_aggregate_column`): the first recipient of a sender message
+        builds one, and every other recipient (under the same epoch) reads
+        it."""
         for round_no, sender, msg in batch:
             self.receive(round_no, sender, msg)
 
@@ -587,24 +593,45 @@ class ForwardingLayer:
     def _process_records(
         self, sender: int, records: Tuple[HeartbeatRecord, ...]
     ) -> bool:
-        ok = True
-        expired_before = self._round - self.bounds.expiry_window
-        for rec in records:
-            if rec.round_no > self._round or (
-                self.config.expiry_optimization and rec.round_no < expired_before
-            ):
-                continue  # expired or from the future; ignore (S3.5)
-            existing = self.store.get(rec.origin, rec.round_no)
-            if existing is not None and existing.delta_count == rec.delta_count:
-                self._mark_record_delivered(sender, rec)
+        """Fold ``sender``'s records into the store and the Rule B marks.
+        Only the in-window records this node lacks are checked -- quota,
+        verification, store and PoMs, in message order -- then each origin
+        round's mask of the shared column is or-ed into the marks.  A record
+        dropped by the quota or failing verification is not delivered."""
+        if not records:
+            return True
+        column, store, r = self._record_column(records), self.store, self._round
+        floor = (r - self.bounds.expiry_window if self.config.expiry_optimization
+                 else float("-inf"))
+        # With repeated keys an earlier record can turn a later one into a
+        # stored duplicate: walk them all and charge each as it comes.
+        # Otherwise one charge covers the records this node lacks (the set
+        # difference walks the column's ids, not the larger held set).
+        shared = column.shared_keys
+        lacking = range(len(records)) if shared else sorted(
+            map(column.position.__getitem__, column.ids.difference(store.held)))
+        todo = [i for i in lacking
+                if floor <= records[i].round_no <= r and not store.holds(records[i])]
+        ok, failed = True, []
+        budget, drop = self.quotas.charge(sender, "records", 0 if shared else len(todo))
+        for i in todo:
+            rec = records[i]
+            if shared:
+                if store.holds(rec):
+                    continue
+                budget, drop = self.quotas.charge(sender, "records")
+            if not budget:
+                if drop:  # the first drop per (sender, kind) this round
+                    self._trace(EV_QUOTA_DROP, {"sender": sender, "kind": "records"})
+                    drop = False
+                failed.append(rec)
                 continue
-            if not self._charge_quota(sender, "records"):
-                continue
-            if not self._verify_record(sender, rec):
+            budget -= 1
+            if not self._verify_record(sender, rec, column.verdicts, i):
                 ok = False
+                failed.append(rec)
                 continue
-            status, conflict = self.store.add(rec)
-            self._mark_record_delivered(sender, rec)
+            status, conflict = store.add(rec)
             if status == "conflict" and conflict is not None:
                 pom = EquivocationPoM(
                     rec.origin, conflict.body(), conflict.signature,
@@ -614,15 +641,43 @@ class ForwardingLayer:
                     EV_POM_CREATED, {"accused": rec.origin, "pom": "equivocation"}
                 )
                 self._admit_evidence([pom])
+        masks = column.masks if not failed else _origin_masks(
+            records, self._controllers, frozenset(map(id, failed)))
+        for round_no, bits in masks.items():
+            if floor <= round_no <= r:
+                delivered = self._delivered[sender]
+                delivered[round_no] = delivered.get(round_no, 0) | bits
         return ok
 
-    def _verify_record(self, sender: int, rec: HeartbeatRecord) -> bool:
+    def _record_column(self, records: Tuple[HeartbeatRecord, ...]) -> RecordColumn:
+        """A pure function of the records, verdicts included (PROTOCOL.md
+        S7): the Directory keeps one per records tuple per round."""
+        return self.crypto.directory.column(
+            self._round, ("records", id(records)), records,
+            lambda: RecordColumn(
+                records,
+                frozenset(map(id, records)),
+                {id(rec): i for i, rec in enumerate(records)},
+                _origin_masks(records, self._controllers),
+                len({(rec.origin, rec.round_no) for rec in records}) < len(records),
+                [None] * len(records),
+            ),
+        )
+
+    def _verify_record(
+        self, sender: int, rec: HeartbeatRecord, verdicts: List[Any], i: int
+    ) -> bool:
+        """This node pays for verifying record ``i`` of a column whose
+        ``verdicts`` keep the verdict once a recipient has decided it."""
         if self._spot_check_skip(sender, rec):
             return True
-        if self.config.variant == VARIANT_MULTI:
-            ok = self.crypto.ms_verify_record(rec.origin, rec.body(), rec.signature)
-        else:
-            ok = self.crypto.verify(rec.origin, rec.body(), rec.signature)
+        multi = self.config.variant == VARIANT_MULTI
+        self.crypto.charge_record_verify(rec.origin, rec.signature, multi)
+        ok = verdicts[i]
+        if ok is None:
+            ok = verdicts[i] = self.crypto.directory.signature_verdict(
+                rec.origin, rec.body(), rec.signature, multi
+            )
         if _flight.active is not None:  # the per-record path: no dict when off
             self._trace(
                 EV_HEARTBEAT_VERIFY,
@@ -637,12 +692,9 @@ class ForwardingLayer:
         subset is derived deterministically from the record identity so the
         adversary cannot aim at a round with no correct checker.
         """
-        if not (self.config.bus_broadcast and self.config.signature_spot_checking):
+        if sender not in self._bus_peers:
             return False
-        try:
-            channel = self.topology.channel_between(sender, self.node_id)
-        except KeyError:
-            return False
+        channel = self.topology.channel_between(sender, self.node_id)
         if channel[0] != "bus":
             return False
         bus = self.topology.buses[channel[1]]
@@ -666,7 +718,7 @@ class ForwardingLayer:
         tuple) per round, and every recipient of the same tuple object --
         ``RoundOutput.message_for`` hands all of them one -- reads it."""
         coverage = self._coverage
-        return self.crypto.directory.aggregate_column(
+        return self.crypto.directory.column(
             self._round, (digest, coverage, sender, id(aggregates)), aggregates,
             lambda: self._build_column(sender, aggregates, digest, coverage),
         )
@@ -725,7 +777,7 @@ class ForwardingLayer:
             return True
         rows = rows[: self._charge_quota(sender, "aggregates", len(rows))]
         self.crypto.ms_verify_batch(digest, sender, rows)
-        delivered = self._delivered[sender]  # as _mark_delivered, hoisted
+        delivered = self._delivered[sender]
         for r_origin, sig_value, _age, _key, support, ok in rows:
             if not ok:
                 # The sender's propagation was disturbed (or it lies); do not

@@ -27,12 +27,17 @@ expected aggregate public key itself.  When faults disturb propagation the
 keys stop matching, verification fails, and nodes fall back to forwarding
 individual signatures (the bounded worst case of S3.6); once evidence
 stabilizes, aggregation resumes.
+
+A node hears each flooded record from every neighbour that learned it, so
+most copies are records it holds: :class:`HeartbeatStore` keeps the ids of
+its record objects (``held``), and the forwarding layer checks only the
+records of a message's :class:`~repro.core.identity.RecordColumn` it lacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.evidence import heartbeat_body
 from repro.net.message import encode, register_message
@@ -238,7 +243,8 @@ class HeartbeatStore:
     delta flooding) and expires records older than D_max (second S3.5
     refinement) when enabled.  Records are additionally keyed by origin
     round, so expiry drops whole rounds instead of scanning every key (the
-    scan is O(n * window) per node per round at 1000 nodes).
+    scan is O(n * window) per node per round at 1000 nodes).  ``held``
+    holds the ``id()`` of each stored record object (pinned by the store).
     """
 
     def __init__(self, window: int, expiry: bool = True):
@@ -250,6 +256,7 @@ class HeartbeatStore:
         self._records: Dict[Tuple[int, int], HeartbeatRecord] = {}
         self._round_keys: Dict[int, List[Tuple[int, int]]] = {}
         self._new_this_round: List[HeartbeatRecord] = []
+        self.held: Set[int] = set()
 
     def add(self, record: HeartbeatRecord) -> Tuple[str, Optional[HeartbeatRecord]]:
         """Insert a (verified) record.
@@ -268,6 +275,7 @@ class HeartbeatStore:
             )
         else:
             self._records[key] = record
+            self.held.add(id(record))
             self._round_keys.setdefault(record.round_no, []).append(key)
             self._new_this_round.append(record)
             status = ("new", None)
@@ -287,9 +295,10 @@ class HeartbeatStore:
     def get(self, origin: int, round_no: int) -> Optional[HeartbeatRecord]:
         return self._records.get((origin, round_no))
 
-    def latest_round_of(self, origin: int) -> Optional[int]:
-        rounds = [r for (o, r) in self._records if o == origin]
-        return max(rounds) if rounds else None
+    def holds(self, record: HeartbeatRecord) -> bool:
+        """Is a record equal to ``record`` (same slot, same delta) stored?"""
+        existing = self._records.get((record.origin, record.round_no))
+        return existing is not None and existing.delta_count == record.delta_count
 
     def drain_new(self) -> List[HeartbeatRecord]:
         """Records learned since the last drain (the flooding delta)."""
@@ -304,7 +313,7 @@ class HeartbeatStore:
         dropped = 0
         for round_no in [r for r in self._round_keys if r < cutoff]:
             for key in self._round_keys.pop(round_no):
-                del self._records[key]
+                self.held.discard(id(self._records.pop(key)))
                 dropped += 1
         return dropped
 

@@ -21,15 +21,16 @@ therefore independent of the order nodes are stepped in.
 
 Record and RSA verdicts are likewise shared through the system's verdict
 memo, a bounded LRU on its :class:`Directory` (same fidelity argument: a
-verdict is a pure function of public data).  MULTI aggregates bypass it:
-every neighbour of a sender receives the same aggregates and judges them
-under the same epoch's keys, so the Directory keeps one *aggregate column*
-per sender message and epoch for the round, built by one group check per
-row -- each distinct body hashed to the group once per round -- and read
-by every recipient.  Two systems never share a memo or a column.  Both sit
-*below* the counters -- every logical operation is still counted per node,
-only redundant arithmetic is skipped -- so cost metrics and transcripts do
-not depend on what the memo happens to hold.
+verdict is a pure function of public data).  Every neighbour of a sender
+receives the same message, so the Directory also keeps the round's
+*columns*, one per sender message: an :class:`AggregateColumn` per epoch
+for MULTI aggregates, built by one group check per row -- each distinct
+body hashed to the group once per round -- and a :class:`RecordColumn`
+for heartbeat records, whose verdicts are taken from the memo once per
+round.  Every recipient reads them.  Two systems never share a memo or a
+column.  Both sit *below* the counters -- every logical operation is still
+counted per node, only redundant arithmetic is skipped -- so cost metrics
+and transcripts do not depend on what the memo happens to hold.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.crypto.cost_model import CryptoCounters
 from repro.crypto.hashing import derive_seed, hash_bytes
@@ -73,6 +76,27 @@ class AggregateColumn(NamedTuple):
     mismatch: bool
 
 
+class RecordColumn(NamedTuple):
+    """One sender message's heartbeat records: the pinned ``records``, the
+    ids of its record objects and each one's position, a mask of controller
+    origins per origin round, whether two records share an (origin, round)
+    key, and each record's verdict once a recipient has asked (else None)."""
+
+    records: Sequence[Any]
+    ids: FrozenSet[int]
+    position: Dict[int, int]
+    masks: Dict[int, int]
+    shared_keys: bool
+    verdicts: List[Optional[bool]]
+
+
+def _ms_value(signature: Any) -> Optional[int]:
+    try:  # a record's partial-multisig value, or None
+        return int.from_bytes(signature, "big")
+    except (TypeError, ValueError):
+        return None
+
+
 def _rsa_check(public: RSAPublicKey, body: bytes, signature: bytes) -> bool:
     try:
         sig = RSASignature.from_bytes(signature)
@@ -83,8 +107,8 @@ def _rsa_check(public: RSAPublicKey, body: bytes, signature: bytes) -> bool:
 
 class Directory:
     """All nodes' public keys, the shared multisignature group, the
-    system's verdict memo and the round's aggregate columns.  RSA keypairs,
-    the operator's too, are minted on first use, equal to eagerly minted ones."""
+    system's verdict memo and the round's columns.  RSA keypairs, the
+    operator's too, are minted on first use, equal to eagerly minted ones."""
 
     def __init__(self, rsa_bits: int = 512, multisig_bits: int = 256, seed: int = 0):
         self.rsa_bits = rsa_bits
@@ -96,9 +120,9 @@ class Directory:
         self.verdicts: "OrderedDict[Tuple, bool]" = OrderedDict()
         self.verdict_hits = 0
         self.verdict_misses = 0
-        # This round's aggregate columns: key -> (aggregates tuple, column).
-        # The tuple is held so that its id, part of the key, stays unique.
-        self._columns: Dict[Tuple, Tuple[Any, AggregateColumn]] = {}
+        # This round's columns: key -> (source tuple, column).  The tuple
+        # is held so that its id, part of the key, stays unique.
+        self._columns: Dict[Tuple, Tuple[Any, Any]] = {}
         self._columns_round: Any = None
         # H(body) for the bodies this round's columns check.
         self._body_hashes: Dict[bytes, int] = {}
@@ -149,20 +173,43 @@ class Directory:
             self.verdict_hits += 1
         return verdict
 
-    def aggregate_column(
-        self, round_no: int, key: Tuple, aggregates: Tuple,
-        build: Callable[[], AggregateColumn],
-    ) -> AggregateColumn:
+    def rsa_verdict(self, public: RSAPublicKey, body: bytes, signature: bytes) -> bool:
+        # Raw wire bytes key the memo, so hits skip signature parsing.
+        key = ("rsa", public.n, public.e, _memo_body(body), signature)
+        return self.verdict(key, _rsa_check, public, body, signature)
+
+    def signature_verdict(self, origin: int, body: bytes, signature: Any,
+                          multi: bool) -> bool:
+        """Uncounted verdict on ``origin``'s RSA ``signature`` over ``body``,
+        or (``multi``) on the partial-multisig value a record carries."""
+        if not multi:
+            try:
+                public = self.rsa_pair(origin).public_key
+            except KeyError:
+                return False
+            return self.rsa_verdict(public, body, signature)
+        value, pair = _ms_value(signature), self._ms_pairs.get(origin)
+        if value is None or pair is None:
+            return False
+        apk = pair.public_key
+        return self.verdict(
+            _ms_key(body, value, apk), self.group.verify, body, value, apk)
+
+    def column(
+        self, round_no: int, key: Tuple, source: Sequence[Any], build: Callable[[], Any]
+    ) -> Any:
         """Round ``round_no``'s column for ``key`` -- which names the
-        ``aggregates`` tuple by identity -- built by its first reader.
-        Columns live for one round."""
+        ``source`` tuple by identity -- built by its first reader.  Columns
+        live for one round; a mutable ``source`` gets a fresh one."""
+        if type(source) is not tuple:
+            return build()
         if round_no != self._columns_round:
             self._columns = {}
             self._body_hashes = {}
             self._columns_round = round_no
         entry = self._columns.get(key)
         if entry is None:
-            entry = self._columns[key] = (aggregates, build())
+            entry = self._columns[key] = (source, build())
         return entry[1]
 
     def body_hash(self, body: bytes) -> int:
@@ -217,27 +264,31 @@ class NodeCrypto:
         self.counters[domain].rsa_sign += 1
         return self.directory.rsa_pair(self.node_id).sign(body).to_bytes()
 
-    def _verify_rsa(self, public: RSAPublicKey, body: bytes, signature: bytes) -> bool:
-        # Raw wire bytes key the memo, so hits skip signature parsing.
-        key = ("rsa", public.n, public.e, _memo_body(body), signature)
-        return self.directory.verdict(key, _rsa_check, public, body, signature)
-
     def verify(
         self, origin: int, body: bytes, signature: bytes, domain: str = DOMAIN_FORWARDING
     ) -> bool:
         self.counters[domain].rsa_verify += 1
-        try:
-            public = self.directory.rsa_pair(origin).public_key
-        except KeyError:
-            return False
-        return self._verify_rsa(public, body, signature)
+        return self.directory.signature_verdict(origin, body, signature, False)
 
     def verify_operator(
         self, body: bytes, signature: bytes, domain: str = DOMAIN_FORWARDING
     ) -> bool:
         """Verify an operator-signed certificate (blessings)."""
         self.counters[domain].rsa_verify += 1
-        return self._verify_rsa(self.directory.operator.public_key, body, signature)
+        return self.directory.rsa_verdict(
+            self.directory.operator.public_key, body, signature)
+
+    def charge_record_verify(self, origin: int, signature: Any, multi: bool,
+                             domain: str = DOMAIN_FORWARDING) -> None:
+        """Count one record verification as :meth:`verify` or (``multi``)
+        :meth:`ms_verify_record` does, without deciding it."""
+        counters = self.counters[domain]
+        if not multi:
+            counters.rsa_verify += 1
+        elif _ms_value(signature) is not None:
+            counters.ms_verify += 1
+            if origin in self.directory._ms_pairs:
+                self._charge_aggregate_key(("single", origin), 1 << origin, domain)
 
     # -- multisignatures ------------------------------------------------------
 
@@ -284,18 +335,10 @@ class NodeCrypto:
         """Verify one heartbeat record under the multisignature variant,
         where a record carries its origin's partial-multisig value instead
         of an RSA signature.  An unregistered origin counts one ms_verify
-        and fails, as :meth:`verify` does for RSA."""
-        try:
-            value = int.from_bytes(signature, "big")
-        except (TypeError, ValueError):
-            return False
-        pair = self.directory._ms_pairs.get(origin)
-        if pair is None:
-            self.counters[domain].ms_verify += 1
-            return False
-        return self.ms_verify_value(
-            body, value, pair.public_key, 1 << origin, ("single", origin), domain
-        )
+        and fails, as :meth:`verify` does for RSA; a signature that does
+        not parse counts nothing."""
+        self.charge_record_verify(origin, signature, True, domain)
+        return self.directory.signature_verdict(origin, body, signature, True)
 
     def ms_verify_batch(
         self,

@@ -118,7 +118,16 @@ def _encode_into(value: Any, out: List[bytes]) -> bool:
 
     Returns True when ``value`` is *recursively immutable* (so its encoding
     can never change and is safe to memoize by identity), False otherwise.
+    The memo is read first: a memoized record inside a fresh tuple or a
+    list is served before any type test.
     """
+    hit = _memo.get(id(value))
+    if hit is not None and hit[0] is value:
+        _memo.move_to_end(id(value))
+        _memo_stats["hits"] += 1
+        _memo_stats["saved_bytes"] += len(hit[1])
+        out.append(hit[1])
+        return True
     if value is None:
         out.append(_T_NONE)
     elif value is True:
@@ -136,13 +145,6 @@ def _encode_into(value: Any, out: List[bytes]) -> bool:
         out.append(_T_STR)
         _encode_varbytes(value.encode("utf-8"), out)
     elif isinstance(value, tuple):
-        hit = _memo.get(id(value))
-        if hit is not None and hit[0] is value:
-            _memo.move_to_end(id(value))
-            _memo_stats["hits"] += 1
-            _memo_stats["saved_bytes"] += len(hit[1])
-            out.append(hit[1])
-            return True
         sub: List[bytes] = [_T_TUPLE, struct.pack(">I", len(value))]
         safe = True
         for item in value:
@@ -179,13 +181,6 @@ def _encode_into(value: Any, out: List[bytes]) -> bool:
         name = type(value).__name__
         if name not in _registry_by_name:
             raise TypeError(f"unregistered message type: {name}")
-        hit = _memo.get(id(value))
-        if hit is not None and hit[0] is value:
-            _memo.move_to_end(id(value))
-            _memo_stats["hits"] += 1
-            _memo_stats["saved_bytes"] += len(hit[1])
-            out.append(hit[1])
-            return True
         type_id, _ = _registry_by_name[name]
         fields = dataclasses.fields(value)
         sub = [_T_MESSAGE, struct.pack(">I", type_id), struct.pack(">I", len(fields))]
@@ -217,12 +212,6 @@ def encoded_size(value: Any) -> int:
     message is O(1) and never re-materializes the bytes.  Memo hits are
     counted in the memo stats exactly like :func:`encode` hits.
     """
-    hit = _memo.get(id(value))
-    if hit is not None and hit[0] is value:
-        _memo.move_to_end(id(value))
-        _memo_stats["hits"] += 1
-        _memo_stats["saved_bytes"] += len(hit[1])
-        return len(hit[1])
     return len(encode(value))
 
 

@@ -24,6 +24,7 @@ from repro.core.forwarding import (
     rule_a,
     rule_b,
     rule_c,
+    _origin_masks,
 )
 from repro.core.heartbeat import AggregateHeartbeat, CoverageRegistry, HeartbeatRecord
 from repro.core.identity import Directory
@@ -33,7 +34,8 @@ from repro.net.topology import ring_topology
 
 
 def _make_layer(topo, node_id, directory, variant="basic", d_max=4,
-                on_packet=None, coverage=None, **config_kwargs):
+                on_packet=None, coverage=None, cls=ForwardingLayer,
+                **config_kwargs):
     config = ReboundConfig(
         fmax=1, fconc=1, variant=variant, d_max=d_max, rsa_bits=256,
         **config_kwargs,
@@ -44,7 +46,7 @@ def _make_layer(topo, node_id, directory, variant="basic", d_max=4,
     verifier = EvidenceVerifier(verify_signature=crypto.verify)
     received_evidence: List[Any] = []
     delivered: List[Any] = []
-    layer = ForwardingLayer(
+    layer = cls(
         node_id=node_id,
         topology=topo,
         config=config,
@@ -446,10 +448,10 @@ class TestCoverageMasks:
                 assert calc.support_bits(node, age) == sum(1 << x for x in ball)
         j = data.draw(st.sampled_from(nodes))
         delivered = data.draw(st.sets(st.sampled_from(nodes)))
-        for origin in delivered:
-            rec = HeartbeatRecord(origin=origin, round_no=7, delta_count=0,
-                                  signature=b"")
-            layer._mark_record_delivered(j, rec)
+        records = [HeartbeatRecord(origin=origin, round_no=7, delta_count=0,
+                                   signature=b"") for origin in delivered]
+        for round_no, bits in _origin_masks(records, layer._controllers).items():
+            layer._delivered[j][round_no] = bits
         expected = calc.support(j, layer.bounds.d_max)
         assert _rule_b_suspects(layer, j, 7) == bool(expected - delivered)
         assert _rule_b_suspects(layer, j, 8) == bool(expected)

@@ -246,13 +246,6 @@ class TestHeartbeatStore:
         assert store.expire(current_round=10) == 0
         assert len(store) == 10
 
-    def test_latest_round_of(self):
-        store = HeartbeatStore(window=10)
-        assert store.latest_round_of(1) is None
-        store.add(self._rec(round_no=3))
-        store.add(self._rec(round_no=7))
-        assert store.latest_round_of(1) == 7
-
     def test_serialized_size_grows(self):
         store = HeartbeatStore(window=100)
         empty = store.serialized_size()

@@ -309,6 +309,14 @@ def test_codec_memo_hit_equals_fresh_encoding(parts, record):
     assert fresh is not value and fresh[0] is not record
     assert blob == message.encode(fresh)
     assert message.decode(blob) == value
+    # The memoized record inside a fresh tuple and inside a list: served
+    # from the memo (before any type test), with a fresh walk's bytes.
+    for holder in ((*value,), [*value]):
+        assert holder is not value
+        hits = message.codec_memo_stats()["hits"]
+        held = message.encode(holder)
+        assert message.codec_memo_stats()["hits"] > hits
+        assert held == message.encode(type(holder)(copy.deepcopy(value)))
 
 
 def test_codec_memo_keeps_bool_and_int_distinct():
